@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from longvq.attention import AttentionConfig, attn_dense_oracle
-from longvq.factored import attn_factored, build_code_stats
+from longvq.factored import attn_factored, build_code_stats, stats_chunk
 from longvq.rng import Rng
 from longvq.tensor import Tensor, set_precision
 from longvq.vq import Codebook
@@ -29,7 +29,7 @@ def run_pair(cfg, C, z, Q, V, bias):
     S = C.shape[0]
     cb = Codebook(C=C, ema_count=np.ones(S), ema_sum=C.copy())
     st = build_code_stats(z, V, S, cfg.causal,
-                          max(1, cfg.window) if cfg.causal else None)
+                          stats_chunk(cfg.window, cfg.causal))
     f = attn_factored(Tensor(Q), cb, st, Tensor(C[z]), Tensor(V),
                       Tensor(bias), cfg).data
     d = attn_dense_oracle(Tensor(Q), Tensor(C[z]), Tensor(V),

@@ -22,7 +22,7 @@ from math import sqrt
 
 import numpy as np
 
-from .factored import attn_factored, build_code_stats, phi_table
+from .factored import attn_factored, build_code_stats, phi_table, stats_chunk
 from .ssm import SsmBank
 from .tensor import (
     Tensor, band_bias_add, get_dtype, matmul, mul, phi_laplace, phi_relu2,
@@ -259,7 +259,7 @@ class LongVQLayer:
         if self.impl == "factored":
             stats = build_code_stats(
                 z, V.data, cb.S, self.cfg.causal,
-                max(1, self.cfg.window) if self.cfg.causal else None)
+                stats_chunk(self.cfg.window, self.cfg.causal))
             O_pre = attn_factored(Q, cb, stats, K_hat, V, self.local_bias,
                                   self.cfg)
         else:

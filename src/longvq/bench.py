@@ -13,8 +13,10 @@ import time
 import numpy as np
 
 from .attention import AttentionConfig, attn_dense_blocked
-from .factored import build_code_stats, _fwd_bidir_soft
+from .factored import attn_factored, build_code_stats
 from .rng import Rng
+from .tensor import Tensor, get_dtype, no_grad
+from .vq import Codebook
 
 __all__ = ["bench_instance", "time_forward", "fit_slope", "bench_scaling"]
 
@@ -22,13 +24,15 @@ __all__ = ["bench_instance", "time_forward", "fit_slope", "bench_scaling"]
 def bench_instance(L, S, w, d, rng):
     cfg = AttentionConfig(attn_fn="softmax", window=w, causal=False,
                           z_dim=d, v_dim=d)
-    q = rng.normal((L, d))
-    C = rng.normal((S, d))
+    dt = get_dtype()
+    q = rng.normal((L, d), dtype=dt)
+    C = rng.normal((S, d), dtype=dt)
     z = rng.integers(0, S, (L,))
-    v = rng.normal((L, d))
-    bias = rng.normal((2 * w + 1,), std=0.1)
+    v = rng.normal((L, d), dtype=dt)
+    bias = rng.normal((2 * w + 1,), std=0.1, dtype=dt)
+    cb = Codebook(C=C, ema_count=np.ones(S), ema_sum=C.copy())
     return {"cfg": cfg, "q": q, "C": C, "z": z, "kh": C[z], "v": v,
-            "bias": bias, "S": S}
+            "bias": bias, "S": S, "cb": cb}
 
 
 def time_forward(mode, inst):
@@ -39,10 +43,11 @@ def time_forward(mode, inst):
         attn_dense_blocked(inst["q"], inst["kh"], inst["v"], inst["bias"],
                            cfg, block=512)
     elif mode == "vq":
-        stats = build_code_stats(inst["z"], inst["v"], inst["S"],
-                                 causal=False)
-        _fwd_bidir_soft(inst["q"], inst["v"], inst["bias"], inst["C"],
-                        inst["z"], stats.n, stats.U, cfg.scale, cfg.window)
+        with no_grad():
+            V = Tensor(inst["v"])
+            stats = build_code_stats(inst["z"], V, inst["S"], causal=False)
+            attn_factored(Tensor(inst["q"]), inst["cb"], stats,
+                          Tensor(inst["kh"]), V, Tensor(inst["bias"]), cfg)
     else:
         raise ValueError(f"unknown bench mode '{mode}'")
     return time.perf_counter() - t0

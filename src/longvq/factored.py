@@ -1,19 +1,34 @@
 """Linear-time attention over quantized keys.
 
 Because every key row equals a codeword, the score matrix has at most S
-distinct columns. The far field is computed once per (query, code) pair
-against per-code counts n and value sums U; the banded local bias is then
-repaired by subtracting each in-band pair's code-logit term and re-adding
-it with the bias included. Causal masking uses chunked prefix statistics
-(chunk size = window half-width) with dense within-chunk and previous-chunk
-corrections. Output equals the dense quadratic computation on the same
-quantized inputs up to reassociation error.
+distinct columns. Queries run in row chunks. A chunk adds directly the
+keys within w of it (and, when causal, its own keys, which its prefix
+stats leave out), with the learned bias on the |i-j| <= w band, and meets
+every other key once per (query, code) pair through per-code counts n and
+value sums U. The plain terms of the local keys the stats count are taken
+back off the numerator; the denominator uses counts with those keys
+removed, which cancel exactly, and only adds, so a bias that annihilates
+the local keys of a row cannot cancel its far field. Output equals the
+dense quadratic computation on the same quantized inputs up to
+reassociation error.
+
+Causal stats hold, for chunk t, the prefix over all chunks before t. The
+op takes the chunk from the stats and accepts any chunk >= max(1, w), the
+layer's choice (stats_chunk); each is exact. Bidirectional stats cover the
+whole sequence and the op blocks the rows itself. One forward and one
+backward kernel serve every attention function and both directions, with
+the batch axis in every product, so the Python loop runs over chunks only.
+
+The stats are a cache of (z, V): the op rebuilds them with the same
+builder and requires bitwise equality, and it requires K_hat == C[z].
+Stale stats raise ValueError naming the field and the first offending
+batch, chunk and code.
 
 The whole thing is one tape op: straight-through quantization needs
 per-position key gradients, which cannot be recovered from any gradient of
 the code aggregates (U, n), so the backward assembles the dense-equivalent
-dK_hat from per-code scatter streams. The codebook itself is a constant
-here and never receives gradients.
+dK_hat from per-code far-field accumulators. The codebook itself is a
+constant here and never receives gradients.
 
 Shapes: Q (B,L,z_dim) or (L,z_dim); V likewise with v_dim; bias (2w+1,)
 indexed by relative offset i-j+w.
@@ -22,14 +37,20 @@ indexed by relative offset i-j+w.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Tensor, make_op
 from .tensor import _laplace_np, _laplace_deriv_np
 
-__all__ = ["CodeStats", "build_code_stats", "attn_factored", "phi_table"]
+__all__ = ["CodeStats", "build_code_stats", "stats_chunk", "attn_factored",
+           "phi_table"]
+
+# query rows per block when the stats cover the whole sequence; any value
+# is exact, this one keeps the far-field products near BLAS speed while the
+# per-block temporaries stay small
+_BIDIR_ROWS = 64
 
 
 def _relu2(x):
@@ -55,7 +76,7 @@ class CodeStats:
     """Counts n and value sums U of the code-to-position assignment.
 
     Bidirectional: n (..., S), U (..., S, v) over the whole sequence.
-    Causal: leading chunk axis; entry t holds the prefix over all chunks
+    Causal: chunk axis at -2 of n; entry t holds the prefix over all chunks
     strictly before t (entry 0 is all zeros). chunk == 0 means global.
     """
     z: np.ndarray
@@ -64,661 +85,268 @@ class CodeStats:
     chunk: int = 0
 
 
-def _stats_one(z, v, S, causal, chunk):
-    L = z.shape[0]
-    dv = v.shape[-1]
-    if not causal:
-        n = np.bincount(z, minlength=S).astype(v.dtype)
-        U = np.zeros((S, dv), dtype=v.dtype)
-        np.add.at(U, z, v)
-        return n, U
-    cs = chunk
-    T = max(1, -(-L // cs))
-    n = np.zeros((T, S), dtype=v.dtype)
-    U = np.zeros((T, S, dv), dtype=v.dtype)
-    for t in range(1, T):
-        lo, hi = (t - 1) * cs, min(t * cs, L)
-        n[t] = n[t - 1]
-        U[t] = U[t - 1]
-        n[t] += np.bincount(z[lo:hi], minlength=S).astype(v.dtype)
-        np.add.at(U[t], z[lo:hi], v[lo:hi])
+def stats_chunk(window, causal):
+    """Chunk length for the stats of a layer: max(1, window) when causal,
+    the smallest the op accepts; None (whole sequence) otherwise."""
+    return max(1, window) if causal else None
+
+
+def _chunk_sums(z, v, S, cs):
+    """Code counts (B, T, S) and float64 value sums (B, T, S, dv) of each
+    chunk of cs positions of z (B, L), v (B, L, dv). bincount adds in
+    position order, so a rebuild is bitwise equal."""
+    B, L, dv = v.shape
+    T = -(-L // cs)
+    key = (np.arange(B)[:, None] * T + np.arange(L) // cs) * S + z
+    cnt = np.bincount(key.ravel(), minlength=B * T * S)
+    sums = np.bincount((key[..., None] * dv + np.arange(dv)).ravel(),
+                       weights=v.ravel(), minlength=B * T * S * dv)
+    return cnt.reshape(B, T, S), sums.reshape(B, T, S, dv)
+
+
+def _code_stats(z, v, S, chunk):
+    """Batched (n, U): per-chunk exclusive prefixes when chunk is set,
+    whole-sequence totals when it is None; stored in v's dtype."""
+    cnt, sums = _chunk_sums(z, v, S, chunk or v.shape[1])
+    if chunk is None:
+        return cnt[:, 0].astype(v.dtype), sums[:, 0].astype(v.dtype)
+    # a loop of contiguous adds is much faster than cumsum on this axis
+    for t in range(1, cnt.shape[1]):
+        cnt[:, t] += cnt[:, t - 1]
+        sums[:, t] += sums[:, t - 1]
+    n = np.zeros(cnt.shape, dtype=v.dtype)
+    U = np.zeros(sums.shape, dtype=v.dtype)
+    n[:, 1:] = cnt[:, :-1]
+    U[:, 1:] = sums[:, :-1]
     return n, U
 
 
 def build_code_stats(z, V, S, causal, chunk=None):
-    """Exact per-code counts and value sums; prefix-per-chunk when causal."""
+    """Exact per-code counts and value sums; prefix-per-chunk when causal.
+
+    z is (L,) or (B, L) and V (L, dv) or (B, L, dv), a Tensor or array.
+    """
     z = np.asarray(z)
     v = V.data if isinstance(V, Tensor) else np.asarray(V)
     if np.any(z < 0) or np.any(z >= S):
         raise ValueError(f"shortcode out of range [0, {S})")
     if causal and (chunk is None or chunk < 1):
         raise ValueError("causal stats need a chunk size >= 1")
+    chunk = chunk if causal else None
     if z.ndim == 1:
-        n, U = _stats_one(z, v, S, causal, chunk)
-        return CodeStats(z=z, n=n, U=U, chunk=chunk if causal else 0)
-    ns, Us = [], []
-    for b in range(z.shape[0]):
-        n, U = _stats_one(z[b], v[b], S, causal, chunk)
-        ns.append(n)
-        Us.append(U)
-    return CodeStats(z=z, n=np.stack(ns), U=np.stack(Us),
-                     chunk=chunk if causal else 0)
+        n, U = _code_stats(z[None], v[None], S, chunk)
+        n, U = n[0], U[0]
+    else:
+        n, U = _code_stats(z, v, S, chunk)
+    return CodeStats(z=z, n=n, U=U, chunk=chunk or 0)
 
 
-def _diag_index(L, w, causal):
-    """(delta, i, j) triples covering the in-band diagonals."""
-    out = []
-    lo = 0 if causal else -w
-    for delta in range(lo, w + 1):
-        i = np.arange(max(0, delta), L + min(0, delta))
-        if i.size:
-            out.append((delta, i, i - delta))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# bidirectional forward
-
-def _fwd_bidir_elem(q, v, b, C, z, n, U, scale, w, phi):
-    # subtract all plain band terms before re-adding the biased ones:
-    # when the bias annihilates a row, far minus subtractions telescopes
-    # instead of cancelling against a tiny (biased - plain) difference
-    f, _ = phi
-    L = q.shape[0]
-    G = scale * (q @ C.T)
-    out = f(G) @ U
-    diags = _diag_index(L, w, False)
-    for delta, i, j in diags:
-        out[i] -= f(G[i, z[j]])[:, None] * v[j]
-    for delta, i, j in diags:
-        out[i] += f(G[i, z[j]] + b[delta + w])[:, None] * v[j]
-    return out, None
-
-
-def _fwd_bidir_soft(q, v, b, C, z, n, U, scale, w):
-    # the band rides on zero-padded sliding windows of z and v so the whole
-    # (L, 2w+1) correction runs in a handful of array ops; the value window
-    # is a strided view, never a materialized (L, 2w+1, v) block, and the
-    # subtract-everything-then-add-everything order is kept so a bias that
-    # annihilates a row telescopes the same way the loop form did
-    L, dv = q.shape[0], v.shape[1]
-    win = 2 * w + 1
-    G = scale * (q @ C.T)
-    Gx = np.where(n > 0, G, -np.inf)
-    zp = np.zeros(L + 2 * w, z.dtype)
-    zp[w:w + L] = z
-    vp = np.zeros((L + 2 * w, dv), v.dtype)
-    vp[w:w + L] = v
-    zw = sliding_window_view(zp, win)           # (L, win), col c is j = i+c-w
-    vw = sliding_window_view(vp, win, axis=0)   # (L, dv, win) view, no copy
-    Gb = np.take_along_axis(G, zw, axis=1)
-    i = np.arange(L)[:, None]
-    c = np.arange(win)[None, :]
-    Gb[(i + c < w) | (i + c >= L + w)] = -np.inf
-    rb = b[::-1]       # column offset o = j - i indexes the bias at w - o
-    Gt = Gb + rb
-    m = np.maximum(Gx.max(axis=1), Gt.max(axis=1))
-    e = np.exp(Gx - m[:, None])
-    den = e @ n
-    num = e @ U
-    e0 = np.exp(Gb - m[:, None])               # exp(-inf) = 0 off the ends
-    den -= e0.sum(axis=1)
-    num -= np.matmul(vw, e0[:, :, None])[:, :, 0]
-    et = np.exp(Gt - m[:, None])
-    den += et.sum(axis=1)
-    num += np.matmul(vw, et[:, :, None])[:, :, 0]
-    out = num / den[:, None]
-    lse = m + np.log(den)
-    return out, lse
-
-
-# ---------------------------------------------------------------------------
-# bidirectional backward
-
-def _bwd_bidir_elem(q, kh, v, b, C, z, n, U, scale, w, phi, gout):
-    f, df = phi
-    L, dz = q.shape
-    S, dv = U.shape
-    G = scale * (q @ C.T)
-    Phi = f(G)
-    dU = Phi.T @ gout                       # (S, dv)
-    dV = dU[z].copy()
-    E = df(G) * (gout @ U.T)                # (L, S)
-    dQ = scale * (E @ C)
-    tmp = (df(G)[:, :, None] * gout[:, None, :]).reshape(L, S * dv)
-    Tm = (q.T @ tmp).reshape(dz, S, dv)     # T[s] = sum_i f'(G_is) q_i g_i^T
-    dK = scale * np.einsum("zjv,jv->jz", Tm[:, z, :], v)
-    db = np.zeros_like(b)
-    for delta, i, j in _diag_index(L, w, False):
-        lg = G[i, z[j]]
-        lt = lg + b[delta + w]
-        pd = (v[j] * gout[i]).sum(1)
-        dl_t = df(lt) * pd
-        dl_0 = df(lg) * pd
-        dQ[i] -= scale * dl_0[:, None] * kh[j]
-        dQ[i] += scale * dl_t[:, None] * kh[j]
-        dK[j] -= scale * dl_0[:, None] * q[i]
-        dK[j] += scale * dl_t[:, None] * q[i]
-        dV[j] -= f(lg)[:, None] * gout[i]
-        dV[j] += f(lt)[:, None] * gout[i]
-        db[delta + w] += dl_t.sum()
-    return dQ, dK, dV, db
-
-
-def _bwd_bidir_soft(q, kh, v, b, C, z, n, U, scale, w, gout, out, lse):
-    L, dz = q.shape
-    S, dv = U.shape
-    G = scale * (q @ C.T)
-    Gx = np.where(n > 0, G, -np.inf)
-    W = np.exp(Gx - lse[:, None])           # per-code weights
-    r = (out * gout).sum(1)                 # (L,)
-    dV = (W.T @ gout)[z].copy()
-    E = W * ((gout @ U.T) - np.outer(r, n))
-    dQ = scale * (E @ C)
-    tmp = (W[:, :, None] * gout[:, None, :]).reshape(L, S * dv)
-    Tm = (q.T @ tmp).reshape(dz, S, dv)
-    y = W.T @ (r[:, None] * q)              # (S, dz)
-    dK = scale * (np.einsum("zjv,jv->jz", Tm[:, z, :], v) - y[z])
-    db = np.zeros_like(b)
-    for delta, i, j in _diag_index(L, w, False):
-        lg = G[i, z[j]]
-        a_t = np.exp(lg + b[delta + w] - lse[i])
-        a_0 = np.exp(lg - lse[i])
-        pd = (v[j] * gout[i]).sum(1)
-        dl_t = a_t * (pd - r[i])
-        dl_0 = a_0 * (pd - r[i])
-        dQ[i] -= scale * dl_0[:, None] * kh[j]
-        dQ[i] += scale * dl_t[:, None] * kh[j]
-        dK[j] -= scale * dl_0[:, None] * q[i]
-        dK[j] += scale * dl_t[:, None] * q[i]
-        dV[j] -= a_0[:, None] * gout[i]
-        dV[j] += a_t[:, None] * gout[i]
-        db[delta + w] += dl_t.sum()
-    return dQ, dK, dV, db
-
-
-# ---------------------------------------------------------------------------
-# causal: chunk geometry helpers
-
-def _chunks(L, cs):
-    T = max(1, -(-L // cs))
-    return [(t * cs, min((t + 1) * cs, L)) for t in range(T)]
-
-
-def _within_bias(cr, w, b):
-    """bias matrix for within-chunk pairs (row a, col u), u <= a."""
-    a = np.arange(cr)
-    d = a[:, None] - a[None, :]
-    m = d >= 0
-    return np.where(m, b[np.clip(d, 0, None) + w], 0.0), m
-
-
-def _prev_bias(cr, cs, w, b):
-    """bias for prev-chunk rectangle: i-j = cs + a - u, in band iff <= w."""
-    a = np.arange(cr)[:, None]
-    u = np.arange(cs)[None, :]
-    d = cs + a - u
-    m = d <= w
-    return np.where(m, b[np.clip(d, None, w) + w], 0.0), m, d
-
-
-# ---------------------------------------------------------------------------
-# causal forward
-
-def _fwd_causal_elem(q, v, b, C, z, n_pref, U_pref, scale, w, cs, phi):
-    f, _ = phi
-    L = q.shape[0]
-    dv = v.shape[1]
-    out = np.empty((L, dv), dtype=q.dtype)
-    spans = _chunks(L, cs)
-    for t, (lo, hi) in enumerate(spans):
-        cr = hi - lo
-        Graw = scale * (q[lo:hi] @ C.T)
-        acc = f(Graw) @ U_pref[t]
-        if t > 0 and w >= 1:   # repair band cap prefix: subtract, then re-add
-            plo = lo - cs
-            zp = z[plo:lo]
-            bp, mp, _ = _prev_bias(cr, cs, w, b)
-            lg = Graw[:, zp]
-            acc -= np.where(mp, f(lg), 0.0) @ v[plo:lo]
-            acc += np.where(mp, f(lg + bp), 0.0) @ v[plo:lo]
-        bw, mw = _within_bias(cr, w, b)
-        zc = z[lo:hi]
-        Lw = Graw[:, zc] + bw
-        Fw = np.where(mw, f(Lw), 0.0)
-        acc += Fw @ v[lo:hi]
-        out[lo:hi] = acc
-    return out, None
-
-
-def _fwd_causal_soft(q, v, b, C, z, n_pref, U_pref, scale, w, cs):
-    L = q.shape[0]
-    dv = v.shape[1]
-    out = np.empty((L, dv), dtype=q.dtype)
-    lse = np.empty(L, dtype=q.dtype)
-    spans = _chunks(L, cs)
-    for t, (lo, hi) in enumerate(spans):
-        cr = hi - lo
-        n0, U0 = n_pref[t], U_pref[t]
-        Graw = scale * (q[lo:hi] @ C.T)
-        Gx = np.where(n0 > 0, Graw, -np.inf)
-        m = Gx.max(axis=1)
-        zc = z[lo:hi]
-        bw, mw = _within_bias(cr, w, b)
-        Lw = np.where(mw, Graw[:, zc] + bw, -np.inf)
-        m = np.maximum(m, Lw.max(axis=1))
-        if t > 0 and w >= 1:
-            plo = lo - cs
-            zp = z[plo:lo]
-            bp, mp, _ = _prev_bias(cr, cs, w, b)
-            Lp = np.where(mp, Graw[:, zp] + bp, -np.inf)
-            m = np.maximum(m, Lp.max(axis=1))
-        e = np.exp(Gx - m[:, None])
-        den = e @ n0
-        num = e @ U0
-        if t > 0 and w >= 1:
-            E0 = np.where(mp, np.exp(Graw[:, zp] - m[:, None]), 0.0)
-            den -= E0.sum(axis=1)
-            num -= E0 @ v[plo:lo]
-            Ep = np.exp(Lp - m[:, None])
-            den += Ep.sum(axis=1)
-            num += Ep @ v[plo:lo]
-        Ew = np.exp(Lw - m[:, None])
-        den += Ew.sum(axis=1)
-        num += Ew @ v[lo:hi]
-        out[lo:hi] = num / den[:, None]
-        lse[lo:hi] = m + np.log(den)
-    return out, lse
-
-
-# ---------------------------------------------------------------------------
-# causal backward: forward-order pass for dQ/db/near terms, reverse-order
-# streaming pass for the far-field dV/dK_hat
-
-def _bwd_causal(q, kh, v, b, C, z, n_pref, U_pref, scale, w, cs,
-                attn_fn, phi, gout, out, lse):
-    soft = attn_fn == "softmax"
-    if not soft:
-        f, df = phi
-    L, dz = q.shape
+def _checked_stats(stats, kh, v, C, w, causal, batched):
+    """Batched (z, n, U) and the row chunk, after checking that the stats
+    belong to this K_hat and V."""
+    B, L, dv = v.shape
     S = C.shape[0]
-    dv = v.shape[1]
-    dQ = np.zeros_like(q)
-    dK = np.zeros_like(kh)
-    dV = np.zeros_like(v)
-    db = np.zeros_like(b)
-    spans = _chunks(L, cs)
-    T = len(spans)
-
-    def code_rows(t, lo, hi):
-        Graw = scale * (q[lo:hi] @ C.T)
-        if soft:
-            Gx = np.where(n_pref[t] > 0, Graw, -np.inf)
-            W = np.exp(Gx - lse[lo:hi, None])
-        else:
-            W = None
-        return Graw, W
-
-    # pass 1: forward order
-    for t, (lo, hi) in enumerate(spans):
-        cr = hi - lo
-        zc = z[lo:hi]
-        Graw, W = code_rows(t, lo, hi)
-        g_r = gout[lo:hi]
-        if soft:
-            r = (out[lo:hi] * g_r).sum(1)
-            E = W * ((g_r @ U_pref[t].T) - np.outer(r, n_pref[t]))
-        else:
-            E = df(Graw) * (g_r @ U_pref[t].T)
-        dQ[lo:hi] += scale * (E @ C)
-
-        # within-chunk dense block
-        bw, mw = _within_bias(cr, w, b)
-        Lw = Graw[:, zc] + bw
-        P = g_r @ v[lo:hi].T                       # (cr, cr)
-        if soft:
-            Aw = np.where(mw, np.exp(Lw - lse[lo:hi, None]), 0.0)
-            dlw = Aw * (P - r[:, None])
-            dV[lo:hi] += Aw.T @ g_r
-        else:
-            dlw = np.where(mw, df(Lw), 0.0) * P
-            dV[lo:hi] += np.where(mw, f(Lw), 0.0).T @ g_r
-        dQ[lo:hi] += scale * (dlw @ kh[lo:hi])
-        dK[lo:hi] += scale * (dlw.T @ q[lo:hi])
-        for delta in range(cr):
-            ii = np.arange(delta, cr)
-            db[delta + w] += dlw[ii, ii - delta].sum()
-
-        # previous-chunk band rectangle
-        if t > 0 and w >= 1:
-            plo = lo - cs
-            zp = z[plo:lo]
-            bp, mp, _ = _prev_bias(cr, cs, w, b)
-            lg = Graw[:, zp]
-            Pp = g_r @ v[plo:lo].T                 # (cr, cs)
-            if soft:
-                Ap = np.where(mp, np.exp(lg + bp - lse[lo:hi, None]), 0.0)
-                A0 = np.where(mp, np.exp(lg - lse[lo:hi, None]), 0.0)
-                dlt = Ap * (Pp - r[:, None])
-                dl0 = A0 * (Pp - r[:, None])
-                dV[plo:lo] -= A0.T @ g_r
-                dV[plo:lo] += Ap.T @ g_r
-            else:
-                dlt = np.where(mp, df(lg + bp), 0.0) * Pp
-                dl0 = np.where(mp, df(lg), 0.0) * Pp
-                dV[plo:lo] -= np.where(mp, f(lg), 0.0).T @ g_r
-                dV[plo:lo] += np.where(mp, f(lg + bp), 0.0).T @ g_r
-            dQ[lo:hi] -= scale * (dl0 @ kh[plo:lo])
-            dQ[lo:hi] += scale * (dlt @ kh[plo:lo])
-            dK[plo:lo] -= scale * (dl0.T @ q[lo:hi])
-            dK[plo:lo] += scale * (dlt.T @ q[lo:hi])
-            # rectangle diagonals have constant offset i-j = cs - c
-            for c in range(cs):
-                if cs - c > w:
-                    continue
-                aa = np.arange(0, min(cr, cs - c))
-                if aa.size:
-                    db[cs - c + w] += dlt[aa, aa + c].sum()
-
-    # pass 2: reverse order, streaming far-field accumulators
-    F_acc = np.zeros((S, dv), dtype=q.dtype)
-    T_acc = np.zeros((dz, S * dv), dtype=q.dtype)
-    y_acc = np.zeros((S, dz), dtype=q.dtype) if soft else None
-    for t in range(T - 1, -1, -1):
-        lo, hi = spans[t]
-        zc = z[lo:hi]
-        dV[lo:hi] += F_acc[zc]
-        Tg = T_acc.reshape(dz, S, dv)[:, zc, :]
-        far = np.einsum("zcv,cv->cz", Tg, v[lo:hi])
-        if soft:
-            far = far - y_acc[zc]
-        dK[lo:hi] += scale * far
-        # add this chunk's rows into the accumulators
-        Graw, W = code_rows(t, lo, hi)
-        g_r = gout[lo:hi]
-        rows = W if soft else f(Graw)
-        F_acc += rows.T @ g_r
-        wrows = W if soft else df(Graw)
-        tmp = (wrows[:, :, None] * g_r[:, None, :]).reshape(hi - lo, S * dv)
-        T_acc += q[lo:hi].T @ tmp
-        if soft:
-            r = (out[lo:hi] * g_r).sum(1)
-            y_acc += wrows.T @ (r[:, None] * q[lo:hi])
-    return dQ, dK, dV, db
+    if causal:
+        cs = stats.chunk
+        if cs < stats_chunk(w, True):
+            raise ValueError(f"causal stats chunk {cs} is below "
+                             f"max(1, window) = {stats_chunk(w, True)}")
+        per_chunk = (-(-L // cs),)
+    else:
+        cs, per_chunk = _BIDIR_ROWS, ()
+    lead = (B,) if batched else ()
+    want = {"z": lead + (L,), "n": lead + per_chunk + (S,),
+            "U": lead + per_chunk + (S, dv)}
+    got = {}
+    for name, shape in want.items():
+        a = np.asarray(getattr(stats, name))
+        if a.shape != shape:
+            raise ValueError(f"stats.{name} has shape {a.shape}, expected "
+                             f"{shape}")
+        got[name] = a if batched else a[None]
+    z = got["z"]
+    if not np.array_equal(kh, C[z]):
+        raise ValueError("stats/z mismatch: K_hat rows are not C[z]")
+    ref = dict(zip("nU", _code_stats(z, v, S, cs if causal else None)))
+    for name in "nU":
+        if not np.array_equal(got[name], ref[name]):
+            at = np.argwhere(got[name] != ref[name])[0]
+            place = (f"batch {at[0]}, chunk {at[1]}, code {at[2]}" if causal
+                     else f"batch {at[0]}, code {at[1]}")
+            raise ValueError(f"stats/z mismatch: stats.{name} differs from "
+                             f"the counts of z and V at {place}")
+    return z, got["n"], got["U"], cs
 
 
 # ---------------------------------------------------------------------------
-# batched causal softmax: the training hot path. Same chunk algebra and
-# the same subtract-then-add association order as the per-element kernels,
-# with the batch axis folded into every product so the Python loop runs
-# over chunks only.
+# the kernels
 
-def _fwd_causal_soft_batch(q3, v3, b, C, z3, n3, U3, scale, w, cs):
-    B, L, _ = q3.shape
-    dv = v3.shape[2]
-    out = np.empty((B, L, dv), dtype=q3.dtype)
-    lse = np.empty((B, L), dtype=q3.dtype)
-    spans = _chunks(L, cs)
-    for t, (lo, hi) in enumerate(spans):
-        cr = hi - lo
-        n0, U0 = n3[:, t], U3[:, t]
-        Graw = scale * (q3[:, lo:hi] @ C.T)             # (B, cr, S)
-        Gx = np.where(n0[:, None, :] > 0, Graw, -np.inf)
-        m = Gx.max(axis=2)
-        zc = z3[:, lo:hi]
-        bw, mw = _within_bias(cr, w, b)
-        Gzc = np.take_along_axis(Graw, zc[:, None, :], axis=2)
-        Lw = np.where(mw, Gzc + bw, -np.inf)
-        m = np.maximum(m, Lw.max(axis=2))
-        if t > 0 and w >= 1:
-            plo = lo - cs
-            zp = z3[:, plo:lo]
-            bp, mp, _ = _prev_bias(cr, cs, w, b)
-            Gzp = np.take_along_axis(Graw, zp[:, None, :], axis=2)
-            Lp = np.where(mp, Gzp + bp, -np.inf)
-            m = np.maximum(m, Lp.max(axis=2))
-        e = np.exp(Gx - m[..., None])
-        den = np.einsum("bcs,bs->bc", e, n0)
-        num = np.einsum("bcs,bsv->bcv", e, U0)
-        if t > 0 and w >= 1:
-            E0 = np.where(mp, np.exp(Gzp - m[..., None]), 0.0)
-            den -= E0.sum(axis=2)
-            num -= E0 @ v3[:, plo:lo]
-            Ep = np.exp(Lp - m[..., None])
-            den += Ep.sum(axis=2)
-            num += Ep @ v3[:, plo:lo]
-        Ew = np.exp(Lw - m[..., None])
-        den += Ew.sum(axis=2)
-        num += Ew @ v3[:, lo:hi]
-        out[:, lo:hi] = num / den[..., None]
-        lse[:, lo:hi] = m + np.log(den)
+def _chunk(t, q, kh, z, n, U, C, b, scale, w, cs, causal):
+    """What chunk t, rows [lo, hi), needs in both passes.
+
+    Its local keys [klo, khi) are the w keys before it, then the chunk
+    itself when causal or the chunk and the w keys after it when not;
+    every other key it meets through the code stats. Ub holds the value
+    sums of all keys the chunk's stats count (the prefix when causal) and
+    n0 the count per code of those it does not add directly: integer
+    counts cancel exactly, so a code whose keys are all local leaves the
+    far field. The plain terms of the counted local keys are in Ub, so
+    the kernels take them back. Also: code logits G, plain local logits
+    Lp, the visible mask, the bias matrix, and offsets d with the band
+    mask for dbias.
+    """
+    B, L, _ = q.shape
+    S = C.shape[0]
+    lo = t * cs
+    hi = min(lo + cs, L)
+    klo = max(0, lo - w)
+    khi = hi if causal else min(L, hi + w)
+    kc = (lo if causal else khi) - klo          # local keys the stats count
+    d = np.arange(lo, hi)[:, None] - np.arange(klo, khi)
+    seen = d >= 0 if causal else np.ones(d.shape, dtype=bool)
+    band = seen & (np.abs(d) <= w)
+    nb, Ub = (n[:, t], U[:, t]) if causal else (n, U)
+    idx = (np.arange(B)[:, None] * S + z[:, klo:klo + kc]).ravel()
+    n0 = nb - np.bincount(idx, minlength=B * S).reshape(B, S)
+    qr = q[:, lo:hi]
+    return SimpleNamespace(
+        lo=lo, hi=hi, klo=klo, khi=khi, d=d, band=band, seen=seen,
+        counted=np.arange(khi - klo) < kc, n0=n0.astype(nb.dtype), Ub=Ub,
+        bias=np.where(band, b[np.clip(d, -w, w) + w], 0.0),
+        G=scale * (qr @ C.T),
+        Lp=scale * (qr @ kh[:, klo:khi].transpose(0, 2, 1)))
+
+
+def _held(c, z):
+    """Counted local keys whose code the far field of softmax keeps."""
+    n0k = np.take_along_axis(c.n0, z[:, c.klo:c.khi], axis=1)
+    return (c.counted & (n0k > 0))[:, None, :]
+
+
+def _forward(q, kh, v, b, C, z, n, U, scale, w, cs, causal, phi):
+    """Outputs (B, L, dv) and, for softmax (phi None), row log-normalizers.
+    The denominator only adds, so a bias that annihilates the local keys
+    of a row cannot cancel its far field."""
+    B, L, _ = q.shape
+    out = np.empty((B, L, v.shape[2]), dtype=q.dtype)
+    lse = np.empty((B, L), dtype=q.dtype) if phi is None else None
+    for t in range(-(-L // cs)):
+        c = _chunk(t, q, kh, z, n, U, C, b, scale, w, cs, causal)
+        vk = v[:, c.klo:c.khi]
+        if phi is None:
+            Gx = np.where(c.n0[:, None, :] > 0, c.G, -np.inf)
+            La = np.where(c.seen, c.Lp + c.bias, -np.inf)
+            m = np.maximum(Gx.max(axis=2), La.max(axis=2))[..., None]
+            e, ea = np.exp(Gx - m), np.exp(La - m)
+            ep = np.exp(np.where(_held(c, z), c.Lp, -np.inf) - m)
+            den = (e @ c.n0[..., None])[..., 0] + ea.sum(axis=2)
+            out[:, c.lo:c.hi] = (e @ c.Ub + (ea - ep) @ vk) / den[..., None]
+            lse[:, c.lo:c.hi] = m[..., 0] + np.log(den)
+        else:
+            f = phi[0]
+            loc = np.where(c.seen, f(c.Lp + c.bias), 0.0) - c.counted * f(c.Lp)
+            out[:, c.lo:c.hi] = f(c.G) @ c.Ub + loc @ vk
     return out, lse
 
 
-def _bwd_causal_soft_batch(q3, k3, v3, b, C, z3, n3, U3, scale, w, cs,
-                           gout, out, lse):
-    B, L, dz = q3.shape
-    S = C.shape[0]
-    dv = v3.shape[2]
-    dQ = np.zeros_like(q3)
-    dK = np.zeros_like(k3)
-    dV = np.zeros_like(v3)
+def _backward(q, kh, v, b, C, z, n, U, scale, w, cs, causal, phi, g, out,
+              lse):
+    """(dQ, dK_hat, dV, dbias) in one pass over the chunks, last first.
+
+    Keys take their far-field gradient from per-code accumulators over
+    query chunks: F = sum_i W_ic g_i, Tm = sum_i W'_ic q_i g_i^T and, for
+    softmax, y = sum_i W_ic r_i q_i. Causal keys read them before their
+    own chunk is added, bidirectional keys once every chunk is in. A chunk
+    adds its far weights for every key of a code, so it takes them back
+    off the counted keys it adds directly; those weights are bounded (a
+    softmax W is at most 1), so nothing large cancels. The accumulators
+    are (B, S, .) and every temporary is one chunk of rows.
+    """
+    B, L, dz = q.shape
+    S, dv = C.shape[0], v.shape[2]
+    dQ, dK, dV = np.zeros_like(q), np.zeros_like(kh), np.zeros_like(v)
     db = np.zeros_like(b)
-    spans = _chunks(L, cs)
-    T = len(spans)
+    F = np.zeros((B, S, dv), dtype=q.dtype)
+    Tm = np.zeros((B, S, dz * dv), dtype=q.dtype)
+    y = np.zeros((B, S, dz), dtype=q.dtype)
 
-    def code_rows(t, lo, hi):
-        Graw = scale * (q3[:, lo:hi] @ C.T)
-        Gx = np.where(n3[:, t][:, None, :] > 0, Graw, -np.inf)
-        return Graw, np.exp(Gx - lse[:, lo:hi, None])
+    def read(lo, hi):
+        zc = z[:, lo:hi, None]
+        dV[:, lo:hi] += np.take_along_axis(F, zc, axis=1)
+        Tg = np.take_along_axis(Tm, zc, axis=1).reshape(B, hi - lo, dz, dv)
+        far = (Tg @ v[:, lo:hi, :, None])[..., 0]
+        dK[:, lo:hi] += scale * (far - np.take_along_axis(y, zc, axis=1))
 
-    for t, (lo, hi) in enumerate(spans):
-        cr = hi - lo
-        zc = z3[:, lo:hi]
-        Graw, W = code_rows(t, lo, hi)
-        g_r = gout[:, lo:hi]
-        r = (out[:, lo:hi] * g_r).sum(axis=2)
-        E = W * (np.einsum("bcv,bsv->bcs", g_r, U3[:, t])
-                 - r[..., None] * n3[:, t][:, None, :])
-        dQ[:, lo:hi] += scale * (E @ C)
-
-        bw, mw = _within_bias(cr, w, b)
-        Gzc = np.take_along_axis(Graw, zc[:, None, :], axis=2)
-        Lw = Gzc + bw
-        P = g_r @ v3[:, lo:hi].transpose(0, 2, 1)
-        Aw = np.where(mw, np.exp(Lw - lse[:, lo:hi, None]), 0.0)
-        dlw = Aw * (P - r[..., None])
-        dV[:, lo:hi] += Aw.transpose(0, 2, 1) @ g_r
-        dQ[:, lo:hi] += scale * (dlw @ k3[:, lo:hi])
-        dK[:, lo:hi] += scale * (dlw.transpose(0, 2, 1) @ q3[:, lo:hi])
-        for delta in range(cr):
-            ii = np.arange(delta, cr)
-            db[delta + w] += dlw[:, ii, ii - delta].sum()
-
-        if t > 0 and w >= 1:
-            plo = lo - cs
-            zp = z3[:, plo:lo]
-            bp, mp, _ = _prev_bias(cr, cs, w, b)
-            Gzp = np.take_along_axis(Graw, zp[:, None, :], axis=2)
-            Pp = g_r @ v3[:, plo:lo].transpose(0, 2, 1)
-            Ap = np.where(mp, np.exp(Gzp + bp - lse[:, lo:hi, None]), 0.0)
-            A0 = np.where(mp, np.exp(Gzp - lse[:, lo:hi, None]), 0.0)
-            dlt = Ap * (Pp - r[..., None])
-            dl0 = A0 * (Pp - r[..., None])
-            dV[:, plo:lo] -= A0.transpose(0, 2, 1) @ g_r
-            dV[:, plo:lo] += Ap.transpose(0, 2, 1) @ g_r
-            dQ[:, lo:hi] -= scale * (dl0 @ k3[:, plo:lo])
-            dQ[:, lo:hi] += scale * (dlt @ k3[:, plo:lo])
-            dK[:, plo:lo] -= scale * (dl0.transpose(0, 2, 1) @ q3[:, lo:hi])
-            dK[:, plo:lo] += scale * (dlt.transpose(0, 2, 1) @ q3[:, lo:hi])
-            for c in range(cs):
-                if cs - c > w:
-                    continue
-                aa = np.arange(0, min(cr, cs - c))
-                if aa.size:
-                    db[cs - c + w] += dlt[:, aa, aa + c].sum()
-
-    F_acc = np.zeros((B, S, dv), dtype=q3.dtype)
-    T_acc = np.zeros((B, dz, S * dv), dtype=q3.dtype)
-    y_acc = np.zeros((B, S, dz), dtype=q3.dtype)
-    for t in range(T - 1, -1, -1):
-        lo, hi = spans[t]
-        cr = hi - lo
-        zc = z3[:, lo:hi]
-        dV[:, lo:hi] += np.take_along_axis(F_acc, zc[..., None], axis=1)
-        Tg = np.take_along_axis(T_acc.reshape(B, dz, S, dv),
-                                zc[:, None, :, None], axis=2)
-        far = np.einsum("bzcv,bcv->bcz", Tg, v3[:, lo:hi])
-        far -= np.take_along_axis(y_acc, zc[..., None], axis=1)
-        dK[:, lo:hi] += scale * far
-        Graw, W = code_rows(t, lo, hi)
-        g_r = gout[:, lo:hi]
-        F_acc += W.transpose(0, 2, 1) @ g_r
-        tmp = (W[..., None] * g_r[:, :, None, :]).reshape(B, cr, S * dv)
-        T_acc += q3[:, lo:hi].transpose(0, 2, 1) @ tmp
-        r = (out[:, lo:hi] * g_r).sum(axis=2)
-        y_acc += W.transpose(0, 2, 1) @ (r[..., None] * q3[:, lo:hi])
+    for t in range(-(-L // cs) - 1, -1, -1):
+        c = _chunk(t, q, kh, z, n, U, C, b, scale, w, cs, causal)
+        if causal:
+            read(c.lo, c.hi)
+        qr, gr = q[:, c.lo:c.hi], g[:, c.lo:c.hi]
+        vk, khk = v[:, c.klo:c.khi], kh[:, c.klo:c.khi]
+        gU = gr @ c.Ub.transpose(0, 2, 1)                    # (B, r, S)
+        P = gr @ vk.transpose(0, 2, 1)                       # (B, r, k)
+        La = c.Lp + c.bias
+        if phi is None:
+            ls = lse[:, c.lo:c.hi, None]
+            W = Wd = np.exp(np.where(c.n0[:, None, :] > 0, c.G, -np.inf) - ls)
+            r = (out[:, c.lo:c.hi] * gr).sum(axis=2)[..., None]
+            E = W * (gU - r * c.n0[:, None, :])
+            A = np.exp(np.where(c.seen, La, -np.inf) - ls)
+            Wk = Wdk = np.exp(np.where(_held(c, z), c.Lp, -np.inf) - ls)
+            Pr = P - r
+            dl = A * Pr
+        else:
+            f, df = phi
+            W, Wd = f(c.G), df(c.G)
+            E = Wd * gU
+            A = np.where(c.seen, f(La), 0.0)
+            Wk, Wdk, Pr = c.counted * f(c.Lp), c.counted * df(c.Lp), P
+            dl = np.where(c.seen, df(La), 0.0) * P
+        dQ[:, c.lo:c.hi] += scale * (E @ C + (dl - Wdk * P) @ khk)
+        db += np.bincount((c.d + w)[c.band], weights=dl.sum(axis=0)[c.band],
+                          minlength=2 * w + 1)
+        dV[:, c.klo:c.khi] += (A - Wk).transpose(0, 2, 1) @ gr
+        dK[:, c.klo:c.khi] += scale * ((dl - Wdk * Pr).transpose(0, 2, 1)
+                                       @ qr)
+        F += W.transpose(0, 2, 1) @ gr
+        qg = (qr[..., :, None] * gr[..., None, :]).reshape(B, c.hi - c.lo, -1)
+        Tm += Wd.transpose(0, 2, 1) @ qg
+        if phi is None:
+            y += W.transpose(0, 2, 1) @ (r * qr)
+    if not causal:
+        for lo in range(0, L, cs):
+            read(lo, min(lo + cs, L))
     return dQ, dK, dV, db
-
-
-def _check_stats_batch(z3, v3, S, n3, U3, cs):
-    """Vectorized independent recompute of the causal prefix stats."""
-    B, L = z3.shape
-    dv = v3.shape[2]
-    T = max(1, -(-L // cs))
-    Lp = T * cs
-    zp = np.full((B, Lp), S, dtype=np.int64)     # pad bucket S is dropped
-    zp[:, :L] = z3
-    vp = np.zeros((B, Lp, dv), dtype=v3.dtype)
-    vp[:, :L] = v3
-    span = S + 1
-    off = (np.arange(T)[None, :, None]
-           + T * np.arange(B)[:, None, None]) * span
-    idx = zp.reshape(B, T, cs) + off
-    cnt = np.bincount(idx.ravel(), minlength=B * T * span)
-    cnt = cnt.reshape(B, T, span)[..., :S].astype(v3.dtype)
-    Uc = np.zeros((B * T * span, dv), dtype=v3.dtype)
-    np.add.at(Uc, idx.reshape(-1), vp.reshape(-1, dv))
-    Uc = Uc.reshape(B, T, span, dv)[:, :, :S]
-    n = np.zeros((B, T, S), dtype=v3.dtype)
-    U = np.zeros((B, T, S, dv), dtype=v3.dtype)
-    if T > 1:
-        n[:, 1:] = np.cumsum(cnt[:, :-1], axis=1)
-        U[:, 1:] = np.cumsum(Uc[:, :-1], axis=1)
-    if not (np.allclose(n, n3, rtol=1e-5, atol=1e-8)
-            and np.allclose(U, U3, rtol=1e-5, atol=1e-6)):
-        raise ValueError("stats/z mismatch: counts or value sums "
-                         "inconsistent")
 
 
 # ---------------------------------------------------------------------------
 # the public op
 
-def _check_consistency(kh, v, C, stats, causal, chunk):
-    if not np.array_equal(kh, C[stats.z]):
-        raise ValueError("stats/z mismatch: K_hat rows are not C[z]")
-    n, U = _stats_one(stats.z, v, C.shape[0], causal, chunk)
-    if not (np.allclose(n, stats.n, rtol=1e-5, atol=1e-8)
-            and np.allclose(U, stats.U, rtol=1e-5, atol=1e-6)):
-        raise ValueError("stats/z mismatch: counts or value sums inconsistent")
-
-
 def attn_factored(Q, cb, stats, K_hat, V, bias, cfg):
     """Linear-time attention equal to the dense path on quantized keys.
 
     Q, K_hat, V: tensors (L, .) or (B, L, .); bias: (2w+1,) tensor;
-    cb: Codebook; stats: CodeStats from build_code_stats (or None to build
-    here); cfg needs attn_fn / window / causal / scale.
+    cb: Codebook; stats: CodeStats from build_code_stats on the same z and
+    V, with the same batch layout (causal chunk >= max(1, w)); cfg needs
+    attn_fn / window / causal / scale.
     """
-    C = cb.C
-    w = cfg.window
-    causal = cfg.causal
-    scale = cfg.scale
-    cs = max(1, w)
+    C, w, causal = cb.C, cfg.window, cfg.causal
     batched = Q.data.ndim == 3
-    q3 = Q.data if batched else Q.data[None]
-    k3 = K_hat.data if batched else K_hat.data[None]
-    v3 = V.data if batched else V.data[None]
-    B, L, _ = q3.shape
+    q, kh, v = (x.data if batched else x.data[None] for x in (Q, K_hat, V))
     if bias.data.shape != (2 * w + 1,):
         raise ValueError(f"bias must have shape ({2 * w + 1},)")
-    z3 = stats.z if stats.z.ndim == 2 else stats.z[None]
-    n3 = stats.n if stats.n.ndim == (3 if causal else 2) else stats.n[None]
-    U3 = stats.U if stats.U.ndim == (4 if causal else 3) else stats.U[None]
-
+    z, n, U, cs = _checked_stats(stats, kh, v, C, w, causal, batched)
     phi = None if cfg.attn_fn == "softmax" else phi_table(cfg.attn_fn)
-    fast = causal and cfg.attn_fn == "softmax"
-    if fast:
-        if not np.array_equal(k3, C[z3]):
-            raise ValueError("stats/z mismatch: K_hat rows are not C[z]")
-        _check_stats_batch(z3, v3, C.shape[0], n3, U3, cs)
-        outs, lses = _fwd_causal_soft_batch(q3, v3, bias.data, C, z3, n3,
-                                            U3, scale, w, cs)
-
-        def vjp_fast(g):
-            g3 = g if batched else g[None]
-            dQ, dK, dV, db = _bwd_causal_soft_batch(
-                q3, k3, v3, bias.data, C, z3, n3, U3, scale, w, cs,
-                g3, outs, lses)
-            if not batched:
-                dQ, dK, dV = dQ[0], dK[0], dV[0]
-            return dQ, dK, dV, db
-
-        out = outs if batched else outs[0]
-        return make_op(out, (Q, K_hat, V, bias), vjp_fast, "attn_factored")
-    outs = np.empty((B, L, v3.shape[2]), dtype=q3.dtype)
-    lses = np.empty((B, L), dtype=q3.dtype) if cfg.attn_fn == "softmax" else None
-    for bidx in range(B):
-        st = CodeStats(z=z3[bidx], n=n3[bidx], U=U3[bidx],
-                       chunk=cs if causal else 0)
-        _check_consistency(k3[bidx], v3[bidx], C, st, causal,
-                           cs if causal else None)
-        if causal:
-            if cfg.attn_fn == "softmax":
-                o, l = _fwd_causal_soft(q3[bidx], v3[bidx], bias.data, C,
-                                        st.z, st.n, st.U, scale, w, cs)
-            else:
-                o, l = _fwd_causal_elem(q3[bidx], v3[bidx], bias.data, C,
-                                        st.z, st.n, st.U, scale, w, cs, phi)
-        else:
-            if cfg.attn_fn == "softmax":
-                o, l = _fwd_bidir_soft(q3[bidx], v3[bidx], bias.data, C,
-                                       st.z, st.n, st.U, scale, w)
-            else:
-                o, l = _fwd_bidir_elem(q3[bidx], v3[bidx], bias.data, C,
-                                       st.z, st.n, st.U, scale, w, phi)
-        outs[bidx] = o
-        if lses is not None:
-            lses[bidx] = l
+    args = (q, kh, v, bias.data, C, z, n, U, cfg.scale, w, cs, causal,
+            phi)
+    out, lse = _forward(*args)
 
     def vjp(g):
-        g3 = g if batched else g[None]
-        dQ = np.zeros_like(q3)
-        dK = np.zeros_like(k3)
-        dV = np.zeros_like(v3)
-        db = np.zeros_like(bias.data)
-        for bidx in range(B):
-            zb, nb, Ub = z3[bidx], n3[bidx], U3[bidx]
-            if causal:
-                a, bk, c, d = _bwd_causal(
-                    q3[bidx], k3[bidx], v3[bidx], bias.data, C, zb, nb, Ub,
-                    scale, w, cs, cfg.attn_fn, phi, g3[bidx], outs[bidx],
-                    None if lses is None else lses[bidx])
-            elif cfg.attn_fn == "softmax":
-                a, bk, c, d = _bwd_bidir_soft(
-                    q3[bidx], k3[bidx], v3[bidx], bias.data, C, zb, nb, Ub,
-                    scale, w, g3[bidx], outs[bidx], lses[bidx])
-            else:
-                a, bk, c, d = _bwd_bidir_elem(
-                    q3[bidx], k3[bidx], v3[bidx], bias.data, C, zb, nb, Ub,
-                    scale, w, phi, g3[bidx])
-            dQ[bidx] += a
-            dK[bidx] += bk
-            dV[bidx] += c
-            db += d
+        dQ, dK, dV, db = _backward(*args, g if batched else g[None], out,
+                                   lse)
         if not batched:
             dQ, dK, dV = dQ[0], dK[0], dV[0]
         return dQ, dK, dV, db
 
-    out = outs if batched else outs[0]
-    return make_op(out, (Q, K_hat, V, bias), vjp, "attn_factored")
+    return make_op(out if batched else out[0], (Q, K_hat, V, bias), vjp,
+                   "attn_factored")

@@ -19,7 +19,7 @@ import longvq.tensor as T
 from longvq.attention import AttentionConfig, attn_dense_oracle
 from longvq.cli import GRADCHECK_TINY
 from longvq.config import apply_sets, build_run, load_run_config
-from longvq.factored import attn_factored, build_code_stats
+from longvq.factored import attn_factored, build_code_stats, stats_chunk
 from longvq.model import Model
 from longvq.rng import Rng
 from longvq.ssm import (
@@ -70,8 +70,8 @@ def test_factored_attention_equals_dense_oracle(capsys):
                                               z_dim=zd, v_dim=vd)
                         cb = Codebook(C=C, ema_count=np.ones(S),
                                       ema_sum=C.copy())
-                        st = build_code_stats(
-                            z, V, S, causal, max(1, w) if causal else None)
+                        st = build_code_stats(z, V, S, causal,
+                                              stats_chunk(w, causal))
                         f = attn_factored(Tensor(Q), cb, st, Tensor(C[z]),
                                           Tensor(V), Tensor(bias), cfg).data
                         d = attn_dense_oracle(Tensor(Q), Tensor(C[z]),

@@ -1,6 +1,8 @@
 """Attention checks: dense oracle hand cases, code statistics, exact
 factored/dense agreement (values and gradients), and layer behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from longvq.attention import (
     AttentionConfig, LongVQLayer, attn_dense_blocked, attn_dense_oracle,
     attn_entropy,
 )
-from longvq.factored import CodeStats, attn_factored, build_code_stats
+from longvq.factored import (
+    CodeStats, attn_factored, build_code_stats, stats_chunk,
+)
 from longvq.rng import Rng
 from longvq.tensor import Tensor, grad, param, precision
 from longvq.vq import Codebook
@@ -119,14 +123,15 @@ def test_stats_causal_prefix_matches_brute_force():
 # ---------------------------------------------------------------------------
 # factored == dense, forward
 
-def run_both(cfg, cb, z, Q, V, bias, want_grads=False, probe_rng=None):
+def run_both(cfg, cb, z, Q, V, bias, want_grads=False, probe_rng=None,
+             chunk=None):
     S = cb.S
     Qf = param(Q.copy(), name="Q")
     Kf = param(cb.C[z].copy(), name="Kh")
     Vf = param(V.copy(), name="V")
     bf = param(bias.copy(), name="b")
     stats = build_code_stats(z, Vf.data, S, cfg.causal,
-                             max(1, cfg.window) if cfg.causal else None)
+                             chunk or stats_chunk(cfg.window, cfg.causal))
     out_f = attn_factored(Qf, cb, stats, Kf, Vf, bf, cfg)
 
     Qd = param(Q.copy(), name="Qd")
@@ -415,36 +420,30 @@ def test_layer_ssm_ablation_changes_z_only():
 
 
 def test_batched_causal_softmax_kernel_matches_per_element():
-    # the training fast path against the per-element reference kernels,
-    # forward and backward, including the streamed far-field pass
-    from longvq.factored import (_bwd_causal, _bwd_causal_soft_batch,
-                                 _fwd_causal_soft, _fwd_causal_soft_batch)
+    # the batched op, forward and backward (including the streamed
+    # far-field pass), against the dense oracle run per batch element; the
+    # row log-normalizers are checked through the gradients, whose
+    # attention weights are exp(logit - lse)
     rng = Rng(31)
     B, L, S, zd, vd, w = 4, 37, 9, 5, 6, 3
-    cs = w
     cfg = AttentionConfig("softmax", w, True, z_dim=zd, v_dim=vd)
     C = rng.normal((S, zd))
+    cb = Codebook(C=C, ema_count=np.ones(S), ema_sum=C.copy())
     z = rng.integers(0, S, (B, L))
     q = rng.normal((B, L, zd))
     v = rng.normal((B, L, vd))
     bias = rng.normal((2 * w + 1,))
     g = rng.normal((B, L, vd))
-    stats = build_code_stats(z, v, S, True, chunk=cs)
-    kh = C[z]
-    out_b, lse_b = _fwd_causal_soft_batch(q, v, bias, C, z, stats.n,
-                                          stats.U, cfg.scale, w, cs)
-    dQ, dK, dV, db = _bwd_causal_soft_batch(q, kh, v, bias, C, z, stats.n,
-                                            stats.U, cfg.scale, w, cs,
-                                            g, out_b, lse_b)
+    ins = [param(a.copy()) for a in (q, C[z], v, bias)]
+    stats = build_code_stats(z, v, S, True, chunk=w)
+    out = attn_factored(ins[0], cb, stats, ins[1], ins[2], ins[3], cfg)
+    dQ, dK, dV, db = grad(T.tsum(out * Tensor(g)), ins)
     db_ref = np.zeros_like(bias)
     for bi in range(B):
-        o, l = _fwd_causal_soft(q[bi], v[bi], bias, C, z[bi], stats.n[bi],
-                                stats.U[bi], cfg.scale, w, cs)
-        np.testing.assert_allclose(out_b[bi], o, atol=1e-12)
-        np.testing.assert_allclose(lse_b[bi], l, atol=1e-12)
-        a, bk, c, d = _bwd_causal(q[bi], kh[bi], v[bi], bias, C, z[bi],
-                                  stats.n[bi], stats.U[bi], cfg.scale, w,
-                                  cs, "softmax", None, g[bi], o, l)
+        ref_ins = [param(a.copy()) for a in (q[bi], C[z[bi]], v[bi], bias)]
+        ref = attn_dense_oracle(*ref_ins, cfg)
+        a, bk, c, d = grad(T.tsum(ref * Tensor(g[bi])), ref_ins)
+        np.testing.assert_allclose(out.data[bi], ref.data, atol=1e-12)
         np.testing.assert_allclose(dQ[bi], a, atol=1e-11)
         np.testing.assert_allclose(dK[bi], bk, atol=1e-11)
         np.testing.assert_allclose(dV[bi], c, atol=1e-11)
@@ -452,15 +451,120 @@ def test_batched_causal_softmax_kernel_matches_per_element():
     np.testing.assert_allclose(db, db_ref, atol=1e-11)
 
 
+def causal_op_inputs(rng, B, L, S, zd, vd, dtype=np.float64):
+    C = rng.normal((S, zd), dtype=dtype)
+    cb = Codebook(C=C, ema_count=np.ones(S), ema_sum=C.copy())
+    z = rng.integers(0, S, (B, L))
+    q = rng.normal((B, L, zd), dtype=dtype)
+    v = rng.normal((B, L, vd), dtype=dtype)
+    return cb, z, q, v
+
+
 def test_batch_stats_check_catches_corruption():
-    from longvq.factored import _check_stats_batch
     rng = Rng(32)
     B, L, S, vd, cs = 2, 12, 5, 3, 4
-    z = rng.integers(0, S, (B, L))
-    v = rng.normal((B, L, vd))
+    cb, z, q, v = causal_op_inputs(rng, B, L, S, 2, vd)
+    cfg = AttentionConfig("softmax", 2, True, z_dim=2, v_dim=vd)
     stats = build_code_stats(z, v, S, True, chunk=cs)
-    _check_stats_batch(z, v, S, stats.n, stats.U, cs)   # clean: no raise
+
+    def run(st):
+        return attn_factored(Tensor(q), cb, st, Tensor(cb.C[z]), Tensor(v),
+                             Tensor(np.zeros(5)), cfg)
+
+    run(stats)                                   # clean: no raise
     bad = stats.U.copy()
     bad[0, -1] += 0.5
     with pytest.raises(ValueError, match="mismatch"):
-        _check_stats_batch(z, v, S, stats.n, bad, cs)
+        run(dataclasses.replace(stats, U=bad))
+
+
+def test_stats_guard_exact_at_long_float32_shapes():
+    # fresh stats pass at B=2, L=4096, w=16, S=64, v=96 in float32 (a
+    # tolerance recheck of differently summed prefixes rejected them),
+    # and a change to one element of n or U is still caught and located
+    with precision("float32"):
+        rng = Rng(33)
+        B, L, S, zd, vd, w = 2, 4096, 64, 16, 96, 16
+        cb, z, q, v = causal_op_inputs(rng, B, L, S, zd, vd, np.float32)
+        cfg = AttentionConfig("softmax", w, True, z_dim=zd, v_dim=vd)
+        stats = build_code_stats(z, v, S, True, stats_chunk(w, True))
+
+        def run(st):
+            return attn_factored(Tensor(q), cb, st, Tensor(cb.C[z]),
+                                 Tensor(v), Tensor(np.zeros(2 * w + 1)),
+                                 cfg)
+
+        assert np.all(np.isfinite(run(stats).data))
+        for name, at in (("n", (1, 100, 7)), ("U", (0, 200, 3, 5))):
+            arr = getattr(stats, name).copy()
+            arr[at] += 1.0
+            want = (rf"stats\.{name} .* batch {at[0]}, chunk {at[1]}, "
+                    rf"code {at[2]}$")
+            with pytest.raises(ValueError, match=want):
+                run(dataclasses.replace(stats, **{name: arr}))
+
+
+def test_factored_rejects_bad_chunk_and_shapes():
+    rng = Rng(34)
+    cb, z, q, v = causal_op_inputs(rng, 2, 10, 4, 2, 3)
+    cfg = AttentionConfig("relu2", 3, True, z_dim=2, v_dim=3)
+
+    def run(st):
+        return attn_factored(Tensor(q), cb, st, Tensor(cb.C[z]), Tensor(v),
+                             Tensor(np.zeros(7)), cfg)
+
+    with pytest.raises(ValueError, match=r"chunk 2 .* max\(1, window\) = 3"):
+        run(build_code_stats(z, v, 4, True, chunk=2))
+    stats = build_code_stats(z, v, 4, True, chunk=3)
+    flat = build_code_stats(z, v, 4, False)
+    with pytest.raises(ValueError, match=r"stats\.U .* \(2, 4, 4, 3\)"):
+        run(dataclasses.replace(stats, U=flat.U))
+    with pytest.raises(ValueError, match=r"stats\.n .* expected \(2, 4, 4\)"):
+        run(dataclasses.replace(stats, n=flat.n))
+
+
+# ---------------------------------------------------------------------------
+# batched fuzz against the oracle
+
+def fuzz_cases(rng, w, causal):
+    """(L, S, z, bias, chunk) covering L=1, L below the chunk, w >= L,
+    S=1, unused codes and biases of +-50, at each causal chunk choice."""
+    # a bias of -50 on every offset annihilates all in-band keys; with
+    # w >= L that is every key a row sees
+    base = [(1, 3, None), (3, 5, None), (max(1, w), 4, None), (17, 1, None),
+            (9, 12, None), (24, 6, 50.0), (24, 6, -50.0),
+            (max(1, w), 4, -50.0), (70, 7, None)]
+    out = []
+    for L, S, big in base:
+        hi = S - 2 if S > 8 else S       # S=12: the top codes stay unused
+        z = rng.integers(0, hi, (L,))
+        bias = rng.normal((2 * w + 1,))
+        if big is not None:
+            bias = np.full(2 * w + 1, big)
+        chunks = sorted({max(1, w), w + 2, L}) if causal else [None]
+        out += [(L, S, z, bias, c) for c in chunks
+                if c is None or c >= max(1, w)]
+    return out
+
+
+@pytest.mark.parametrize("attn_fn", ["softmax", "relu2", "laplace"])
+@pytest.mark.parametrize("causal", [False, True])
+@pytest.mark.parametrize("w", [0, 1, 2, 8])
+def test_factored_batched_fuzz_matches_oracle(attn_fn, causal, w):
+    rng = Rng(combo_seed("fuzz", attn_fn, causal, w))
+    probe = Rng(combo_seed("fuzz-probe", attn_fn, causal, w))
+    for B in (1, 3):
+        for L, S, z0, bias, chunk in fuzz_cases(rng, w, causal):
+            zd, vd = 3, 4
+            C = rng.normal((S, zd))
+            cb = Codebook(C=C, ema_count=np.ones(S), ema_sum=C.copy())
+            z = np.stack([z0] + [rng.permutation(z0) for _ in range(B - 1)])
+            Q = rng.normal((B, L, zd))
+            V = rng.normal((B, L, vd))
+            cfg = AttentionConfig(attn_fn, w, causal, z_dim=zd, v_dim=vd)
+            f, d, gf, gd = run_both(cfg, cb, z, Q, V, bias, want_grads=True,
+                                    probe_rng=probe, chunk=chunk)
+            case = (B, L, S, chunk, bias[0])
+            assert rel_diff(f, d) < 1e-10, case
+            for name, a, b in zip(("dQ", "dK", "dV", "db"), gf, gd):
+                assert rel_diff(a, b) < 1e-9, (name,) + case

@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -296,3 +297,13 @@ def test_pin_threads_defaults_to_one_for_bench(monkeypatch):
     monkeypatch.setattr(sys, "argv", ["longvq", "bench-scaling"])
     _pin_threads()
     assert os.environ["OMP_NUM_THREADS"] == "1"
+
+
+def test_package_import_leaves_numpy_unloaded():
+    # python -m longvq.cli imports the package before cli._pin_threads
+    # runs; a numpy import there would load BLAS with every core
+    code = "import sys, longvq; print('numpy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
