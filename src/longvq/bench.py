@@ -60,21 +60,26 @@ def fit_slope(Ls, times):
 
 def bench_scaling(Ls, reps=3, S=512, w=64, d=64, modes=("dense", "vq"),
                   seed=0):
-    """Median-of-reps forward times per length, plus log-log slopes."""
+    """Median-of-reps forward times per length, plus log-log slopes.
+
+    Each mode also reports the fastest and slowest rep per length
+    (min_s, max_s), so the spread behind every median is on record.
+    """
     report = {"schema": "longvq-bench-v1",
               "params": {"S": S, "w": w, "d": d, "reps": reps,
                          "Ls": list(Ls), "seed": seed},
               "modes": {}}
     for mode in modes:
-        times = []
+        times, lo, hi = {}, {}, {}
         for L in Ls:
             inst = bench_instance(L, S, w, d, Rng(seed, f"bench-{L}"))
             time_forward(mode, inst)          # warmup, not recorded
             samples = [time_forward(mode, inst) for _ in range(reps)]
-            times.append(float(np.median(samples)))
+            times[str(L)] = float(np.median(samples))
+            lo[str(L)], hi[str(L)] = min(samples), max(samples)
         report["modes"][mode] = {
-            "times_s": {str(L): t for L, t in zip(Ls, times)},
-            "slope": fit_slope(Ls, times)}
+            "times_s": times, "min_s": lo, "max_s": hi,
+            "slope": fit_slope(Ls, list(times.values()))}
     if "dense" in report["modes"] and "vq" in report["modes"]:
         ratios = {}
         for L in Ls:

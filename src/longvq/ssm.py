@@ -6,31 +6,41 @@ structured init below, is discretized with the bilinear rule at a learned
 per-channel step size, and is applied as a causal convolution with the
 materialized kernel k[j] = C_bar A_bar^j B_bar plus a learned skip D.
 
-A recurrent scan is kept as the oracle for the convolution path. A is
-frozen after init; B_in is fixed in the trained bank but the kernel op
-still produces its gradient when asked (the math is cheap and it keeps
+``SsmBank`` is the one differentiable path: ``ssm_kernels`` builds the d
+kernels from the state orbit A_bar^j B_bar in fixed-size blocks (doubling
+inside the first block, one batched matmul per block after it), and
+``tensor.conv_causal_channels`` applies them. The backward of
+``ssm_kernels`` runs the same blocked orbit on an augmented 2N system
+whose upper half is the dt-tangent of the state, and on the adjoint
+(A_bar^T, C_bar) for B_in. ``materialize_kernel`` (state iteration) and
+``scan_recurrent`` (the literal recurrence) are the references.
+
+A is frozen after init; B_in is fixed in the trained bank but the kernel
+op still produces its gradient when asked (the math is cheap and it keeps
 the op honest under finite-difference checks).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import (
-    NumericsError, Tensor, conv_causal, conv_causal_channels, make_op,
-    mul, reshape, stack, get_dtype,
+    NumericsError, Tensor, conv_causal_channels, get_dtype, make_op, mul,
 )
 
 __all__ = [
     "init_s4", "SsmChannel", "DiscreteSsm", "discretize",
-    "materialize_kernel", "scan_recurrent", "apply_ssm", "ssm_kernels",
-    "SsmBank", "DT_MIN", "DT_MAX",
+    "materialize_kernel", "scan_recurrent", "ssm_kernels", "SsmBank",
+    "DT_MIN", "DT_MAX",
 ]
 
 DT_MIN = 0.001
 DT_MAX = 0.1
+
+# states per orbit block in ssm_kernels (a power of two)
+_BLOCK = 64
 
 
 def init_s4(n):
@@ -142,6 +152,35 @@ def _batched_discretize(a, b, dt):
     return a_bar, b_bar, r
 
 
+def _orbit(m, x0, L):
+    """The orbit m^j x0 for j < L, in consecutive blocks.
+
+    m: (d, n, n); x0: (d, n). Yields (j0, s) with s[:, i] = m^(j0+i) x0,
+    s of shape (d, b, n). The first block is built by doubling (each step
+    appends m^len applied to the states so far); every later block is one
+    batched matmul of the previous block with m^_BLOCK. Only the current
+    block is alive, so no (L, d, n) history is ever kept.
+    """
+    s = x0[:, None, :]
+    p = m
+    while s.shape[1] < min(_BLOCK, L):
+        s = np.concatenate([s, s @ np.swapaxes(p, 1, 2)], axis=1)
+        p = p @ p
+    step = np.swapaxes(p, 1, 2)      # p == m^len(s) here
+    for j0 in range(0, L, s.shape[1]):
+        if j0:
+            s = s @ step
+        yield j0, s[:, :L - j0]
+
+
+def _orbit_sum(m, x0, g):
+    """sum_j g[:, j] m^j x0 for g: (d, L) -> (d, n)."""
+    acc = np.zeros_like(x0)
+    for j0, s in _orbit(m, x0, g.shape[1]):
+        acc += np.einsum("dj,djn->dn", g[:, j0:j0 + s.shape[1]], s)
+    return acc
+
+
 def ssm_kernels(C_out, log_dt, B_in, A, L):
     """Materialized kernels for d channels sharing A.
 
@@ -158,69 +197,37 @@ def ssm_kernels(C_out, log_dt, B_in, A, L):
     dt = np.exp(ld)
     a_bar, b_bar, r = _batched_discretize(a, bv, dt)
 
-    u_hist = np.empty((L, d, n))
-    u = b_bar
-    for j in range(L):
-        u_hist[j] = u
-        u = np.einsum("dnm,dm->dn", a_bar, u)
-    k = np.einsum("jdn,dn->dj", u_hist, c).astype(dtype)
+    k = np.empty((d, L))
+    for j0, s in _orbit(a_bar, b_bar, L):
+        k[:, j0:j0 + s.shape[1]] = np.einsum("djn,dn->dj", s, c)
+    k = k.astype(dtype)
 
     want_b = B_in.requires_grad or B_in._vjp is not None
-    ra2 = r @ (0.5 * a)
 
     def vjp(g):
         g64 = g.astype(np.float64)
-        dc = np.einsum("dj,jdn->dn", g64, u_hist)
-        # tangent of the state sequence in dt, chained to log-space
+        # derivatives of A_bar and B_bar in dt; the orbit of the augmented
+        # system [[A_bar, A_bar'], [0, A_bar]] from [B_bar'; B_bar] carries
+        # the dt-tangent of every state above the state itself
+        ra2 = r @ (0.5 * a)
         a_tan = ra2 @ (a_bar + np.eye(n))
-        t = np.einsum("dnm,dm->dn", ra2, b_bar) + np.einsum("dnm,m->dn", r, bv)
-        acc = np.zeros(d)
-        for j in range(L):
-            acc += g64[:, j] * np.einsum("dn,dn->d", c, t)
-            if j + 1 < L:
-                t = np.einsum("dnm,dm->dn", a_tan, u_hist[j]) \
-                    + np.einsum("dnm,dm->dn", a_bar, t)
-        dld = dt * acc
+        b_tan = np.einsum("dnm,dm->dn", ra2, b_bar) \
+            + np.einsum("dnm,m->dn", r, bv)
+        m = np.zeros((d, 2 * n, 2 * n))
+        m[:, :n, :n] = a_bar
+        m[:, :n, n:] = a_tan
+        m[:, n:, n:] = a_bar
+        h = _orbit_sum(m, np.concatenate([b_tan, b_bar], axis=1), g64)
+        dc = h[:, n:]
+        dld = dt * np.einsum("dn,dn->d", c, h[:, :n])
         db = None
         if want_b:
-            w = c.copy()
-            accb = np.zeros((d, n))
-            for j in range(L):
-                accb += g64[:, j, None] * w
-                if j + 1 < L:
-                    w = np.einsum("dmn,dm->dn", a_bar, w)
-            db = np.einsum("d,dmn,dm->n", dt, r, accb)
+            w = _orbit_sum(np.swapaxes(a_bar, 1, 2), c, g64)
+            db = np.einsum("d,dmn,dm->n", dt, r, w)
         return dc.astype(dtype), dld.astype(dtype), \
             None if db is None else db.astype(dtype)
 
     return make_op(k, (C_out, log_dt, B_in), vjp, "ssm_kernels")
-
-
-def apply_ssm(X, channels):
-    """Per-channel causal state-space filtering plus skip.
-
-    X: (L, d) array or tensor (treated as data); channels: d SsmChannel
-    whose C_out/log_dt/B_in/D_skip may be tensors, in which case gradients
-    flow to them. For the batched training path use SsmBank instead.
-    """
-    x = _value(X).astype(get_dtype())
-    if x.ndim != 2:
-        raise ValueError("apply_ssm expects (L, d) input")
-    L, d = x.shape
-    if len(channels) != d:
-        raise ValueError(f"{len(channels)} channels for {d} columns")
-    cols = []
-    for c, ch in enumerate(channels):
-        a = np.asarray(ch.A, dtype=np.float64)
-        co = ch.C_out if isinstance(ch.C_out, Tensor) else Tensor(ch.C_out)
-        ld = ch.log_dt if isinstance(ch.log_dt, Tensor) else Tensor(ch.log_dt)
-        bi = ch.B_in if isinstance(ch.B_in, Tensor) else Tensor(ch.B_in)
-        ds = ch.D_skip if isinstance(ch.D_skip, Tensor) else Tensor(ch.D_skip)
-        k = ssm_kernels(reshape(co, (1, -1)), reshape(ld, (1,)), bi, a, L)
-        xc = Tensor(x[:, c])
-        y = conv_causal(reshape(k, (L,)), xc) + mul(ds, xc)
-        cols.append(y)
-    return stack(cols, axis=-1)
 
 
 class SsmBank:

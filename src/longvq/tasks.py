@@ -26,7 +26,6 @@ __all__ = ["TaskSpec", "build_task", "gen_reduction_head",
 TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 TEST_FILE = "test_batch.bin"
 RECORD = 3073          # 1 label byte + 1024 R + 1024 G + 1024 B
-PER_FILE = 10000
 
 
 @dataclass
@@ -120,6 +119,7 @@ class ReductionHeadTask:
         return X, Y
 
     def eval_batches(self, split, batch_size, n_batches=16):
+        """n_batches sampled batches from a fixed per-split stream."""
         rng = Rng(self.spec.seed, f"reduction-eval-{split}")
         for _ in range(n_batches):
             yield self.sample(split, batch_size, rng)
@@ -138,16 +138,18 @@ def find_pixel_data():
 
 
 def _read_batch_file(path):
+    """One binary batch file; its record count comes from its size."""
     if not os.path.isfile(path):
         raise FileNotFoundError(f"missing batch file: {path}")
     raw = np.fromfile(path, dtype=np.uint8)
-    if raw.size != PER_FILE * RECORD:
-        raise ValueError(f"{path}: expected {PER_FILE * RECORD} bytes, "
-                         f"got {raw.size}")
-    rec = raw.reshape(PER_FILE, RECORD)
+    n, rest = divmod(raw.size, RECORD)
+    if n == 0 or rest:
+        raise ValueError(f"{path}: expected a positive multiple of {RECORD} "
+                         f"bytes, got {raw.size}")
+    rec = raw.reshape(n, RECORD)
     labels = rec[:, 0].astype(np.int64)
     # channel-planar layout -> (N, 1024, 3) with channels last
-    pixels = rec[:, 1:].reshape(PER_FILE, 3, 1024).transpose(0, 2, 1)
+    pixels = rec[:, 1:].reshape(n, 3, 1024).transpose(0, 2, 1)
     return pixels, labels
 
 
@@ -212,9 +214,12 @@ class PixelTask:
         idx = rng.integers(0, x.shape[0], (batch_size,))
         return to_float_pixels(x[idx], self.spec.channels == 1), y[idx]
 
-    def eval_batches(self, split, batch_size, limit=None):
+    def eval_batches(self, split, batch_size, n_batches=None):
+        """The split in order; n_batches=None covers all of it."""
         x, y = self._arrays(split)
-        n = x.shape[0] if limit is None else min(limit, x.shape[0])
+        n = x.shape[0]
+        if n_batches is not None:
+            n = min(n, n_batches * batch_size)
         for lo in range(0, n, batch_size):
             hi = min(lo + batch_size, n)
             yield (to_float_pixels(x[lo:hi], self.spec.channels == 1),
@@ -283,12 +288,13 @@ class CharTask:
         seg = ids[win]
         return seg[:, :-1], seg[:, 1:]
 
-    def eval_batches(self, split, batch_size, limit=None):
+    def eval_batches(self, split, batch_size, n_batches=None):
+        """Back-to-back segments; n_batches=None covers the whole split."""
         lo, hi = self._span(split)
         ids = self.corpus["ids"]
         starts = np.arange(lo, hi - self.spec.L, self.spec.L)
-        if limit is not None:
-            starts = starts[:limit * batch_size]
+        if n_batches is not None:
+            starts = starts[:n_batches * batch_size]
         for base in range(0, starts.size, batch_size):
             sl = starts[base:base + batch_size]
             win = sl[:, None] + np.arange(self.spec.L + 1)[None, :]

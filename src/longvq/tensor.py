@@ -11,7 +11,9 @@ oracle and gradient tests); use ``set_precision`` or the ``precision``
 context manager before creating tensors.
 
 Shape conventions used throughout the package: sequences are (L, d) or
-batched (B, L, d); matrices are row-major.
+batched (B, L, d); matrices are row-major. The one convolution op,
+``conv_causal_channels``, takes a (d, L) kernel bank and a (B, L, d)
+input; a single sequence is the case B = d = 1.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ __all__ = [
     "add", "sub", "mul", "div", "neg", "matmul", "transpose", "reshape",
     "stack", "gather_rows", "tsum", "tmean", "sigmoid", "silu", "relu", "phi_relu2",
     "phi_laplace", "texp", "tlog", "softmax_rows", "cross_entropy",
-    "conv_causal", "conv_causal_channels", "band_bias_add", "layer_norm",
+    "conv_causal_channels", "band_bias_add", "layer_norm",
     "scale_norm", "batch_norm", "dropout", "set_backward_fault",
     "LAPLACE_MU", "LAPLACE_SIGMA",
 ]
@@ -479,62 +481,38 @@ def _next_pow2(n):
     return 1 << (int(n - 1)).bit_length()
 
 
-def _fft_causal(kern, sig, axis, L):
-    n = _next_pow2(2 * L)
-    kf = np.fft.rfft(kern, n=n, axis=axis)
-    sf = np.fft.rfft(sig, n=n, axis=axis)
-    full = np.fft.irfft(kf * sf, n=n, axis=axis)
-    sl = [slice(None)] * full.ndim
-    sl[axis] = slice(0, L)
-    return np.ascontiguousarray(full[tuple(sl)], dtype=np.result_type(kern, sig))
-
-
-def conv_causal(kernel, signal):
-    """Causal 1-D convolution: out[t] = sum_{j<=t} kernel[j]*signal[t-j].
-
-    Computed with a zero-padded FFT of length >= 2L. Kernel and signal
-    must share length L >= 1.
-    """
-    kernel, signal = _as_tensor(kernel), _as_tensor(signal)
-    if kernel.ndim != 1 or signal.ndim != 1:
-        raise ValueError("conv_causal expects 1-D kernel and signal")
-    L = kernel.data.shape[0]
-    if signal.data.shape[0] != L or L < 1:
-        raise ValueError(
-            f"conv_causal length mismatch: kernel {L}, signal {signal.data.shape[0]}")
-    _check(kernel.data, "conv_causal(kernel)")
-    _check(signal.data, "conv_causal(signal)")
-    out = _fft_causal(kernel.data, signal.data, 0, L)
-
-    def vjp(g):
-        gr = g[::-1]
-        dk = _fft_causal(signal.data, gr, 0, L)[::-1]
-        ds = _fft_causal(kernel.data, gr, 0, L)[::-1]
-        return dk.copy(), ds.copy()
-
-    return make_op(out, (kernel, signal), vjp, "conv_causal")
-
-
 def conv_causal_channels(kernels, x):
     """Per-channel causal convolution of a batched sequence.
 
     kernels: (d, L); x: (B, L, d). Channel c of every batch element is
-    convolved with kernels[c].
+    convolved with kernels[c]: out[b, t, c] = sum_{j<=t} kernels[c, j] *
+    x[b, t-j, c]. Computed with zero-padded FFTs of length >= 2L.
+
+    The tape keeps only the (F, d) kernel spectrum. The backward takes the
+    spectrum of g once, recomputes that of x, and gets both gradients as
+    cross-correlations from conjugate spectra; dk is summed over the batch
+    before its one inverse transform.
     """
     kernels, x = _as_tensor(kernels), _as_tensor(x)
+    if x.ndim != 3:
+        raise ValueError(f"input must be (B, L, d), got shape {x.data.shape}")
     B, L, d = x.data.shape
     if kernels.data.shape != (d, L):
         raise ValueError(
             f"kernel bank shape {kernels.data.shape} != ({d}, {L})")
-    kt = kernels.data.T  # (L, d)
-    out = _fft_causal(kt[None], x.data, 1, L)
+    dtype = np.result_type(kernels.data, x.data)
+    n = _next_pow2(2 * L)
+    kf = np.fft.rfft(kernels.data.T, n=n, axis=0)          # (F, d)
+    out = np.fft.irfft(kf * np.fft.rfft(x.data, n=n, axis=1), n=n, axis=1)
+    out = np.ascontiguousarray(out[:, :L], dtype=dtype)
 
     def vjp(g):
-        gr = g[:, ::-1, :]
-        ds = _fft_causal(kt[None], gr, 1, L)[:, ::-1, :]
-        dk_full = _fft_causal(x.data, gr, 1, L)[:, ::-1, :]  # (B, L, d)
-        dk = dk_full.sum(axis=0).T
-        return np.ascontiguousarray(dk), np.ascontiguousarray(ds)
+        gf = np.fft.rfft(g, n=n, axis=1)
+        dx = np.fft.irfft(kf.conj() * gf, n=n, axis=1)[:, :L]
+        xf = np.fft.rfft(x.data, n=n, axis=1)
+        dk = np.fft.irfft((xf.conj() * gf).sum(axis=0), n=n, axis=0)[:L]
+        return np.ascontiguousarray(dk.T, dtype=dtype), \
+            np.ascontiguousarray(dx, dtype=dtype)
 
     return make_op(out, (kernels, x), vjp, "conv_causal_channels")
 

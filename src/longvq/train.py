@@ -172,8 +172,7 @@ def _eval_pass(model, task, cfg, rng, step, records, fh, with_entropy=True):
            "loss": tot_ce / n + cfg.gamma * tot_vq / n,
            "ce": tot_ce / n, "vq": tot_vq / n, "acc": tot_acc / n,
            "codebook_perplexity": perp,
-           "attn_entropy": [round(e, 6) for e in ent],
-           "lr": 0.0, "wallclock_ms": 0.0}
+           "attn_entropy": [round(e, 6) for e in ent]}
     emit(records, fh, rec)
     return rec
 
@@ -232,6 +231,7 @@ def train_loop(model, task, cfg: TrainConfig, metrics_path=None,
                        [codebook_perplexity(a["z"], model.cfg.S)
                         for a in auxes],
                    "attn_entropy": [], "lr": lr,
+                   "grad_norm": float(gnorm),
                    "wallclock_ms": round(ms, 3)}
             emit(records, fh, rec)
             if cfg.eval_every > 0 and step % cfg.eval_every == 0:

@@ -229,6 +229,14 @@ def test_bench_scaling_structure():
         assert all(t > 0 for t in rep["modes"][mode]["times_s"].values())
 
 
+def test_bench_scaling_reports_spread():
+    rep = bench_scaling([64, 128], reps=3, S=8, w=2, d=4, seed=1)
+    for mode in ("dense", "vq"):
+        m = rep["modes"][mode]
+        for L in ("64", "128"):
+            assert 0 < m["min_s"][L] <= m["times_s"][L] <= m["max_s"][L]
+
+
 # ---------------------------------------------------------------------------
 # entropy diagnostic
 

@@ -8,7 +8,7 @@ import pytest
 import longvq.tensor as T
 from longvq.rng import Rng
 from longvq.tensor import (
-    NumericsError, Tensor, band_bias_add, conv_causal, conv_causal_channels,
+    NumericsError, Tensor, band_bias_add, conv_causal_channels,
     cross_entropy, finite_diff, grad, no_grad, param, precision,
 )
 
@@ -132,29 +132,40 @@ def test_cross_entropy_matches_log_softmax():
 
 
 def test_conv_causal_matches_direct_summation():
-    # reference: out[t] = sum_{j<=t} k[j] s[t-j], O(L^2) loop
+    # reference: out[b, t, c] = sum_{j<=t} k[c, j] x[b, t-j, c], O(L^2) loop
     rng = Rng(5)
+    B, d = 3, 4
     for L in (1, 2, 7, 64):
-        k = rng.normal((L,))
-        s = rng.normal((L,))
-        out = conv_causal(T.tensor(k), T.tensor(s)).data
-        ref = np.zeros(L)
+        k = rng.normal((d, L))
+        x = rng.normal((B, L, d))
+        out = conv_causal_channels(T.tensor(k), T.tensor(x)).data
+        ref = np.zeros((B, L, d))
         for t in range(L):
             for j in range(t + 1):
-                ref[t] += k[j] * s[t - j]
+                ref[:, t, :] += k[:, j] * x[:, t - j, :]
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
 
 def test_conv_causal_channels_matches_per_channel():
+    # each channel of the bank equals the op run on that channel alone
     rng = Rng(6)
     B, L, d = 2, 33, 5
     ker = rng.normal((d, L))
     x = rng.normal((B, L, d))
     out = conv_causal_channels(T.tensor(ker), T.tensor(x)).data
-    for b in range(B):
-        for c in range(d):
-            ref = conv_causal(T.tensor(ker[c]), T.tensor(x[b, :, c])).data
-            np.testing.assert_allclose(out[b, :, c], ref, atol=1e-11)
+    for c in range(d):
+        ref = conv_causal_channels(T.tensor(ker[c:c + 1]),
+                                   T.tensor(x[:, :, c:c + 1])).data
+        np.testing.assert_allclose(out[:, :, c:c + 1], ref, atol=1e-11)
+
+
+def test_conv_causal_channels_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="kernel bank shape"):
+        conv_causal_channels(T.tensor(np.zeros((3, 4))),
+                             T.tensor(np.zeros((1, 4, 2))))
+    with pytest.raises(ValueError, match=r"\(B, L, d\)"):
+        conv_causal_channels(T.tensor(np.zeros((1, 4))),
+                             T.tensor(np.zeros(4)))
 
 
 def test_band_bias_add_bidirectional():
@@ -238,11 +249,13 @@ def test_grad_softmax_and_ce():
 
 
 def test_grad_conv_causal():
+    # the op feeds the loss twice, so both parents accumulate two grads
     rng = Rng(12)
-    k = param(rng.normal((9,)), name="k")
-    s = param(rng.normal((9,)), name="s")
-    check_op_grads(lambda: T.tsum(conv_causal(k, s) * conv_causal(k, s)),
-                   [k, s])
+    for L in (1, 2, 9):
+        k = param(rng.normal((2, L)), name="k")
+        s = param(rng.normal((3, L, 2)), name="s")
+        check_op_grads(lambda: T.tsum(conv_causal_channels(k, s)
+                                      * conv_causal_channels(k, s)), [k, s])
 
 
 def test_grad_conv_causal_channels():

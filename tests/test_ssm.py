@@ -7,8 +7,8 @@ import pytest
 import longvq.tensor as T
 from longvq.rng import Rng
 from longvq.ssm import (
-    DiscreteSsm, SsmBank, SsmChannel, apply_ssm, discretize, init_s4,
-    materialize_kernel, scan_recurrent, ssm_kernels,
+    DiscreteSsm, SsmBank, SsmChannel, conv_causal_channels, discretize,
+    init_s4, materialize_kernel, scan_recurrent, ssm_kernels,
 )
 from longvq.tensor import NumericsError, Tensor, finite_diff, grad, param, precision
 
@@ -158,77 +158,72 @@ def test_conv_equals_scan_random_channels():
         ch = make_channel(n, rng, label=f"t{trial}")
         d = discretize(ch)
         u = rng.normal((L,))
-        y_conv = T.conv_causal(T.Tensor(materialize_kernel(d, L)),
-                               T.Tensor(u)).data
+        k = materialize_kernel(d, L)[None]
+        y_conv = conv_causal_channels(T.Tensor(k),
+                                      T.Tensor(u[None, :, None])).data[0, :, 0]
         y_scan = scan_recurrent(d, u)
         assert np.max(np.abs(y_conv - y_scan)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
-# apply_ssm
+# the bank: d channels filtered and skipped in one pass
+
+def make_bank(d, n, rng):
+    bank = SsmBank(d=d, n=n, rng=rng.child("bank"))
+    bank.D_skip.data[:] = rng.normal((d,))
+    return bank
+
 
 def test_apply_pure_skip():
     rng = Rng(4)
-    chans = []
-    for c in range(3):
-        ch = make_channel(4, rng)
-        ch.C_out = np.zeros(4)   # kernel vanishes
-        ch.D_skip = 1.0
-        chans.append(ch)
-    x = rng.normal((6, 3))
-    y = apply_ssm(x, chans).data
-    np.testing.assert_allclose(y, x, atol=1e-12)
+    bank = make_bank(3, 4, rng)
+    bank.C_out.data[:] = 0.0     # kernel vanishes
+    bank.D_skip.data[:] = 1.0
+    x = rng.normal((2, 6, 3))
+    np.testing.assert_allclose(bank(Tensor(x)).data, x, atol=1e-12)
 
 
 def test_apply_impulse_response():
     rng = Rng(5)
-    chans = [make_channel(4, rng) for _ in range(2)]
+    bank = make_bank(2, 4, rng)
     L = 16
-    x = np.zeros((L, 2))
-    x[0, :] = 1.0
-    y = apply_ssm(x, chans).data
-    for c, ch in enumerate(chans):
-        k = materialize_kernel(discretize(ch), L)
-        want = k.copy()
+    x = np.zeros((1, L, 2))
+    x[0, 0, :] = 1.0
+    y = bank(Tensor(x)).data
+    for c, ch in enumerate(bank.channels()):
+        want = materialize_kernel(discretize(ch), L)
         want[0] += ch.D_skip
-        np.testing.assert_allclose(y[:, c], want, atol=1e-10)
+        np.testing.assert_allclose(y[0, :, c], want, atol=1e-10)
 
 
 def test_apply_equals_scan_plus_skip():
     rng = Rng(6)
-    chans = [make_channel(8, rng, label=f"c{c}") for c in range(3)]
+    bank = make_bank(3, 8, rng)
     L = 32
-    x = rng.normal((L, 3))
-    y = apply_ssm(x, chans).data
-    for c, ch in enumerate(chans):
-        want = scan_recurrent(discretize(ch), x[:, c]) + ch.D_skip * x[:, c]
-        assert np.max(np.abs(y[:, c] - want)) < 1e-6
+    x = rng.normal((2, L, 3))
+    y = bank(Tensor(x)).data
+    for c, ch in enumerate(bank.channels()):
+        for b in range(2):
+            want = scan_recurrent(discretize(ch), x[b, :, c]) \
+                + ch.D_skip * x[b, :, c]
+            assert np.max(np.abs(y[b, :, c] - want)) < 1e-6
 
 
 def test_apply_channel_count_mismatch():
-    rng = Rng(7)
-    with pytest.raises(ValueError):
-        apply_ssm(np.zeros((4, 3)), [make_channel(2, rng)])
+    bank = make_bank(3, 2, Rng(7))
+    with pytest.raises(ValueError, match="kernel bank shape"):
+        bank(Tensor(np.zeros((1, 4, 2))))
 
 
 def test_gradients_flow_through_channel_params():
     rng = Rng(8)
-    n, L, d = 3, 6, 2
-    a, b = init_s4(n)
-    chans = []
-    params = []
-    for c in range(d):
-        co = param(rng.normal((n,)), name=f"C{c}")
-        bi = param(b.copy(), name=f"B{c}")
-        ds = param(np.array(0.5 + 0.1 * c), name=f"D{c}")
-        ld = param(np.array(np.log(0.05)), name=f"dt{c}")
-        chans.append(SsmChannel(A=a, B_in=bi, C_out=co, D_skip=ds, log_dt=ld))
-        params.extend([co, bi, ds, ld])
-    x = rng.normal((L, d))
-    probe = Rng(9).normal((L, d))
+    bank = make_bank(2, 3, rng)
+    x = param(rng.normal((2, 6, 2)), name="x")
+    probe = Rng(9).normal((2, 6, 2))
+    params = bank.params() + [x]
 
     def loss():
-        return T.tsum(apply_ssm(x, chans) * T.Tensor(probe))
+        return T.tsum(bank(x) * T.Tensor(probe))
 
     gs = grad(loss(), params)
     fd = finite_diff(lambda: loss().item(), params, eps=1e-6)
@@ -237,37 +232,52 @@ def test_gradients_flow_through_channel_params():
         assert err < 1e-6, f"{p.name}: {err}"
 
 
-# ---------------------------------------------------------------------------
-# bank path
-
 def test_bank_matches_per_channel_path():
+    # reference: each channel's kernel by state iteration, then a direct
+    # causal convolution per batch element, plus the skip
     rng = Rng(10)
     bank = SsmBank(d=3, n=4, rng=rng.child("bank"))
-    x = rng.normal((2, 12, 3))
+    L = 12
+    x = rng.normal((2, L, 3))
     y = bank(Tensor(x)).data
+    for c, ch in enumerate(bank.channels()):
+        k = materialize_kernel(discretize(ch), L)
+        for b in range(2):
+            want = np.convolve(k, x[b, :, c])[:L] + ch.D_skip * x[b, :, c]
+            np.testing.assert_allclose(y[b, :, c], want, atol=1e-10)
+
+
+def test_bank_kernels_equal_materialized_kernels():
+    # the blocked orbit against state iteration, across block boundaries
+    rng = Rng(15)
+    bank = SsmBank(d=4, n=16, rng=rng.child("bank"))
+    bank.log_dt.data[:] = np.linspace(np.log(0.001), np.log(0.1), 4)
     chans = bank.channels()
-    for bidx in range(2):
-        want = apply_ssm(x[bidx], chans).data
-        np.testing.assert_allclose(y[bidx], want, atol=1e-10)
+    for L in (1, 2, 3, 63, 64, 65, 127, 129, 1000, 4097):
+        k = bank.kernels(L).data
+        for c, ch in enumerate(chans):
+            ref = materialize_kernel(discretize(ch), L)
+            err = np.max(np.abs(k[c] - ref)) / np.max(np.abs(ref))
+            assert err < 1e-12, (L, c, err)
 
 
 def test_bank_kernel_op_grads_match_fd():
     rng = Rng(11)
     bank = SsmBank(d=2, n=3, rng=rng.child("bank"))
-    L = 7
-    probe = Rng(12).normal((2, L))
     bank.B_in.requires_grad = True
     params = [bank.C_out, bank.log_dt, bank.B_in]
+    for L in (7, 65, 130):
+        probe = Rng(12).normal((2, L))
 
-    def loss():
-        return T.tsum(ssm_kernels(bank.C_out, bank.log_dt, bank.B_in,
-                                  bank.A, L) * T.Tensor(probe))
+        def loss():
+            return T.tsum(ssm_kernels(bank.C_out, bank.log_dt, bank.B_in,
+                                      bank.A, L) * T.Tensor(probe))
 
-    gs = grad(loss(), params)
-    fd = finite_diff(lambda: loss().item(), params, eps=1e-6)
-    for g, f, p in zip(gs, fd, params):
-        err = np.linalg.norm(g - f) / max(np.linalg.norm(f), 1e-10)
-        assert err < 1e-6, f"{p.name}: {err}"
+        gs = grad(loss(), params)
+        fd = finite_diff(lambda: loss().item(), params, eps=1e-6)
+        for g, f, p in zip(gs, fd, params):
+            err = np.linalg.norm(g - f) / max(np.linalg.norm(f), 1e-10)
+            assert err < 1e-6, f"L={L} {p.name}: {err}"
 
 
 def test_bank_grad_flows_to_input():

@@ -1,15 +1,19 @@
+import json
 import math
 import os
 
 import numpy as np
 import pytest
 
+from longvq.cli import main
 from longvq.rng import Rng
 from longvq.tasks import (TaskSpec, build_task, gen_reduction_head,
                           ReductionHeadTask, load_pixel_sequences,
                           PixelTask, to_float_pixels, load_char_corpus,
-                          CharTask, bpc, RECORD, PER_FILE, TRAIN_FILES,
-                          TEST_FILE)
+                          CharTask, bpc, RECORD, TRAIN_FILES, TEST_FILE)
+from longvq.tensor import precision
+
+PER_FILE = 10000       # records per batch file in the CIFAR-10 release
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +126,11 @@ def test_build_task_rejects_unknown_name():
 # ---------------------------------------------------------------------------
 # pixel sequences
 
-def _write_fake_cifar(root, label_base=0):
+def _write_fake_cifar(root, label_base=0, per_file=PER_FILE):
     os.makedirs(root, exist_ok=True)
     for fi, name in enumerate(TRAIN_FILES + [TEST_FILE]):
-        rec = np.zeros((PER_FILE, RECORD), dtype=np.uint8)
-        rec[:, 0] = (np.arange(PER_FILE) + label_base + fi) % 10
+        rec = np.zeros((per_file, RECORD), dtype=np.uint8)
+        rec[:, 0] = (np.arange(per_file) + label_base + fi) % 10
         rec[:, 1:1025] = 10 + fi        # R plane
         rec[:, 1025:2049] = 100         # G plane
         rec[:, 2049:] = 200             # B plane
@@ -200,6 +204,64 @@ def test_pixel_task_subset_and_sampling(cifar_dir):
     for bx, by in task.eval_batches("test", 4096):
         seen += bx.shape[0]
     assert seen == 10000
+
+
+def test_pixel_loader_counts_records_from_file_size(tmp_path):
+    root = _write_fake_cifar(str(tmp_path / "tiny"), per_file=8)
+    d = load_pixel_sequences(root)
+    assert d["train_x"].shape == (36, 1024, 3)
+    assert d["val_x"].shape == (4, 1024, 3)
+    assert d["test_x"].shape == (8, 1024, 3)
+    bad = os.path.join(root, "data_batch_3.bin")
+    with open(bad, "ab") as fh:
+        fh.write(b"\x00" * 5)        # 5 bytes past the last whole record
+    with pytest.raises(ValueError, match="data_batch_3.bin: expected"):
+        load_pixel_sequences(root)
+
+
+def test_pixel_train_and_eval_commands_end_to_end(tmp_path, monkeypatch,
+                                                   capsys):
+    # a 6 x 8-record CIFAR-format directory through `longvq train` and
+    # `longvq eval --checkpoint`, no download needed
+    root = _write_fake_cifar(str(tmp_path / "tiny"), per_file=8)
+    monkeypatch.chdir(tmp_path)
+    sets = []
+    for kv in ("task.name=pixels", f"task.path={root}", "task.L=1024",
+               "model.depth=1", "model.d_model=8", "model.S=4",
+               "model.n_state=4", "attn.z_dim=4", "attn.v_dim=8",
+               "attn.window=2", "attn.causal=false", "train.batch_size=4",
+               "train.warmup_steps=1", "train.total_steps=2",
+               "train.eval_every=2", "train.eval_batches=1"):
+        sets += ["--set", kv]
+    with precision("float64"):
+        assert main(["train", *sets, "--out", "tr"]) == 0
+        assert main(["eval", *sets, "--checkpoint", "tr/checkpoint.f32",
+                     "--out", "ev"]) == 0
+    recs = [json.loads(l) for l in open("tr/metrics.jsonl")]
+    assert [r["split"] for r in recs] == ["train", "train", "eval"]
+    rep = json.load(open("ev/report.json"))
+    assert rep["examples"] == 8            # the whole 8-record test file
+    assert np.isfinite(rep["ce"]) and 0.0 <= rep["acc"] <= 1.0
+    assert "eval[test]: n=8" in capsys.readouterr().out
+
+
+def test_eval_batches_yields_n_batches(tmp_path):
+    red = build_task(TaskSpec(name="reduction", L=16, vocab=8, seed=1))
+    assert len(list(red.eval_batches("test", 3))) == 16
+    pix = PixelTask(TaskSpec(name="pixels", path=_write_fake_cifar(
+        str(tmp_path / "tiny"), per_file=8)))
+    p = tmp_path / "c.txt"
+    p.write_bytes(bytes(range(7)) * 200)
+    char = CharTask(TaskSpec(name="chars", L=10, path=str(p)))
+    for task in (red, pix, char):
+        for n in (1, 2, 3):
+            got = list(task.eval_batches("test" if task is pix else "train",
+                                         2, n_batches=n))
+            assert len(got) == n, (task.name, n)
+            assert all(len(y) == 2 for _, y in got)
+    # None covers the whole split for the two file-backed tasks
+    assert sum(len(y) for _, y in pix.eval_batches("test", 3)) == 8
+    assert sum(len(y) for _, y in char.eval_batches("train", 8)) == 125
 
 
 def test_pixel_task_grayscale_channel(cifar_dir):

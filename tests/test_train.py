@@ -198,10 +198,14 @@ def test_loop_record_schema():
     train_recs = [r for r in recs if r["split"] == "train"]
     assert len(train_recs) == 5
     for k in ("step", "split", "loss", "ce", "vq", "acc",
-              "codebook_perplexity", "attn_entropy", "lr", "wallclock_ms"):
+              "codebook_perplexity", "attn_entropy", "lr", "grad_norm",
+              "wallclock_ms"):
         assert k in train_recs[0]
+    # grad_norm is the pre-clip global norm: here it exceeds the 0.1 clip
+    assert all(r["grad_norm"] > TrainConfig().grad_clip for r in train_recs)
     evals = [r for r in recs if r["split"] == "eval"]
     assert evals and evals[-1]["attn_entropy"]
+    assert all("lr" not in r and "wallclock_ms" not in r for r in evals)
 
 
 def test_loop_deterministic_modulo_wallclock(tmp_path):
