@@ -44,7 +44,7 @@ class AttentionConfig:
     window: int = 8
     causal: bool = True
     z_dim: int = 16
-    v_dim: int = 96
+    v_dim: int = 64
 
     def __post_init__(self):
         if self.attn_fn not in ATTN_FNS:
@@ -172,7 +172,8 @@ class LongVQLayer:
     impl selects 'factored' (linear-time) or 'dense' (quadratic oracle);
     both produce the same outputs and parameter gradients on quantized
     keys. ssm_enabled=False ablates the state branch to Z = silu(X).
-    The codebook is seeded from the first batch of keys it sees.
+    The codebook is seeded from the first batch of keys it sees; a
+    checkpoint without it does not load (Model.load_state).
     """
 
     def __init__(self, d, cfg, S, rng, n_state=16, prefix="attn",

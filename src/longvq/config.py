@@ -1,14 +1,20 @@
 """Run configuration: one INI file, flat sections, no silent typos.
 
-Sections mirror the module configs (task / model / attn / train). Every
-key must be known; unknown sections or keys raise ConfigError naming the
-offender so a typo never silently falls back to a default.
+The four module configs are the schema. Each section's keys are the
+fields of its dataclass (task: TaskSpec, model: ModelConfig, attn:
+AttentionConfig, train: TrainConfig); a field's default is the key's
+default, and a value is parsed to that default's type. The model section
+leaves out the fields that the task or the attn section fills and adds
+one key of its own, impl (factored | dense). Every key must be known; unknown
+sections or keys raise ConfigError naming the offender so a typo never
+silently falls back to a default.
 """
 
 from __future__ import annotations
 
 import configparser
 import copy
+from dataclasses import fields
 
 from .attention import AttentionConfig
 from .model import ModelConfig
@@ -23,52 +29,18 @@ class ConfigError(ValueError):
     pass
 
 
+def _defaults(cls, filled=()):
+    return {f.name: f.default for f in fields(cls) if f.name not in filled}
+
+
+# ModelConfig fields that build_run takes from the task and the attn section
+_MODEL_FILLED = ("attn", "head", "n_out", "vocab", "in_dim")
+
 DEFAULTS = {
-    "task": {
-        "name": "reduction",
-        "L": 256,
-        "vocab": 16,
-        "channels": 3,
-        "train_size": 10000,
-        "test_size": 10000,
-        "seed": 0,
-        "path": "",
-        "lm": False,
-    },
-    "model": {
-        "depth": 2,
-        "d_model": 64,
-        "S": 64,
-        "d_ffn": 0,
-        "norm_kind": "layer",
-        "pre_norm": False,
-        "n_state": 16,
-        "dropout": 0.0,
-        "ssm_enabled": True,
-        "impl": "factored",
-    },
-    "attn": {
-        "attn_fn": "softmax",
-        "window": 8,
-        "causal": True,
-        "z_dim": 16,
-        "v_dim": 64,
-    },
-    "train": {
-        "lr": 1e-3,
-        "weight_decay": 0.0,
-        "beta1": 0.9,
-        "beta2": 0.98,
-        "grad_clip": 0.1,
-        "warmup_steps": 100,
-        "total_steps": 1000,
-        "schedule": "linear",
-        "gamma": 0.0001,
-        "batch_size": 128,
-        "seed": 0,
-        "eval_every": 200,
-        "eval_batches": 8,
-    },
+    "task": _defaults(TaskSpec),
+    "model": {**_defaults(ModelConfig, _MODEL_FILLED), "impl": "factored"},
+    "attn": _defaults(AttentionConfig),
+    "train": _defaults(TrainConfig),
 }
 
 
@@ -128,8 +100,8 @@ def apply_sets(cfg, sets):
     return cfg
 
 
-def build_run(cfg, seed=None, impl=None):
-    """Materialize (task, model_cfg, train_cfg) from a validated dict.
+def build_run(cfg, seed=None):
+    """Materialize (task, model_cfg, train_cfg, impl) from a validated dict.
 
     The task dictates the model's input/output interface; a --seed flag
     override lands in both the task and the training stream.
@@ -137,40 +109,19 @@ def build_run(cfg, seed=None, impl=None):
     t = dict(cfg["task"])
     tr = dict(cfg["train"])
     m = dict(cfg["model"])
-    a = dict(cfg["attn"])
+    impl = m.pop("impl")
     if seed is not None:
-        t["seed"] = seed
-        tr["seed"] = seed
-    spec = TaskSpec(name=t["name"], L=t["L"], vocab=t["vocab"],
-                    channels=t["channels"], train_size=t["train_size"],
-                    test_size=t["test_size"], seed=t["seed"],
-                    path=t["path"], lm=t["lm"])
-    task = build_task(spec)
+        t["seed"] = tr["seed"] = seed
+    task = build_task(TaskSpec(**t))
     try:
-        attn = AttentionConfig(attn_fn=a["attn_fn"], window=a["window"],
-                               causal=a["causal"], z_dim=a["z_dim"],
-                               v_dim=a["v_dim"])
-        mk = task.model_kwargs()
-        model_cfg = ModelConfig(
-            depth=m["depth"], d_model=m["d_model"], attn=attn, S=m["S"],
-            head=mk["head"], n_out=mk["n_out"],
-            vocab=mk.get("vocab", 0), in_dim=mk.get("in_dim", 0),
-            d_ffn=m["d_ffn"], norm_kind=m["norm_kind"],
-            pre_norm=m["pre_norm"], n_state=m["n_state"],
-            dropout=m["dropout"], ssm_enabled=m["ssm_enabled"])
-        train_cfg = TrainConfig(
-            lr=tr["lr"], weight_decay=tr["weight_decay"],
-            betas=(tr["beta1"], tr["beta2"]), grad_clip=tr["grad_clip"],
-            warmup_steps=tr["warmup_steps"], total_steps=tr["total_steps"],
-            schedule=tr["schedule"], gamma=tr["gamma"],
-            batch_size=tr["batch_size"], seed=tr["seed"],
-            eval_every=tr["eval_every"], eval_batches=tr["eval_batches"])
+        model_cfg = ModelConfig(attn=AttentionConfig(**cfg["attn"]),
+                                **task.model_kwargs(), **m)
+        train_cfg = TrainConfig(**tr)
     except ValueError as e:
         raise ConfigError(str(e))
-    run_impl = impl if impl is not None else m["impl"]
-    if run_impl not in ("factored", "dense"):
-        raise ConfigError(f"bad value for 'model.impl': {run_impl!r}")
-    return task, model_cfg, train_cfg, run_impl
+    if impl not in ("factored", "dense"):
+        raise ConfigError(f"bad value for 'model.impl': {impl!r}")
+    return task, model_cfg, train_cfg, impl
 
 
 def config_to_text(cfg):

@@ -31,12 +31,12 @@ HEADS = ("mean_pool_classify", "per_position_lm")
 
 @dataclass
 class ModelConfig:
-    depth: int
-    d_model: int
     attn: AttentionConfig
-    S: int
     head: str
     n_out: int
+    depth: int = 2
+    d_model: int = 64
+    S: int = 64
     vocab: int = 0          # token table when > 0 ...
     in_dim: int = 0         # ... or a linear map from channel values
     d_ffn: int = 0          # defaults to 2 * d_model
@@ -290,20 +290,24 @@ class Model:
                    if n not in arrays and ".codebook." not in n]
         if missing:
             raise ValueError(f"checkpoint missing entries: {missing}")
+        # a codebook left out would be seeded from whatever batch comes
+        # next, eval data included, so a checkpoint must carry every one
+        dt = get_dtype()
         for i, b in enumerate(self.blocks):
-            key = f"blocks.{i}.attn.codebook.C"
-            if key in arrays:
-                want = (self.cfg.S, self.cfg.attn.z_dim)
-                if arrays[key].shape != want:
-                    raise ValueError(
-                        f"codebook shape {arrays[key].shape} != {want}")
-                dt = get_dtype()
-                b.attn.codebook = Codebook(
-                    C=arrays[key].astype(dt),
-                    ema_count=arrays[f"blocks.{i}.attn.codebook.ema_count"]
-                    .astype(dt),
-                    ema_sum=arrays[f"blocks.{i}.attn.codebook.ema_sum"]
-                    .astype(dt))
+            pre = f"blocks.{i}.attn.codebook"
+            if not all(f"{pre}.{n}" in arrays
+                       for n in ("C", "ema_count", "ema_sum")):
+                raise ValueError(
+                    f"checkpoint has no codebook for 'blocks.{i}.attn' "
+                    "(saved before the model's first forward?)")
+            want = (self.cfg.S, self.cfg.attn.z_dim)
+            if arrays[f"{pre}.C"].shape != want:
+                raise ValueError(
+                    f"codebook shape {arrays[f'{pre}.C'].shape} != {want}")
+            b.attn.codebook = Codebook(
+                C=arrays[f"{pre}.C"].astype(dt),
+                ema_count=arrays[f"{pre}.ema_count"].astype(dt),
+                ema_sum=arrays[f"{pre}.ema_sum"].astype(dt))
 
 
 def param_count(cfg: ModelConfig) -> int:

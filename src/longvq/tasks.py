@@ -30,12 +30,11 @@ RECORD = 3073          # 1 label byte + 1024 R + 1024 G + 1024 B
 
 @dataclass
 class TaskSpec:
-    name: str                  # reduction | pixels | chars
+    name: str = "reduction"    # reduction | pixels | chars
     L: int = 256
     vocab: int = 16            # generated / lm token space
     channels: int = 3          # pixel channels; 1 selects luminance
     train_size: int = 10000
-    test_size: int = 10000
     seed: int = 0
     path: str = ""
     lm: bool = False           # reduction: next-token targets, answer last

@@ -33,7 +33,6 @@ __all__ = [
 ]
 
 _DTYPE = np.float32
-_CHECK_FINITE = True
 _NO_GRAD = False
 _FAULT_OP = None
 
@@ -100,7 +99,7 @@ def set_backward_fault(op_name):
 
 
 def _check(data, op):
-    if _CHECK_FINITE and not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(data)):
         raise NumericsError(f"non-finite values produced by op '{op}'")
     return data
 

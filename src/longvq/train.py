@@ -25,11 +25,11 @@ __all__ = ["TrainConfig", "total_loss", "clip_grads", "AdamW", "lr_at",
 class TrainConfig:
     lr: float = 1e-3
     weight_decay: float = 0.0
-    betas: tuple = (0.9, 0.98)
+    beta1: float = 0.9
+    beta2: float = 0.98
     grad_clip: float = 0.1
     warmup_steps: int = 100
     total_steps: int = 1000
-    schedule: str = "linear"
     gamma: float = 0.0001
     batch_size: int = 128
     seed: int = 0
@@ -43,8 +43,6 @@ class TrainConfig:
             raise ValueError("gamma must be >= 0")
         if self.grad_clip <= 0:
             raise ValueError("grad_clip must be > 0")
-        if self.schedule != "linear":
-            raise ValueError("schedule must be 'linear'")
 
 
 def lr_at(cfg, step):
@@ -59,12 +57,14 @@ def lr_at(cfg, step):
 # ---------------------------------------------------------------------------
 # loss
 
-def total_loss(model, x, y, gamma):
+def total_loss(model, x, y, gamma, frozen=None):
     """CE plus gamma * mean per-layer commitment loss.
 
     Returns (loss tensor, parts dict, auxes); parts carries floats only.
+    frozen, when given, replays recorded quantizations (see
+    LongVQLayer.__call__).
     """
-    logits, auxes = model(x)
+    logits, auxes = model(x, frozen=frozen)
     if model.cfg.head == "per_position_lm":
         B, L, C = logits.data.shape
         flat = reshape(logits, (B * L, C))
@@ -118,7 +118,7 @@ class AdamW:
         self.t = 0
 
     def step(self, grads, lr):
-        b1, b2 = self.cfg.betas
+        b1, b2 = self.cfg.beta1, self.cfg.beta2
         wd = self.cfg.weight_decay
         self.t += 1
         c1 = 1.0 - b1 ** self.t
@@ -148,7 +148,7 @@ def emit(records, fh, rec):
         fh.flush()
 
 
-def _eval_pass(model, task, cfg, rng, step, records, fh, with_entropy=True):
+def _eval_pass(model, task, cfg, rng, step, records, fh):
     model.training = False
     tot_ce = tot_acc = tot_vq = 0.0
     n = 0
@@ -163,11 +163,9 @@ def _eval_pass(model, task, cfg, rng, step, records, fh, with_entropy=True):
         n += 1
         if b == 0:
             perp = [codebook_perplexity(a["z"], model.cfg.S) for a in auxes]
-            if with_entropy:
-                ent = [attn_entropy(a["Q"][0], a["K_hat"].data[0],
-                                    a["V"][0], lay.local_bias.data,
-                                    lay.cfg)
-                       for a, lay in zip(auxes, model.layers())]
+            ent = [attn_entropy(a["Q"][0], a["K_hat"].data[0], a["V"][0],
+                                lay.local_bias.data, lay.cfg)
+                   for a, lay in zip(auxes, model.layers())]
     rec = {"step": step, "split": "eval",
            "loss": tot_ce / n + cfg.gamma * tot_vq / n,
            "ce": tot_ce / n, "vq": tot_vq / n, "acc": tot_acc / n,
@@ -312,18 +310,7 @@ def gradcheck_model(make_model, make_batch, tol=1e-4, tries=100,
     params = model.params()    # which perturbed parameters break
 
     def loss_fn():
-        logits, aux2 = model(x, frozen=frozen)
-        if model.cfg.head == "per_position_lm":
-            B, L, C = logits.data.shape
-            ce = cross_entropy(reshape(logits, (B * L, C)),
-                               np.asarray(y).reshape(-1))
-        else:
-            ce = cross_entropy(logits, y)
-        vq = None
-        for layer, aux in zip(model.layers(), aux2):
-            c = commit_loss(aux["K"], layer.codebook, aux["z"])
-            vq = c if vq is None else vq + c
-        return ce + gamma * (vq * (1.0 / len(aux2)))
+        return total_loss(model, x, y, gamma, frozen=frozen)[0]
 
     analytic = grad(loss_fn(), params)
     numeric = finite_diff(loss_fn, params, eps=eps)

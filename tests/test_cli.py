@@ -6,12 +6,16 @@ import sys
 import numpy as np
 import pytest
 
+from longvq.attention import AttentionConfig
 from longvq.bench import bench_scaling, fit_slope, time_forward
 from longvq.cli import _layer_entropy, _pin_threads, main
 from longvq.config import (ConfigError, DEFAULTS, apply_sets, build_run,
                            config_to_text, load_run_config)
+from longvq.model import ModelConfig
 from longvq.rng import Rng
+from longvq.tasks import TaskSpec
 from longvq.tensor import Tensor, precision
+from longvq.train import TrainConfig
 
 
 @pytest.fixture(autouse=True)
@@ -99,6 +103,29 @@ def test_build_run_bad_impl():
     cfg["model"]["impl"] = "sparse"
     with pytest.raises(ConfigError, match="model.impl"):
         build_run(cfg)
+
+
+def test_default_run_equals_dataclass_defaults():
+    # the INI defaults and the dataclass defaults are one declaration
+    task, mc, tc, impl = build_run(load_run_config(None))
+    assert task.spec == TaskSpec()
+    assert mc.attn == AttentionConfig()
+    assert tc == TrainConfig()
+    assert mc == ModelConfig(attn=AttentionConfig(), **task.model_kwargs())
+    assert impl == "factored"
+
+
+@pytest.mark.parametrize("key,value", [("train.schedule", "linear"),
+                                       ("task.test_size", "5")])
+def test_removed_keys_rejected(key, value, tmp_path):
+    # an older INI file naming a removed key fails loudly
+    with pytest.raises(ConfigError, match=key):
+        apply_sets(load_run_config(None), [f"{key}={value}"])
+    section, name = key.split(".")
+    p = tmp_path / "old.ini"
+    p.write_text(f"[{section}]\n{name} = {value}\n")
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        load_run_config(str(p))
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,16 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.max(np.abs(got.data - ref.data)) < 1e-5  # f32 storage
 
 
+def test_checkpoint_without_codebook_fails_to_load(tmp_path):
+    # saved before any forward: the codebooks are unseeded, so loading
+    # must not leave them to be seeded later from eval data
+    path = str(tmp_path / "ckpt.bin")
+    save_checkpoint(path, Model(lm_cfg(), Rng(27)))
+    model = Model(lm_cfg(), Rng(28))
+    with pytest.raises(ValueError, match="codebook for 'blocks.0.attn'"):
+        load_checkpoint(path, model)
+
+
 def test_checkpoint_rejects_wrong_shape(tmp_path):
     model = Model(small_cfg(), Rng(24))
     path = str(tmp_path / "ckpt.bin")

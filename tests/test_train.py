@@ -63,8 +63,6 @@ def test_config_validation():
         TrainConfig(gamma=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(grad_clip=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(schedule="cosine")
 
 
 def test_lr_schedule_shape():
@@ -117,7 +115,7 @@ def test_global_norm():
 
 def test_adamw_zero_beta_sign_scaled():
     p = T.param(np.array([1.0, -2.0]), name="p")
-    cfg = TrainConfig(lr=0.5, betas=(0.0, 0.0), weight_decay=0.0)
+    cfg = TrainConfig(lr=0.5, beta1=0.0, beta2=0.0, weight_decay=0.0)
     opt = AdamW([p], cfg)
     g = np.array([0.3, -0.4])
     opt.step([g], lr=0.1)
@@ -127,7 +125,7 @@ def test_adamw_zero_beta_sign_scaled():
 
 def test_adamw_decoupled_weight_decay():
     p = T.param(np.array([2.0]), name="p")
-    cfg = TrainConfig(lr=1.0, betas=(0.9, 0.98), weight_decay=0.5)
+    cfg = TrainConfig(lr=1.0, beta1=0.9, beta2=0.98, weight_decay=0.5)
     opt = AdamW([p], cfg)
     opt.step([np.zeros(1)], lr=0.1)
     np.testing.assert_allclose(p.data, [2.0 - 0.1 * 0.5 * 2.0], atol=1e-12)
