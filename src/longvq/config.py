@@ -112,7 +112,13 @@ def build_run(cfg, seed=None):
     impl = m.pop("impl")
     if seed is not None:
         t["seed"] = tr["seed"] = seed
-    task = build_task(TaskSpec(**t))
+    try:
+        spec = TaskSpec(**t)
+    except ValueError as e:
+        raise ConfigError(str(e))
+    # outside the wrapping: a loading failure (a truncated CIFAR file) is a
+    # run error, not a config error
+    task = build_task(spec)
     try:
         model_cfg = ModelConfig(attn=AttentionConfig(**cfg["attn"]),
                                 **task.model_kwargs(), **m)

@@ -13,11 +13,12 @@ dense quadratic computation on the same quantized inputs up to
 reassociation error.
 
 Causal stats hold, for chunk t, the prefix over all chunks before t. The
-op takes the chunk from the stats and accepts any chunk >= max(1, w), the
-layer's choice (stats_chunk); each is exact. Bidirectional stats cover the
-whole sequence and the op blocks the rows itself. One forward and one
-backward kernel serve every attention function and both directions, with
-the batch axis in every product, so the Python loop runs over chunks only.
+op takes the chunk from the stats and accepts any chunk >= max(1, w); each
+is exact. The layer's choice (stats_chunk) is max(64, w), the same row
+block the op uses when bidirectional stats cover the whole sequence. One
+forward and one backward kernel serve every attention function and both
+directions, with the batch axis in every product, so the Python loop runs
+over chunks only.
 
 The stats are a cache of (z, V): the op rebuilds them with the same
 builder and requires bitwise equality, and it requires K_hat == C[z].
@@ -47,10 +48,11 @@ from .tensor import _laplace_np, _laplace_deriv_np
 __all__ = ["CodeStats", "build_code_stats", "stats_chunk", "attn_factored",
            "phi_table"]
 
-# query rows per block when the stats cover the whole sequence; any value
-# is exact, this one keeps the far-field products near BLAS speed while the
-# per-block temporaries stay small
-_BIDIR_ROWS = 64
+# query rows per block: the op's block for whole-sequence stats and the
+# layer's causal chunk unless the window is wider; any value is exact, this
+# one keeps the far-field products near BLAS speed while the per-block
+# temporaries stay small
+_ROWS = 64
 
 
 def _relu2(x):
@@ -86,9 +88,11 @@ class CodeStats:
 
 
 def stats_chunk(window, causal):
-    """Chunk length for the stats of a layer: max(1, window) when causal,
-    the smallest the op accepts; None (whole sequence) otherwise."""
-    return max(1, window) if causal else None
+    """Chunk length for the stats of a layer: max(64, window) when causal,
+    None (whole sequence) otherwise. The op accepts any causal chunk
+    >= max(1, window); 64 rows cut the per-chunk passes from L/w to L/64
+    while each chunk's products stay small."""
+    return max(_ROWS, window) if causal else None
 
 
 def _chunk_sums(z, v, S, cs):
@@ -148,12 +152,12 @@ def _checked_stats(stats, kh, v, C, w, causal, batched):
     S = C.shape[0]
     if causal:
         cs = stats.chunk
-        if cs < stats_chunk(w, True):
+        if cs < max(1, w):
             raise ValueError(f"causal stats chunk {cs} is below "
-                             f"max(1, window) = {stats_chunk(w, True)}")
+                             f"max(1, window) = {max(1, w)}")
         per_chunk = (-(-L // cs),)
     else:
-        cs, per_chunk = _BIDIR_ROWS, ()
+        cs, per_chunk = _ROWS, ()
     lead = (B,) if batched else ()
     want = {"z": lead + (L,), "n": lead + per_chunk + (S,),
             "U": lead + per_chunk + (S, dv)}
@@ -270,12 +274,16 @@ def _backward(q, kh, v, b, C, z, n, U, scale, w, cs, causal, phi, g, out,
     Tm = np.zeros((B, S, dz * dv), dtype=q.dtype)
     y = np.zeros((B, S, dz), dtype=q.dtype)
 
+    bi = np.arange(B)[:, None]
+
     def read(lo, hi):
-        zc = z[:, lo:hi, None]
-        dV[:, lo:hi] += np.take_along_axis(F, zc, axis=1)
-        Tg = np.take_along_axis(Tm, zc, axis=1).reshape(B, hi - lo, dz, dv)
+        # plain fancy indexing: take_along_axis would broadcast an int64
+        # index over the trailing dz*dv axis of Tm
+        zc = z[:, lo:hi]
+        dV[:, lo:hi] += F[bi, zc]
+        Tg = Tm[bi, zc].reshape(B, hi - lo, dz, dv)
         far = (Tg @ v[:, lo:hi, :, None])[..., 0]
-        dK[:, lo:hi] += scale * (far - np.take_along_axis(y, zc, axis=1))
+        dK[:, lo:hi] += scale * (far - y[bi, zc])
 
     for t in range(-(-L // cs) - 1, -1, -1):
         c = _chunk(t, q, kh, z, n, U, C, b, scale, w, cs, causal)

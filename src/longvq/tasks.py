@@ -39,15 +39,14 @@ class TaskSpec:
     path: str = ""
     lm: bool = False           # reduction: next-token targets, answer last
 
+    def __post_init__(self):
+        if self.name not in _TASKS:
+            raise ValueError(f"unknown task '{self.name}' (expected one of "
+                             f"{', '.join(_TASKS)})")
+
 
 def build_task(spec: TaskSpec):
-    if spec.name == "reduction":
-        return ReductionHeadTask(spec)
-    if spec.name == "pixels":
-        return PixelTask(spec)
-    if spec.name == "chars":
-        return CharTask(spec)
-    raise ValueError(f"unknown task '{spec.name}'")
+    return _TASKS[spec.name](spec)
 
 
 def bpc(ce: float) -> float:
@@ -299,3 +298,7 @@ class CharTask:
             win = sl[:, None] + np.arange(self.spec.L + 1)[None, :]
             seg = ids[win]
             yield seg[:, :-1], seg[:, 1:]
+
+
+_TASKS = {"reduction": ReductionHeadTask, "pixels": PixelTask,
+          "chars": CharTask}

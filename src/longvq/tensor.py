@@ -339,8 +339,16 @@ def gather_rows(table, idx):
     out = table.data[idx]
 
     def vjp(g):
+        # sum the rows of g per index over a stable sort; np.add.at is an
+        # unbuffered per-row loop, several times slower here
+        flat = idx.reshape(-1)
         gt = np.zeros_like(table.data)
-        np.add.at(gt, idx.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        if flat.size:
+            order = np.argsort(flat, kind="stable")
+            keys = flat[order]
+            starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+            gt[keys[starts]] = np.add.reduceat(
+                g.reshape(-1, table.data.shape[1])[order], starts, axis=0)
         return (gt,)
 
     return make_op(out, (table,), vjp, "gather_rows")

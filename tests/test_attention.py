@@ -333,6 +333,24 @@ def test_layer_l1_sequence():
     assert O.data.shape == (1, 8)
 
 
+@pytest.mark.parametrize("w", [0, 8])
+def test_layer_causal_stats_use_64_row_chunks(w, monkeypatch):
+    # the chunk count fixes the per-call loop length: 256/64 = 4 at
+    # w=0 and w=8, where a chunk of max(1, w) gives 256 and 32
+    import longvq.attention as A
+    real, built = A.build_code_stats, []
+
+    def spy(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(A, "build_code_stats", spy)
+    rng = Rng(15)
+    layer = make_layer(rng.child("l"), w=w)
+    layer(Tensor(rng.normal((2, 256, 8))))
+    assert [st.n.shape[-2] for st in built] == [4]
+
+
 def test_layer_impl_swap_small_diff():
     rng = Rng(13)
     for attn_fn in ("softmax", "relu2"):
@@ -487,7 +505,8 @@ def test_stats_guard_exact_at_long_float32_shapes():
         B, L, S, zd, vd, w = 2, 4096, 64, 16, 96, 16
         cb, z, q, v = causal_op_inputs(rng, B, L, S, zd, vd, np.float32)
         cfg = AttentionConfig("softmax", w, True, z_dim=zd, v_dim=vd)
-        stats = build_code_stats(z, v, S, True, stats_chunk(w, True))
+        # the op's smallest chunk, max(1, w) = 16: 256 chunks
+        stats = build_code_stats(z, v, S, True, max(1, w))
 
         def run(st):
             return attn_factored(Tensor(q), cb, st, Tensor(cb.C[z]),
@@ -528,7 +547,8 @@ def test_factored_rejects_bad_chunk_and_shapes():
 
 def fuzz_cases(rng, w, causal):
     """(L, S, z, bias, chunk) covering L=1, L below the chunk, w >= L,
-    S=1, unused codes and biases of +-50, at each causal chunk choice."""
+    S=1, unused codes and biases of +-50, at each causal chunk choice,
+    the layer's own included (L=70: a full 64-row chunk and a tail)."""
     # a bias of -50 on every offset annihilates all in-band keys; with
     # w >= L that is every key a row sees
     base = [(1, 3, None), (3, 5, None), (max(1, w), 4, None), (17, 1, None),
@@ -541,7 +561,8 @@ def fuzz_cases(rng, w, causal):
         bias = rng.normal((2 * w + 1,))
         if big is not None:
             bias = np.full(2 * w + 1, big)
-        chunks = sorted({max(1, w), w + 2, L}) if causal else [None]
+        chunks = (sorted({max(1, w), w + 2, L, stats_chunk(w, True)})
+                  if causal else [None])
         out += [(L, S, z, bias, c) for c in chunks
                 if c is None or c >= max(1, w)]
     return out

@@ -177,6 +177,27 @@ def test_unknown_key_exits_2_naming_field(tmp_path, monkeypatch, capsys):
     assert "model.norn_kind" in capsys.readouterr().err
 
 
+def test_unknown_task_exits_2_naming_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["train", "--set", "task.name=sudoku", "--out", "x"])
+    assert rc == 2
+    assert "config error: unknown task 'sudoku'" in capsys.readouterr().err
+
+
+def test_truncated_pixel_file_exits_1(tmp_path, monkeypatch, capsys):
+    # a data fault found while loading is a run error, not a config error
+    from longvq.tasks import RECORD, TEST_FILE, TRAIN_FILES
+    monkeypatch.chdir(tmp_path)
+    for name in TRAIN_FILES + [TEST_FILE]:
+        (tmp_path / name).write_bytes(bytes(2 * RECORD))
+    (tmp_path / "data_batch_2.bin").write_bytes(bytes(1000))
+    rc = main(["train", "--set", "task.name=pixels", "--set",
+               f"task.path={tmp_path}", "--out", "x"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "data_batch_2.bin" in err
+
+
 def test_eval_roundtrip_from_checkpoint(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["train", *TINY, "--seed", "2", "--out", "tr"]) == 0

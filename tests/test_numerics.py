@@ -231,6 +231,18 @@ def test_grad_gather_rows():
     idx = np.array([[0, 2, 2], [5, 0, 1]])
     check_op_grads(lambda: T.tsum(T.gather_rows(tab, idx)
                                   * T.gather_rows(tab, idx)), [tab])
+    # the scatter against np.add.at: 60 indices into rows 0-3, so rows
+    # repeat and rows 4 and 5 are never hit; then an empty index
+    many = rng.integers(0, 4, (5, 12))
+    g = rng.normal((5, 12, 3))
+    ref = np.zeros((6, 3))
+    np.add.at(ref, many.reshape(-1), g.reshape(-1, 3))
+    got = grad(T.tsum(T.gather_rows(tab, many) * Tensor(g)), [tab])[0]
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
+    assert not got[4:].any()
+    empty = np.zeros((0,), dtype=int)
+    got = grad(T.tsum(T.gather_rows(tab, empty)), [tab])[0]
+    np.testing.assert_array_equal(got, np.zeros((6, 3)))
 
 
 def test_grad_softmax_and_ce():
