@@ -12,7 +12,7 @@ input through a learned sigmoid gate:
 
 The dense oracle materializes the full L x L score matrix on the tape and
 is the ground truth the factored op must reproduce. A blocked no-grad
-scorer caps memory for long-sequence timing and entropy diagnostics.
+scorer caps memory; it exists only to time the dense path at long L.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .vq import quantize_st, seed_codebook
 
 __all__ = [
     "AttentionConfig", "GateSet", "LongVQLayer", "attn_dense_oracle",
-    "attn_dense_blocked", "attn_entropy",
+    "attn_dense_blocked",
 ]
 
 ATTN_FNS = ("softmax", "relu2", "laplace")
@@ -85,16 +85,14 @@ def attn_dense_oracle(Q, K_hat, V, bias, cfg):
     return matmul(wts, V)
 
 
-def attn_dense_blocked(q, kh, v, bias, cfg, block=512, want_entropy=False):
+def attn_dense_blocked(q, kh, v, bias, cfg, block=512):
     """No-grad dense scorer over row blocks; O(block*L) peak memory.
 
-    q/kh/v are numpy (L, .). Returns out (L, v_dim) and, when asked, the
-    per-row attention entropy (softmax rows, or normalized phi rows).
+    q/kh/v are numpy (L, .). Returns out (L, v_dim).
     """
     L, dv = q.shape[0], v.shape[1]
     w = cfg.window
     out = np.empty((L, dv), dtype=q.dtype)
-    ent = np.zeros(L, dtype=q.dtype) if want_entropy else None
     col = np.arange(L)
     for r0 in range(0, L, block):
         r1 = min(r0 + block, L)
@@ -103,10 +101,7 @@ def attn_dense_blocked(q, kh, v, bias, cfg, block=512, want_entropy=False):
         off = rows[:, None] - col[None, :]
         band = np.abs(off) <= w
         logits[band] += bias[off[band] + w]
-        if cfg.causal:
-            disallow = off < 0
-        else:
-            disallow = np.zeros_like(band)
+        disallow = off < 0 if cfg.causal else np.zeros_like(band)
         if cfg.attn_fn == "softmax":
             logits[disallow] = -np.inf
             m = logits.max(axis=1, keepdims=True)
@@ -117,21 +112,7 @@ def attn_dense_blocked(q, kh, v, bias, cfg, block=512, want_entropy=False):
             p = f(logits)
             p[disallow] = 0.0
         out[r0:r1] = p @ v
-        if want_entropy:
-            tot = p.sum(axis=1, keepdims=True)
-            safe = np.where(tot > 0, tot, 1.0)
-            pn = p / safe
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lg = np.where(pn > 0, np.log(pn), 0.0)
-            ent[r0:r1] = -(pn * lg).sum(axis=1)
-    return (out, ent) if want_entropy else out
-
-
-def attn_entropy(q, kh, v, bias, cfg, block=512):
-    """Mean attention-row entropy (diffuse rows score high)."""
-    _, ent = attn_dense_blocked(q, kh, v, bias, cfg, block=block,
-                                want_entropy=True)
-    return float(ent.mean())
+    return out
 
 
 @dataclass

@@ -32,13 +32,12 @@ import json
 
 import numpy as np
 
-from .attention import attn_dense_blocked
 from .bench import bench_scaling
 from .config import ConfigError, apply_sets, build_run, load_run_config
 from .model import Model, load_checkpoint, param_count, save_checkpoint
 from .rng import Rng
 from .tensor import set_backward_fault, set_precision
-from .train import gradcheck_model, total_loss, train_loop
+from .train import evaluate, gradcheck_model, train_loop
 from .vq import save_codebook
 
 SCHEMA = "longvq-report-v1"
@@ -116,20 +115,15 @@ def cmd_eval(args):
     out = _outdir(args, "eval")
     model = _build_model(model_cfg, train_cfg.seed, impl)
     _restore(args, model)
-    model.training = False
-    tot_ce, tot_acc, n = 0.0, 0.0, 0
-    for x, y in task.eval_batches(args.split, train_cfg.batch_size):
-        _, parts, _ = total_loss(model, x, y, gamma=0.0)
-        bs = np.asarray(y).shape[0]
-        tot_ce += parts["ce"] * bs
-        tot_acc += parts["acc"] * bs
-        n += bs
-    ce, acc = tot_ce / max(n, 1), tot_acc / max(n, 1)
+    res = evaluate(model, task.eval_batches(args.split, train_cfg.batch_size),
+                   gamma=0.0)
     payload = {"schema": SCHEMA, "command": "eval", "split": args.split,
-               "examples": n, "ce": ce, "acc": acc,
-               "checkpoint": args.checkpoint}
+               "checkpoint": args.checkpoint,
+               **{k: res[k] for k in ("examples", "ce", "acc",
+                                      "codebook_perplexity", "attn_entropy")}}
     _write_report(out, payload)
-    print(f"eval[{args.split}]: n={n} ce={ce:.4f} acc={acc:.4f}")
+    print(f"eval[{args.split}]: n={res['examples']} ce={res['ce']:.4f} "
+          f"acc={res['acc']:.4f}")
     return 0
 
 
@@ -152,50 +146,20 @@ def cmd_bench_scaling(args):
     return 0
 
 
-def _layer_entropy(layer, aux, causal):
-    """Mean attention-row entropy normalized by log(visible key count)."""
-    bias = layer.local_bias.data
-    cfg = layer.cfg
-    q = aux["Q"]
-    kh = aux["K_hat"].data
-    v = aux["V"]
-    per_batch = []
-    for b in range(q.shape[0]):
-        L = q.shape[1]
-        _, ent = attn_dense_blocked(q[b], kh[b], v[b], bias, cfg,
-                                    want_entropy=True)
-        cnt = np.arange(1, L + 1, dtype=float) if causal \
-            else np.full(L, float(L))
-        ratio = np.where(cnt > 1, ent / np.where(cnt > 1, np.log(cnt), 1.0),
-                         1.0)
-        per_batch.append(float(ratio.mean()))
-    return per_batch
-
-
 def cmd_diag_entropy(args):
     cfg = _load_cfg(args)
     task, model_cfg, train_cfg, impl = build_run(cfg, seed=args.seed)
     out = _outdir(args, "diag-entropy")
     model = _build_model(model_cfg, train_cfg.seed, impl)
     _restore(args, model)
-    model.training = False
     rng = Rng(train_cfg.seed, "diag")
-    layer_sums = None
-    per_batch_out = []
-    for bi in range(args.batches):
-        x, y = task.sample("val", train_cfg.batch_size, rng)
-        _, auxes = model(x)
-        row = []
-        for layer, aux in zip(model.layers(), auxes):
-            vals = _layer_entropy(layer, aux, model_cfg.attn.causal)
-            row.append(float(np.mean(vals)))
-        per_batch_out.append(row)
-        layer_sums = row if layer_sums is None else \
-            [a + b for a, b in zip(layer_sums, row)]
-    means = [s / args.batches for s in layer_sums]
+    per_batch = [evaluate(model, [task.sample("val", train_cfg.batch_size,
+                                              rng)], 0.0)["attn_entropy"]
+                 for _ in range(args.batches)]
+    means = [float(m) for m in np.mean(per_batch, axis=0)]
     payload = {"schema": SCHEMA, "command": "diag-entropy",
                "normalized": True, "batches": args.batches,
-               "per_batch": per_batch_out,
+               "per_batch": per_batch,
                "layers": [{"layer": i, "mean_normalized_entropy": m}
                           for i, m in enumerate(means)]}
     _write_report(out, payload)

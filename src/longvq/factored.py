@@ -31,6 +31,12 @@ the code aggregates (U, n), so the backward assembles the dense-equivalent
 dK_hat from per-code far-field accumulators. The codebook itself is a
 constant here and never receives gradients.
 
+The same walk gives each attention row's entropy (attn_row_entropy)
+without values or an L x L array. With weights W >= 0 (exp(logit - row
+max) for softmax, phi(logit) otherwise), row total T_i and p = W / T_i,
+H_i = -(sum_c n0_c p_ic log p_ic + sum_local p_ij log p_ij): O(S) per row
+for the far field, and no log T - sum W log W / T cancellation.
+
 Shapes: Q (B,L,z_dim) or (L,z_dim); V likewise with v_dim; bias (2w+1,)
 indexed by relative offset i-j+w.
 """
@@ -46,7 +52,7 @@ from .tensor import Tensor, make_op
 from .tensor import _laplace_np, _laplace_deriv_np
 
 __all__ = ["CodeStats", "build_code_stats", "stats_chunk", "attn_factored",
-           "phi_table"]
+           "attn_row_entropy", "phi_table"]
 
 # query rows per block: the op's block for whole-sequence stats and the
 # layer's causal chunk unless the window is wider; any value is exact, this
@@ -358,3 +364,42 @@ def attn_factored(Q, cb, stats, K_hat, V, bias, cfg):
 
     return make_op(out if batched else out[0], (Q, K_hat, V, bias), vjp,
                    "attn_factored")
+
+
+# ---------------------------------------------------------------------------
+# the row-entropy diagnostic
+
+def _xlogx(x):
+    return x * np.log(np.where(x > 0, x, 1.0))
+
+
+def attn_row_entropy(q, z, bias, C, cfg):
+    """(B, L) entropy of each attention row over the keys it sees, divided
+    by log(visible keys): i+1 when causal, L otherwise; linear in L.
+
+    q (B, L, z_dim) and z (B, L) are arrays, bias (2w+1,), C the (S, z_dim)
+    codewords; values do not enter. An all-zero relu2 row reads 0 and a
+    row that sees one key reads 1."""
+    q, z = np.asarray(q), np.asarray(z)
+    B, L, _ = q.shape
+    w, causal = cfg.window, cfg.causal
+    cs = stats_chunk(w, True)           # any row block is exact
+    n, U = _code_stats(z, q[..., :0], C.shape[0], cs if causal else None)
+    kh = C[z]
+    f = None if cfg.attn_fn == "softmax" else phi_table(cfg.attn_fn)[0]
+    H = np.empty((B, L), dtype=q.dtype)
+    for t in range(-(-L // cs)):
+        c = _chunk(t, q, kh, z, n, U, C, bias, cfg.scale, w, cs, causal)
+        if f is None:
+            Gx = np.where(c.n0[:, None, :] > 0, c.G, -np.inf)
+            La = np.where(c.seen, c.Lp + c.bias, -np.inf)
+            m = np.maximum(Gx.max(axis=2), La.max(axis=2))[..., None]
+            Wf, Wl = np.exp(Gx - m), np.exp(La - m)
+        else:
+            Wf, Wl = f(c.G), np.where(c.seen, f(c.Lp + c.bias), 0.0)
+        T = (Wf @ c.n0[..., None])[..., 0] + Wl.sum(axis=2)
+        T = np.where(T > 0, T, 1.0)[..., None]
+        H[:, c.lo:c.hi] = -((_xlogx(Wf / T) @ c.n0[..., None])[..., 0]
+                            + _xlogx(Wl / T).sum(axis=2))
+    keys = np.arange(1, L + 1) if causal else np.full(L, L)
+    return np.where(keys > 1, H / np.log(np.maximum(keys, 2)), 1.0)

@@ -339,19 +339,23 @@ def gather_rows(table, idx):
     out = table.data[idx]
 
     def vjp(g):
-        # sum the rows of g per index over a stable sort; np.add.at is an
-        # unbuffered per-row loop, several times slower here
-        flat = idx.reshape(-1)
-        gt = np.zeros_like(table.data)
-        if flat.size:
-            order = np.argsort(flat, kind="stable")
-            keys = flat[order]
-            starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-            gt[keys[starts]] = np.add.reduceat(
-                g.reshape(-1, table.data.shape[1])[order], starts, axis=0)
-        return (gt,)
+        n, D = table.data.shape
+        return (_row_sums(idx.reshape(-1), g.reshape(-1, D), n),)
 
     return make_op(out, (table,), vjp, "gather_rows")
+
+
+def _row_sums(idx, rows, n):
+    """(n, D) sums of the rows (N, D) per index idx (N,) in [0, n), in the
+    dtype of rows. It sums over a stable sort with np.add.reduceat:
+    np.add.at is an unbuffered per-row loop, several times slower."""
+    out = np.zeros((n, rows.shape[1]), dtype=rows.dtype)
+    if idx.size:
+        order = np.argsort(idx, kind="stable")
+        keys = idx[order]
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        out[keys[starts]] = np.add.reduceat(rows[order], starts, axis=0)
+    return out
 
 
 def tsum(a, axis=None, keepdims=False):

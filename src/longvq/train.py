@@ -10,15 +10,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import attn_entropy
+from .factored import attn_row_entropy
 from .tensor import (
-    NumericsError, Tensor, cross_entropy, finite_diff, grad, reshape,
+    NumericsError, Tensor, cross_entropy, finite_diff, grad, no_grad,
+    reshape,
 )
 from .rng import Rng
 from .vq import codebook_perplexity, commit_loss, ema_update
 
 __all__ = ["TrainConfig", "total_loss", "clip_grads", "AdamW", "lr_at",
-           "train_loop", "gradcheck_model", "assignment_margin"]
+           "evaluate", "train_loop", "gradcheck_model", "assignment_margin"]
 
 
 @dataclass
@@ -141,6 +142,10 @@ def _finite(x):
     return bool(np.isfinite(x))
 
 
+def _perplexities(model, auxes):
+    return [codebook_perplexity(a["z"], model.cfg.S) for a in auxes]
+
+
 def emit(records, fh, rec):
     records.append(rec)
     if fh is not None:
@@ -148,31 +153,30 @@ def emit(records, fh, rec):
         fh.flush()
 
 
-def _eval_pass(model, task, cfg, rng, step, records, fh):
+def evaluate(model, batches, gamma):
+    """One no-grad pass over (inputs, targets) batches: the example count
+    and the example-weighted loss, ce, vq and acc; from the first batch,
+    per layer, the codebook_perplexity and the attn_entropy
+    (attn_row_entropy averaged over every row of every element)."""
     model.training = False
-    tot_ce = tot_acc = tot_vq = 0.0
-    n = 0
-    ent = []
-    perp = []
-    for b in range(cfg.eval_batches):
-        x, y = task.sample("test", cfg.batch_size, rng)
-        loss, parts, auxes = total_loss(model, x, y, cfg.gamma)
-        tot_ce += parts["ce"]
-        tot_acc += parts["acc"]
-        tot_vq += parts["vq"]
-        n += 1
-        if b == 0:
-            perp = [codebook_perplexity(a["z"], model.cfg.S) for a in auxes]
-            ent = [attn_entropy(a["Q"][0], a["K_hat"].data[0], a["V"][0],
-                                lay.local_bias.data, lay.cfg)
-                   for a, lay in zip(auxes, model.layers())]
-    rec = {"step": step, "split": "eval",
-           "loss": tot_ce / n + cfg.gamma * tot_vq / n,
-           "ce": tot_ce / n, "vq": tot_vq / n, "acc": tot_acc / n,
-           "codebook_perplexity": perp,
-           "attn_entropy": [round(e, 6) for e in ent]}
-    emit(records, fh, rec)
-    return rec
+    tot = dict.fromkeys(("loss", "ce", "vq", "acc"), 0.0)
+    n, first = 0, {"codebook_perplexity": [], "attn_entropy": []}
+    with no_grad():
+        for x, y in batches:
+            loss, parts, auxes = total_loss(model, x, y, gamma)
+            parts["loss"] = float(loss.data)
+            bs = np.asarray(y).shape[0]
+            for k in tot:
+                tot[k] += parts[k] * bs
+            if n == 0:
+                first = {"codebook_perplexity": _perplexities(model, auxes),
+                         "attn_entropy": [float(attn_row_entropy(
+                             a["Q"], a["z"], lay.local_bias.data,
+                             lay.codebook.C, lay.cfg).mean())
+                             for a, lay in zip(auxes, model.layers())]}
+            n += bs
+    return {"examples": n, **{k: v / max(n, 1) for k, v in tot.items()},
+            **first}
 
 
 def train_loop(model, task, cfg: TrainConfig, metrics_path=None,
@@ -191,6 +195,13 @@ def train_loop(model, task, cfg: TrainConfig, metrics_path=None,
     fh = open(metrics_path, "w") if metrics_path is not None else None
     bad = 0
     last_step = 0
+
+    def eval_pass(sub, step):
+        batches = (task.sample("test", cfg.batch_size, sub)
+                   for _ in range(cfg.eval_batches))
+        emit(records, fh, {"step": step, "split": "eval",
+                           **evaluate(model, batches, cfg.gamma)})
+
     try:
         for step in range(1, cfg.total_steps + 1):
             last_step = step
@@ -225,25 +236,19 @@ def train_loop(model, task, cfg: TrainConfig, metrics_path=None,
             rec = {"step": step, "split": "train",
                    "loss": float(loss.data), "ce": parts["ce"],
                    "vq": parts["vq"], "acc": parts["acc"],
-                   "codebook_perplexity":
-                       [codebook_perplexity(a["z"], model.cfg.S)
-                        for a in auxes],
-                   "attn_entropy": [], "lr": lr,
-                   "grad_norm": float(gnorm),
+                   "codebook_perplexity": _perplexities(model, auxes),
+                   "lr": lr, "grad_norm": float(gnorm),
                    "wallclock_ms": round(ms, 3)}
             emit(records, fh, rec)
             if cfg.eval_every > 0 and step % cfg.eval_every == 0:
-                _eval_pass(model, task, cfg, erng.child(f"e{step}"), step,
-                           records, fh)
-                model.training = True
+                eval_pass(erng.child(f"e{step}"), step)
             # stop_fn sees the newest record (the eval one when step
             # landed on an eval boundary)
             if stop_fn is not None and stop_fn(records[-1]):
                 break
         if cfg.eval_every > 0 and (not records
                                    or records[-1]["split"] != "eval"):
-            _eval_pass(model, task, cfg, erng.child("final"), last_step,
-                       records, fh)
+            eval_pass(erng.child("final"), last_step)
     finally:
         model.training = False
         if fh is not None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, get_dtype, make_op, tmean
+from .tensor import Tensor, _row_sums, get_dtype, make_op, tmean
 
 __all__ = [
     "Codebook", "assign", "assign_batch", "quantize_st", "ema_update",
@@ -93,8 +93,7 @@ def ema_update(cb, K_batch, z):
     k = k.reshape(-1, cb.D)
     zf = np.asarray(z).reshape(-1)
     counts = np.bincount(zf, minlength=cb.S).astype(cb.ema_count.dtype)
-    sums = np.zeros_like(cb.ema_sum)
-    np.add.at(sums, zf, k)
+    sums = _row_sums(zf, k, cb.S)
     cb.ema_count = cb.eta * cb.ema_count + (1.0 - cb.eta) * counts
     cb.ema_sum = cb.eta * cb.ema_sum + (1.0 - cb.eta) * sums
     total = cb.ema_count.sum()

@@ -267,6 +267,67 @@ def test_identical_config_and_seed_reproduce_metrics(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# trajectory equivalence
+
+TRAJ_STEPS = 40
+TRAJ_RECIPE = [
+    "task.name=reduction", "task.L=64", "task.vocab=16",
+    "model.depth=2", "model.d_model=16", "model.S=16", "model.d_ffn=16",
+    "model.n_state=4", "attn.z_dim=8", "attn.v_dim=16", "attn.window=4",
+    "train.batch_size=8", f"train.total_steps={TRAJ_STEPS}",
+    "train.warmup_steps=10",
+    "train.eval_every=0", "train.lr=0.003", "train.grad_clip=1.0",
+]
+
+
+def _train_records(sets, fault=None):
+    cfg = apply_sets(load_run_config(None), TRAJ_RECIPE + sets)
+    task, mcfg, tcfg, impl = build_run(cfg)
+    model = Model(mcfg, Rng(tcfg.seed, "model"), impl=impl)
+    T.set_backward_fault(fault)
+    try:
+        recs = train_loop(model, task, tcfg)
+    finally:
+        T.set_backward_fault(None)
+    return [r for r in recs if r["split"] == "train"]
+
+
+def _trajectory_gap(a, b):
+    """Largest relative difference of loss, grad_norm and per-layer
+    codebook perplexity over the train records of two runs."""
+    assert len(a) == len(b) == TRAJ_STEPS and all("loss" in r for r in a + b)
+
+    def row(r):
+        return np.array([r["loss"], r["grad_norm"], *r["codebook_perplexity"]])
+
+    return max(float(np.max(np.abs(row(x) - row(y)) / np.abs(row(y))))
+               for x, y in zip(a, b))
+
+
+def test_dense_and_factored_train_the_same_trajectory(capsys):
+    # float64 training through train_loop: the tape op, the EMA codebook
+    # updates and AdamW together, on a causal LM and a bidirectional
+    # classifier; a sign fault in the factored backward must show
+    t0 = time.time()
+    gaps, control = [], []
+    with precision("float64"):
+        for kind in (["task.lm=true", "attn.causal=true"],
+                     ["task.lm=false", "attn.causal=false"]):
+            dense = _train_records(kind + ["model.impl=dense"])
+            fact = _train_records(kind + ["model.impl=factored"])
+            bad = _train_records(kind + ["model.impl=factored"],
+                                 fault="attn_factored")
+            gaps.append(_trajectory_gap(fact, dense))
+            control.append(_trajectory_gap(bad, dense))
+    ok = max(gaps) <= 1e-10 and min(control) > 1e-10
+    _line(capsys, "dense and factored train the same trajectory", ok,
+          f"max rel gap causal {gaps[0]:.1e} / bidirectional {gaps[1]:.1e} "
+          f"<= 1e-10 over {TRAJ_STEPS} steps; with a faulted factored "
+          f"backward {control[0]:.1e} / {control[1]:.1e} > 1e-10, "
+          f"{time.time() - t0:.1f}s")
+
+
+# ---------------------------------------------------------------------------
 # scaling
 
 def test_scaling_separates_linear_from_quadratic(capsys, tmp_path):
@@ -293,7 +354,7 @@ def test_scaling_separates_linear_from_quadratic(capsys, tmp_path):
 
 LEARN_RECIPE = [
     "task.name=reduction", "task.L=256", "task.vocab=16", "task.lm=true",
-    "model.depth=2", "model.d_model=64", "model.S=64", "model.impl=dense",
+    "model.depth=2", "model.d_model=64", "model.S=64", "model.impl=factored",
     "model.d_ffn=64", "model.n_state=16",
     "attn.z_dim=16", "attn.v_dim=32", "attn.window=8", "attn.causal=true",
     "train.lr=0.003", "train.batch_size=32", "train.warmup_steps=150",

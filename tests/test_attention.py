@@ -9,10 +9,9 @@ import pytest
 import longvq.tensor as T
 from longvq.attention import (
     AttentionConfig, LongVQLayer, attn_dense_blocked, attn_dense_oracle,
-    attn_entropy,
 )
 from longvq.factored import (
-    CodeStats, attn_factored, build_code_stats, stats_chunk,
+    CodeStats, attn_factored, attn_row_entropy, build_code_stats, stats_chunk,
 )
 from longvq.rng import Rng
 from longvq.tensor import Tensor, grad, param, precision
@@ -284,13 +283,12 @@ def test_blocked_matches_oracle():
 
 
 def test_entropy_uniform_rows():
+    # normalized by log(visible keys), so a uniform row reads 1
     L = 16
     cfg = AttentionConfig("softmax", 0, False, z_dim=2, v_dim=2)
-    q = np.zeros((L, 2))
-    kh = np.zeros((L, 2))
-    v = np.ones((L, 2))
-    ent = attn_entropy(q, kh, v, np.zeros(1), cfg)
-    assert abs(ent - np.log(L)) < 1e-9
+    ent = attn_row_entropy(np.zeros((1, L, 2)), np.zeros((1, L), dtype=int),
+                           np.zeros(1), np.zeros((1, 2)), cfg)
+    assert abs(ent.mean() - 1.0) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -589,3 +587,37 @@ def test_factored_batched_fuzz_matches_oracle(attn_fn, causal, w):
             assert rel_diff(f, d) < 1e-10, case
             for name, a, b in zip(("dQ", "dK", "dV", "db"), gf, gd):
                 assert rel_diff(a, b) < 1e-9, (name,) + case
+
+
+def dense_row_entropy(P, causal):
+    """Normalized entropy of weight rows P (B, L, L), the definition
+    attn_row_entropy computes: rows normalized, all-zero rows read 0,
+    divided by log(visible keys), rows that see one key read 1."""
+    L = P.shape[-1]
+    tot = P.sum(axis=2, keepdims=True)
+    p = P / np.where(tot > 0, tot, 1.0)
+    H = -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=2)
+    keys = np.arange(1, L + 1) if causal else np.full(L, L)
+    return np.where(keys > 1, H / np.log(np.maximum(keys, 2)), 1.0)
+
+
+@pytest.mark.parametrize("attn_fn", ["softmax", "relu2", "laplace"])
+@pytest.mark.parametrize("causal", [False, True])
+@pytest.mark.parametrize("w", [0, 1, 2, 8])
+def test_row_entropy_matches_dense_oracle_weights(attn_fn, causal, w):
+    # the oracle's output with V = I is its weight matrix
+    rng = Rng(combo_seed("entropy", attn_fn, causal, w))
+    for B in (1, 3):
+        for L, S, z0, bias, _ in fuzz_cases(rng, w, causal):
+            zd = 3
+            C = rng.normal((S, zd))
+            z = np.stack([z0] + [rng.permutation(z0) for _ in range(B - 1)])
+            Q = rng.normal((B, L, zd))
+            cfg = AttentionConfig(attn_fn, w, causal, z_dim=zd, v_dim=L)
+            P = attn_dense_oracle(Tensor(Q), Tensor(C[z]),
+                                  Tensor(np.broadcast_to(np.eye(L), (B, L, L))),
+                                  Tensor(bias), cfg).data
+            got = attn_row_entropy(Q, z, bias, C, cfg)
+            assert got.shape == (B, L)
+            assert rel_diff(got, dense_row_entropy(P, causal)) < 1e-10, \
+                (B, L, S, bias[0])

@@ -8,9 +8,10 @@ import pytest
 
 from longvq.attention import AttentionConfig
 from longvq.bench import bench_scaling, fit_slope, time_forward
-from longvq.cli import _layer_entropy, _pin_threads, main
+from longvq.cli import _pin_threads, main
 from longvq.config import (ConfigError, DEFAULTS, apply_sets, build_run,
                            config_to_text, load_run_config)
+from longvq.factored import attn_row_entropy
 from longvq.model import ModelConfig
 from longvq.rng import Rng
 from longvq.tasks import TaskSpec
@@ -208,6 +209,8 @@ def test_eval_roundtrip_from_checkpoint(tmp_path, monkeypatch, capsys):
     rep = json.load(open("ev/report.json"))
     assert rep["command"] == "eval" and rep["examples"] > 0
     assert np.isfinite(rep["ce"]) and 0.0 <= rep["acc"] <= 1.0
+    assert len(rep["codebook_perplexity"]) == len(rep["attn_entropy"]) == 1
+    assert 0.0 <= rep["attn_entropy"][0] <= 1.0
 
 
 def test_eval_missing_checkpoint_exits_1(tmp_path, monkeypatch, capsys):
@@ -303,10 +306,16 @@ def _probe_layer(window, causal, bias_val=None):
     return layer, aux
 
 
+def _element_means(layer, aux):
+    ent = attn_row_entropy(aux["Q"], aux["z"], layer.local_bias.data,
+                           layer.codebook.C, layer.cfg)
+    return ent.mean(axis=1)
+
+
 def test_diag_entropy_uniform_rows_are_one():
     # zero Q and zero bias: every visible key gets equal weight
     layer, aux = _probe_layer(window=3, causal=False)
-    vals = _layer_entropy(layer, aux, causal=False)
+    vals = _element_means(layer, aux)
     for v in vals:
         assert v == pytest.approx(1.0, abs=1e-12)
 
@@ -314,7 +323,7 @@ def test_diag_entropy_uniform_rows_are_one():
 def test_diag_entropy_peaked_rows_near_zero():
     # +/- large self bias forces one-hot attention rows
     layer, aux = _probe_layer(window=3, causal=False, bias_val=40.0)
-    vals = _layer_entropy(layer, aux, causal=False)
+    vals = _element_means(layer, aux)
     for v in vals:
         assert v < 0.05
 

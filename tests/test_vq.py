@@ -168,7 +168,13 @@ def test_ema_unhit_code_decays_and_drifts_only_via_smoothing():
     K = rng.normal((8, 2))
     z = np.array([0, 0, 0, 0, 1, 1, 1, 1])  # code 2 never hit
     n2, m2 = cb.ema_count[2], cb.ema_sum[2].copy()
+    m_all = cb.ema_sum.copy()
     ema_update(cb, K, z)
+    # the per-code sums equal np.add.at's: repeated codes, one never hit
+    ref = np.zeros_like(m_all)
+    np.add.at(ref, z, K)
+    np.testing.assert_allclose(cb.ema_sum, 0.9 * m_all + 0.1 * ref,
+                               atol=1e-12)
     np.testing.assert_allclose(cb.ema_count[2], 0.9 * n2, atol=1e-12)
     np.testing.assert_allclose(cb.ema_sum[2], 0.9 * m2, atol=1e-12)
     # position change is bounded by the smoothing scale
