@@ -38,7 +38,6 @@ from .model import Model, load_checkpoint, param_count, save_checkpoint
 from .rng import Rng
 from .tensor import set_backward_fault, set_precision
 from .train import evaluate, gradcheck_model, train_loop
-from .vq import save_codebook
 
 SCHEMA = "longvq-report-v1"
 
@@ -98,6 +97,8 @@ def cmd_train(args):
     payload = {"schema": SCHEMA, "command": "train",
                "steps": train_cfg.total_steps,
                "param_count": param_count(model_cfg),
+               "skipped_steps": sum(1 for r in records
+                                    if r["split"] == "train" and "event" in r),
                "final_eval": {k: final.get(k) for k in
                               ("step", "loss", "ce", "acc")},
                "metrics": metrics, "checkpoint": ckpt}
@@ -213,23 +214,20 @@ def cmd_kernel_dump(args):
     model = _build_model(model_cfg, train_cfg.seed, impl)
     _restore(args, model)
     L = args.length or cfg["task"]["L"]
-    arrays = {}
-    files = []
-    for i, layer in enumerate(model.layers()):
-        if layer.bank is not None:
-            arrays[f"layer{i}"] = layer.bank.kernels(L).data
-        if layer.codebook is not None:
-            cb_path = os.path.join(out, f"codebook{i}.lvqc")
-            save_codebook(layer.codebook, cb_path)
-            files.append(cb_path)
+    arrays = {f"layer{i}": layer.bank.kernels(L).data
+              for i, layer in enumerate(model.layers())
+              if layer.bank is not None}
+    n_banks = len(arrays)
+    # codebooks under their checkpoint names (absent until seeded)
+    arrays.update((k, v) for k, v in model.state_arrays().items()
+                  if ".codebook." in k)
     npz = os.path.join(out, "kernels.npz")
     np.savez(npz, **arrays)
-    files.append(npz)
     payload = {"schema": SCHEMA, "command": "kernel-dump", "L": L,
                "layers": len(model.layers()),
-               "ssm_layers": len(arrays), "files": files}
+               "ssm_layers": n_banks, "files": [npz]}
     _write_report(out, payload)
-    print(f"kernel-dump: {len(arrays)} kernel banks at L={L} -> {npz}")
+    print(f"kernel-dump: {n_banks} kernel banks at L={L} -> {npz}")
     return 0
 
 

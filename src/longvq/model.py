@@ -1,10 +1,9 @@
 """Blocks, stacking, embeddings, and task heads.
 
 One block is the gated quantized-key layer followed by a feed-forward
-sublayer. Post-norm (default): Y = Norm(Layer(X)); Y' = Norm(Y + FFN(Y)).
-Pre-norm: Y = Layer(Norm(X)); Y' = Y + FFN(Norm(Y)), with one extra norm
-after the last block. The attention sublayer carries its own gated
-residual, so no outer residual is added around it in either arrangement.
+sublayer, both post-normed with LayerNorm: Y = Norm(Layer(X));
+Y' = Norm(Y + FFN(Y)). The attention sublayer carries its own gated
+residual, so no outer residual is added around it.
 """
 
 from __future__ import annotations
@@ -17,15 +16,13 @@ import numpy as np
 
 from .attention import AttentionConfig, LongVQLayer
 from .tensor import (
-    Tensor, batch_norm, dropout, gather_rows, get_dtype, layer_norm, matmul,
-    scale_norm, silu, tmean,
+    Tensor, gather_rows, get_dtype, layer_norm, matmul, silu, tmean,
 )
 from .vq import Codebook
 
 __all__ = ["ModelConfig", "Norm", "Ffn", "Block", "Model", "param_count",
            "save_checkpoint", "load_checkpoint"]
 
-NORM_KINDS = ("layer", "scale", "batch")
 HEADS = ("mean_pool_classify", "per_position_lm")
 
 
@@ -40,10 +37,7 @@ class ModelConfig:
     vocab: int = 0          # token table when > 0 ...
     in_dim: int = 0         # ... or a linear map from channel values
     d_ffn: int = 0          # defaults to 2 * d_model
-    norm_kind: str = "layer"
-    pre_norm: bool = False
     n_state: int = 16
-    dropout: float = 0.0
     ssm_enabled: bool = True    # False ablates the state branch: Z = silu(X)
 
     def __post_init__(self):
@@ -53,8 +47,6 @@ class ModelConfig:
             raise ValueError("depth must be >= 1")
         if self.d_ffn < self.d_model:
             raise ValueError("d_ffn must be >= d_model")
-        if self.norm_kind not in NORM_KINDS:
-            raise ValueError(f"norm_kind must be one of {NORM_KINDS}")
         if self.head not in HEADS:
             raise ValueError(f"head must be one of {HEADS}")
         if (self.vocab > 0) == (self.in_dim > 0):
@@ -64,34 +56,20 @@ class ModelConfig:
 
 
 class Norm:
-    """layer / scale / batch normalization behind one interface."""
+    """LayerNorm over the channel axis with a learned gain and bias."""
 
-    def __init__(self, kind, d, prefix):
-        self.kind = kind
+    def __init__(self, d, prefix):
         dt = get_dtype()
-        if kind == "scale":
-            g0 = np.asarray(np.sqrt(d), dtype=dt)
-            self.gain = Tensor(g0, requires_grad=True, name=f"{prefix}.g")
-            self.bias = None
-            self.running = None
-        else:
-            self.gain = Tensor(np.ones(d, dtype=dt), requires_grad=True,
-                               name=f"{prefix}.gain")
-            self.bias = Tensor(np.zeros(d, dtype=dt), requires_grad=True,
-                               name=f"{prefix}.bias")
-            self.running = ({"mean": np.zeros(d, dtype=dt),
-                             "var": np.ones(d, dtype=dt)}
-                            if kind == "batch" else None)
+        self.gain = Tensor(np.ones(d, dtype=dt), requires_grad=True,
+                           name=f"{prefix}.gain")
+        self.bias = Tensor(np.zeros(d, dtype=dt), requires_grad=True,
+                           name=f"{prefix}.bias")
 
-    def __call__(self, x, training=False):
-        if self.kind == "layer":
-            return layer_norm(x, self.gain, self.bias)
-        if self.kind == "scale":
-            return scale_norm(x, self.gain)
-        return batch_norm(x, self.gain, self.bias, self.running, training)
+    def __call__(self, x):
+        return layer_norm(x, self.gain, self.bias)
 
     def params(self):
-        return [self.gain] if self.bias is None else [self.gain, self.bias]
+        return [self.gain, self.bias]
 
 
 class Ffn:
@@ -110,10 +88,8 @@ class Ffn:
         self.b2 = Tensor(np.zeros(d, dtype=dt), requires_grad=True,
                          name=f"{prefix}.b2")
 
-    def __call__(self, y, drop=None):
+    def __call__(self, y):
         h = silu(matmul(y, self.w1) + self.b1)
-        if drop is not None:
-            h = drop(h)
         return matmul(h, self.w2) + self.b2
 
     def params(self):
@@ -122,33 +98,19 @@ class Ffn:
 
 class Block:
     def __init__(self, cfg: ModelConfig, rng, prefix, impl="factored"):
-        self.cfg = cfg
         self.attn = LongVQLayer(cfg.d_model, cfg.attn, cfg.S,
                                 rng.child("attn"), n_state=cfg.n_state,
                                 prefix=f"{prefix}.attn",
                                 ssm_enabled=cfg.ssm_enabled, impl=impl)
-        self.norm1 = Norm(cfg.norm_kind, cfg.d_model, f"{prefix}.norm1")
-        self.norm2 = Norm(cfg.norm_kind, cfg.d_model, f"{prefix}.norm2")
+        self.norm1 = Norm(cfg.d_model, f"{prefix}.norm1")
+        self.norm2 = Norm(cfg.d_model, f"{prefix}.norm2")
         self.ffn = Ffn(cfg.d_model, cfg.d_ffn, rng.child("ffn"),
                        f"{prefix}.ffn")
 
-    def __call__(self, x, training=False, drop_rng=None, frozen=None):
-        rate = self.cfg.dropout
-
-        def drop(t):
-            if drop_rng is None:
-                return t
-            return dropout(t, rate, drop_rng, training)
-
-        if self.cfg.pre_norm:
-            a, aux = self.attn(self.norm1(x, training), frozen=frozen)
-            y = drop(a)
-            y2 = y + self.ffn(self.norm2(y, training), drop=drop)
-        else:
-            a, aux = self.attn(x, frozen=frozen)
-            y = self.norm1(drop(a), training)
-            y2 = self.norm2(y + self.ffn(y, drop=drop), training)
-        return y2, aux
+    def __call__(self, x, frozen=None):
+        a, aux = self.attn(x, frozen=frozen)
+        y = self.norm1(a)
+        return self.norm2(y + self.ffn(y)), aux
 
     def params(self):
         return (self.attn.params() + self.norm1.params()
@@ -165,6 +127,8 @@ class Model:
 
     def __init__(self, cfg: ModelConfig, rng, impl="factored"):
         self.cfg = cfg
+        # a train/eval flag kept for callers that toggle it; nothing here
+        # reads it, since the block has no mode-dependent part
         self.training = False
         dt = get_dtype()
         d = cfg.d_model
@@ -183,15 +147,12 @@ class Model:
         self.blocks = [Block(cfg, rng.child(f"block{i}"), f"blocks.{i}",
                              impl=impl)
                        for i in range(cfg.depth)]
-        self.final_norm = (Norm(cfg.norm_kind, d, "final_norm")
-                           if cfg.pre_norm else None)
         self.head_w = Tensor(rng.child("head").normal((d, cfg.n_out),
                                                       std=d ** -0.5,
                                                       dtype=dt),
                              requires_grad=True, name="head.w")
         self.head_b = Tensor(np.zeros(cfg.n_out, dtype=dt),
                              requires_grad=True, name="head.b")
-        self._drop_rng = rng.child("dropout")
 
     # -- plumbing ----------------------------------------------------------
 
@@ -209,8 +170,6 @@ class Model:
                                else [])
         for b in self.blocks:
             ps += b.params()
-        if self.final_norm is not None:
-            ps += self.final_norm.params()
         ps += [self.head_w, self.head_b]
         return ps
 
@@ -238,11 +197,8 @@ class Model:
         h = self.embed(batch)
         auxes = []
         for i, blk in enumerate(self.blocks):
-            h, aux = blk(h, training=self.training, drop_rng=self._drop_rng,
-                         frozen=None if frozen is None else frozen[i])
+            h, aux = blk(h, frozen=None if frozen is None else frozen[i])
             auxes.append(aux)
-        if self.final_norm is not None:
-            h = self.final_norm(h, self.training)
         if self.cfg.head == "mean_pool_classify":
             logits = matmul(tmean(h, axis=1), self.head_w) + self.head_b
         else:
@@ -254,19 +210,8 @@ class Model:
     # -- persistent state --------------------------------------------------
 
     def state_arrays(self):
-        """Ordered name -> array map: parameters, then non-trained state
-        (batch-norm running stats, codebooks)."""
+        """Ordered name -> array map: parameters, then the codebooks."""
         out = {p.name: p.data for p in self.params()}
-        norms = []
-        for i, b in enumerate(self.blocks):
-            norms += [(f"blocks.{i}.norm1", b.norm1),
-                      (f"blocks.{i}.norm2", b.norm2)]
-        if self.final_norm is not None:
-            norms.append(("final_norm", self.final_norm))
-        for name, nm in norms:
-            if nm.running is not None:
-                out[f"{name}.running_mean"] = nm.running["mean"]
-                out[f"{name}.running_var"] = nm.running["var"]
         for i, b in enumerate(self.blocks):
             cb = b.attn.codebook
             if cb is not None:
@@ -314,19 +259,15 @@ def param_count(cfg: ModelConfig) -> int:
     """Closed-form trainable parameter count for a ModelConfig."""
     d, f, n = cfg.d_model, cfg.d_ffn, cfg.n_state
     z, v, w = cfg.attn.z_dim, cfg.attn.v_dim, cfg.attn.window
-    norm = 1 if cfg.norm_kind == "scale" else 2 * d
     ssm = d * n + 2 * d if cfg.ssm_enabled else 0
     gates = (d * v + v) + 2 * (d * z + z) + (d * v + v) \
         + (d * d + d) + (v * d + d)
     layer = ssm + gates + (2 * w + 1)
     ffn = d * f + f + f * d + d
-    block = layer + 2 * norm + ffn
+    block = layer + 2 * (2 * d) + ffn     # two LayerNorms, gain and bias
     embed = cfg.vocab * d if cfg.vocab > 0 else cfg.in_dim * d + d
     head = d * cfg.n_out + cfg.n_out
-    total = embed + cfg.depth * block + head
-    if cfg.pre_norm:
-        total += norm
-    return total
+    return embed + cfg.depth * block + head
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,9 @@ __all__ = [
     "Tensor", "NumericsError", "set_precision", "get_dtype", "precision",
     "no_grad", "tensor", "param", "grad", "finite_diff", "zero_grads",
     "add", "sub", "mul", "div", "neg", "matmul", "transpose", "reshape",
-    "stack", "gather_rows", "tsum", "tmean", "sigmoid", "silu", "relu", "phi_relu2",
-    "phi_laplace", "texp", "tlog", "softmax_rows", "cross_entropy",
-    "conv_causal_channels", "band_bias_add", "layer_norm",
-    "scale_norm", "batch_norm", "dropout", "set_backward_fault",
+    "stack", "gather_rows", "tsum", "tmean", "sigmoid", "silu", "phi_relu2",
+    "phi_laplace", "softmax_rows", "cross_entropy",
+    "conv_causal_channels", "band_bias_add", "layer_norm", "set_backward_fault",
     "LAPLACE_MU", "LAPLACE_SIGMA",
 ]
 
@@ -394,12 +393,6 @@ def silu(a):
                    lambda g: (g * s * (1.0 + a.data * (1.0 - s)),), "silu")
 
 
-def relu(a):
-    m = a.data > 0
-    return make_op(np.where(m, a.data, 0.0), (a,),
-                   lambda g: (g * m,), "relu")
-
-
 def phi_relu2(a):
     """relu(x)^2, the squared-rectifier attention function."""
     r = np.maximum(a.data, 0.0)
@@ -419,15 +412,6 @@ def phi_laplace(a):
     """Smooth CDF-shaped attention function, bounded in [0, 1]."""
     return make_op(_laplace_np(a.data), (a,),
                    lambda g: (g * _laplace_deriv_np(a.data),), "laplace")
-
-
-def texp(a):
-    out = np.exp(a.data)
-    return make_op(out, (a,), lambda g: (g * out,), "exp")
-
-
-def tlog(a):
-    return make_op(np.log(a.data), (a,), lambda g: (g / a.data,), "log")
 
 
 # ---------------------------------------------------------------------------
@@ -586,66 +570,6 @@ def layer_norm(x, gain, bias, eps=1e-5):
         return dx, dgain, dbias
 
     return make_op(out, (x, gain, bias), vjp, "layer_norm")
-
-
-def scale_norm(x, g_scalar, eps=1e-6):
-    """Per-position rescale to norm g: g * y / (||y|| + eps)."""
-    nrm = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True)) + eps
-    xn = x.data / nrm
-    out = g_scalar.data * xn
-
-    def vjp(g):
-        gg = np.asarray((g * xn).sum(), dtype=x.data.dtype).reshape(
-            g_scalar.data.shape)
-        gx = g_scalar.data * g
-        dot = (gx * x.data).sum(axis=-1, keepdims=True)
-        # d||y||/dy = y/||y||; nrm carries the +eps so ||y|| = nrm - eps
-        dx = gx / nrm - x.data * dot / (nrm * nrm * (nrm - eps) + 1e-30)
-        return dx, gg
-
-    return make_op(out, (x, g_scalar), vjp, "scale_norm")
-
-
-def batch_norm(x, gain, bias, running, training, momentum=0.1, eps=1e-5):
-    """Per-channel normalization over (batch x length).
-
-    x: (B, L, C). ``running`` is a dict with 'mean' and 'var' arrays of
-    shape (C,), updated in place during training and used verbatim in
-    eval mode.
-    """
-    if training:
-        mu = x.data.mean(axis=(0, 1))
-        var = x.data.var(axis=(0, 1))
-        running["mean"] = (1 - momentum) * running["mean"] + momentum * mu
-        running["var"] = (1 - momentum) * running["var"] + momentum * var
-    else:
-        mu = running["mean"]
-        var = running["var"]
-    inv = 1.0 / np.sqrt(var + eps)
-    xn = (x.data - mu) * inv
-    out = xn * gain.data + bias.data
-
-    def vjp(g):
-        gxn = g * gain.data
-        if training:
-            dx = inv * (gxn - gxn.mean(axis=(0, 1))
-                        - xn * (gxn * xn).mean(axis=(0, 1)))
-        else:
-            dx = gxn * inv
-        dgain = (g * xn).sum(axis=(0, 1))
-        dbias = g.sum(axis=(0, 1))
-        return dx, dgain, dbias
-
-    return make_op(out, (x, gain, bias), vjp, "batch_norm")
-
-
-def dropout(x, rate, rng, training):
-    """Inverted dropout; identity when rate == 0 or not training."""
-    if not training or rate <= 0.0:
-        return x
-    keep = 1.0 - rate
-    mask = (rng.uniform(x.data.shape) < keep).astype(x.data.dtype) / keep
-    return make_op(x.data * mask, (x,), lambda g: (g * mask,), "dropout")
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,6 @@ def evaluate(model, batches, gamma):
     and the example-weighted loss, ce, vq and acc; from the first batch,
     per layer, the codebook_perplexity and the attn_entropy
     (attn_row_entropy averaged over every row of every element)."""
-    model.training = False
     tot = dict.fromkeys(("loss", "ce", "vq", "acc"), 0.0)
     n, first = 0, {"codebook_perplexity": [], "attn_entropy": []}
     with no_grad():
@@ -207,26 +206,26 @@ def train_loop(model, task, cfg: TrainConfig, metrics_path=None,
             last_step = step
             t0 = time.perf_counter()
             x, y = task.sample("train", cfg.batch_size, rng)
-            model.training = True
             try:
                 loss, parts, auxes = total_loss(model, x, y, cfg.gamma)
-                bad_step = not _finite(loss.data)
+                event = (None if _finite(loss.data)
+                         else "nonfinite_loss_skipped")
             except NumericsError:
-                bad_step = True
-            if bad_step:
+                event = "nonfinite_loss_skipped"
+            if event is None:
+                grads = grad(loss, params)
+                if not all(np.all(np.isfinite(g)) for g in grads):
+                    event = "nonfinite_grads_skipped"
+            if event is not None:
                 bad += 1
                 if bad > 10:
                     raise RuntimeError(
-                        "aborting: >10 consecutive non-finite losses")
+                        "aborting: >10 consecutive steps with a non-finite "
+                        "loss or non-finite gradients")
                 emit(records, fh, {"step": step, "split": "train",
-                                   "event": "nonfinite_loss_skipped"})
+                                   "event": event})
                 continue
             bad = 0
-            grads = grad(loss, params)
-            if not all(np.all(np.isfinite(g)) for g in grads):
-                emit(records, fh, {"step": step, "split": "train",
-                                   "event": "nonfinite_grads_skipped"})
-                continue
             grads, gnorm = clip_grads(grads, cfg.grad_clip)
             lr = lr_at(cfg, step)
             opt.step(grads, lr)
@@ -250,7 +249,6 @@ def train_loop(model, task, cfg: TrainConfig, metrics_path=None,
                                    or records[-1]["split"] != "eval"):
             eval_pass(erng.child("final"), last_step)
     finally:
-        model.training = False
         if fh is not None:
             fh.close()
     return records
@@ -299,7 +297,6 @@ def gradcheck_model(make_model, make_batch, tol=1e-4, tries=100,
     for attempt in range(1, tries + 1):
         model = make_model(seed + attempt)
         x, y = make_batch(seed + attempt)
-        model.training = False
         _, auxes = model(x)      # seeds codebooks, records assignments
         mg = min(assignment_margin(a["K"].data, lay.codebook.C)
                  for a, lay in zip(auxes, model.layers()))

@@ -9,7 +9,6 @@ normalization, updated once per optimizer step outside the graph.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,14 +17,12 @@ from .tensor import Tensor, _row_sums, get_dtype, make_op, tmean
 
 __all__ = [
     "Codebook", "assign", "assign_batch", "quantize_st", "ema_update",
-    "commit_loss", "codebook_perplexity", "seed_codebook", "save_codebook",
-    "load_codebook", "EMA_ETA", "EMA_EPSILON",
+    "commit_loss", "codebook_perplexity", "seed_codebook", "EMA_ETA",
+    "EMA_EPSILON",
 ]
 
 EMA_ETA = 0.99
 EMA_EPSILON = 1e-5
-_MAGIC = b"LVQC"
-_VERSION = 1
 
 
 @dataclass
@@ -140,29 +137,3 @@ def seed_codebook(K, S, rng, eta=EMA_ETA, epsilon=EMA_EPSILON,
     return Codebook(C=C, ema_count=np.ones(S, dtype=dtype),
                     ema_sum=C.copy(), eta=eta, epsilon=epsilon)
 
-
-def save_codebook(cb, path):
-    """16-byte header {magic, version, S, D} then C, ema_count, ema_sum
-    as little-endian float32."""
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<III", _VERSION, cb.S, cb.D))
-        f.write(np.ascontiguousarray(cb.C, dtype="<f4").tobytes())
-        f.write(np.ascontiguousarray(cb.ema_count, dtype="<f4").tobytes())
-        f.write(np.ascontiguousarray(cb.ema_sum, dtype="<f4").tobytes())
-
-
-def load_codebook(path, eta=EMA_ETA, epsilon=EMA_EPSILON):
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"bad codebook magic {magic!r}")
-        version, S, D = struct.unpack("<III", f.read(12))
-        if version != _VERSION:
-            raise ValueError(f"unsupported codebook version {version}")
-        dtype = get_dtype()
-        C = np.frombuffer(f.read(4 * S * D), dtype="<f4").reshape(S, D)
-        count = np.frombuffer(f.read(4 * S), dtype="<f4")
-        esum = np.frombuffer(f.read(4 * S * D), dtype="<f4").reshape(S, D)
-    return Codebook(C=C.astype(dtype), ema_count=count.astype(dtype),
-                    ema_sum=esum.astype(dtype), eta=eta, epsilon=epsilon)

@@ -50,11 +50,11 @@ def test_defaults_round_trip(tmp_path):
 def test_ini_parse_and_coercion(tmp_path):
     p = tmp_path / "c.ini"
     p.write_text("[train]\nlr = 0.01\ntotal_steps = 42\n"
-                 "[model]\npre_norm = true\n")
+                 "[task]\nlm = true\n")
     cfg = load_run_config(str(p))
     assert cfg["train"]["lr"] == 0.01
     assert cfg["train"]["total_steps"] == 42
-    assert cfg["model"]["pre_norm"] is True
+    assert cfg["task"]["lm"] is True
 
 
 def test_unknown_key_and_section_rejected(tmp_path):
@@ -72,7 +72,7 @@ def test_bad_value_types(tmp_path):
     p.write_text("[train]\ntotal_steps = soon\n")
     with pytest.raises(ConfigError, match="train.total_steps"):
         load_run_config(str(p))
-    p.write_text("[model]\npre_norm = perhaps\n")
+    p.write_text("[task]\nlm = perhaps\n")
     with pytest.raises(ConfigError, match="boolean"):
         load_run_config(str(p))
 
@@ -117,7 +117,10 @@ def test_default_run_equals_dataclass_defaults():
 
 
 @pytest.mark.parametrize("key,value", [("train.schedule", "linear"),
-                                       ("task.test_size", "5")])
+                                       ("task.test_size", "5"),
+                                       ("model.norm_kind", "layer"),
+                                       ("model.pre_norm", "false"),
+                                       ("model.dropout", "0.0")])
 def test_removed_keys_rejected(key, value, tmp_path):
     # an older INI file naming a removed key fails loudly
     with pytest.raises(ConfigError, match=key):
@@ -148,6 +151,24 @@ def test_train_writes_artifacts(tmp_path, monkeypatch, capsys):
     assert os.path.exists("run/checkpoint.f32.json")
 
 
+def test_train_report_counts_skipped_steps(tmp_path, monkeypatch, capsys):
+    import longvq.train as train_mod
+    real, calls = train_mod.grad, []
+
+    def grad_nan_on_third(loss, params):
+        calls.append(1)
+        gs = real(loss, params)
+        return [g * np.nan for g in gs] if len(calls) == 3 else gs
+
+    monkeypatch.setattr(train_mod, "grad", grad_nan_on_third)
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", *TINY, "--out", "run"]) == 0
+    rep = json.load(open("run/report.json"))
+    assert rep["skipped_steps"] == 1
+    recs = [json.loads(l) for l in open("run/metrics.jsonl")]
+    assert [r["step"] for r in recs if "event" in r] == [3]
+
+
 def test_train_determinism_modulo_wallclock(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["train", *TINY, "--seed", "3", "--out", "a"]) == 0
@@ -164,11 +185,11 @@ def test_train_determinism_modulo_wallclock(tmp_path, monkeypatch):
     assert strip("a/metrics.jsonl") == strip("b/metrics.jsonl")
 
 
-def test_invalid_norm_kind_exits_2(tmp_path, monkeypatch, capsys):
+def test_invalid_attn_fn_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    rc = main(["train", "--set", "model.norm_kind=sandwich", "--out", "x"])
+    rc = main(["train", "--set", "attn.attn_fn=sandwich", "--out", "x"])
     assert rc == 2
-    assert "norm_kind" in capsys.readouterr().err
+    assert "config error: attn_fn" in capsys.readouterr().err
 
 
 def test_unknown_key_exits_2_naming_field(tmp_path, monkeypatch, capsys):
@@ -243,6 +264,24 @@ def test_kernel_dump_shapes(tmp_path, monkeypatch, capsys):
         assert z["layer0"].shape == (8, 24)
     rep = json.load(open("kd/report.json"))
     assert rep["ssm_layers"] == 2 and rep["L"] == 24
+
+    # from a checkpoint, each layer's codebook lands in the same npz
+    # under its checkpoint name, equal to the stored arrays
+    assert main(["train", *TINY, "--set", "model.depth=2", "--out", "tr"]) == 0
+    rc = main(["kernel-dump", *TINY[:18], "--set", "model.depth=2",
+               "--checkpoint", "tr/checkpoint.f32", "--out", "kc"])
+    assert rc == 0
+    manifest = json.load(open("tr/checkpoint.f32.json"))
+    blob = np.fromfile("tr/checkpoint.f32", dtype="<f4")
+    stored = {e["name"]: blob[e["offset"] // 4:][:int(np.prod(e["shape"]))]
+              .reshape(e["shape"]) for e in manifest["entries"]}
+    names = {f"blocks.{i}.attn.codebook.{a}" for i in (0, 1)
+             for a in ("C", "ema_count", "ema_sum")}
+    with np.load("kc/kernels.npz") as z:
+        assert set(z.files) == {"layer0", "layer1"} | names
+        for name in names:
+            np.testing.assert_array_equal(z[name], stored[name])
+        assert z["blocks.1.attn.codebook.C"].shape == (4, 4)
 
 
 def test_bench_command_report(tmp_path, monkeypatch, capsys):

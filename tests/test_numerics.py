@@ -207,10 +207,8 @@ def test_laplace_phi_range_and_midpoint():
 def test_grad_elementwise_ops():
     rng = Rng(7)
     x = param(rng.normal((3, 4)), name="x")
-    for op in (T.sigmoid, T.silu, T.relu, T.phi_relu2, T.phi_laplace, T.texp):
+    for op in (T.sigmoid, T.silu, T.phi_relu2, T.phi_laplace):
         check_op_grads(lambda: T.tsum(op(x) * op(x)), [x])
-    xp = param(np.abs(rng.normal((3, 4))) + 0.5, name="xp")
-    check_op_grads(lambda: T.tsum(T.tlog(xp)), [xp])
 
 
 def test_grad_matmul_and_reshape():
@@ -299,15 +297,6 @@ def test_grad_norms():
     check_op_grads(
         lambda: T.tsum(T.layer_norm(x, gain, bias) * T.tensor(probe)),
         [x, gain, bias], tol=1e-5)
-    gs = param(np.array(1.3), name="gs")
-    check_op_grads(
-        lambda: T.tsum(T.scale_norm(x, gs) * T.tensor(probe)), [x, gs],
-        tol=1e-5)
-    running = {"mean": np.zeros(6), "var": np.ones(6)}
-    check_op_grads(
-        lambda: T.tsum(T.batch_norm(x, gain, bias,
-                                    dict(running), True) * T.tensor(probe)),
-        [x, gain, bias], tol=1e-5)
 
 
 def test_grad_sum_mean_axes():
@@ -345,12 +334,3 @@ def test_rng_child_insensitive_to_sibling_order():
     b1 = r1.child("b").normal((10,))
     b2 = Rng(9).child("b").normal((10,))
     np.testing.assert_array_equal(b1, b2)
-
-
-def test_dropout_identity_in_eval():
-    x = param(np.ones((4, 4)), name="x")
-    y = T.dropout(x, 0.5, Rng(0), training=False)
-    assert y is x
-    yt = T.dropout(x, 0.5, Rng(0), training=True)
-    vals = np.unique(yt.data)
-    assert set(np.round(vals, 6)).issubset({0.0, 2.0})

@@ -281,6 +281,23 @@ def test_loop_aborts_after_repeated_nonfinite():
         train_loop(model, PoisonTask(range(1, 31)), cfg)
 
 
+def test_loop_aborts_after_repeated_nonfinite_grads(monkeypatch):
+    import longvq.train as train_mod
+
+    def nan_grads(loss, params):
+        return [np.full_like(p.data, np.nan) for p in params]
+
+    monkeypatch.setattr(train_mod, "grad", nan_grads)
+    model = toy_model(12)
+    before = [p.data.copy() for p in model.params()]
+    cfg = TrainConfig(lr=1e-2, total_steps=30, batch_size=4, seed=0,
+                      eval_every=0)
+    with pytest.raises(RuntimeError, match="non-finite gradients"):
+        train_loop(model, ToyTask(), cfg)
+    for p, b in zip(model.params(), before):
+        np.testing.assert_array_equal(p.data, b)
+
+
 # ---------------------------------------------------------------------------
 # gradient checking
 

@@ -1,14 +1,16 @@
 """Codebook checks: assignment against brute force, straight-through
-pass-through, EMA law, commitment loss, diagnostics, checkpoint format."""
+pass-through, EMA law, commitment loss, diagnostics, checkpointing."""
 
 import numpy as np
 import pytest
 
 import longvq.tensor as T
+from longvq.attention import AttentionConfig
+from longvq.model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from longvq.rng import Rng
 from longvq.vq import (
     Codebook, assign, assign_batch, codebook_perplexity, commit_loss,
-    ema_update, load_codebook, quantize_st, save_codebook, seed_codebook,
+    ema_update, quantize_st, seed_codebook,
 )
 from longvq.tensor import Tensor, grad, param, precision
 
@@ -270,33 +272,22 @@ def test_seed_codebook_deterministic():
     np.testing.assert_array_equal(a.C, b.C)
 
 
+
 def test_codebook_checkpoint_roundtrip(tmp_path):
+    # codebook state travels in the model checkpoint, the one format
+    cfg = ModelConfig(attn=AttentionConfig("softmax", 2, True, z_dim=3,
+                                           v_dim=4),
+                      head="mean_pool_classify", n_out=2, depth=1,
+                      d_model=4, S=5, in_dim=2, n_state=2)
     rng = Rng(19)
     with precision("float32"):
-        cb = make_cb(5, 3, rng)
+        model = Model(cfg, Rng(20))
+        model(rng.normal((2, 6, 2), dtype=np.float32))   # seeds the codebook
+        cb = model.layers()[0].codebook
         ema_update(cb, rng.normal((10, 3), dtype=np.float32),
                    assign_batch(rng.normal((10, 3)), cb))
-        path = tmp_path / "cb.lvqc"
-        save_codebook(cb, path)
-        cb2 = load_codebook(path)
-        np.testing.assert_array_equal(
-            cb.C.astype(np.float32), cb2.C.astype(np.float32))
-        np.testing.assert_array_equal(
-            cb.ema_count.astype(np.float32), cb2.ema_count.astype(np.float32))
-        np.testing.assert_array_equal(
-            cb.ema_sum.astype(np.float32), cb2.ema_sum.astype(np.float32))
-
-
-def test_codebook_checkpoint_header_layout(tmp_path):
-    cb = Codebook(C=np.zeros((2, 3), dtype=np.float32),
-                  ema_count=np.ones(2, dtype=np.float32),
-                  ema_sum=np.zeros((2, 3), dtype=np.float32))
-    path = tmp_path / "h.lvqc"
-    save_codebook(cb, path)
-    raw = path.read_bytes()
-    assert raw[:4] == b"LVQC"
-    assert len(raw) == 16 + 4 * (2 * 3 + 2 + 2 * 3)
-    with pytest.raises(ValueError):
-        bad = tmp_path / "bad.lvqc"
-        bad.write_bytes(b"XXXX" + raw[4:])
-        load_codebook(bad)
+        path = str(tmp_path / "ckpt.f32")
+        save_checkpoint(path, model)
+        cb2 = load_checkpoint(path, Model(cfg, Rng(21))).layers()[0].codebook
+        for a in ("C", "ema_count", "ema_sum"):
+            np.testing.assert_array_equal(getattr(cb, a), getattr(cb2, a))
