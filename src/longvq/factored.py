@@ -31,6 +31,13 @@ the code aggregates (U, n), so the backward assembles the dense-equivalent
 dK_hat from per-code far-field accumulators. The codebook itself is a
 constant here and never receives gradients.
 
+Cost model. The exact far-field key gradient builds the per-code
+accumulator Tm, S·dz·dv multiply-adds per query row. The dense
+computation costs about 3·L·(dz + dv) per row, forward plus backward. The
+two meet at L ≈ S·dz·dv / (3(dz + dv)): about 228 at the learning dims
+(S=64, dz=16, dv=32) and about 910 at S=256 with the same dz and dv.
+Below that length dense does fewer flops per row; above it, this path.
+
 The same walk gives each attention row's entropy (attn_row_entropy)
 without values or an L x L array. With weights W >= 0 (exp(logit - row
 max) for softmax, phi(logit) otherwise), row total T_i and p = W / T_i,

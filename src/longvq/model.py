@@ -41,10 +41,11 @@ class ModelConfig:
     ssm_enabled: bool = True    # False ablates the state branch: Z = silu(X)
 
     def __post_init__(self):
+        for name in ("depth", "d_model", "S", "n_state"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.d_ffn == 0:
             self.d_ffn = 2 * self.d_model
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
         if self.d_ffn < self.d_model:
             raise ValueError("d_ffn must be >= d_model")
         if self.head not in HEADS:

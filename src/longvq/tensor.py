@@ -19,7 +19,8 @@ input; a single sequence is the case B = d = 1.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf, expit
+from scipy.fft import irfft, rfft
+from scipy.special import erf
 
 __all__ = [
     "Tensor", "NumericsError", "set_precision", "get_dtype", "precision",
@@ -380,14 +381,21 @@ def tmean(a, axis=None, keepdims=False):
 # ---------------------------------------------------------------------------
 # elementwise nonlinearities
 
+def _sigmoid_np(x):
+    # exp(-x) overflows to inf for x below about -88 (float32) or -709
+    # (float64), and 1 / inf is the exact limit 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def sigmoid(a):
-    s = expit(a.data)
+    s = _sigmoid_np(a.data)
     return make_op(s, (a,), lambda g: (g * s * (1.0 - s),), "sigmoid")
 
 
 def silu(a):
     """x * sigmoid(x), the self-gated activation."""
-    s = expit(a.data)
+    s = _sigmoid_np(a.data)
     out = a.data * s
     return make_op(out, (a,),
                    lambda g: (g * s * (1.0 + a.data * (1.0 - s)),), "silu")
@@ -487,6 +495,15 @@ def conv_causal_channels(kernels, x):
     spectrum of g once, recomputes that of x, and gets both gradients as
     cross-correlations from conjugate spectra; dk is summed over the batch
     before its one inverse transform.
+
+    The transforms are scipy.fft's, not numpy's. numpy 2.4's float32 rfft
+    over the strided L axis is about three times slower: 9.3 vs 3.0 ms at
+    (B, L, d) = (32, 256, 64) and 8.1 vs 3.0 ms at (8, 1024, 64), min of
+    7 on one thread of a 2-vCPU x86-64 VM. The inverse transforms cost
+    about the same in both, and so does everything in float64, where the
+    two give bit-identical outputs and gradients. Forward plus backward
+    went from 36 to 17 ms at the first shape and from 49 to 26 ms at the
+    second. scipy.fft runs on one thread unless asked for more.
     """
     kernels, x = _as_tensor(kernels), _as_tensor(x)
     if x.ndim != 3:
@@ -497,15 +514,15 @@ def conv_causal_channels(kernels, x):
             f"kernel bank shape {kernels.data.shape} != ({d}, {L})")
     dtype = np.result_type(kernels.data, x.data)
     n = _next_pow2(2 * L)
-    kf = np.fft.rfft(kernels.data.T, n=n, axis=0)          # (F, d)
-    out = np.fft.irfft(kf * np.fft.rfft(x.data, n=n, axis=1), n=n, axis=1)
+    kf = rfft(kernels.data.T, n=n, axis=0)  # (F, d)
+    out = irfft(kf * rfft(x.data, n=n, axis=1), n=n, axis=1)
     out = np.ascontiguousarray(out[:, :L], dtype=dtype)
 
     def vjp(g):
-        gf = np.fft.rfft(g, n=n, axis=1)
-        dx = np.fft.irfft(kf.conj() * gf, n=n, axis=1)[:, :L]
-        xf = np.fft.rfft(x.data, n=n, axis=1)
-        dk = np.fft.irfft((xf.conj() * gf).sum(axis=0), n=n, axis=0)[:L]
+        gf = rfft(g, n=n, axis=1)
+        dx = irfft(kf.conj() * gf, n=n, axis=1)[:, :L]
+        xf = rfft(x.data, n=n, axis=1)
+        dk = irfft((xf.conj() * gf).sum(axis=0), n=n, axis=0)[:L]
         return np.ascontiguousarray(dk.T, dtype=dtype), \
             np.ascontiguousarray(dx, dtype=dtype)
 

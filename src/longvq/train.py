@@ -44,6 +44,8 @@ class TrainConfig:
             raise ValueError("gamma must be >= 0")
         if self.grad_clip <= 0:
             raise ValueError("grad_clip must be > 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 def lr_at(cfg, step):
@@ -146,6 +148,23 @@ def _perplexities(model, auxes):
     return [codebook_perplexity(a["z"], model.cfg.S) for a in auxes]
 
 
+def _dead_codes(auxes, S):
+    """Per layer, the number of codes that no key of the batch uses."""
+    return [int(S - np.count_nonzero(np.bincount(
+        np.asarray(a["z"]).reshape(-1), minlength=S))) for a in auxes]
+
+
+def _quant_errs(auxes):
+    """Per layer, the relative quantization error ||K - K_hat|| / ||K||."""
+    out = []
+    for a in auxes:
+        k = a["K"].data
+        err = np.linalg.norm(a["K_hat"].data - k)
+        norm = max(np.linalg.norm(k), np.finfo(k.dtype).tiny)
+        out.append(float(err / norm))
+    return out
+
+
 def emit(records, fh, rec):
     records.append(rec)
     if fh is not None:
@@ -236,6 +255,8 @@ def train_loop(model, task, cfg: TrainConfig, metrics_path=None,
                    "loss": float(loss.data), "ce": parts["ce"],
                    "vq": parts["vq"], "acc": parts["acc"],
                    "codebook_perplexity": _perplexities(model, auxes),
+                   "dead_codes": _dead_codes(auxes, model.cfg.S),
+                   "quant_err": _quant_errs(auxes),
                    "lr": lr, "grad_norm": float(gnorm),
                    "wallclock_ms": round(ms, 3)}
             emit(records, fh, rec)

@@ -192,6 +192,19 @@ def test_invalid_attn_fn_exits_2(tmp_path, monkeypatch, capsys):
     assert "config error: attn_fn" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("model.S", "0"), ("model.S", "-3"),
+                                       ("model.d_model", "0"),
+                                       ("model.n_state", "0"),
+                                       ("train.batch_size", "0")])
+def test_nonpositive_size_exits_2_naming_it(key, value, tmp_path,
+                                            monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["train", *TINY, "--set", f"{key}={value}", "--out", "x"])
+    assert rc == 2
+    name = key.split(".")[1]
+    assert f"config error: {name} must be >= 1" in capsys.readouterr().err
+
+
 def test_unknown_key_exits_2_naming_field(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     rc = main(["train", "--set", "model.norn_kind=layer", "--out", "x"])

@@ -2,8 +2,11 @@
 op gradients against central differences, tape mechanics, and stream
 determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import longvq.tensor as T
 from longvq.rng import Rng
@@ -168,6 +171,27 @@ def test_conv_causal_channels_rejects_bad_shapes():
                              T.tensor(np.zeros(4)))
 
 
+def test_conv_causal_channels_float32_matches_float64():
+    # the float32 path training takes, at a training length: same dtype
+    # out, and within 1e-5 of the float64 op relative to each array's peak
+    rng = Rng(15)
+    B, L, d = 2, 1024, 8
+    k, x, probe = (rng.normal(s).astype(np.float32)
+                   for s in ((d, L), (B, L, d), (B, L, d)))
+    res = {}
+    for kind in ("float32", "float64"):
+        with precision(kind):
+            kt, xt = param(k, name="k"), param(x, name="x")
+            out = conv_causal_channels(kt, xt)
+            dk, dx = grad(T.tsum(out * T.tensor(probe)), [kt, xt])
+            res[kind] = (out.data, dk, dx)
+    for name, a, b in zip(("out", "dk", "dx"), res["float32"],
+                          res["float64"]):
+        assert a.dtype == np.float32 and b.dtype == np.float64, name
+        err = np.abs(a - b).max() / np.abs(b).max()
+        assert err < 1e-5, f"{name}: {err:.2e}"
+
+
 def test_band_bias_add_bidirectional():
     L, w = 6, 2
     scores = T.tensor(np.zeros((L, L)))
@@ -199,6 +223,27 @@ def test_laplace_phi_range_and_midpoint():
     assert np.all(np.diff(y[core]) > 0)
     mid = T.phi_laplace(T.tensor(np.array([T.LAPLACE_MU]))).data
     np.testing.assert_allclose(mid, 0.5, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_silu_match_reference_over_wide_range(dtype):
+    # against scipy's expit in float64: a few ulps wherever the reference
+    # is a normal number of the dtype, within the smallest normal below
+    # that, exact limits at +-1000, and no overflow warning from exp(-x)
+    x = np.linspace(-1000.0, 1000.0, 200001).astype(dtype)
+    ref = expit(x.astype(np.float64))
+    with precision(dtype), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = T.sigmoid(T.tensor(x)).data
+        u = T.silu(T.tensor(x)).data
+    assert s.dtype == dtype and u.dtype == dtype
+    tiny, eps = np.finfo(dtype).tiny, np.finfo(dtype).eps
+    normal = ref >= tiny
+    assert np.all(np.abs(s[normal] - ref[normal]) <= 4 * eps * ref[normal])
+    assert np.all(np.abs(s[~normal] - ref[~normal]) <= tiny)
+    assert s[0] == 0.0 and s[-1] == 1.0
+    assert u[0] == 0.0 and u[-1] == 1000.0
+    np.testing.assert_allclose(u, x * s, rtol=2 * eps)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from longvq.model import Model, ModelConfig
 from longvq.rng import Rng
 from longvq.tensor import Tensor, precision, set_backward_fault
 from longvq.train import (
-    AdamW, TrainConfig, assignment_margin, clip_grads, global_norm,
-    gradcheck_model, lr_at, total_loss, train_loop,
+    AdamW, TrainConfig, _dead_codes, _quant_errs, assignment_margin,
+    clip_grads, global_norm, gradcheck_model, lr_at, total_loss, train_loop,
 )
 from longvq.vq import ema_update
 
@@ -192,12 +192,21 @@ def run_toy(seed, steps=40, path=None, **kw):
 
 
 def test_loop_record_schema():
-    _, recs = run_toy(0, steps=5)
+    model, recs = run_toy(0, steps=5)
     train_recs = [r for r in recs if r["split"] == "train"]
     assert len(train_recs) == 5
     for k in ("step", "split", "loss", "ce", "vq", "acc",
-              "codebook_perplexity", "lr", "grad_norm", "wallclock_ms"):
+              "codebook_perplexity", "dead_codes", "quant_err", "lr",
+              "grad_norm", "wallclock_ms"):
         assert k in train_recs[0]
+    S = model.cfg.S
+    for r in train_recs:
+        # one value per layer; a used code leaves at most S - 1 dead
+        assert len(r["dead_codes"]) == len(r["quant_err"]) == 1
+        assert all(isinstance(n, int) and 0 <= n < S for n in r["dead_codes"])
+        assert all(0.0 <= e < np.inf for e in r["quant_err"])
+        # exp(entropy) of the code histogram is at most the used-code count
+        assert r["codebook_perplexity"][0] <= S - r["dead_codes"][0] + 1e-9
     assert all("attn_entropy" not in r for r in train_recs)
     # grad_norm is the pre-clip global norm: here it exceeds the 0.1 clip
     assert all(r["grad_norm"] > TrainConfig().grad_clip for r in train_recs)
@@ -207,6 +216,18 @@ def test_loop_record_schema():
         assert len(r["attn_entropy"]) == 1          # one value per layer
         assert all(0.0 <= e <= 1.0 for e in r["attn_entropy"])
     assert all("lr" not in r and "wallclock_ms" not in r for r in evals)
+
+
+def test_code_signals_planted():
+    # keys (3, 4) and (0, 0) snapped to (3, 4) and (0, 1): ||K - K_hat||
+    # is 1 and ||K|| is 5; codes 1 and 2 of S=4 are used, so 2 are dead
+    K = np.array([[[3.0, 4.0], [0.0, 0.0]]])
+    K_hat = np.array([[[3.0, 4.0], [0.0, 1.0]]])
+    aux = {"K": Tensor(K), "K_hat": Tensor(K_hat), "z": np.array([[2, 1]])}
+    assert _dead_codes([aux], 4) == [2]
+    assert _quant_errs([aux]) == [pytest.approx(0.2, rel=1e-15)]
+    aux["K_hat"] = Tensor(K.copy())
+    assert _quant_errs([aux]) == [0.0]
 
 
 def test_loop_deterministic_modulo_wallclock(tmp_path):
