@@ -40,8 +40,8 @@ show = sorted(rep["params"], key=rep["params"].get, reverse=True)[:5]
 for name in show:
     print(f"  {name:<24} {rep['params'][name]:.2e}")
 
-print("\nsame check with matmul's backward sign-flipped:")
-set_backward_fault("matmul")
+print("\nsame check with linear's backward sign-flipped:")
+set_backward_fault("linear")
 try:
     bad = gradcheck_model(make_model, make_batch, seed=0)
 finally:

@@ -25,8 +25,8 @@ import numpy as np
 from .factored import attn_factored, build_code_stats, phi_table, stats_chunk
 from .ssm import SsmBank
 from .tensor import (
-    Tensor, band_bias_add, get_dtype, matmul, mul, phi_laplace, phi_relu2,
-    reshape, sigmoid, silu, softmax_rows, transpose,
+    Tensor, band_bias_add, gate_mix, get_dtype, linear, matmul, mul,
+    phi_laplace, phi_relu2, reshape, sigmoid, silu, softmax_rows, transpose,
 )
 from .vq import quantize_st, seed_codebook
 
@@ -49,8 +49,11 @@ class AttentionConfig:
     def __post_init__(self):
         if self.attn_fn not in ATTN_FNS:
             raise ValueError(f"attn_fn must be one of {ATTN_FNS}")
-        if self.window < 0 or self.z_dim < 1 or self.v_dim < 1:
-            raise ValueError("window >= 0 and dims >= 1 required")
+        if self.window < 0:
+            raise ValueError(f"window must be >= 0, got {self.window}")
+        for name in ("z_dim", "v_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     @property
     def scale(self):
@@ -198,19 +201,19 @@ class LongVQLayer:
         """(Z, G_a, Q, K, V) per the layer equations; X is (B, L, d)."""
         g = self.gates
         Z = silu(self.bank(X)) if self.ssm_enabled else silu(X)
-        G_a = silu(matmul(Z, g.w_ga) + g.b_ga)
-        Q = matmul(Z, g.w_q) + g.b_q
-        K = matmul(Z, g.w_k) + g.b_k
-        V = silu(matmul(X, g.w_v) + g.b_v)
+        G_a = silu(linear(Z, g.w_ga, g.b_ga))
+        Q = linear(Z, g.w_q, g.b_q)
+        K = linear(Z, g.w_k, g.b_k)
+        V = silu(linear(X, g.w_v, g.b_v))
         return Z, G_a, Q, K, V
 
     def gate_output(self, X, O_pre, G_a):
         """Gate, project to d, and mix with the input through G_o."""
         g = self.gates
         O_a = mul(G_a, O_pre)
-        proj = matmul(O_a, g.w_out) + g.b_out
-        G_o = sigmoid(matmul(X, g.w_go) + g.b_go)
-        return mul(G_o, proj) + mul(1.0 - G_o, X)
+        proj = linear(O_a, g.w_out, g.b_out)
+        G_o = sigmoid(linear(X, g.w_go, g.b_go))
+        return gate_mix(G_o, proj, X)
 
     def ensure_codebook(self, K_data):
         if self.codebook is None:

@@ -36,7 +36,7 @@ from .bench import bench_scaling
 from .config import ConfigError, apply_sets, build_run, load_run_config
 from .model import Model, load_checkpoint, param_count, save_checkpoint
 from .rng import Rng
-from .tensor import set_backward_fault, set_precision
+from .tensor import backward_fault_hits, set_backward_fault, set_precision
 from .train import evaluate, gradcheck_model, train_loop
 
 SCHEMA = "longvq-report-v1"
@@ -186,12 +186,19 @@ def cmd_gradcheck(args):
     try:
         report = gradcheck_model(make_model, make_batch,
                                  seed=train_cfg.seed)
+        fault_nodes = backward_fault_hits()
     finally:
         set_backward_fault(None)
     report["schema"] = SCHEMA
     report["command"] = "gradcheck"
     report["fault"] = args.inject_fault
+    report["fault_nodes"] = fault_nodes
     _write_report(out, report)
+    if args.inject_fault and fault_nodes == 0:
+        # a fault that wrapped nothing checks nothing; a pass would lie
+        print(f"gradcheck: --inject-fault {args.inject_fault!r} wrapped no "
+              "tape node: no op of that name ran", file=sys.stderr)
+        return 2
     if report.get("skipped"):
         print(f"gradcheck: SKIPPED ({report['reason']})")
         return 1

@@ -16,7 +16,7 @@ import numpy as np
 
 from .attention import AttentionConfig, LongVQLayer
 from .tensor import (
-    Tensor, gather_rows, get_dtype, layer_norm, matmul, silu, tmean,
+    Tensor, gather_rows, get_dtype, layer_norm, linear, silu, tmean,
 )
 from .vq import Codebook
 
@@ -90,8 +90,8 @@ class Ffn:
                          name=f"{prefix}.b2")
 
     def __call__(self, y):
-        h = silu(matmul(y, self.w1) + self.b1)
-        return matmul(h, self.w2) + self.b2
+        h = silu(linear(y, self.w1, self.b1))
+        return linear(h, self.w2, self.b2)
 
     def params(self):
         return [self.w1, self.b1, self.w2, self.b2]
@@ -192,7 +192,7 @@ class Model:
             np.asarray(batch, dtype=get_dtype()))
         if x.data.ndim != 3 or x.data.shape[2] != self.cfg.in_dim:
             raise ValueError(f"real input must be (B, L, {self.cfg.in_dim})")
-        return matmul(x, self.embed_w) + self.embed_b
+        return linear(x, self.embed_w, self.embed_b)
 
     def forward(self, batch, frozen=None):
         h = self.embed(batch)
@@ -201,9 +201,9 @@ class Model:
             h, aux = blk(h, frozen=None if frozen is None else frozen[i])
             auxes.append(aux)
         if self.cfg.head == "mean_pool_classify":
-            logits = matmul(tmean(h, axis=1), self.head_w) + self.head_b
+            logits = linear(tmean(h, axis=1), self.head_w, self.head_b)
         else:
-            logits = matmul(h, self.head_w) + self.head_b
+            logits = linear(h, self.head_w, self.head_b)
         return logits, auxes
 
     __call__ = forward

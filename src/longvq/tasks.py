@@ -43,6 +43,8 @@ class TaskSpec:
         if self.name not in _TASKS:
             raise ValueError(f"unknown task '{self.name}' (expected one of "
                              f"{', '.join(_TASKS)})")
+        if self.name == "reduction":
+            _check_reduction_dims(self.L, self.vocab, prefix="task.")
 
 
 def build_task(spec: TaskSpec):
@@ -57,11 +59,16 @@ def bpc(ce: float) -> float:
 # ---------------------------------------------------------------------------
 # reduction head
 
-def _reduction_batch(L, vocab, bs, rng):
+def _check_reduction_dims(L, vocab, prefix=""):
+    """A reduction sequence needs a key, a value and a marker symbol, and
+    an even length with room for a few pairs; prefix names the keys."""
     if vocab < 4:
-        raise ValueError("vocab must be >= 4")
+        raise ValueError(f"{prefix}vocab must be >= 4, got {vocab}")
     if L < 8 or L % 2:
-        raise ValueError("L must be even and >= 8")
+        raise ValueError(f"{prefix}L must be even and >= 8, got {L}")
+
+
+def _reduction_batch(L, vocab, bs, rng):
     nk = (vocab - 1) // 2
     marker = vocab - 1
     m = (L - 2) // 2
@@ -89,6 +96,7 @@ def _reduction_batch(L, vocab, bs, rng):
 
 def gen_reduction_head(L, vocab, n, seed):
     """n sequences [k v k v ... MARK k_query]; label is the queried value."""
+    _check_reduction_dims(L, vocab)
     return _reduction_batch(L, vocab, n, Rng(seed, "reduction"))
 
 

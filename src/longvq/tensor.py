@@ -14,6 +14,14 @@ Shape conventions used throughout the package: sequences are (L, d) or
 batched (B, L, d); matrices are row-major. The one convolution op,
 ``conv_causal_channels``, takes a (d, L) kernel bank and a (B, L, d)
 input; a single sequence is the case B = d = 1.
+
+Dense sublayers are fused ops, one tape node each. ``linear`` is the
+projection x @ W + b: every projection of the model is one ``linear``
+node, and ``matmul`` serves the quadratic dense oracle (scores and
+weighted values), not the projections. ``gate_mix`` is the gated residual
+x + gate * (a - x), and ``layer_norm`` normalizes each row in one node.
+Each keeps fewer full-size temporaries alive until the backward than the
+chain of elementwise nodes it replaces.
 """
 
 from __future__ import annotations
@@ -25,16 +33,19 @@ from scipy.special import erf
 __all__ = [
     "Tensor", "NumericsError", "set_precision", "get_dtype", "precision",
     "no_grad", "tensor", "param", "grad", "finite_diff", "zero_grads",
-    "add", "sub", "mul", "div", "neg", "matmul", "transpose", "reshape",
+    "add", "sub", "mul", "div", "neg", "matmul", "linear", "gate_mix",
+    "transpose", "reshape",
     "stack", "gather_rows", "tsum", "tmean", "sigmoid", "silu", "phi_relu2",
     "phi_laplace", "softmax_rows", "cross_entropy",
     "conv_causal_channels", "band_bias_add", "layer_norm", "set_backward_fault",
+    "backward_fault_hits",
     "LAPLACE_MU", "LAPLACE_SIGMA",
 ]
 
 _DTYPE = np.float32
 _NO_GRAD = False
 _FAULT_OP = None
+_FAULT_HITS = 0
 
 # elementwise laplace attention function: 0.5*(1+erf((x-mu)/(sigma*sqrt(2))))
 LAPLACE_MU = float(np.sqrt(0.5))
@@ -93,9 +104,19 @@ class no_grad:
 
 
 def set_backward_fault(op_name):
-    """Test hook: flip the sign of one op's backward. None disables."""
-    global _FAULT_OP
+    """Test hook: flip the sign of one op's backward. None disables.
+
+    Resets the count that ``backward_fault_hits`` reports.
+    """
+    global _FAULT_OP, _FAULT_HITS
     _FAULT_OP = op_name
+    _FAULT_HITS = 0
+
+
+def backward_fault_hits():
+    """Tape nodes whose backward the fault hook has wrapped since it was
+    last set; 0 means the named op never ran on the tape."""
+    return _FAULT_HITS
 
 
 def _check(data, op):
@@ -176,7 +197,7 @@ class Tensor:
                 continue
             grads = node._vjp(node.grad)
             for p, g in zip(node._parents, grads):
-                if g is None or not (p.requires_grad or p._vjp is not None):
+                if g is None or not _wants_grad(p):
                     continue
                 g = np.asarray(g, dtype=p.data.dtype)
                 p.grad = g if p.grad is None else p.grad + g
@@ -213,14 +234,20 @@ def param(data, name=None):
     return Tensor(data, requires_grad=True, name=name)
 
 
+def _wants_grad(t):
+    """True for a parameter or a node on the tape: a gradient reaches it."""
+    return t.requires_grad or t._vjp is not None
+
+
 def _tracked(parents):
     if _NO_GRAD:
         return False
-    return any(p.requires_grad or p._vjp is not None for p in parents)
+    return any(_wants_grad(p) for p in parents)
 
 
 def make_op(data, parents, vjp, op_name):
     """Build a tape node; vjp(g) returns per-parent gradients (or None)."""
+    global _FAULT_HITS
     _check(data, op_name)
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -230,6 +257,7 @@ def make_op(data, parents, vjp, op_name):
     if _tracked(parents):
         out._parents = tuple(parents)
         if _FAULT_OP == op_name:
+            _FAULT_HITS += 1
             out._vjp = lambda g: tuple(
                 None if gi is None else -gi for gi in vjp(g))
         else:
@@ -303,6 +331,59 @@ def matmul(a, b):
         return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
 
     return make_op(out, (a, b), vjp, "matmul")
+
+
+def linear(x, w, b):
+    """x (..., n) @ w (n, m) + b (m,) as one tape node.
+
+    The leading axes are flattened into rows, so the forward is one 2-D
+    GEMM with the bias added in place. The backward gets dx = g @ w^T,
+    dw = x^T @ g as one 2-D GEMM over every row, and db as the BLAS
+    column sum ones @ g; dx is skipped when x is a constant.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if w.ndim != 2 or x.ndim < 1 or x.data.shape[-1] != w.data.shape[0] \
+            or b.data.shape != w.data.shape[1:]:
+        raise ValueError(f"linear expects x (..., n), w (n, m), b (m,); got "
+                         f"{x.data.shape}, {w.data.shape}, {b.data.shape}")
+    n, m = w.data.shape
+    x2 = x.data.reshape(-1, n)
+    out = x2 @ w.data
+    out += b.data
+
+    def vjp(g):
+        g2 = g.reshape(-1, m)
+        dx = (g2 @ w.data.T).reshape(x.data.shape) if _wants_grad(x) \
+            else None
+        db = np.ones(g2.shape[0], dtype=g2.dtype) @ g2
+        return dx, x2.T @ g2, db
+
+    return make_op(out.reshape(x.data.shape[:-1] + (m,)), (x, w, b), vjp,
+                   "linear")
+
+
+def gate_mix(gate, a, x):
+    """x + gate * (a - x) as one tape node: the convex mix of a and x.
+
+    All three have one shape. The backward recomputes a - x instead of
+    keeping it: g * (a - x) for the gate, g * gate for a and the rest,
+    g - g * gate, for x.
+    """
+    gate, a, x = _as_tensor(gate), _as_tensor(a), _as_tensor(x)
+    if not gate.data.shape == a.data.shape == x.data.shape:
+        raise ValueError(f"gate_mix expects one shape; got {gate.data.shape}, "
+                         f"{a.data.shape}, {x.data.shape}")
+    out = a.data - x.data
+    out *= gate.data
+    out += x.data
+
+    def vjp(g):
+        dgate = a.data - x.data
+        dgate *= g
+        da = g * gate.data
+        return dgate, da, g - da
+
+    return make_op(out, (gate, a, x), vjp, "gate_mix")
 
 
 def transpose(a, axes=None):
@@ -382,23 +463,46 @@ def tmean(a, axis=None, keepdims=False):
 # elementwise nonlinearities
 
 def _sigmoid_np(x):
-    # exp(-x) overflows to inf for x below about -88 (float32) or -709
-    # (float64), and 1 / inf is the exact limit 0
+    """1 / (1 + exp(-x)) in one allocation, in place from the first ufunc.
+
+    The explicit out= keeps a 0-d input an array: np.negative of a 0-d
+    array alone returns a scalar, which the in-place ufuncs after it
+    cannot write to. exp(-x) overflows to inf for x below about -88
+    (float32) or -709 (float64), and 1 / inf is the exact limit 0.
+    """
+    s = np.negative(x, out=np.empty_like(x))
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(s, out=s)
+    s += 1.0
+    return np.reciprocal(s, out=s)
 
 
 def sigmoid(a):
     s = _sigmoid_np(a.data)
-    return make_op(s, (a,), lambda g: (g * s * (1.0 - s),), "sigmoid")
+
+    def vjp(g):
+        ds = np.subtract(1.0, s, out=np.empty_like(s))
+        ds *= s
+        ds *= g
+        return (ds,)
+
+    return make_op(s, (a,), vjp, "sigmoid")
 
 
 def silu(a):
     """x * sigmoid(x), the self-gated activation."""
     s = _sigmoid_np(a.data)
-    out = a.data * s
-    return make_op(out, (a,),
-                   lambda g: (g * s * (1.0 + a.data * (1.0 - s)),), "silu")
+
+    def vjp(g):
+        # g * s * (1 + x * (1 - s)) in one allocation
+        dx = np.subtract(1.0, s, out=np.empty_like(s))
+        dx *= a.data
+        dx += 1.0
+        dx *= s
+        dx *= g
+        return (dx,)
+
+    return make_op(a.data * s, (a,), vjp, "silu")
 
 
 def phi_relu2(a):
@@ -569,24 +673,51 @@ def band_bias_add(scores, bias, w, causal):
 # normalizers
 
 def layer_norm(x, gain, bias, eps=1e-5):
-    """Per-position normalization over the channel (last) axis."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xn = xc * inv
-    out = xn * gain.data + bias.data
+    """Per-position normalization over the channel (last) axis, with a
+    (d,) gain and bias.
+
+    Row means are products with a (d, 1) column of 1/d, not
+    mean(axis=-1): numpy's reduction over a short last axis is about five
+    times slower than the BLAS product (0.23 vs 0.04 ms on a float32
+    (32, 256, 64) array, min of 40 on one thread of a 2-vCPU x86-64 VM).
+    The backward takes its two row means the same way and the gain and
+    bias gradients as BLAS column sums. Forward plus backward went from
+    4.1 to 2.8 ms at that shape.
+    """
+    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.data.shape[-1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise ValueError(f"layer_norm gain and bias must have shape ({d},)")
+    x2 = x.data.reshape(-1, d)
+    col = np.full((d, 1), 1.0 / d, dtype=x2.dtype)
+    xn = x2 - x2 @ col
+    sq = np.square(xn)
+    inv = sq @ col
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    xn *= inv
+    out = np.multiply(xn, gain.data, out=sq)
+    out += bias.data
 
     def vjp(g):
-        gxn = g * gain.data
-        dx = inv * (gxn - gxn.mean(axis=-1, keepdims=True)
-                    - xn * (gxn * xn).mean(axis=-1, keepdims=True))
-        dgain = _unbroadcast(g * xn, gain.data.shape)
-        dbias = _unbroadcast(g, bias.data.shape)
-        return dx, dgain, dbias
+        g2 = g.reshape(-1, d)
+        ones = np.ones(g2.shape[0], dtype=g2.dtype)
+        gxn = g2 * gain.data
+        t = gxn * xn
+        m2 = t @ col
+        m1 = gxn @ col
+        np.multiply(g2, xn, out=t)
+        dgain = ones @ t
+        # dx = inv * (gxn - mean(gxn) - xn * mean(gxn * xn))
+        np.multiply(xn, m2, out=t)
+        gxn -= m1
+        gxn -= t
+        gxn *= inv
+        return gxn.reshape(x.data.shape), dgain, ones @ g2
 
-    return make_op(out, (x, gain, bias), vjp, "layer_norm")
+    return make_op(out.reshape(x.data.shape), (x, gain, bias), vjp,
+                   "layer_norm")
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,9 @@ class TrainConfig:
             raise ValueError("gamma must be >= 0")
         if self.grad_clip <= 0:
             raise ValueError("grad_clip must be > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("batch_size", "eval_batches"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 def lr_at(cfg, step):
@@ -154,15 +155,28 @@ def _dead_codes(auxes, S):
         np.asarray(a["z"]).reshape(-1), minlength=S))) for a in auxes]
 
 
+def _rel_change(new, old):
+    """||new - old|| / ||old||, with a zero ||old|| read as the tiniest
+    normal number so the ratio stays finite."""
+    norm = max(np.linalg.norm(old), np.finfo(old.dtype).tiny)
+    return float(np.linalg.norm(new - old) / norm)
+
+
 def _quant_errs(auxes):
     """Per layer, the relative quantization error ||K - K_hat|| / ||K||."""
-    out = []
-    for a in auxes:
-        k = a["K"].data
-        err = np.linalg.norm(a["K_hat"].data - k)
-        norm = max(np.linalg.norm(k), np.finfo(k.dtype).tiny)
-        out.append(float(err / norm))
-    return out
+    return [_rel_change(a["K_hat"].data, a["K"].data) for a in auxes]
+
+
+def _ema_step(layers, auxes):
+    """EMA-update each layer's codebook from its step's keys and codes;
+    returns, per layer, the code drift ||C_after - C_before|| / ||C_before||
+    of that update."""
+    drift = []
+    for layer, aux in zip(layers, auxes):
+        before = layer.codebook.C.copy()
+        ema_update(layer.codebook, aux["K"].data, aux["z"])
+        drift.append(_rel_change(layer.codebook.C, before))
+    return drift
 
 
 def emit(records, fh, rec):
@@ -176,7 +190,9 @@ def evaluate(model, batches, gamma):
     """One no-grad pass over (inputs, targets) batches: the example count
     and the example-weighted loss, ce, vq and acc; from the first batch,
     per layer, the codebook_perplexity and the attn_entropy
-    (attn_row_entropy averaged over every row of every element)."""
+    (attn_row_entropy averaged over every row of every element). Raises
+    ValueError when batches yields no batch: an eval of nothing has no
+    loss to report."""
     tot = dict.fromkeys(("loss", "ce", "vq", "acc"), 0.0)
     n, first = 0, {"codebook_perplexity": [], "attn_entropy": []}
     with no_grad():
@@ -193,7 +209,9 @@ def evaluate(model, batches, gamma):
                              lay.codebook.C, lay.cfg).mean())
                              for a, lay in zip(auxes, model.layers())]}
             n += bs
-    return {"examples": n, **{k: v / max(n, 1) for k, v in tot.items()},
+    if n == 0:
+        raise ValueError("evaluate needs at least one batch with examples")
+    return {"examples": n, **{k: v / n for k, v in tot.items()},
             **first}
 
 
@@ -248,15 +266,14 @@ def train_loop(model, task, cfg: TrainConfig, metrics_path=None,
             grads, gnorm = clip_grads(grads, cfg.grad_clip)
             lr = lr_at(cfg, step)
             opt.step(grads, lr)
-            for layer, aux in zip(model.layers(), auxes):
-                ema_update(layer.codebook, aux["K"].data, aux["z"])
+            drift = _ema_step(model.layers(), auxes)
             ms = (time.perf_counter() - t0) * 1000.0
             rec = {"step": step, "split": "train",
                    "loss": float(loss.data), "ce": parts["ce"],
                    "vq": parts["vq"], "acc": parts["acc"],
                    "codebook_perplexity": _perplexities(model, auxes),
                    "dead_codes": _dead_codes(auxes, model.cfg.S),
-                   "quant_err": _quant_errs(auxes),
+                   "quant_err": _quant_errs(auxes), "code_drift": drift,
                    "lr": lr, "grad_norm": float(gnorm),
                    "wallclock_ms": round(ms, 3)}
             emit(records, fh, rec)

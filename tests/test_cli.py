@@ -205,6 +205,24 @@ def test_nonpositive_size_exits_2_naming_it(key, value, tmp_path,
     assert f"config error: {name} must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("train.eval_batches", "0", "eval_batches must be >= 1"),
+    ("train.eval_batches", "-1", "eval_batches must be >= 1"),
+    ("task.L", "0", "task.L must be even and >= 8"),
+    ("task.L", "9", "task.L must be even and >= 8"),
+    ("task.vocab", "2", "task.vocab must be >= 4"),
+    ("attn.z_dim", "0", "z_dim must be >= 1"),
+    ("attn.v_dim", "0", "v_dim must be >= 1"),
+    ("attn.window", "-1", "window must be >= 0"),
+])
+def test_bad_value_exits_2_naming_its_key(key, value, message, tmp_path,
+                                          monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["train", *TINY, "--set", f"{key}={value}", "--out", "x"])
+    assert rc == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_unknown_key_exits_2_naming_field(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     rc = main(["train", "--set", "model.norn_kind=layer", "--out", "x"])
@@ -265,6 +283,28 @@ def test_gradcheck_fault_injection_detected(tmp_path, monkeypatch, capsys):
     assert rep["worst"][1] > rep["tol"]
     # every parameter appears in the table
     assert len(rep["params"]) > 10
+
+
+def test_gradcheck_fault_on_linear_detected(tmp_path, monkeypatch, capsys):
+    # every projection is a linear node, so a fault there must show
+    monkeypatch.chdir(tmp_path)
+    rc = main(["gradcheck", "--inject-fault", "linear", "--out", "gc"])
+    assert rc == 1
+    assert "FAIL" in capsys.readouterr().out
+    rep = json.load(open("gc/report.json"))
+    assert rep["passed"] is False and rep["fault_nodes"] > 0
+
+
+def test_gradcheck_fault_on_unknown_op_exits_2(tmp_path, monkeypatch,
+                                               capsys):
+    # a misspelt op wraps no node; the check must not report a pass
+    monkeypatch.chdir(tmp_path)
+    rc = main(["gradcheck", "--inject-fault", "matmull", "--out", "gc"])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert "PASS" not in out.out
+    assert "'matmull' wrapped no tape node" in out.err
+    assert json.load(open("gc/report.json"))["fault_nodes"] == 0
 
 
 def test_kernel_dump_shapes(tmp_path, monkeypatch, capsys):

@@ -344,6 +344,114 @@ def test_grad_norms():
         [x, gain, bias], tol=1e-5)
 
 
+def test_grad_linear():
+    # the fused projection against central differences on 1-D, 2-D and
+    # 3-D inputs; with a constant x the node returns no dx at all
+    rng = Rng(20)
+    w = param(rng.normal((4, 3)), name="w")
+    b = param(rng.normal((3,)), name="b")
+    for shape in ((4,), (5, 4), (2, 5, 4)):
+        x = param(rng.normal(shape), name="x")
+        probe = Rng(21).normal(shape[:-1] + (3,))
+        check_op_grads(lambda: T.tsum(T.linear(x, w, b) * T.tensor(probe)),
+                       [x, w, b])
+    x = T.tensor(rng.normal((2, 5, 4)))
+    probe = Rng(22).normal((2, 5, 3))
+    check_op_grads(lambda: T.tsum(T.linear(x, w, b) * T.tensor(probe)),
+                   [w, b])
+    assert T.linear(x, w, b)._vjp(probe)[0] is None
+
+
+def test_linear_equals_matmul_plus_bias():
+    rng = Rng(23)
+    x = param(rng.normal((3, 7, 5)), name="x")
+    w = param(rng.normal((5, 4)), name="w")
+    b = param(rng.normal((4,)), name="b")
+    probe = T.tensor(Rng(24).normal((3, 7, 4)))
+    fused = T.linear(x, w, b)
+    chain = T.matmul(x, w) + b
+    want = grad(T.tsum(chain * probe), [x, w, b])
+    got = grad(T.tsum(fused * probe), [x, w, b])
+    assert rel_err(fused.data, chain.data) < 1e-12
+    for name, g, h in zip(("x", "w", "b"), got, want):
+        assert g.shape == h.shape and rel_err(g, h) < 1e-12, name
+    with pytest.raises(ValueError, match="linear expects"):
+        T.linear(x, T.tensor(np.zeros((4, 4))), b)
+
+
+def test_grad_gate_mix():
+    rng = Rng(25)
+    gate = param(T.sigmoid(T.tensor(rng.normal((2, 3, 4)))).data, name="gate")
+    a = param(rng.normal((2, 3, 4)), name="a")
+    x = param(rng.normal((2, 3, 4)), name="x")
+    probe = Rng(26).normal((2, 3, 4))
+    check_op_grads(
+        lambda: T.tsum(T.gate_mix(gate, a, x) * T.tensor(probe)),
+        [gate, a, x])
+    want = gate.data * a.data + (1.0 - gate.data) * x.data
+    assert rel_err(T.gate_mix(gate, a, x).data, want) < 1e-14
+
+
+def _layer_norm_two_pass(x, gain, bias, g, eps=1e-5):
+    """Reference: output and (dx, dgain, dbias) for upstream g, with the
+    row statistics as mean(axis=-1)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xn = xc * inv
+    gxn = g * gain
+    dx = inv * (gxn - gxn.mean(axis=-1, keepdims=True)
+                - xn * (gxn * xn).mean(axis=-1, keepdims=True))
+    d = x.shape[-1]
+    return (xn * gain + bias, dx, (g * xn).reshape(-1, d).sum(axis=0),
+            g.reshape(-1, d).sum(axis=0))
+
+
+def _layer_norm_op(x, gain, bias, g):
+    xt, gt, bt = param(x, "x"), param(gain, "gain"), param(bias, "bias")
+    out = T.layer_norm(xt, gt, bt)
+    return (out.data, *grad(T.tsum(out * T.tensor(g)), [xt, gt, bt]))
+
+
+def test_layer_norm_matches_two_pass_reference():
+    rng = Rng(27)
+    shape = (3, 9, 6)
+    x, g = 2.0 + rng.normal(shape), rng.normal(shape)
+    gain, bias = 0.5 + np.abs(rng.normal((6,))), rng.normal((6,))
+    for name, a, b in zip(("out", "dx", "dgain", "dbias"),
+                          _layer_norm_op(x, gain, bias, g),
+                          _layer_norm_two_pass(x, gain, bias, g)):
+        assert a.shape == b.shape and rel_err(a, b) < 1e-12, name
+
+
+def test_layer_norm_float32_matches_float64():
+    # the float32 training shape: within 1e-5 of float64 relative to each
+    # array's peak, for the output and all three gradients
+    rng = Rng(28)
+    x, g = (rng.normal((32, 256, 64)).astype(np.float32) for _ in range(2))
+    gain = (0.5 + np.abs(rng.normal((64,)))).astype(np.float32)
+    bias = rng.normal((64,)).astype(np.float32)
+    with precision("float32"):
+        lo = _layer_norm_op(x, gain, bias, g)
+    hi = _layer_norm_op(x, gain, bias, g)
+    for name, a, b in zip(("out", "dx", "dgain", "dbias"), lo, hi):
+        assert a.dtype == np.float32 and b.dtype == np.float64, name
+        err = np.abs(a - b).max() / np.abs(b).max()
+        assert err < 1e-5, f"{name}: {err:.2e}"
+
+
+def test_sigmoid_silu_zero_d_input():
+    x = param(np.array(0.3), name="x")
+    for op, want, dwant in (
+            (T.sigmoid, expit(0.3), expit(0.3) * (1 - expit(0.3))),
+            (T.silu, 0.3 * expit(0.3),
+             expit(0.3) * (1 + 0.3 * (1 - expit(0.3))))):
+        y = op(x)
+        assert y.data.shape == () and y.data == pytest.approx(want, rel=1e-15)
+        (dx,) = grad(y, [x])
+        assert dx.shape == () and dx == pytest.approx(dwant, rel=1e-15)
+
+
 def test_grad_sum_mean_axes():
     rng = Rng(19)
     x = param(rng.normal((3, 4, 5)), name="x")

@@ -11,10 +11,11 @@ from longvq.model import Model, ModelConfig
 from longvq.rng import Rng
 from longvq.tensor import Tensor, precision, set_backward_fault
 from longvq.train import (
-    AdamW, TrainConfig, _dead_codes, _quant_errs, assignment_margin,
+    AdamW, TrainConfig, _dead_codes, _ema_step, _quant_errs,
+    assignment_margin,
     clip_grads, global_norm, gradcheck_model, lr_at, total_loss, train_loop,
 )
-from longvq.vq import ema_update
+from longvq.vq import Codebook, ema_update
 
 
 @pytest.fixture(autouse=True)
@@ -196,13 +197,15 @@ def test_loop_record_schema():
     train_recs = [r for r in recs if r["split"] == "train"]
     assert len(train_recs) == 5
     for k in ("step", "split", "loss", "ce", "vq", "acc",
-              "codebook_perplexity", "dead_codes", "quant_err", "lr",
-              "grad_norm", "wallclock_ms"):
+              "codebook_perplexity", "dead_codes", "quant_err",
+              "code_drift", "lr", "grad_norm", "wallclock_ms"):
         assert k in train_recs[0]
     S = model.cfg.S
     for r in train_recs:
         # one value per layer; a used code leaves at most S - 1 dead
-        assert len(r["dead_codes"]) == len(r["quant_err"]) == 1
+        assert len(r["dead_codes"]) == len(r["quant_err"]) \
+            == len(r["code_drift"]) == 1
+        assert all(0.0 <= e < np.inf for e in r["code_drift"])
         assert all(isinstance(n, int) and 0 <= n < S for n in r["dead_codes"])
         assert all(0.0 <= e < np.inf for e in r["quant_err"])
         # exp(entropy) of the code histogram is at most the used-code count
@@ -228,6 +231,19 @@ def test_code_signals_planted():
     assert _quant_errs([aux]) == [pytest.approx(0.2, rel=1e-15)]
     aux["K_hat"] = Tensor(K.copy())
     assert _quant_errs([aux]) == [0.0]
+
+
+def test_code_drift_planted():
+    # one key (3, 6) on code 0 = (3, 4), eta 0.5, no smoothing: the count
+    # stays 1 and the sum goes to (3, 5), so C_0 moves by 1; the unused
+    # code 1 stays 0, so the drift is 1 / ||(3, 4)|| = 0.2
+    C = np.array([[3.0, 4.0], [0.0, 0.0]])
+    cb = Codebook(C=C, ema_count=np.ones(2), ema_sum=C.copy(), eta=0.5,
+                  epsilon=0.0)
+    aux = {"K": Tensor(np.array([[[3.0, 6.0]]])), "z": np.array([[0]])}
+    layer = type("Layer", (), {"codebook": cb})()
+    assert _ema_step([layer], [aux]) == [pytest.approx(0.2, rel=1e-15)]
+    np.testing.assert_array_equal(cb.C, [[3.0, 5.0], [0.0, 0.0]])
 
 
 def test_loop_deterministic_modulo_wallclock(tmp_path):
