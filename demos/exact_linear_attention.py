@@ -20,9 +20,10 @@ set_precision("float64")
 
 
 def instance(rng, L, S, zd=8, vd=8):
+    """Codewords and one sequence (batch axis of 1) of codes, Q and V."""
     C = rng.normal((S, zd))
-    z = rng.integers(0, S, (L,))
-    return C, z, rng.normal((L, zd)), rng.normal((L, vd))
+    z = rng.integers(0, S, (1, L))
+    return C, z, rng.normal((1, L, zd)), rng.normal((1, L, vd))
 
 
 def run_pair(cfg, C, z, Q, V, bias):

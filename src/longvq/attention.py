@@ -10,9 +10,12 @@ input through a learned sigmoid gate:
     O_a = G_a * Attn(Q, K_hat, V, local_bias)
     O   = G_o * (O_a W_out) + (1 - G_o) * X,  G_o = sigmoid(X W_go)
 
-The dense oracle materializes the full L x L score matrix on the tape and
-is the ground truth the factored op must reproduce. A blocked no-grad
-scorer caps memory; it exists only to time the dense path at long L.
+X is (B, L, d); a single sequence is B = 1. The dense oracle materializes
+the full L x L score matrix on the tape and is the ground truth the
+factored op must reproduce; it takes any leading axes. Its relu2/laplace
+weights are one tape op built from factored.phi_table's (f, f') pair. A
+blocked no-grad scorer caps memory; it exists only to time the dense path
+at long L.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import numpy as np
 from .factored import attn_factored, build_code_stats, phi_table, stats_chunk
 from .ssm import SsmBank
 from .tensor import (
-    Tensor, band_bias_add, gate_mix, get_dtype, linear, matmul, mul,
-    phi_laplace, phi_relu2, reshape, sigmoid, silu, softmax_rows, transpose,
+    Tensor, band_bias_add, gate_mix, get_dtype, linear, make_op, matmul, mul,
+    sigmoid, silu, softmax_rows, transpose,
 )
 from .vq import quantize_st, seed_codebook
 
@@ -60,10 +63,6 @@ class AttentionConfig:
         return 1.0 / sqrt(self.z_dim)
 
 
-def _phi_tensor(name, x):
-    return phi_relu2(x) if name == "relu2" else phi_laplace(x)
-
-
 def attn_dense_oracle(Q, K_hat, V, bias, cfg):
     """Quadratic reference: full score matrix on the tape.
 
@@ -81,7 +80,9 @@ def attn_dense_oracle(Q, K_hat, V, bias, cfg):
                                    logits.data.shape)
         wts = softmax_rows(logits, mask=mask)
     else:
-        wts = _phi_tensor(cfg.attn_fn, logits)
+        f, df = phi_table(cfg.attn_fn)
+        x = logits.data
+        wts = make_op(f(x), (logits,), lambda g: (g * df(x),), cfg.attn_fn)
         if cfg.causal:
             tri = np.tril(np.ones((L, L), dtype=get_dtype()))
             wts = mul(wts, Tensor(tri))
@@ -221,8 +222,8 @@ class LongVQLayer:
         return self.codebook
 
     def __call__(self, X, frozen=None):
-        """Full layer. Returns (O, aux); aux has K, K_hat, z for the
-        commitment loss and the EMA update.
+        """Full layer on X (B, L, d). Returns (O, aux); aux has K, K_hat,
+        z for the commitment loss and the EMA update.
 
         frozen, when given, replays a recorded quantization: dict with
         'z' and 'offset' (K_hat - K at record time). That makes the map
@@ -230,9 +231,9 @@ class LongVQLayer:
         check differentiates; the straight-through rule is the
         definition of the gradient, not an approximation under test.
         """
-        squeeze = X.data.ndim == 2
-        if squeeze:
-            X = reshape(X, (1,) + X.data.shape)
+        if X.data.ndim != 3:
+            raise ValueError(f"LongVQLayer takes X (B, L, d), got shape "
+                             f"{X.data.shape}")
         Z, G_a, Q, K, V = self.project_inputs(X)
         if frozen is None:
             cb = self.ensure_codebook(K.data)
@@ -252,7 +253,4 @@ class LongVQLayer:
         O = self.gate_output(X, O_pre, G_a)
         aux = {"K": K, "K_hat": K_hat, "z": z,
                "Q": Q.data, "V": V.data}
-        if squeeze:
-            O = reshape(O, O.data.shape[1:])
-            aux["z"] = np.asarray(z)[0] if np.asarray(z).ndim == 2 else z
         return O, aux

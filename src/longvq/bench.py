@@ -43,11 +43,13 @@ def time_forward(mode, inst):
         attn_dense_blocked(inst["q"], inst["kh"], inst["v"], inst["bias"],
                            cfg, block=512)
     elif mode == "vq":
-        with no_grad():
-            V = Tensor(inst["v"])
-            stats = build_code_stats(inst["z"], V, inst["S"], causal=False)
-            attn_factored(Tensor(inst["q"]), inst["cb"], stats,
-                          Tensor(inst["kh"]), V, Tensor(inst["bias"]), cfg)
+        with no_grad():       # the op's layout has a batch axis: B = 1
+            V = Tensor(inst["v"][None])
+            stats = build_code_stats(inst["z"][None], V, inst["S"],
+                                     causal=False)
+            attn_factored(Tensor(inst["q"][None]), inst["cb"], stats,
+                          Tensor(inst["kh"][None]), V, Tensor(inst["bias"]),
+                          cfg)
     else:
         raise ValueError(f"unknown bench mode '{mode}'")
     return time.perf_counter() - t0

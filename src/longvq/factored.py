@@ -38,14 +38,21 @@ two meet at L ≈ S·dz·dv / (3(dz + dv)): about 228 at the learning dims
 (S=64, dz=16, dv=32) and about 910 at S=256 with the same dz and dv.
 Below that length dense does fewer flops per row; above it, this path.
 
+Each attention function is defined once, as the numpy pair (f, f') of
+phi_table: the relu^2 and Laplace maps of MEGA (arXiv:2209.10655). The
+dense oracle builds its tape op from the same pair. One helper, _weights,
+gives a chunk's far, local and held-back weights to the forward, the
+backward and the entropy.
+
 The same walk gives each attention row's entropy (attn_row_entropy)
 without values or an L x L array. With weights W >= 0 (exp(logit - row
 max) for softmax, phi(logit) otherwise), row total T_i and p = W / T_i,
 H_i = -(sum_c n0_c p_ic log p_ic + sum_local p_ij log p_ij): O(S) per row
 for the far field, and no log T - sum W log W / T cancellation.
 
-Shapes: Q (B,L,z_dim) or (L,z_dim); V likewise with v_dim; bias (2w+1,)
-indexed by relative offset i-j+w.
+Shapes: Q (B,L,z_dim), K_hat (B,L,z_dim), V (B,L,v_dim) and z (B,L); a
+single sequence is B = 1. bias (2w+1,) is indexed by relative offset
+i-j+w.
 """
 
 from __future__ import annotations
@@ -54,9 +61,9 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.special import erf
 
 from .tensor import Tensor, make_op
-from .tensor import _laplace_np, _laplace_deriv_np
 
 __all__ = ["CodeStats", "build_code_stats", "stats_chunk", "attn_factored",
            "attn_row_entropy", "phi_table"]
@@ -66,6 +73,10 @@ __all__ = ["CodeStats", "build_code_stats", "stats_chunk", "attn_factored",
 # one keeps the far-field products near BLAS speed while the per-block
 # temporaries stay small
 _ROWS = 64
+
+# laplace attention function 0.5 * (1 + erf((x - mu) / (sigma * sqrt(2))))
+LAPLACE_MU = float(np.sqrt(0.5))
+LAPLACE_SIGMA = float(np.sqrt(0.25 / np.pi))
 
 
 def _relu2(x):
@@ -77,12 +88,22 @@ def _drelu2(x):
     return 2.0 * np.maximum(x, 0.0)
 
 
+def _laplace(x):
+    return 0.5 * (1.0 + erf((x - LAPLACE_MU) / (LAPLACE_SIGMA * np.sqrt(2.0))))
+
+
+def _dlaplace(x):
+    u = (x - LAPLACE_MU) / LAPLACE_SIGMA
+    return np.exp(-0.5 * u * u) / (LAPLACE_SIGMA * np.sqrt(2.0 * np.pi))
+
+
 def phi_table(name):
-    """Elementwise attention function and derivative, numpy level."""
+    """Elementwise attention function and derivative (f, f'), numpy level:
+    relu(x)^2, or the Laplace map, a CDF bounded in [0, 1]."""
     if name == "relu2":
         return _relu2, _drelu2
     if name == "laplace":
-        return _laplace_np, _laplace_deriv_np
+        return _laplace, _dlaplace
     raise ValueError(f"unknown attention function '{name}'")
 
 
@@ -141,25 +162,24 @@ def _code_stats(z, v, S, chunk):
 def build_code_stats(z, V, S, causal, chunk=None):
     """Exact per-code counts and value sums; prefix-per-chunk when causal.
 
-    z is (L,) or (B, L) and V (L, dv) or (B, L, dv), a Tensor or array.
+    z is (B, L) and V (B, L, dv), a Tensor or array.
     """
     z = np.asarray(z)
     v = V.data if isinstance(V, Tensor) else np.asarray(V)
+    if z.ndim != 2 or v.ndim != 3:
+        raise ValueError(f"build_code_stats takes z (B, L) and V (B, L, dv), "
+                         f"got z {z.shape} and V {v.shape}")
     if np.any(z < 0) or np.any(z >= S):
         raise ValueError(f"shortcode out of range [0, {S})")
     if causal and (chunk is None or chunk < 1):
         raise ValueError("causal stats need a chunk size >= 1")
     chunk = chunk if causal else None
-    if z.ndim == 1:
-        n, U = _code_stats(z[None], v[None], S, chunk)
-        n, U = n[0], U[0]
-    else:
-        n, U = _code_stats(z, v, S, chunk)
+    n, U = _code_stats(z, v, S, chunk)
     return CodeStats(z=z, n=n, U=U, chunk=chunk or 0)
 
 
-def _checked_stats(stats, kh, v, C, w, causal, batched):
-    """Batched (z, n, U) and the row chunk, after checking that the stats
+def _checked_stats(stats, kh, v, C, w, causal):
+    """(z, n, U) and the row chunk, after checking that the stats
     belong to this K_hat and V."""
     B, L, dv = v.shape
     S = C.shape[0]
@@ -171,16 +191,14 @@ def _checked_stats(stats, kh, v, C, w, causal, batched):
         per_chunk = (-(-L // cs),)
     else:
         cs, per_chunk = _ROWS, ()
-    lead = (B,) if batched else ()
-    want = {"z": lead + (L,), "n": lead + per_chunk + (S,),
-            "U": lead + per_chunk + (S, dv)}
+    want = {"z": (B, L), "n": (B,) + per_chunk + (S,),
+            "U": (B,) + per_chunk + (S, dv)}
     got = {}
     for name, shape in want.items():
-        a = np.asarray(getattr(stats, name))
-        if a.shape != shape:
-            raise ValueError(f"stats.{name} has shape {a.shape}, expected "
-                             f"{shape}")
-        got[name] = a if batched else a[None]
+        got[name] = np.asarray(getattr(stats, name))
+        if got[name].shape != shape:
+            raise ValueError(f"stats.{name} has shape {got[name].shape}, "
+                             f"expected {shape}")
     z = got["z"]
     if not np.array_equal(kh, C[z]):
         raise ValueError("stats/z mismatch: K_hat rows are not C[z]")
@@ -234,10 +252,29 @@ def _chunk(t, q, kh, z, n, U, C, b, scale, w, cs, causal):
         Lp=scale * (qr @ kh[:, klo:khi].transpose(0, 2, 1)))
 
 
-def _held(c, z):
-    """Counted local keys whose code the far field of softmax keeps."""
+def _weights(c, z, phi, shift=None):
+    """Far (B, r, S), local (B, r, k) and held-back (B, r, k) weights of
+    chunk c, and the softmax shift.
+
+    phi is an elementwise map (f or f' of phi_table), or None for softmax:
+    exp(logit - shift), with the shift the row max unless given (the
+    backward passes the row log-normalizers). The held-back weights are
+    the plain terms of the counted local keys, which the far field holds
+    too: all of them under phi, and under softmax those whose code the
+    far field keeps (n0 > 0).
+    """
+    La = c.Lp + c.bias
+    if phi is not None:
+        return (phi(c.G), np.where(c.seen, phi(La), 0.0),
+                c.counted * phi(c.Lp), None)
+    far = np.where(c.n0[:, None, :] > 0, c.G, -np.inf)
+    loc = np.where(c.seen, La, -np.inf)
     n0k = np.take_along_axis(c.n0, z[:, c.klo:c.khi], axis=1)
-    return (c.counted & (n0k > 0))[:, None, :]
+    held = np.where((c.counted & (n0k > 0))[:, None, :], c.Lp, -np.inf)
+    if shift is None:
+        shift = np.maximum(far.max(axis=2), loc.max(axis=2))[..., None]
+    return (np.exp(far - shift), np.exp(loc - shift), np.exp(held - shift),
+            shift)
 
 
 def _forward(q, kh, v, b, C, z, n, U, scale, w, cs, causal, phi):
@@ -247,22 +284,17 @@ def _forward(q, kh, v, b, C, z, n, U, scale, w, cs, causal, phi):
     B, L, _ = q.shape
     out = np.empty((B, L, v.shape[2]), dtype=q.dtype)
     lse = np.empty((B, L), dtype=q.dtype) if phi is None else None
+    f = phi[0] if phi else None
     for t in range(-(-L // cs)):
         c = _chunk(t, q, kh, z, n, U, C, b, scale, w, cs, causal)
-        vk = v[:, c.klo:c.khi]
+        far, loc, held, m = _weights(c, z, f)
+        num = far @ c.Ub + (loc - held) @ v[:, c.klo:c.khi]
         if phi is None:
-            Gx = np.where(c.n0[:, None, :] > 0, c.G, -np.inf)
-            La = np.where(c.seen, c.Lp + c.bias, -np.inf)
-            m = np.maximum(Gx.max(axis=2), La.max(axis=2))[..., None]
-            e, ea = np.exp(Gx - m), np.exp(La - m)
-            ep = np.exp(np.where(_held(c, z), c.Lp, -np.inf) - m)
-            den = (e @ c.n0[..., None])[..., 0] + ea.sum(axis=2)
-            out[:, c.lo:c.hi] = (e @ c.Ub + (ea - ep) @ vk) / den[..., None]
+            den = (far @ c.n0[..., None])[..., 0] + loc.sum(axis=2)
+            out[:, c.lo:c.hi] = num / den[..., None]
             lse[:, c.lo:c.hi] = m[..., 0] + np.log(den)
         else:
-            f = phi[0]
-            loc = np.where(c.seen, f(c.Lp + c.bias), 0.0) - c.counted * f(c.Lp)
-            out[:, c.lo:c.hi] = f(c.G) @ c.Ub + loc @ vk
+            out[:, c.lo:c.hi] = num
     return out, lse
 
 
@@ -306,23 +338,19 @@ def _backward(q, kh, v, b, C, z, n, U, scale, w, cs, causal, phi, g, out,
         vk, khk = v[:, c.klo:c.khi], kh[:, c.klo:c.khi]
         gU = gr @ c.Ub.transpose(0, 2, 1)                    # (B, r, S)
         P = gr @ vk.transpose(0, 2, 1)                       # (B, r, k)
-        La = c.Lp + c.bias
         if phi is None:
-            ls = lse[:, c.lo:c.hi, None]
-            W = Wd = np.exp(np.where(c.n0[:, None, :] > 0, c.G, -np.inf) - ls)
+            W, A, Wk, _ = _weights(c, z, None, lse[:, c.lo:c.hi, None])
+            Wd, Wdk = W, Wk
             r = (out[:, c.lo:c.hi] * gr).sum(axis=2)[..., None]
             E = W * (gU - r * c.n0[:, None, :])
-            A = np.exp(np.where(c.seen, La, -np.inf) - ls)
-            Wk = Wdk = np.exp(np.where(_held(c, z), c.Lp, -np.inf) - ls)
             Pr = P - r
             dl = A * Pr
         else:
-            f, df = phi
-            W, Wd = f(c.G), df(c.G)
+            W, A, Wk, _ = _weights(c, z, phi[0])
+            Wd, dA, Wdk, _ = _weights(c, z, phi[1])
             E = Wd * gU
-            A = np.where(c.seen, f(La), 0.0)
-            Wk, Wdk, Pr = c.counted * f(c.Lp), c.counted * df(c.Lp), P
-            dl = np.where(c.seen, df(La), 0.0) * P
+            Pr = P
+            dl = dA * P
         dQ[:, c.lo:c.hi] += scale * (E @ C + (dl - Wdk * P) @ khk)
         db += np.bincount((c.d + w)[c.band], weights=dl.sum(axis=0)[c.band],
                           minlength=2 * w + 1)
@@ -346,31 +374,25 @@ def _backward(q, kh, v, b, C, z, n, U, scale, w, cs, causal, phi, g, out,
 def attn_factored(Q, cb, stats, K_hat, V, bias, cfg):
     """Linear-time attention equal to the dense path on quantized keys.
 
-    Q, K_hat, V: tensors (L, .) or (B, L, .); bias: (2w+1,) tensor;
-    cb: Codebook; stats: CodeStats from build_code_stats on the same z and
-    V, with the same batch layout (causal chunk >= max(1, w)); cfg needs
-    attn_fn / window / causal / scale.
+    Q, K_hat, V: (B, L, .) tensors; bias: (2w+1,) tensor; cb: Codebook;
+    stats: CodeStats from build_code_stats on the same z and V (causal
+    chunk >= max(1, w)); cfg needs attn_fn / window / causal / scale.
     """
     C, w, causal = cb.C, cfg.window, cfg.causal
-    batched = Q.data.ndim == 3
-    q, kh, v = (x.data if batched else x.data[None] for x in (Q, K_hat, V))
+    q, kh, v = Q.data, K_hat.data, V.data
+    for name, x in (("Q", q), ("K_hat", kh), ("V", v)):
+        if x.ndim != 3:
+            raise ValueError(f"attn_factored takes (B, L, .) inputs, got "
+                             f"{name} of shape {x.shape}")
     if bias.data.shape != (2 * w + 1,):
         raise ValueError(f"bias must have shape ({2 * w + 1},)")
-    z, n, U, cs = _checked_stats(stats, kh, v, C, w, causal, batched)
+    z, n, U, cs = _checked_stats(stats, kh, v, C, w, causal)
     phi = None if cfg.attn_fn == "softmax" else phi_table(cfg.attn_fn)
     args = (q, kh, v, bias.data, C, z, n, U, cfg.scale, w, cs, causal,
             phi)
     out, lse = _forward(*args)
-
-    def vjp(g):
-        dQ, dK, dV, db = _backward(*args, g if batched else g[None], out,
-                                   lse)
-        if not batched:
-            dQ, dK, dV = dQ[0], dK[0], dV[0]
-        return dQ, dK, dV, db
-
-    return make_op(out if batched else out[0], (Q, K_hat, V, bias), vjp,
-                   "attn_factored")
+    return make_op(out, (Q, K_hat, V, bias),
+                   lambda g: _backward(*args, g, out, lse), "attn_factored")
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +419,7 @@ def attn_row_entropy(q, z, bias, C, cfg):
     H = np.empty((B, L), dtype=q.dtype)
     for t in range(-(-L // cs)):
         c = _chunk(t, q, kh, z, n, U, C, bias, cfg.scale, w, cs, causal)
-        if f is None:
-            Gx = np.where(c.n0[:, None, :] > 0, c.G, -np.inf)
-            La = np.where(c.seen, c.Lp + c.bias, -np.inf)
-            m = np.maximum(Gx.max(axis=2), La.max(axis=2))[..., None]
-            Wf, Wl = np.exp(Gx - m), np.exp(La - m)
-        else:
-            Wf, Wl = f(c.G), np.where(c.seen, f(c.Lp + c.bias), 0.0)
+        Wf, Wl, _, _ = _weights(c, z, f)
         T = (Wf @ c.n0[..., None])[..., 0] + Wl.sum(axis=2)
         T = np.where(T > 0, T, 1.0)[..., None]
         H[:, c.lo:c.hi] = -((_xlogx(Wf / T) @ c.n0[..., None])[..., 0]

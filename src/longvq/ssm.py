@@ -11,13 +11,12 @@ kernels from the state orbit A_bar^j B_bar in fixed-size blocks (doubling
 inside the first block, one batched matmul per block after it), and
 ``tensor.conv_causal_channels`` applies them. The backward of
 ``ssm_kernels`` runs the same blocked orbit on an augmented 2N system
-whose upper half is the dt-tangent of the state, and on the adjoint
-(A_bar^T, C_bar) for B_in. ``materialize_kernel`` (state iteration) and
-``scan_recurrent`` (the literal recurrence) are the references.
+whose upper half is the dt-tangent of the state. ``materialize_kernel``
+(state iteration) and ``scan_recurrent`` (the literal recurrence) are the
+references.
 
-A is frozen after init; B_in is fixed in the trained bank but the kernel
-op still produces its gradient when asked (the math is cheap and it keeps
-the op honest under finite-difference checks).
+A and B_in are fixed at init: the kernel op differentiates C_out and
+log_dt only, and B_in is a constant input, not a tape parent.
 """
 
 from __future__ import annotations
@@ -184,9 +183,9 @@ def _orbit_sum(m, x0, g):
 def ssm_kernels(C_out, log_dt, B_in, A, L):
     """Materialized kernels for d channels sharing A.
 
-    C_out: (d, N) tensor; log_dt: (d,) tensor; B_in: (N,) tensor;
-    A: (N, N) constant array. Returns a (d, L) tensor. Gradients are
-    produced for C_out and log_dt always, and for B_in when it is tracked.
+    C_out: (d, N) tensor; log_dt: (d,) tensor; B_in: (N,) constant
+    tensor; A: (N, N) constant array. Returns a (d, L) tensor with
+    gradients for C_out and log_dt.
     """
     dtype = get_dtype()
     c = C_out.data.astype(np.float64)
@@ -201,8 +200,6 @@ def ssm_kernels(C_out, log_dt, B_in, A, L):
     for j0, s in _orbit(a_bar, b_bar, L):
         k[:, j0:j0 + s.shape[1]] = np.einsum("djn,dn->dj", s, c)
     k = k.astype(dtype)
-
-    want_b = B_in.requires_grad or B_in._vjp is not None
 
     def vjp(g):
         g64 = g.astype(np.float64)
@@ -220,14 +217,9 @@ def ssm_kernels(C_out, log_dt, B_in, A, L):
         h = _orbit_sum(m, np.concatenate([b_tan, b_bar], axis=1), g64)
         dc = h[:, n:]
         dld = dt * np.einsum("dn,dn->d", c, h[:, :n])
-        db = None
-        if want_b:
-            w = _orbit_sum(np.swapaxes(a_bar, 1, 2), c, g64)
-            db = np.einsum("d,dmn,dm->n", dt, r, w)
-        return dc.astype(dtype), dld.astype(dtype), \
-            None if db is None else db.astype(dtype)
+        return dc.astype(dtype), dld.astype(dtype)
 
-    return make_op(k, (C_out, log_dt, B_in), vjp, "ssm_kernels")
+    return make_op(k, (C_out, log_dt), vjp, "ssm_kernels")
 
 
 class SsmBank:

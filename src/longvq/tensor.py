@@ -10,10 +10,11 @@ Precision is a process-wide setting (float32 for training, float64 for
 oracle and gradient tests); use ``set_precision`` or the ``precision``
 context manager before creating tensors.
 
-Shape conventions used throughout the package: sequences are (L, d) or
-batched (B, L, d); matrices are row-major. The one convolution op,
-``conv_causal_channels``, takes a (d, L) kernel bank and a (B, L, d)
-input; a single sequence is the case B = d = 1.
+Shape conventions used throughout the package: sequences are batched
+(B, L, d), and a single sequence is B = 1; matrices are row-major. The
+one convolution op, ``conv_causal_channels``, takes a (d, L) kernel bank
+and a (B, L, d) input. The attention functions are not defined here: each
+is one numpy pair in ``factored.phi_table``.
 
 Dense sublayers are fused ops, one tape node each. ``linear`` is the
 projection x @ W + b: every projection of the model is one ``linear``
@@ -28,28 +29,22 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.fft import irfft, rfft
-from scipy.special import erf
 
 __all__ = [
     "Tensor", "NumericsError", "set_precision", "get_dtype", "precision",
     "no_grad", "tensor", "param", "grad", "finite_diff", "zero_grads",
     "add", "sub", "mul", "div", "neg", "matmul", "linear", "gate_mix",
     "transpose", "reshape",
-    "stack", "gather_rows", "tsum", "tmean", "sigmoid", "silu", "phi_relu2",
-    "phi_laplace", "softmax_rows", "cross_entropy",
+    "stack", "gather_rows", "tsum", "tmean", "sigmoid", "silu",
+    "softmax_rows", "cross_entropy",
     "conv_causal_channels", "band_bias_add", "layer_norm", "set_backward_fault",
     "backward_fault_hits",
-    "LAPLACE_MU", "LAPLACE_SIGMA",
 ]
 
 _DTYPE = np.float32
 _NO_GRAD = False
 _FAULT_OP = None
 _FAULT_HITS = 0
-
-# elementwise laplace attention function: 0.5*(1+erf((x-mu)/(sigma*sqrt(2))))
-LAPLACE_MU = float(np.sqrt(0.5))
-LAPLACE_SIGMA = float(np.sqrt(0.25 / np.pi))
 
 
 class NumericsError(RuntimeError):
@@ -503,27 +498,6 @@ def silu(a):
         return (dx,)
 
     return make_op(a.data * s, (a,), vjp, "silu")
-
-
-def phi_relu2(a):
-    """relu(x)^2, the squared-rectifier attention function."""
-    r = np.maximum(a.data, 0.0)
-    return make_op(r * r, (a,), lambda g: (g * 2.0 * r,), "relu2")
-
-
-def _laplace_np(x):
-    return 0.5 * (1.0 + erf((x - LAPLACE_MU) / (LAPLACE_SIGMA * np.sqrt(2.0))))
-
-
-def _laplace_deriv_np(x):
-    z = (x - LAPLACE_MU) / LAPLACE_SIGMA
-    return np.exp(-0.5 * z * z) / (LAPLACE_SIGMA * np.sqrt(2.0 * np.pi))
-
-
-def phi_laplace(a):
-    """Smooth CDF-shaped attention function, bounded in [0, 1]."""
-    return make_op(_laplace_np(a.data), (a,),
-                   lambda g: (g * _laplace_deriv_np(a.data),), "laplace")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 from .tensor import Tensor, _row_sums, get_dtype, make_op, tmean
 
 __all__ = [
-    "Codebook", "assign", "assign_batch", "quantize_st", "ema_update",
+    "Codebook", "assign_batch", "quantize_st", "ema_update",
     "commit_loss", "codebook_perplexity", "seed_codebook", "EMA_ETA",
     "EMA_EPSILON",
 ]
@@ -52,11 +52,6 @@ def assign_batch(x, cb):
     d2 = (flat * flat).sum(-1, keepdims=True) \
         - 2.0 * flat @ cb.C.T + (cb.C * cb.C).sum(-1)
     return d2.argmin(-1).reshape(x.shape[:-1])
-
-
-def assign(x, cb):
-    """Shortcode of a single D-vector."""
-    return int(assign_batch(np.asarray(x)[None], cb)[0])
 
 
 def quantize_st(K, cb):
@@ -106,17 +101,17 @@ def codebook_perplexity(z, S):
     return float(np.exp(-(nz * np.log(nz)).sum()))
 
 
-def seed_codebook(K, S, rng, eta=EMA_ETA, epsilon=EMA_EPSILON,
-                  max_candidates=4096):
+def seed_codebook(K, S, rng):
     """Data-dependent init: distance-weighted seeding, no refinement passes.
 
     First codeword uniform from the rows of K; each next drawn with
     probability proportional to squared distance from the chosen set.
+    Draws from at most max(4096, 2S) rows of K.
     """
     k = K.data if isinstance(K, Tensor) else np.asarray(K)
     k = np.asarray(k, dtype=np.float64).reshape(-1, k.shape[-1])
     m = k.shape[0]
-    cap = max(max_candidates, 2 * S)
+    cap = max(4096, 2 * S)
     if m > cap:
         k = k[rng.choice(m, cap, replace=False)]
         m = cap
@@ -135,5 +130,5 @@ def seed_codebook(K, S, rng, eta=EMA_ETA, epsilon=EMA_EPSILON,
     dtype = get_dtype()
     C = C.astype(dtype)
     return Codebook(C=C, ema_count=np.ones(S, dtype=dtype),
-                    ema_sum=C.copy(), eta=eta, epsilon=epsilon)
+                    ema_sum=C.copy())
 

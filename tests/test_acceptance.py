@@ -70,10 +70,13 @@ def test_factored_attention_equals_dense_oracle(capsys):
                                               z_dim=zd, v_dim=vd)
                         cb = Codebook(C=C, ema_count=np.ones(S),
                                       ema_sum=C.copy())
-                        st = build_code_stats(z, V, S, causal,
+                        # the op takes a batch axis: B = 1
+                        st = build_code_stats(z[None], V[None], S, causal,
                                               stats_chunk(w, causal))
-                        f = attn_factored(Tensor(Q), cb, st, Tensor(C[z]),
-                                          Tensor(V), Tensor(bias), cfg).data
+                        f = attn_factored(Tensor(Q[None]), cb, st,
+                                          Tensor(C[z][None]),
+                                          Tensor(V[None]), Tensor(bias),
+                                          cfg).data[0]
                         d = attn_dense_oracle(Tensor(Q), Tensor(C[z]),
                                               Tensor(V), Tensor(bias),
                                               cfg).data

@@ -2,6 +2,7 @@
 factored/dense agreement (values and gradients), and layer behavior."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -32,14 +33,15 @@ def rel_diff(a, b):
 
 
 def random_instance(rng, L=None, S=None, zd=None, vd=None):
+    """One sequence, with the op's batch axis: z (1, L), Q and V (1, L, .)."""
     L = L or int(rng.integers(1, 49))
     S = S or int(rng.integers(1, 17))
     zd = zd or int(rng.integers(1, 7))
     vd = vd or int(rng.integers(1, 9))
     C = rng.normal((S, zd))
-    z = rng.integers(0, S, (L,))
-    Q = rng.normal((L, zd))
-    V = rng.normal((L, vd))
+    z = rng.integers(0, S, (1, L))
+    Q = rng.normal((1, L, zd))
+    V = rng.normal((1, L, vd))
     cb = Codebook(C=C, ema_count=np.ones(S), ema_sum=C.copy())
     return L, S, cb, z, Q, V
 
@@ -91,16 +93,16 @@ def test_dense_softmax_rows_sum_one_over_allowed():
 # code stats
 
 def test_stats_hand_case():
-    z = np.array([0, 1, 0])
-    V = np.array([[1.0], [2.0], [3.0]])
+    z = np.array([[0, 1, 0]])
+    V = np.array([[[1.0], [2.0], [3.0]]])
     st = build_code_stats(z, V, 4, causal=False)
-    np.testing.assert_array_equal(st.n, [2, 1, 0, 0])
-    np.testing.assert_array_equal(st.U, [[4.0], [2.0], [0.0], [0.0]])
+    np.testing.assert_array_equal(st.n, [[2, 1, 0, 0]])
+    np.testing.assert_array_equal(st.U, [[[4.0], [2.0], [0.0], [0.0]]])
 
 
 def test_stats_out_of_range():
     with pytest.raises(ValueError):
-        build_code_stats(np.array([0, 3]), np.zeros((2, 1)), 3, False)
+        build_code_stats(np.array([[0, 3]]), np.zeros((1, 2, 1)), 3, False)
 
 
 def test_stats_causal_prefix_matches_brute_force():
@@ -108,15 +110,15 @@ def test_stats_causal_prefix_matches_brute_force():
     L, S, cs = 23, 5, 4
     z = rng.integers(0, S, (L,))
     V = rng.normal((L, 3))
-    st = build_code_stats(z, V, S, causal=True, chunk=cs)
-    Tn = st.n.shape[0]
+    st = build_code_stats(z[None], V[None], S, causal=True, chunk=cs)
+    Tn = st.n.shape[1]
     for t in range(Tn):
         hi = t * cs
         n_ref = np.bincount(z[:hi], minlength=S).astype(float)
         U_ref = np.zeros((S, 3))
         np.add.at(U_ref, z[:hi], V[:hi])
-        np.testing.assert_allclose(st.n[t], n_ref, atol=1e-12)
-        np.testing.assert_allclose(st.U[t], U_ref, atol=1e-12)
+        np.testing.assert_allclose(st.n[0, t], n_ref, atol=1e-12)
+        np.testing.assert_allclose(st.U[0, t], U_ref, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +160,8 @@ def test_factored_equals_dense_forward(attn_fn, causal, w):
     rng = Rng(combo_seed(attn_fn, causal, w))
     for _ in range(8):
         L, S, cb, z, Q, V = random_instance(rng)
-        cfg = AttentionConfig(attn_fn, w, causal, z_dim=Q.shape[1],
-                              v_dim=V.shape[1])
+        cfg = AttentionConfig(attn_fn, w, causal, z_dim=Q.shape[2],
+                              v_dim=V.shape[2])
         bias = rng.normal((2 * w + 1,))
         f, d = run_both(cfg, cb, z, Q, V, bias)
         assert rel_diff(f, d) < 1e-10, (L, S)
@@ -173,8 +175,8 @@ def test_factored_equals_dense_gradients(attn_fn, causal, w):
     probe = Rng(99)
     for _ in range(4):
         L, S, cb, z, Q, V = random_instance(rng)
-        cfg = AttentionConfig(attn_fn, w, causal, z_dim=Q.shape[1],
-                              v_dim=V.shape[1])
+        cfg = AttentionConfig(attn_fn, w, causal, z_dim=Q.shape[2],
+                              v_dim=V.shape[2])
         bias = rng.normal((2 * w + 1,))
         f, d, gf, gd = run_both(cfg, cb, z, Q, V, bias, want_grads=True,
                                 probe_rng=probe)
@@ -187,9 +189,9 @@ def test_factored_w0_relu2_hand_sized():
     rng = Rng(3)
     cb = Codebook(C=rng.normal((2, 2)), ema_count=np.ones(2),
                   ema_sum=np.zeros((2, 2)))
-    z = np.array([0, 1, 0])
-    Q = rng.normal((3, 2))
-    V = rng.normal((3, 2))
+    z = np.array([[0, 1, 0]])
+    Q = rng.normal((1, 3, 2))
+    V = rng.normal((1, 3, 2))
     cfg = AttentionConfig("relu2", 0, False, z_dim=2, v_dim=2)
     f, d = run_both(cfg, cb, z, Q, V, np.zeros(1))
     assert rel_diff(f, d) < 1e-12
@@ -200,14 +202,15 @@ def test_factored_single_code_softmax_is_mean():
     L = 11
     cb = Codebook(C=rng.normal((1, 3)), ema_count=np.ones(1),
                   ema_sum=np.zeros((1, 3)))
-    z = np.zeros(L, dtype=int)
-    Q = rng.normal((L, 3))
-    V = rng.normal((L, 4))
+    z = np.zeros((1, L), dtype=int)
+    Q = rng.normal((1, L, 3))
+    V = rng.normal((1, L, 4))
     cfg = AttentionConfig("softmax", 0, False, z_dim=3, v_dim=4)
     stats = build_code_stats(z, V, 1, False)
     out = attn_factored(Tensor(Q), cb, stats, Tensor(cb.C[z]), Tensor(V),
                         Tensor(np.zeros(1)), cfg)
-    np.testing.assert_allclose(out.data, np.broadcast_to(V.mean(0), (L, 4)),
+    np.testing.assert_allclose(out.data,
+                               np.broadcast_to(V.mean(1), (1, L, 4)),
                                atol=1e-10)
 
 
@@ -225,10 +228,11 @@ def test_factored_batched_matches_elementwise():
     out = attn_factored(Tensor(Q), cb, stats, Tensor(cb.C[z]), Tensor(V),
                         Tensor(bias), cfg).data
     for b in range(B):
-        st = build_code_stats(z[b], V[b], S, True, chunk=2)
-        ref = attn_factored(Tensor(Q[b]), cb, st, Tensor(cb.C[z[b]]),
-                            Tensor(V[b]), Tensor(bias), cfg).data
-        np.testing.assert_allclose(out[b], ref, atol=1e-12)
+        one = slice(b, b + 1)
+        st = build_code_stats(z[one], V[one], S, True, chunk=2)
+        ref = attn_factored(Tensor(Q[one]), cb, st, Tensor(cb.C[z[one]]),
+                            Tensor(V[one]), Tensor(bias), cfg).data
+        np.testing.assert_allclose(out[one], ref, atol=1e-12)
 
 
 def test_factored_rejects_inconsistent_inputs():
@@ -303,15 +307,14 @@ def make_layer(rng, d=8, S=6, attn_fn="softmax", causal=True, w=2,
 def test_layer_shapes_contract():
     rng = Rng(10)
     layer = make_layer(rng.child("l"))
-    X = Tensor(rng.normal((16, 8)))
-    Z, G_a, Q, K, V = layer.project_inputs(
-        T.reshape(X, (1, 16, 8)))
+    X = Tensor(rng.normal((1, 16, 8)))
+    Z, G_a, Q, K, V = layer.project_inputs(X)
     assert Z.data.shape == (1, 16, 8)
     assert Q.data.shape == (1, 16, 4) and K.data.shape == (1, 16, 4)
     assert G_a.data.shape == (1, 16, 12) and V.data.shape == (1, 16, 12)
     O, aux = layer(X)
-    assert O.data.shape == (16, 8)
-    assert aux["z"].shape == (16,)
+    assert O.data.shape == (1, 16, 8)
+    assert aux["z"].shape == (1, 16)
 
 
 def test_layer_zero_input_zero_projections():
@@ -327,8 +330,31 @@ def test_layer_zero_input_zero_projections():
 def test_layer_l1_sequence():
     rng = Rng(12)
     layer = make_layer(rng.child("l"))
-    O, aux = layer(Tensor(rng.normal((1, 8))))
-    assert O.data.shape == (1, 8)
+    O, aux = layer(Tensor(rng.normal((1, 1, 8))))
+    assert O.data.shape == (1, 1, 8)
+
+
+def test_unbatched_inputs_rejected_with_their_shape():
+    # the op, its stats and the layer take (B, L, .) only; a single
+    # sequence is B = 1, and anything else names the shape it got
+    rng = Rng(25)
+    L, S, cb, z, Q, V = random_instance(rng, L=6, S=3, zd=2, vd=2)
+    cfg = AttentionConfig("softmax", 1, True, z_dim=2, v_dim=2)
+    stats = build_code_stats(z, V, S, True, 2)
+    with pytest.raises(ValueError, match=re.escape("z (6,) and V (6, 2)")):
+        build_code_stats(z[0], V[0], S, True, 2)
+    K = cb.C[z]
+    for name, q, kh, v in (("Q", Q[0], K, V), ("K_hat", Q, K[0], V),
+                           ("V", Q, K, V[0])):
+        with pytest.raises(ValueError, match=f"{name} of shape "
+                           + re.escape(str((L, 2)))):
+            attn_factored(Tensor(q), cb, stats, Tensor(kh), Tensor(v),
+                          Tensor(np.zeros(3)), cfg)
+    layer = make_layer(rng.child("l"))
+    for shape in ((6, 8), (2, 1, 6, 8)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"X (B, L, d), got shape {shape}")):
+            layer(Tensor(rng.normal(shape)))
 
 
 @pytest.mark.parametrize("w", [0, 8])

@@ -9,6 +9,8 @@ import pytest
 from scipy.special import expit
 
 import longvq.tensor as T
+from longvq.attention import AttentionConfig, attn_dense_oracle
+from longvq.factored import LAPLACE_MU, phi_table
 from longvq.rng import Rng
 from longvq.tensor import (
     NumericsError, Tensor, band_bias_add, conv_causal_channels,
@@ -215,13 +217,14 @@ def test_band_bias_add_causal_skips_future():
 
 
 def test_laplace_phi_range_and_midpoint():
+    f, _ = phi_table("laplace")
     x = np.linspace(-4, 4, 201)
-    y = T.phi_laplace(T.tensor(x)).data
+    y = f(x)
     assert np.all((y >= 0) & (y <= 1))
     assert np.all(np.diff(y) >= 0)
     core = (x > -0.5) & (x < 2.0)  # strictly increasing where erf not saturated
     assert np.all(np.diff(y[core]) > 0)
-    mid = T.phi_laplace(T.tensor(np.array([T.LAPLACE_MU]))).data
+    mid = f(np.array([LAPLACE_MU]))
     np.testing.assert_allclose(mid, 0.5, atol=1e-12)
 
 
@@ -252,8 +255,24 @@ def test_sigmoid_silu_match_reference_over_wide_range(dtype):
 def test_grad_elementwise_ops():
     rng = Rng(7)
     x = param(rng.normal((3, 4)), name="x")
-    for op in (T.sigmoid, T.silu, T.phi_relu2, T.phi_laplace):
+    for op in (T.sigmoid, T.silu):
         check_op_grads(lambda: T.tsum(op(x) * op(x)), [x])
+
+
+@pytest.mark.parametrize("attn_fn", ["relu2", "laplace"])
+def test_grad_dense_oracle_weight_op(attn_fn):
+    # with K = 2I at z_dim 4 (scale 1/2), a zero bias and V = I, the
+    # oracle's output is its weight op, phi_table's f, applied to Q
+    x = param(Rng(7).normal((4, 4)), name="x")
+    cfg = AttentionConfig(attn_fn, 0, False, z_dim=4, v_dim=4)
+
+    def weights():
+        return attn_dense_oracle(x, Tensor(2.0 * np.eye(4)),
+                                 Tensor(np.eye(4)), Tensor(np.zeros(1)), cfg)
+
+    np.testing.assert_allclose(weights().data, phi_table(attn_fn)[0](x.data),
+                               atol=1e-12)
+    check_op_grads(lambda: T.tsum(weights() * weights()), [x])
 
 
 def test_grad_matmul_and_reshape():

@@ -9,7 +9,7 @@ from longvq.attention import AttentionConfig
 from longvq.model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from longvq.rng import Rng
 from longvq.vq import (
-    Codebook, assign, assign_batch, codebook_perplexity, commit_loss,
+    Codebook, assign_batch, codebook_perplexity, commit_loss,
     ema_update, quantize_st, seed_codebook,
 )
 from longvq.tensor import Tensor, grad, param, precision
@@ -41,26 +41,26 @@ def brute_force_assign(x, C):
 def test_assign_hand_case():
     cb = Codebook(C=np.array([[0.0, 0.0], [1.0, 1.0]]),
                   ema_count=np.ones(2), ema_sum=np.zeros((2, 2)))
-    assert assign(np.array([0.9, 0.8]), cb) == 1
+    assert assign_batch(np.array([[0.9, 0.8]]), cb)[0] == 1
 
 
 def test_assign_exact_codeword():
     rng = Rng(0)
     cb = make_cb(6, 3, rng)
-    assert assign(cb.C[3].copy(), cb) == 3
+    assert assign_batch(cb.C[3:4].copy(), cb)[0] == 3
 
 
 def test_assign_tie_prefers_lowest_index():
     cb = Codebook(C=np.array([[0.0, 0.0], [2.0, 0.0]]),
                   ema_count=np.ones(2), ema_sum=np.zeros((2, 2)))
-    assert assign(np.array([1.0, 0.0]), cb) == 0
+    assert assign_batch(np.array([[1.0, 0.0]]), cb)[0] == 0
 
 
 def test_assign_empty_codebook():
     cb = Codebook(C=np.zeros((0, 2)), ema_count=np.zeros(0),
                   ema_sum=np.zeros((0, 2)))
     with pytest.raises(ValueError):
-        assign(np.zeros(2), cb)
+        assign_batch(np.zeros((1, 2)), cb)
 
 
 def test_assign_matches_brute_force():
