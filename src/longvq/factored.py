@@ -23,7 +23,9 @@ over chunks only.
 The stats are a cache of (z, V): the op rebuilds them with the same
 builder and requires bitwise equality, and it requires K_hat == C[z].
 Stale stats raise ValueError naming the field and the first offending
-batch, chunk and code.
+batch, chunk and code. These checks see the full codebook; the kernels
+then run on the codes the batch uses (_in_use). A code no key uses has
+n = 0 and U = 0 in every chunk, so it adds no far-field term.
 
 The whole thing is one tape op: straight-through quantization needs
 per-position key gradients, which cannot be recovered from any gradient of
@@ -31,12 +33,15 @@ the code aggregates (U, n), so the backward assembles the dense-equivalent
 dK_hat from per-code far-field accumulators. The codebook itself is a
 constant here and never receives gradients.
 
-Cost model. The exact far-field key gradient builds the per-code
-accumulator Tm, S·dz·dv multiply-adds per query row. The dense
-computation costs about 3·L·(dz + dv) per row, forward plus backward. The
-two meet at L ≈ S·dz·dv / (3(dz + dv)): about 228 at the learning dims
-(S=64, dz=16, dv=32) and about 910 at S=256 with the same dz and dv.
-Below that length dense does fewer flops per row; above it, this path.
+Cost model. With S_u the number of codes the batch uses (at most S), the
+exact far-field key gradient builds the per-code accumulator Tm,
+S_u·dz·dv multiply-adds per query row. The dense computation costs about
+3·L·(dz + dv) per row, forward plus backward. The two meet at
+L ≈ S_u·dz·dv / (3(dz + dv)): about 228 at the learning dims with every
+code used (S_u=64, dz=16, dv=32) and about 910 at S_u=256 with the same
+dz and dv; a cls layer whose batch uses 48 of 256 codes meets dense near
+170. Below that length dense does fewer flops per row; above it, this
+path.
 
 Each attention function is defined once, as the numpy pair (f, f') of
 phi_table: the relu^2 and Laplace maps of MEGA (arXiv:2209.10655). The
@@ -213,6 +218,15 @@ def _checked_stats(stats, kh, v, C, w, causal):
     return z, got["n"], got["U"], cs
 
 
+def _in_use(z, C, n, U):
+    """The codebook, shortcodes and stats cut to the codes z uses. A code
+    with no key has n = 0 and U = 0 in every chunk: its far weight meets
+    zero counts and sums, under softmax its logit is masked, and no key
+    reads its accumulator rows, so dropping it is exact."""
+    u, zu = np.unique(z, return_inverse=True)
+    return zu.reshape(z.shape), C[u], n[..., u], U[..., u, :]
+
+
 # ---------------------------------------------------------------------------
 # the kernels
 
@@ -377,6 +391,9 @@ def attn_factored(Q, cb, stats, K_hat, V, bias, cfg):
     Q, K_hat, V: (B, L, .) tensors; bias: (2w+1,) tensor; cb: Codebook;
     stats: CodeStats from build_code_stats on the same z and V (causal
     chunk >= max(1, w)); cfg needs attn_fn / window / causal / scale.
+    The stats, K_hat == C[z], the shapes and the chunk are checked against
+    the full codebook; the forward and backward kernels then run on the
+    codes z uses, which is exact up to summation order.
     """
     C, w, causal = cb.C, cfg.window, cfg.causal
     q, kh, v = Q.data, K_hat.data, V.data
@@ -387,6 +404,7 @@ def attn_factored(Q, cb, stats, K_hat, V, bias, cfg):
     if bias.data.shape != (2 * w + 1,):
         raise ValueError(f"bias must have shape ({2 * w + 1},)")
     z, n, U, cs = _checked_stats(stats, kh, v, C, w, causal)
+    z, C, n, U = _in_use(z, C, n, U)
     phi = None if cfg.attn_fn == "softmax" else phi_table(cfg.attn_fn)
     args = (q, kh, v, bias.data, C, z, n, U, cfg.scale, w, cs, causal,
             phi)
@@ -414,6 +432,7 @@ def attn_row_entropy(q, z, bias, C, cfg):
     w, causal = cfg.window, cfg.causal
     cs = stats_chunk(w, True)           # any row block is exact
     n, U = _code_stats(z, q[..., :0], C.shape[0], cs if causal else None)
+    z, C, n, U = _in_use(z, C, n, U)
     kh = C[z]
     f = None if cfg.attn_fn == "softmax" else phi_table(cfg.attn_fn)[0]
     H = np.empty((B, L), dtype=q.dtype)

@@ -222,6 +222,9 @@ def train_loop(model, task, cfg: TrainConfig, metrics_path=None,
     task.sample(split, batch_size, rng) -> (inputs, targets). Metrics go
     one JSON object per line to metrics_path when given. stop_fn, when
     given, sees each train record and may return True to stop early.
+    A train record's wallclock_ms holds the step's total and four of its
+    phases: forward (total_loss), backward (grad), optimizer (clip_grads
+    and AdamW.step) and ema (the codebook update).
     """
     rng = Rng(cfg.seed, "train")
     erng = Rng(cfg.seed, "eval")
@@ -243,14 +246,17 @@ def train_loop(model, task, cfg: TrainConfig, metrics_path=None,
             last_step = step
             t0 = time.perf_counter()
             x, y = task.sample("train", cfg.batch_size, rng)
+            t_fwd = time.perf_counter()
             try:
                 loss, parts, auxes = total_loss(model, x, y, cfg.gamma)
                 event = (None if _finite(loss.data)
                          else "nonfinite_loss_skipped")
             except NumericsError:
                 event = "nonfinite_loss_skipped"
+            t_bwd = time.perf_counter()
             if event is None:
                 grads = grad(loss, params)
+                t_grads = time.perf_counter()
                 if not all(np.all(np.isfinite(g)) for g in grads):
                     event = "nonfinite_grads_skipped"
             if event is not None:
@@ -263,11 +269,16 @@ def train_loop(model, task, cfg: TrainConfig, metrics_path=None,
                                    "event": event})
                 continue
             bad = 0
+            t_opt = time.perf_counter()
             grads, gnorm = clip_grads(grads, cfg.grad_clip)
             lr = lr_at(cfg, step)
             opt.step(grads, lr)
+            t_ema = time.perf_counter()
             drift = _ema_step(model.layers(), auxes)
-            ms = (time.perf_counter() - t0) * 1000.0
+            t_end = time.perf_counter()
+            phases = {"total": t_end - t0, "forward": t_bwd - t_fwd,
+                      "backward": t_grads - t_bwd, "optimizer": t_ema - t_opt,
+                      "ema": t_end - t_ema}
             rec = {"step": step, "split": "train",
                    "loss": float(loss.data), "ce": parts["ce"],
                    "vq": parts["vq"], "acc": parts["acc"],
@@ -275,7 +286,8 @@ def train_loop(model, task, cfg: TrainConfig, metrics_path=None,
                    "dead_codes": _dead_codes(auxes, model.cfg.S),
                    "quant_err": _quant_errs(auxes), "code_drift": drift,
                    "lr": lr, "grad_norm": float(gnorm),
-                   "wallclock_ms": round(ms, 3)}
+                   "wallclock_ms": {k: round(dt * 1000.0, 3)
+                                    for k, dt in phases.items()}}
             emit(records, fh, rec)
             if cfg.eval_every > 0 and step % cfg.eval_every == 0:
                 eval_pass(erng.child(f"e{step}"), step)

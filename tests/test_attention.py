@@ -268,6 +268,31 @@ def test_codebook_permutation_invariance():
     np.testing.assert_allclose(out, out2, atol=1e-10)
 
 
+@pytest.mark.parametrize("attn_fn", ["softmax", "relu2", "laplace"])
+@pytest.mark.parametrize("causal", [False, True])
+def test_unused_codewords_change_nothing(attn_fn, causal):
+    # the op runs on the codes the batch uses, so codewords no key uses
+    # leave the output, every gradient and the row entropy unchanged
+    rng = Rng(combo_seed("unused", attn_fn, causal))
+    B, L, S, zd, vd, w, k = 2, 30, 6, 3, 4, 2, 5
+    C = rng.normal((S, zd))
+    z = rng.integers(0, S - 1, (B, L))
+    Q, V = rng.normal((B, L, zd)), rng.normal((B, L, vd))
+    bias, g = rng.normal((2 * w + 1,)), rng.normal((B, L, vd))
+    cfg = AttentionConfig(attn_fn, w, causal, z_dim=zd, v_dim=vd)
+
+    def run(C):
+        cb = Codebook(C=C, ema_count=np.ones(len(C)), ema_sum=C.copy())
+        ins = [param(a.copy()) for a in (Q, C[z], V, bias)]
+        stats = build_code_stats(z, V, len(C), causal, stats_chunk(w, causal))
+        out = attn_factored(ins[0], cb, stats, ins[1], ins[2], ins[3], cfg)
+        grads = grad(T.tsum(out * Tensor(g)), ins)
+        return [out.data, *grads, attn_row_entropy(Q, z, bias, C, cfg)]
+
+    for a, b in zip(run(C), run(np.vstack([C, rng.normal((k, zd))]))):
+        assert rel_diff(a, b) < 1e-13
+
+
 # ---------------------------------------------------------------------------
 # blocked dense scorer and entropy
 
@@ -520,6 +545,32 @@ def test_batch_stats_check_catches_corruption():
         run(dataclasses.replace(stats, U=bad))
 
 
+@pytest.mark.parametrize("causal", [False, True])
+def test_stats_check_covers_unused_codes(causal):
+    # the stats are checked on the full codebook before the op cuts it to
+    # the codes in use, so a corrupt entry on an unused code is named
+    rng = Rng(combo_seed("unused-guard", causal))
+    B, L, S, vd = 2, 12, 6, 3
+    cb, _, q, v = causal_op_inputs(rng, B, L, S, 2, vd)
+    z = rng.integers(0, S - 2, (B, L))          # codes 4 and 5 unused
+    cfg = AttentionConfig("softmax", 2, causal, z_dim=2, v_dim=vd)
+    stats = build_code_stats(z, v, S, causal, 4)
+
+    def run(st):
+        return attn_factored(Tensor(q), cb, st, Tensor(cb.C[z]), Tensor(v),
+                             Tensor(np.zeros(5)), cfg)
+
+    run(stats)                                 # clean: no raise
+    chunk = (2,) if causal else ()
+    where = "batch 1, chunk 2, " if causal else "batch 1, "
+    for name, code in (("n", 5), ("U", 4)):
+        arr = getattr(stats, name).copy()
+        arr[(1,) + chunk + (code,)] += 1.0
+        want = rf"stats/z mismatch: stats\.{name} .* {where}code {code}$"
+        with pytest.raises(ValueError, match=want):
+            run(dataclasses.replace(stats, **{name: arr}))
+
+
 def test_stats_guard_exact_at_long_float32_shapes():
     # fresh stats pass at B=2, L=4096, w=16, S=64, v=96 in float32 (a
     # tolerance recheck of differently summed prefixes rejected them),
@@ -569,26 +620,53 @@ def test_factored_rejects_bad_chunk_and_shapes():
 # ---------------------------------------------------------------------------
 # batched fuzz against the oracle
 
-def fuzz_cases(rng, w, causal):
-    """(L, S, z, bias, chunk) covering L=1, L below the chunk, w >= L,
-    S=1, unused codes and biases of +-50, at each causal chunk choice,
-    the layer's own included (L=70: a full 64-row chunk and a tail)."""
+def fuzz_cases(rng, w, causal, B):
+    """(L, S, z, bias, chunk) with z (B, L), covering L=1, L below the
+    chunk, w >= L, S=1, unused codes and biases of +-50, at each causal
+    chunk choice, the layer's own included (L=70: a full 64-row chunk and a
+    tail). Most cases give every element a permutation of one draw; three
+    use codes unevenly: elements on different code subsets (the last one
+    disjoint from the rest), one code serving the whole batch while S > 1,
+    and a code whose keys all sit in the last chunk, so its prefix stats
+    are zero in every earlier chunk."""
     # a bias of -50 on every offset annihilates all in-band keys; with
     # w >= L that is every key a row sees
     base = [(1, 3, None), (3, 5, None), (max(1, w), 4, None), (17, 1, None),
             (9, 12, None), (24, 6, 50.0), (24, 6, -50.0),
             (max(1, w), 4, -50.0), (70, 7, None)]
+
+    def chunks(L):
+        return (sorted(c for c in {max(1, w), w + 2, L, stats_chunk(w, True)}
+                       if c >= max(1, w)) if causal else [None])
+
     out = []
     for L, S, big in base:
         hi = S - 2 if S > 8 else S       # S=12: the top codes stay unused
-        z = rng.integers(0, hi, (L,))
+        z0 = rng.integers(0, hi, (L,))
+        z = np.stack([z0] + [rng.permutation(z0) for _ in range(B - 1)])
         bias = rng.normal((2 * w + 1,))
         if big is not None:
             bias = np.full(2 * w + 1, big)
-        chunks = (sorted({max(1, w), w + 2, L, stats_chunk(w, True)})
-                  if causal else [None])
-        out += [(L, S, z, bias, c) for c in chunks
-                if c is None or c >= max(1, w)]
+        out += [(L, S, z, bias, c) for c in chunks(L)]
+    # element 0 on codes 0-3, element 1 on 3-6, element 2 on 12-15 (disjoint
+    # from the rest); codes 7-11 stay unused
+    L, S = 20, 16
+    lows = [0, 3, 12]
+    z = np.stack([lows[b] + rng.integers(0, 4, (L,)) for b in range(B)])
+    out += [(L, S, z, rng.normal((2 * w + 1,)), c) for c in chunks(L)]
+    L = 13
+    out += [(L, 5, np.full((B, L), 3), rng.normal((2 * w + 1,)), c)
+            for c in chunks(L)]
+    # code S - 2 stays unused; code S - 1 only in the last chunk (the last
+    # row block when bidirectional)
+    L, S = 70, 8
+    for c in chunks(L):
+        z = rng.integers(0, S - 2, (B, L))
+        cs = c or stats_chunk(w, True)
+        last = (L - 1) // cs * cs
+        z[:, L - 1] = S - 1
+        z[:, rng.integers(last, L, (2,))] = S - 1
+        out.append((L, S, z, rng.normal((2 * w + 1,)), c))
     return out
 
 
@@ -599,11 +677,10 @@ def test_factored_batched_fuzz_matches_oracle(attn_fn, causal, w):
     rng = Rng(combo_seed("fuzz", attn_fn, causal, w))
     probe = Rng(combo_seed("fuzz-probe", attn_fn, causal, w))
     for B in (1, 3):
-        for L, S, z0, bias, chunk in fuzz_cases(rng, w, causal):
+        for L, S, z, bias, chunk in fuzz_cases(rng, w, causal, B):
             zd, vd = 3, 4
             C = rng.normal((S, zd))
             cb = Codebook(C=C, ema_count=np.ones(S), ema_sum=C.copy())
-            z = np.stack([z0] + [rng.permutation(z0) for _ in range(B - 1)])
             Q = rng.normal((B, L, zd))
             V = rng.normal((B, L, vd))
             cfg = AttentionConfig(attn_fn, w, causal, z_dim=zd, v_dim=vd)
@@ -634,10 +711,9 @@ def test_row_entropy_matches_dense_oracle_weights(attn_fn, causal, w):
     # the oracle's output with V = I is its weight matrix
     rng = Rng(combo_seed("entropy", attn_fn, causal, w))
     for B in (1, 3):
-        for L, S, z0, bias, _ in fuzz_cases(rng, w, causal):
+        for L, S, z, bias, _ in fuzz_cases(rng, w, causal, B):
             zd = 3
             C = rng.normal((S, zd))
-            z = np.stack([z0] + [rng.permutation(z0) for _ in range(B - 1)])
             Q = rng.normal((B, L, zd))
             cfg = AttentionConfig(attn_fn, w, causal, z_dim=zd, v_dim=L)
             P = attn_dense_oracle(Tensor(Q), Tensor(C[z]),

@@ -210,6 +210,12 @@ def test_loop_record_schema():
         assert all(0.0 <= e < np.inf for e in r["quant_err"])
         # exp(entropy) of the code histogram is at most the used-code count
         assert r["codebook_perplexity"][0] <= S - r["dead_codes"][0] + 1e-9
+        # per-phase timing: the total also holds sampling and the checks
+        ms = r["wallclock_ms"]
+        assert set(ms) == {"total", "forward", "backward", "optimizer", "ema"}
+        assert all(t >= 0.0 for t in ms.values())
+        assert ms["total"] >= (ms["forward"] + ms["backward"]
+                               + ms["optimizer"] + ms["ema"])
     assert all("attn_entropy" not in r for r in train_recs)
     # grad_norm is the pre-clip global norm: here it exceeds the 0.1 clip
     assert all(r["grad_norm"] > TrainConfig().grad_clip for r in train_recs)
