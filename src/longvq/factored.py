@@ -80,8 +80,12 @@ __all__ = ["CodeStats", "build_code_stats", "stats_chunk", "attn_factored",
 _ROWS = 64
 
 # laplace attention function 0.5 * (1 + erf((x - mu) / (sigma * sqrt(2))))
+# and its derivative, the normal density; the constants are Python floats,
+# since a numpy float64 scalar would promote float32 inputs to float64
 LAPLACE_MU = float(np.sqrt(0.5))
 LAPLACE_SIGMA = float(np.sqrt(0.25 / np.pi))
+_LAPLACE_ERF_SCALE = float(LAPLACE_SIGMA * np.sqrt(2.0))
+_LAPLACE_PDF_SCALE = float(LAPLACE_SIGMA * np.sqrt(2.0 * np.pi))
 
 
 def _relu2(x):
@@ -94,12 +98,12 @@ def _drelu2(x):
 
 
 def _laplace(x):
-    return 0.5 * (1.0 + erf((x - LAPLACE_MU) / (LAPLACE_SIGMA * np.sqrt(2.0))))
+    return 0.5 * (1.0 + erf((x - LAPLACE_MU) / _LAPLACE_ERF_SCALE))
 
 
 def _dlaplace(x):
     u = (x - LAPLACE_MU) / LAPLACE_SIGMA
-    return np.exp(-0.5 * u * u) / (LAPLACE_SIGMA * np.sqrt(2.0 * np.pi))
+    return np.exp(-0.5 * u * u) / _LAPLACE_PDF_SCALE
 
 
 def phi_table(name):

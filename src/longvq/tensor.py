@@ -6,6 +6,14 @@ replays the tape in reverse topological order. Every public operation
 validates that its output is finite and raises ``NumericsError`` naming the
 offending op otherwise.
 
+A tape is single-use. As the sweep passes each interior node it drops the
+node's gradient and its closure, and with it every array only the closure
+holds (saved activations, statistics, spectra). Leaves keep theirs: after
+``backward()`` a parameter or ``requires_grad`` input holds its gradient
+in ``.grad``. Every node keeps its ``data`` and parents, so a tape's values
+live as long as its output does. A second backward through a swept node,
+or through an op built on one, raises ``RuntimeError`` naming the node's op.
+
 Precision is a process-wide setting (float32 for training, float64 for
 oracle and gradient tests); use ``set_precision`` or the ``precision``
 context manager before creating tensors.
@@ -127,7 +135,8 @@ class Tensor:
     optimizer mutates parameter arrays, between passes.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_vjp",
+                 "_op")
 
     def __init__(self, data, requires_grad=False, name=None):
         self.data = np.asarray(data, dtype=_DTYPE)
@@ -136,6 +145,7 @@ class Tensor:
         self.name = name
         self._parents = ()
         self._vjp = None
+        self._op = None
 
     @property
     def shape(self):
@@ -181,21 +191,40 @@ class Tensor:
         return matmul(self, other)
 
     def backward(self, seed=None):
-        """Reverse-mode sweep from this node; accumulates into .grad."""
+        """Reverse-mode sweep from this node; accumulates into the leaves'
+        .grad.
+
+        The sweep releases the tape as it goes: once an interior node's
+        closure has run and its parents hold their shares, the node's
+        .grad and closure are dropped. Leaves (parameters and
+        ``requires_grad`` inputs) keep .grad; every node keeps .data and
+        its parents. A swept tape cannot be swept again: a backward that
+        reaches a swept node raises ``RuntimeError`` naming its op before
+        any gradient is touched.
+        """
         if seed is None:
             if self.data.size != 1:
                 raise ValueError("backward() without seed requires a scalar output")
             seed = np.ones_like(self.data)
+        order = _toposort(self)
         self.grad = np.asarray(seed, dtype=self.data.dtype)
-        for node in reversed(_toposort(self)):
-            if node._vjp is None or node.grad is None:
+        for node in reversed(order):
+            vjp, g_out = node._vjp, node.grad
+            if vjp is None:
                 continue
-            grads = node._vjp(node.grad)
-            for p, g in zip(node._parents, grads):
+            node._vjp, node.grad = _released, None
+            if g_out is None:
+                continue
+            for p, g in zip(node._parents, vjp(g_out)):
                 if g is None or not _wants_grad(p):
                     continue
                 g = np.asarray(g, dtype=p.data.dtype)
                 p.grad = g if p.grad is None else p.grad + g
+
+
+def _released(g):
+    """The closure of a swept node; backward() refuses such a tape first."""
+    raise RuntimeError("backward closure already released by a sweep")
 
 
 def _toposort(root):
@@ -207,6 +236,10 @@ def _toposort(root):
             continue
         if id(node) in visited:
             continue
+        if node._vjp is _released:
+            raise RuntimeError(
+                f"backward through op '{node._op}', whose tape an earlier "
+                f"backward already released; a tape is single-use")
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -249,6 +282,7 @@ def make_op(data, parents, vjp, op_name):
     out.grad = None
     out.requires_grad = False
     out.name = None
+    out._op = op_name
     if _tracked(parents):
         out._parents = tuple(parents)
         if _FAULT_OP == op_name:

@@ -1,16 +1,19 @@
 """Block composition, norms, heads, parameter accounting, checkpoints."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 import longvq.tensor as T
-from longvq.attention import AttentionConfig
+from longvq.attention import ATTN_FNS, AttentionConfig
 from longvq.model import (
     Ffn, Model, ModelConfig, Norm, load_checkpoint, param_count,
     save_checkpoint,
 )
 from longvq.rng import Rng
 from longvq.tensor import Tensor, precision
+from longvq.train import total_loss
 
 
 @pytest.fixture(autouse=True)
@@ -197,6 +200,51 @@ def test_gradients_flow_to_all_params():
     assert "blocks.0.attn.w_q" not in zero
     assert "blocks.0.ffn.w1" not in zero
     assert "head.w" not in zero
+
+
+def _tape(root):
+    """Every node reachable from root through its parents."""
+    seen, todo, out = set(), [root], []
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            out.append(node)
+            todo.extend(node._parents)
+    return out
+
+
+@pytest.mark.parametrize("impl", ["factored", "dense"])
+def test_backward_releases_interior_nodes(impl):
+    model = Model(small_cfg(), Rng(29), impl=impl)
+    x = Tensor(Rng(30).normal((2, 12, 2)), requires_grad=True)
+    loss, _, _ = total_loss(model, x, np.array([0, 2]), 0.25)
+    interior = [n for n in _tape(loss) if n._parents]
+    closures = [weakref.ref(n._vjp) for n in interior]
+    params = model.params()
+    gs = T.grad(loss, params)
+    assert len(interior) > 20
+    assert all(n.grad is None for n in interior)
+    assert all(ref() is None for ref in closures)
+    assert all(p.grad is g for p, g in zip(params, gs))
+    assert x.grad is not None and x.grad.shape == x.shape
+
+
+@pytest.mark.parametrize("causal", [True, False])
+@pytest.mark.parametrize("impl", ["factored", "dense"])
+@pytest.mark.parametrize("attn_fn", ATTN_FNS)
+def test_float32_tape_stays_float32(attn_fn, impl, causal):
+    with precision("float32"):
+        cfg = small_cfg(attn=AttentionConfig(attn_fn, 2, causal, z_dim=4,
+                                             v_dim=12))
+        model = Model(cfg, Rng(31), impl=impl)
+        x = Rng(32).normal((2, 12, 2), dtype=np.float32)
+        loss, _, _ = total_loss(model, x, np.array([1, 2]), 0.25)
+        wide = {n._op or n.name for n in _tape(loss)
+                if n.data.dtype != np.float32}
+        assert not wide, f"non-float32 nodes from {sorted(map(str, wide))}"
+        gs = T.grad(loss, model.params())
+    assert all(g.dtype == np.float32 for g in gs)
 
 
 # ---------------------------------------------------------------------------

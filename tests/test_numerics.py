@@ -49,6 +49,20 @@ def test_backward_accumulates_over_shared_node():
     np.testing.assert_allclose(g, 4.0 * x.data)
 
 
+def test_swept_tape_is_single_use():
+    x = param(np.array([2.0, 3.0]), name="x")
+    h = T.silu(x * x)
+    loss = T.tsum(h)
+    (g,) = grad(loss, [x])
+    assert x.grad is g
+    with pytest.raises(RuntimeError, match="op 'sum'"):
+        loss.backward()
+    # an op built on a swept node is refused before any gradient moves
+    with pytest.raises(RuntimeError, match="op 'silu'"):
+        T.tsum(h * x).backward()
+    assert x.grad is g
+
+
 def test_no_grad_suppresses_tape():
     x = param(np.ones(3), name="x")
     with no_grad():
@@ -226,6 +240,12 @@ def test_laplace_phi_range_and_midpoint():
     assert np.all(np.diff(y[core]) > 0)
     mid = f(np.array([LAPLACE_MU]))
     np.testing.assert_allclose(mid, 0.5, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["relu2", "laplace"])
+def test_phi_pair_keeps_float32(name):
+    x = np.linspace(-2, 2, 9, dtype=np.float32)
+    assert [fn(x).dtype for fn in phi_table(name)] == [np.float32] * 2
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
