@@ -29,14 +29,17 @@ _pin_threads()
 
 import argparse
 import json
+import platform
 
 import numpy as np
+import scipy
 
 from .bench import bench_scaling
 from .config import ConfigError, apply_sets, build_run, load_run_config
 from .model import Model, load_checkpoint, param_count, save_checkpoint
 from .rng import Rng
-from .tensor import backward_fault_hits, set_backward_fault, set_precision
+from .tensor import (backward_fault_hits, get_dtype, set_backward_fault,
+                     set_precision)
 from .train import evaluate, gradcheck_model, train_loop
 
 SCHEMA = "longvq-report-v1"
@@ -55,10 +58,32 @@ def _outdir(args, command):
     return out
 
 
+def _cpu_model():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def _environment():
+    """What a run's numbers depend on, under the key names of the
+    benchmark's environment block."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "precision": np.dtype(get_dtype()).name,
+            "nproc": os.cpu_count(), "cpu": _cpu_model()}
+
+
 def _write_report(out, payload):
     path = os.path.join(out, "report.json")
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        json.dump({**payload, "env": _environment()}, fh, indent=1,
+                  sort_keys=True)
         fh.write("\n")
     return path
 

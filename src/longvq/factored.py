@@ -30,18 +30,21 @@ n = 0 and U = 0 in every chunk, so it adds no far-field term.
 The whole thing is one tape op: straight-through quantization needs
 per-position key gradients, which cannot be recovered from any gradient of
 the code aggregates (U, n), so the backward assembles the dense-equivalent
-dK_hat from per-code far-field accumulators. The codebook itself is a
-constant here and never receives gradients.
+dK_hat exactly, by one of two contractions of the same sum (_backward).
+The codebook itself is a constant here and never receives gradients.
 
-Cost model. With S_u the number of codes the batch uses (at most S), the
-exact far-field key gradient builds the per-code accumulator Tm,
-S_u·dz·dv multiply-adds per query row. The dense computation costs about
-3·L·(dz + dv) per row, forward plus backward. The two meet at
-L ≈ S_u·dz·dv / (3(dz + dv)): about 228 at the learning dims with every
-code used (S_u=64, dz=16, dv=32) and about 910 at S_u=256 with the same
-dz and dv; a cls layer whose batch uses 48 of 256 codes meets dense near
-170. Below that length dense does fewer flops per row; above it, this
-path.
+Cost model, in multiply-adds per query row, with S_u the number of codes
+the batch uses (at most S). The forward's far field costs S_u·(dz + dv).
+The exact far-field key gradient costs min(S_u·dz·dv, counted_keys·(dz +
+dv)): the per-code accumulator Tm, whatever L, or the pairwise
+contraction over the keys the row's stats count (the prefix before its
+chunk when causal, all L when not). Each call takes the side whose sum
+over its chunks is smaller, so the backward stays linear in L. At dz=16,
+dv=32 the pairwise side wins below L ≈ 2·S_u·dz·dv / (dz + dv) + 64 with
+64-row causal chunks (about 1430 with S_u=64) and below L ≈ S_u·dz·dv /
+(dz + dv) when bidirectional (about 2730 with S_u=256); a bidirectional
+L=1024 batch that uses 96 codes or fewer takes the accumulator. The dense
+computation costs about 3·L·(dz + dv) per row, forward plus backward.
 
 Each attention function is defined once, as the numpy pair (f, f') of
 phi_table: the relu^2 and Laplace maps of MEGA (arXiv:2209.10655). The
@@ -68,7 +71,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.special import erf
 
-from .tensor import Tensor, make_op
+from .tensor import Tensor, _first_out_of_range, make_op
 
 __all__ = ["CodeStats", "build_code_stats", "stats_chunk", "attn_factored",
            "attn_row_entropy", "phi_table"]
@@ -178,8 +181,10 @@ def build_code_stats(z, V, S, causal, chunk=None):
     if z.ndim != 2 or v.ndim != 3:
         raise ValueError(f"build_code_stats takes z (B, L) and V (B, L, dv), "
                          f"got z {z.shape} and V {v.shape}")
-    if np.any(z < 0) or np.any(z >= S):
-        raise ValueError(f"shortcode out of range [0, {S})")
+    at = _first_out_of_range(z, S)
+    if at is not None:
+        raise ValueError(f"shortcode {z[at]} at batch {at[0]}, position "
+                         f"{at[1]} is outside [0, {S})")
     if causal and (chunk is None or chunk < 1):
         raise ValueError("causal stats need a chunk size >= 1")
     chunk = chunk if causal else None
@@ -316,34 +321,57 @@ def _forward(q, kh, v, b, C, z, n, U, scale, w, cs, causal, phi):
     return out, lse
 
 
+def _pairwise_is_cheaper(L, S, dz, dv, cs, causal):
+    """Whether the pairwise key-gradient contraction takes fewer
+    multiply-adds than the per-code accumulator: sum over query chunks of
+    rows * counted keys * (dz + dv) against L * S * dz * dv."""
+    lo = np.arange(0, L, cs)
+    rows = np.minimum(lo + cs, L) - lo
+    keys = lo if causal else L
+    return int((rows * keys).sum()) * (dz + dv) < L * S * dz * dv
+
+
 def _backward(q, kh, v, b, C, z, n, U, scale, w, cs, causal, phi, g, out,
               lse):
     """(dQ, dK_hat, dV, dbias) in one pass over the chunks, last first.
 
-    Keys take their far-field gradient from per-code accumulators over
-    query chunks: F = sum_i W_ic g_i, Tm = sum_i W'_ic q_i g_i^T and, for
-    softmax, y = sum_i W_ic r_i q_i. Causal keys read them before their
-    own chunk is added, bidirectional keys once every chunk is in. A chunk
-    adds its far weights for every key of a code, so it takes them back
-    off the counted keys it adds directly; those weights are bounded (a
-    softmax W is at most 1), so nothing large cancels. The accumulators
-    are (B, S, .) and every temporary is one chunk of rows.
+    A key j of code c takes, from the query rows i whose stats count it,
+    the far-field gradient sum_i W'_ic (g_i.v_j - r_i) q_i (r_i = 0 under
+    phi). Two exact contractions give that sum, and each call takes the
+    one with fewer multiply-adds (_pairwise_is_cheaper):
+      - accumulator: per-code Tm = sum_i W'_ic q_i g_i^T and, for softmax,
+        y = sum_i W_ic r_i q_i, read as Tm_c v_j - y_c; S·dz·dv per query
+        row, whatever L. Causal keys read before their own chunk is
+        added, bidirectional keys once every chunk is in.
+      - pairwise: each chunk gathers its far weights at every counted
+        key's code and adds M^T q with M_ji = W'_{i,z_j} (v_j.g_i - r_i);
+        counted keys·(dz + dv) per query row.
+    Value gradients read F = sum_i W_ic g_i per code on both sides. A
+    chunk adds its far weights for every counted key, so it takes them
+    back off those it adds directly; those weights are bounded (a softmax
+    W is at most 1), so nothing large cancels. The accumulators are
+    (B, S, .) and every temporary is one chunk of rows.
     """
     B, L, dz = q.shape
     S, dv = C.shape[0], v.shape[2]
     dQ, dK, dV = np.zeros_like(q), np.zeros_like(kh), np.zeros_like(v)
     db = np.zeros_like(b)
     F = np.zeros((B, S, dv), dtype=q.dtype)
-    Tm = np.zeros((B, S, dz * dv), dtype=q.dtype)
-    y = np.zeros((B, S, dz), dtype=q.dtype)
-
     bi = np.arange(B)[:, None]
+    pairwise = _pairwise_is_cheaper(L, S, dz, dv, cs, causal)
+    if pairwise:
+        zb = bi * S + z                     # each key's row of (B*S, r)
+    else:
+        Tm = np.zeros((B, S, dz * dv), dtype=q.dtype)
+        y = np.zeros((B, S, dz), dtype=q.dtype)
 
     def read(lo, hi):
         # plain fancy indexing: take_along_axis would broadcast an int64
         # index over the trailing dz*dv axis of Tm
         zc = z[:, lo:hi]
         dV[:, lo:hi] += F[bi, zc]
+        if pairwise:
+            return
         Tg = Tm[bi, zc].reshape(B, hi - lo, dz, dv)
         far = (Tg @ v[:, lo:hi, :, None])[..., 0]
         dK[:, lo:hi] += scale * (far - y[bi, zc])
@@ -376,10 +404,21 @@ def _backward(q, kh, v, b, C, z, n, U, scale, w, cs, causal, phi, g, out,
         dK[:, c.klo:c.khi] += scale * ((dl - Wdk * Pr).transpose(0, 2, 1)
                                        @ qr)
         F += W.transpose(0, 2, 1) @ gr
-        qg = (qr[..., :, None] * gr[..., None, :]).reshape(B, c.hi - c.lo, -1)
-        Tm += Wd.transpose(0, 2, 1) @ qg
-        if phi is None:
-            y += W.transpose(0, 2, 1) @ (r * qr)
+        if pairwise:
+            ke = c.lo if causal else L               # keys the stats count
+            # one row gather from a contiguous (B*S, r) copy of Wd^T
+            M = Wd.transpose(0, 2, 1).reshape(B * S, -1)[zb[:, :ke]]
+            Pk = v[:, :ke] @ gr.transpose(0, 2, 1)   # (B, k, r)
+            if phi is None:
+                Pk -= r.transpose(0, 2, 1)
+            M *= Pk
+            dK[:, :ke] += M @ (scale * qr)
+        else:
+            qg = (qr[..., :, None] * gr[..., None, :]).reshape(B, c.hi - c.lo,
+                                                               -1)
+            Tm += Wd.transpose(0, 2, 1) @ qg
+            if phi is None:
+                y += W.transpose(0, 2, 1) @ (r * qr)
     if not causal:
         for lo in range(0, L, cs):
             read(lo, min(lo + cs, L))
@@ -406,7 +445,8 @@ def attn_factored(Q, cb, stats, K_hat, V, bias, cfg):
             raise ValueError(f"attn_factored takes (B, L, .) inputs, got "
                              f"{name} of shape {x.shape}")
     if bias.data.shape != (2 * w + 1,):
-        raise ValueError(f"bias must have shape ({2 * w + 1},)")
+        raise ValueError(f"bias must have shape ({2 * w + 1},), got "
+                         f"{bias.data.shape}")
     z, n, U, cs = _checked_stats(stats, kh, v, C, w, causal)
     z, C, n, U = _in_use(z, C, n, U)
     phi = None if cfg.attn_fn == "softmax" else phi_table(cfg.attn_fn)

@@ -186,12 +186,14 @@ class Model:
         if self.cfg.vocab > 0:
             idx = np.asarray(batch)
             if idx.ndim != 2:
-                raise ValueError("token input must be (B, L)")
+                raise ValueError(f"token input must be (B, L), got shape "
+                                 f"{idx.shape}")
             return gather_rows(self.embed_w, idx)
         x = batch if isinstance(batch, Tensor) else Tensor(
             np.asarray(batch, dtype=get_dtype()))
         if x.data.ndim != 3 or x.data.shape[2] != self.cfg.in_dim:
-            raise ValueError(f"real input must be (B, L, {self.cfg.in_dim})")
+            raise ValueError(f"real input must be (B, L, {self.cfg.in_dim}), "
+                             f"got shape {x.data.shape}")
         return linear(x, self.embed_w, self.embed_b)
 
     def forward(self, batch, frozen=None):
@@ -230,7 +232,8 @@ class Model:
             if name not in state:
                 raise ValueError(f"unexpected checkpoint entry '{name}'")
             if state[name].shape != arr.shape:
-                raise ValueError(f"shape mismatch for '{name}'")
+                raise ValueError(f"shape mismatch for '{name}': checkpoint "
+                                 f"{arr.shape}, model {state[name].shape}")
             state[name][...] = arr.astype(state[name].dtype)
         missing = [n for n in state
                    if n not in arrays and ".codebook." not in n]

@@ -26,6 +26,7 @@ __all__ = ["TaskSpec", "build_task", "gen_reduction_head",
 TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 TEST_FILE = "test_batch.bin"
 RECORD = 3073          # 1 label byte + 1024 R + 1024 G + 1024 B
+_CLASSES = 10
 
 
 @dataclass
@@ -154,6 +155,10 @@ def _read_batch_file(path):
                          f"bytes, got {raw.size}")
     rec = raw.reshape(n, RECORD)
     labels = rec[:, 0].astype(np.int64)
+    bad = np.flatnonzero(labels >= _CLASSES)
+    if bad.size:
+        raise ValueError(f"{path}: record {bad[0]} has label byte "
+                         f"{labels[bad[0]]}, outside [0, {_CLASSES})")
     # channel-planar layout -> (N, 1024, 3) with channels last
     pixels = rec[:, 1:].reshape(n, 3, 1024).transpose(0, 2, 1)
     return pixels, labels
@@ -207,7 +212,7 @@ class PixelTask:
         self.train_y = data["train_y"][:n]
 
     def model_kwargs(self):
-        return {"in_dim": self.spec.channels, "n_out": 10,
+        return {"in_dim": self.spec.channels, "n_out": _CLASSES,
                 "head": "mean_pool_classify"}
 
     def _arrays(self, split):

@@ -441,11 +441,22 @@ def stack(tensors, axis=0):
     return make_op(out, tuple(tensors), vjp, "stack")
 
 
+def _first_out_of_range(idx, n):
+    """Index tuple of the first entry of idx outside [0, n), or None."""
+    if idx.size == 0 or (idx.min() >= 0 and idx.max() < n):
+        return None
+    return tuple(int(i) for i in np.argwhere((idx < 0) | (idx >= n))[0])
+
+
 def gather_rows(table, idx):
     """table[idx] for a 2-D table and integer index array of any shape."""
     idx = np.asarray(idx)
     if table.ndim != 2:
         raise ValueError("gather_rows expects a 2-D table")
+    at = _first_out_of_range(idx, table.shape[0])
+    if at is not None:
+        raise ValueError(f"gather_rows index {idx[at]} at position {at} is "
+                         f"outside [0, {table.shape[0]})")
     out = table.data[idx]
 
     def vjp(g):
@@ -573,6 +584,10 @@ def cross_entropy(logits, targets):
     t = np.asarray(targets)
     if x.ndim != 2 or t.shape != (x.shape[0],):
         raise ValueError("cross_entropy expects (N, C) logits and (N,) targets")
+    at = _first_out_of_range(t, x.shape[1])
+    if at is not None:
+        raise ValueError(f"cross_entropy target {t[at]} at position {at[0]} "
+                         f"is outside [0, {x.shape[1]})")
     m = x.max(axis=1, keepdims=True)
     e = np.exp(x - m)
     z = e.sum(axis=1, keepdims=True)
@@ -662,7 +677,8 @@ def band_bias_add(scores, bias, w, causal):
     """
     L = scores.data.shape[-1]
     if bias.data.shape != (2 * w + 1,):
-        raise ValueError(f"bias must have shape ({2 * w + 1},)")
+        raise ValueError(f"bias must have shape ({2 * w + 1},), got "
+                         f"{bias.data.shape}")
     out = scores.data.copy()
     diags = _band_diagonals(L, w, causal)
     for delta, i, j in diags:

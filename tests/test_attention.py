@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import longvq.factored as factored
 import longvq.tensor as T
 from longvq.attention import (
     AttentionConfig, LongVQLayer, attn_dense_blocked, attn_dense_oracle,
@@ -101,8 +102,13 @@ def test_stats_hand_case():
 
 
 def test_stats_out_of_range():
-    with pytest.raises(ValueError):
-        build_code_stats(np.array([[0, 3]]), np.zeros((1, 2, 1)), 3, False)
+    with pytest.raises(ValueError, match=r"shortcode 3 at batch 1, position 2 "
+                                         r"is outside \[0, 3\)"):
+        build_code_stats(np.array([[0, 1, 2], [2, 0, 3]]),
+                         np.zeros((2, 3, 1)), 3, False)
+    with pytest.raises(ValueError, match=r"shortcode -1 at batch 0, "
+                                         r"position 0 "):
+        build_code_stats(np.array([[-1, 0]]), np.zeros((1, 2, 1)), 3, True, 2)
 
 
 def test_stats_causal_prefix_matches_brute_force():
@@ -615,6 +621,9 @@ def test_factored_rejects_bad_chunk_and_shapes():
         run(dataclasses.replace(stats, U=flat.U))
     with pytest.raises(ValueError, match=r"stats\.n .* expected \(2, 4, 4\)"):
         run(dataclasses.replace(stats, n=flat.n))
+    with pytest.raises(ValueError, match=r"shape \(7,\), got \(2, 7\)"):
+        attn_factored(Tensor(q), cb, stats, Tensor(cb.C[z]), Tensor(v),
+                      Tensor(np.zeros((2, 7))), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -673,9 +682,12 @@ def fuzz_cases(rng, w, causal, B):
 @pytest.mark.parametrize("attn_fn", ["softmax", "relu2", "laplace"])
 @pytest.mark.parametrize("causal", [False, True])
 @pytest.mark.parametrize("w", [0, 1, 2, 8])
-def test_factored_batched_fuzz_matches_oracle(attn_fn, causal, w):
+def test_factored_batched_fuzz_matches_oracle(attn_fn, causal, w,
+                                              monkeypatch):
+    # every case through the per-code accumulator and the pairwise key
+    # gradient in turn: each meets the oracle bounds, and their dK_hat
+    # agree far below them
     rng = Rng(combo_seed("fuzz", attn_fn, causal, w))
-    probe = Rng(combo_seed("fuzz-probe", attn_fn, causal, w))
     for B in (1, 3):
         for L, S, z, bias, chunk in fuzz_cases(rng, w, causal, B):
             zd, vd = 3, 4
@@ -684,12 +696,52 @@ def test_factored_batched_fuzz_matches_oracle(attn_fn, causal, w):
             Q = rng.normal((B, L, zd))
             V = rng.normal((B, L, vd))
             cfg = AttentionConfig(attn_fn, w, causal, z_dim=zd, v_dim=vd)
-            f, d, gf, gd = run_both(cfg, cb, z, Q, V, bias, want_grads=True,
-                                    probe_rng=probe, chunk=chunk)
             case = (B, L, S, chunk, bias[0])
-            assert rel_diff(f, d) < 1e-10, case
-            for name, a, b in zip(("dQ", "dK", "dV", "db"), gf, gd):
-                assert rel_diff(a, b) < 1e-9, (name,) + case
+            dK = {}
+            for pairwise in (False, True):
+                monkeypatch.setattr(factored, "_pairwise_is_cheaper",
+                                    lambda *_, p=pairwise: p)
+                f, d, gf, gd = run_both(cfg, cb, z, Q, V, bias,
+                                        want_grads=True, chunk=chunk,
+                                        probe_rng=Rng(combo_seed(case)))
+                assert rel_diff(f, d) < 1e-10, (pairwise,) + case
+                for name, a, b in zip(("dQ", "dK", "dV", "db"), gf, gd):
+                    assert rel_diff(a, b) < 1e-9, (pairwise, name) + case
+                dK[pairwise] = gf[1]
+            assert rel_diff(dK[True], dK[False]) < 1e-12, case
+
+
+@pytest.mark.parametrize("name, B, L, S, used, w, causal, pairwise", [
+    ("lm layer", 32, 256, 64, 64, 8, True, True),
+    ("cls layer 0, 256 codes", 8, 1024, 256, 256, 16, False, True),
+    ("cls layer 1, 48 codes", 8, 1024, 256, 48, 16, False, False),
+    ("L=4096 causal", 1, 4096, 64, 64, 8, True, False),
+])
+def test_key_gradient_contraction_choice(name, B, L, S, used, w, causal,
+                                         pairwise, monkeypatch):
+    # the op chooses from the codes the batch uses, not the codebook size
+    choices = []
+    real = factored._pairwise_is_cheaper
+
+    def spy(*args):
+        choices.append(real(*args))
+        return choices[-1]
+
+    monkeypatch.setattr(factored, "_pairwise_is_cheaper", spy)
+    rng = Rng(combo_seed("choice", name))
+    zd, vd = 16, 32
+    C = rng.normal((S, zd))
+    cb = Codebook(C=C, ema_count=np.ones(S), ema_sum=C.copy())
+    z = rng.integers(0, used, (B, L))
+    z[0, :used] = np.arange(used)                # every used code appears
+    v = rng.normal((B, L, vd))
+    cfg = AttentionConfig("softmax", w, causal, z_dim=zd, v_dim=vd)
+    ins = [param(a) for a in (rng.normal((B, L, zd)), C[z], v,
+                              np.zeros(2 * w + 1))]
+    stats = build_code_stats(z, v, S, causal, stats_chunk(w, causal))
+    out = attn_factored(ins[0], cb, stats, ins[1], ins[2], ins[3], cfg)
+    grad(T.tsum(out), ins)
+    assert choices == [pairwise]
 
 
 def dense_row_entropy(P, causal):

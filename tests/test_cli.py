@@ -265,6 +265,24 @@ def test_eval_roundtrip_from_checkpoint(tmp_path, monkeypatch, capsys):
     assert 0.0 <= rep["attn_entropy"][0] <= 1.0
 
 
+def test_train_and_eval_reports_carry_the_environment(tmp_path, monkeypatch,
+                                                      capsys):
+    import platform
+    import scipy
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert main(["train", *TINY, "--seed", "4", "--out", "tr"]) == 0
+    assert main(["eval", *TINY[:18], "--seed", "4",
+                 "--checkpoint", "tr/checkpoint.f32", "--out", "ev"]) == 0
+    for out in ("tr", "ev"):
+        env = json.load(open(f"{out}/report.json"))["env"]
+        assert env == {"python": platform.python_version(),
+                       "numpy": np.__version__, "scipy": scipy.__version__,
+                       "blas_threads": "1", "precision": "float64",
+                       "nproc": os.cpu_count(), "cpu": env["cpu"]}
+        assert isinstance(env["cpu"], str) and env["cpu"]
+
+
 def test_eval_missing_checkpoint_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     rc = main(["eval", *TINY[:18], "--checkpoint", "nope.f32",

@@ -282,8 +282,16 @@ def test_checkpoint_rejects_wrong_shape(tmp_path):
                             attn=AttentionConfig("softmax", 2, True,
                                                  z_dim=4, v_dim=12)),
                   Rng(25))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"shape mismatch for 'embed.w': "
+                                         r"checkpoint \(2, 8\), model \(2, 16\)"):
         load_checkpoint(path, other)
+
+
+def test_embed_names_the_input_shape_it_got():
+    with pytest.raises(ValueError, match=r"\(B, L\), got shape \(5,\)"):
+        Model(lm_cfg(), Rng(29)).embed(np.zeros(5, dtype=int))
+    with pytest.raises(ValueError, match=r"\(B, L, 2\), got shape \(1, 4, 3\)"):
+        Model(small_cfg(), Rng(29)).embed(np.zeros((1, 4, 3)))
 
 
 def test_checkpoint_manifest_layout(tmp_path):

@@ -150,6 +150,25 @@ def test_cross_entropy_matches_log_softmax():
     assert abs(loss - ref) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [-1, 8])
+def test_cross_entropy_rejects_out_of_range_target(bad):
+    # numpy would read -1 as the last class and score it silently
+    t = np.array([0, 7, bad, 3, bad])
+    with pytest.raises(ValueError, match=rf"target {bad} at position 2 is "
+                                         r"outside \[0, 8\)"):
+        cross_entropy(T.tensor(np.zeros((5, 8))), t)
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_gather_rows_rejects_out_of_range_index(bad):
+    # numpy would read -1 as the last row and embed it silently
+    tab = T.tensor(np.zeros((6, 3)))
+    idx = np.array([[0, 5, 2], [1, bad, bad]])
+    with pytest.raises(ValueError, match=rf"index {bad} at position \(1, 1\) "
+                                         r"is outside \[0, 6\)"):
+        T.gather_rows(tab, idx)
+
+
 def test_conv_causal_matches_direct_summation():
     # reference: out[b, t, c] = sum_{j<=t} k[c, j] x[b, t-j, c], O(L^2) loop
     rng = Rng(5)
@@ -217,6 +236,12 @@ def test_band_bias_add_bidirectional():
         for j in range(L):
             want = (i - j) if abs(i - j) <= w else 0.0
             assert out[i, j] == want
+
+
+def test_band_bias_add_names_the_bias_shape_it_got():
+    with pytest.raises(ValueError, match=r"shape \(5,\), got \(3,\)"):
+        band_bias_add(T.tensor(np.zeros((4, 4))), T.tensor(np.zeros(3)), 2,
+                      causal=False)
 
 
 def test_band_bias_add_causal_skips_future():

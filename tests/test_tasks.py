@@ -189,6 +189,18 @@ def test_pixel_loader_short_file(tmp_path):
         load_pixel_sequences(root)
 
 
+def test_pixel_loader_rejects_label_byte_past_the_classes(tmp_path):
+    root = str(tmp_path / "badlabel")
+    _write_fake_cifar(root)
+    path = os.path.join(root, "data_batch_3.bin")
+    raw = np.fromfile(path, dtype=np.uint8).reshape(-1, RECORD)
+    raw[[7, 9], 0] = [10, 255]
+    raw.tofile(path)
+    with pytest.raises(ValueError, match=r"data_batch_3\.bin: record 7 has "
+                                         r"label byte 10, outside \[0, 10\)"):
+        load_pixel_sequences(root)
+
+
 def test_pixel_task_subset_and_sampling(cifar_dir):
     spec = TaskSpec(name="pixels", L=1024, channels=3, train_size=300,
                     path=cifar_dir)
