@@ -29,7 +29,7 @@ from .factored import attn_factored, build_code_stats, phi_table, stats_chunk
 from .ssm import SsmBank
 from .tensor import (
     Tensor, band_bias_add, gate_mix, get_dtype, linear, make_op, matmul, mul,
-    sigmoid, silu, softmax_rows, transpose,
+    silu, softmax_rows, transpose,
 )
 from .vq import quantize_st, seed_codebook
 
@@ -209,12 +209,12 @@ class LongVQLayer:
         return Z, G_a, Q, K, V
 
     def gate_output(self, X, O_pre, G_a):
-        """Gate, project to d, and mix with the input through G_o."""
+        """Gate, project to d, and mix with the input through G_o; the
+        sigmoid of G_o runs inside gate_mix, from X W_go + b_go."""
         g = self.gates
         O_a = mul(G_a, O_pre)
         proj = linear(O_a, g.w_out, g.b_out)
-        G_o = sigmoid(linear(X, g.w_go, g.b_go))
-        return gate_mix(G_o, proj, X)
+        return gate_mix(linear(X, g.w_go, g.b_go), proj, X)
 
     def ensure_codebook(self, K_data):
         if self.codebook is None:

@@ -3,7 +3,9 @@
 One block is the gated quantized-key layer followed by a feed-forward
 sublayer, both post-normed with LayerNorm: Y = Norm(Layer(X));
 Y' = Norm(Y + FFN(Y)). The attention sublayer carries its own gated
-residual, so no outer residual is added around it.
+residual, so no outer residual is added around it. norm2 takes FFN(Y)
+with Y as its residual and normalizes the sum in one ``layer_norm`` node,
+so the sum is never a tape array.
 """
 
 from __future__ import annotations
@@ -66,8 +68,9 @@ class Norm:
         self.bias = Tensor(np.zeros(d, dtype=dt), requires_grad=True,
                            name=f"{prefix}.bias")
 
-    def __call__(self, x):
-        return layer_norm(x, self.gain, self.bias)
+    def __call__(self, x, residual=None):
+        """Normalize x, or x + residual in the same node."""
+        return layer_norm(x, self.gain, self.bias, residual=residual)
 
     def params(self):
         return [self.gain, self.bias]
@@ -111,7 +114,7 @@ class Block:
     def __call__(self, x, frozen=None):
         a, aux = self.attn(x, frozen=frozen)
         y = self.norm1(a)
-        return self.norm2(y + self.ffn(y)), aux
+        return self.norm2(self.ffn(y), residual=y), aux
 
     def params(self):
         return (self.attn.params() + self.norm1.params()

@@ -9,7 +9,8 @@ materialized kernel k[j] = C_bar A_bar^j B_bar plus a learned skip D.
 ``SsmBank`` is the one differentiable path: ``ssm_kernels`` builds the d
 kernels from the state orbit A_bar^j B_bar in fixed-size blocks (doubling
 inside the first block, one batched matmul per block after it), and
-``tensor.conv_causal_channels`` applies them. The backward of
+``tensor.conv_causal_channels`` applies them with the skip D inside the
+same node, so the branch is two tape nodes. The backward of
 ``ssm_kernels`` runs the same blocked orbit on an augmented 2N system
 whose upper half is the dt-tangent of the state. ``materialize_kernel``
 (state iteration) and ``scan_recurrent`` (the literal recurrence) are the
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
-    NumericsError, Tensor, conv_causal_channels, get_dtype, make_op, mul,
+    NumericsError, Tensor, conv_causal_channels, get_dtype, make_op,
 )
 
 __all__ = [
@@ -251,9 +252,8 @@ class SsmBank:
 
     def __call__(self, x):
         """x: (B, L, d) tensor -> (B, L, d) tensor."""
-        L = x.data.shape[1]
-        k = self.kernels(L)
-        return conv_causal_channels(k, x) + mul(self.D_skip, x)
+        return conv_causal_channels(self.kernels(x.data.shape[1]), x,
+                                    self.D_skip)
 
     def channels(self):
         """Per-channel views for the oracle path (values only)."""

@@ -20,17 +20,20 @@ context manager before creating tensors.
 
 Shape conventions used throughout the package: sequences are batched
 (B, L, d), and a single sequence is B = 1; matrices are row-major. The
-one convolution op, ``conv_causal_channels``, takes a (d, L) kernel bank
-and a (B, L, d) input. The attention functions are not defined here: each
-is one numpy pair in ``factored.phi_table``.
+one convolution op, ``conv_causal_channels``, takes a (d, L) kernel bank,
+a (B, L, d) input and an optional (d,) skip. The attention functions are
+not defined here: each is one numpy pair in ``factored.phi_table``.
 
 Dense sublayers are fused ops, one tape node each. ``linear`` is the
 projection x @ W + b: every projection of the model is one ``linear``
 node, and ``matmul`` serves the quadratic dense oracle (scores and
 weighted values), not the projections. ``gate_mix`` is the gated residual
-x + gate * (a - x), and ``layer_norm`` normalizes each row in one node.
-Each keeps fewer full-size temporaries alive until the backward than the
-chain of elementwise nodes it replaces.
+x + sigmoid(pre) * (a - x) from the gate's pre-activation, and
+``layer_norm`` normalizes each row, of x or of x + residual, in one node.
+``conv_causal_channels`` adds its per-channel skip term inside its node.
+Each keeps fewer full-size arrays alive until the backward than the chain
+of elementwise nodes it replaces: a sum or product folded into the op
+that reads it is never a node array that no backward reads.
 """
 
 from __future__ import annotations
@@ -391,28 +394,36 @@ def linear(x, w, b):
                    "linear")
 
 
-def gate_mix(gate, a, x):
-    """x + gate * (a - x) as one tape node: the convex mix of a and x.
+def gate_mix(pre, a, x):
+    """x + sigmoid(pre) * (a - x) as one tape node: the convex mix of a and
+    x under a sigmoid gate given by its pre-activation.
 
-    All three have one shape. The backward recomputes a - x instead of
-    keeping it: g * (a - x) for the gate, g * gate for a and the rest,
-    g - g * gate, for x.
+    All three have one shape. The node keeps neither the gate nor a - x:
+    the backward recomputes both from its parents. With s = sigmoid(pre),
+    the pre-activation gets g * (a - x) * s * (1 - s), a gets g * s and x
+    the rest, g - g * s.
     """
-    gate, a, x = _as_tensor(gate), _as_tensor(a), _as_tensor(x)
-    if not gate.data.shape == a.data.shape == x.data.shape:
-        raise ValueError(f"gate_mix expects one shape; got {gate.data.shape}, "
+    pre, a, x = _as_tensor(pre), _as_tensor(a), _as_tensor(x)
+    if not pre.data.shape == a.data.shape == x.data.shape:
+        raise ValueError(f"gate_mix expects one shape; got {pre.data.shape}, "
                          f"{a.data.shape}, {x.data.shape}")
     out = a.data - x.data
-    out *= gate.data
+    out *= _sigmoid_np(pre.data)
     out += x.data
 
     def vjp(g):
-        dgate = a.data - x.data
-        dgate *= g
-        da = g * gate.data
-        return dgate, da, g - da
+        s = _sigmoid_np(pre.data)
+        da = g * s
+        # (1 - s) * s * ((a - x) * g): the product order of sigmoid's
+        # backward, so the gradient equals the sigmoid-then-mix chain's
+        dpre = np.subtract(1.0, s, out=np.empty_like(s))
+        dpre *= s
+        np.subtract(a.data, x.data, out=s)
+        s *= g
+        dpre *= s
+        return dpre, da, g - da
 
-    return make_op(out, (gate, a, x), vjp, "gate_mix")
+    return make_op(out, (pre, a, x), vjp, "gate_mix")
 
 
 def transpose(a, axes=None):
@@ -611,17 +622,22 @@ def _next_pow2(n):
     return 1 << (int(n - 1)).bit_length()
 
 
-def conv_causal_channels(kernels, x):
-    """Per-channel causal convolution of a batched sequence.
+def conv_causal_channels(kernels, x, skip=None):
+    """Per-channel causal convolution of a batched sequence, plus an
+    optional per-channel feedthrough.
 
-    kernels: (d, L); x: (B, L, d). Channel c of every batch element is
-    convolved with kernels[c]: out[b, t, c] = sum_{j<=t} kernels[c, j] *
-    x[b, t-j, c]. Computed with zero-padded FFTs of length >= 2L.
+    kernels: (d, L); x: (B, L, d); skip: optional (d,). Channel c of every
+    batch element is convolved with kernels[c]: out[b, t, c] = sum_{j<=t}
+    kernels[c, j] * x[b, t-j, c] + skip[c] * x[b, t, c]. The convolution
+    uses zero-padded FFTs of length >= 2L; the skip term is added in the
+    time domain, exactly, so the op's output is the SSM branch with its D
+    term and no separate product or sum node holds a (B, L, d) array.
 
     The tape keeps only the (F, d) kernel spectrum. The backward takes the
     spectrum of g once, recomputes that of x, and gets both gradients as
     cross-correlations from conjugate spectra; dk is summed over the batch
-    before its one inverse transform.
+    before its one inverse transform. With a skip, dx gains g * skip and
+    d(skip) is the column sum of g * x over every (b, t) row.
 
     The transforms are scipy.fft's, not numpy's. numpy 2.4's float32 rfft
     over the strided L axis is about three times slower: 9.3 vs 3.0 ms at
@@ -639,21 +655,34 @@ def conv_causal_channels(kernels, x):
     if kernels.data.shape != (d, L):
         raise ValueError(
             f"kernel bank shape {kernels.data.shape} != ({d}, {L})")
-    dtype = np.result_type(kernels.data, x.data)
+    parents = (kernels, x)
+    if skip is not None:
+        skip = _as_tensor(skip)
+        if skip.data.shape != (d,):
+            raise ValueError(f"skip shape {skip.data.shape} != ({d},)")
+        parents += (skip,)
+    dtype = np.result_type(*(p.data for p in parents))
     n = _next_pow2(2 * L)
     kf = rfft(kernels.data.T, n=n, axis=0)  # (F, d)
     out = irfft(kf * rfft(x.data, n=n, axis=1), n=n, axis=1)
     out = np.ascontiguousarray(out[:, :L], dtype=dtype)
+    if skip is not None:
+        out += skip.data * x.data
 
     def vjp(g):
         gf = rfft(g, n=n, axis=1)
         dx = irfft(kf.conj() * gf, n=n, axis=1)[:, :L]
         xf = rfft(x.data, n=n, axis=1)
         dk = irfft((xf.conj() * gf).sum(axis=0), n=n, axis=0)[:L]
-        return np.ascontiguousarray(dk.T, dtype=dtype), \
-            np.ascontiguousarray(dx, dtype=dtype)
+        dk = np.ascontiguousarray(dk.T, dtype=dtype)
+        dx = np.ascontiguousarray(dx, dtype=dtype)
+        if skip is None:
+            return dk, dx
+        dx += g * skip.data
+        gx = (g * x.data).reshape(-1, d)
+        return dk, dx, np.ones(gx.shape[0], dtype=gx.dtype) @ gx
 
-    return make_op(out, (kernels, x), vjp, "conv_causal_channels")
+    return make_op(out, parents, vjp, "conv_causal_channels")
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +725,11 @@ def band_bias_add(scores, bias, w, causal):
 # ---------------------------------------------------------------------------
 # normalizers
 
-def layer_norm(x, gain, bias, eps=1e-5):
+def layer_norm(x, gain, bias, eps=1e-5, residual=None):
     """Per-position normalization over the channel (last) axis, with a
-    (d,) gain and bias.
+    (d,) gain and bias. With a residual of x's shape it normalizes
+    x + residual: the sum is a temporary of the forward, not a tape node,
+    and both inputs get the same gradient.
 
     Row means are products with a (d, 1) column of 1/d, not
     mean(axis=-1): numpy's reduction over a short last axis is about five
@@ -712,7 +743,15 @@ def layer_norm(x, gain, bias, eps=1e-5):
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ValueError(f"layer_norm gain and bias must have shape ({d},)")
+    parents = (x, gain, bias)
     x2 = x.data.reshape(-1, d)
+    if residual is not None:
+        residual = _as_tensor(residual)
+        if residual.data.shape != x.data.shape:
+            raise ValueError(f"layer_norm residual shape "
+                             f"{residual.data.shape} != {x.data.shape}")
+        parents += (residual,)
+        x2 = x2 + residual.data.reshape(-1, d)
     col = np.full((d, 1), 1.0 / d, dtype=x2.dtype)
     xn = x2 - x2 @ col
     sq = np.square(xn)
@@ -738,10 +777,10 @@ def layer_norm(x, gain, bias, eps=1e-5):
         gxn -= m1
         gxn -= t
         gxn *= inv
-        return gxn.reshape(x.data.shape), dgain, ones @ g2
+        dx = gxn.reshape(x.data.shape)
+        return (dx, dgain, ones @ g2, dx)[:len(parents)]
 
-    return make_op(out.reshape(x.data.shape), (x, gain, bias), vjp,
-                   "layer_norm")
+    return make_op(out.reshape(x.data.shape), parents, vjp, "layer_norm")
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,11 @@ def assign_batch(x, cb):
     if cb.S == 0:
         raise ValueError("empty codebook")
     flat = x.reshape(-1, x.shape[-1])
-    # expanded squared distance; argmin keeps the first minimum
-    d2 = (flat * flat).sum(-1, keepdims=True) \
-        - 2.0 * flat @ cb.C.T + (cb.C * cb.C).sum(-1)
+    # |c|^2 - 2 x.c: the squared distance less the row's |x|^2, which
+    # does not move the argmin. One GEMM, one in-place add, one
+    # (rows, S) array; argmin keeps the first minimum
+    d2 = flat @ (-2.0 * cb.C.T)
+    d2 += (cb.C * cb.C).sum(-1)
     return d2.argmin(-1).reshape(x.shape[:-1])
 
 

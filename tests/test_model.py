@@ -230,6 +230,35 @@ def test_backward_releases_interior_nodes(impl):
     assert x.grad is not None and x.grad.shape == x.shape
 
 
+def test_tape_census_lm_recipe():
+    # the lm benchmark recipe at L=32: every interior node's array is
+    # named below by its width in (B, L, .) rows. Per block, the SSM conv
+    # node carries its skip, gate_mix its sigmoid and norm2 the FFN
+    # residual, so none of those joins is a node of its own. Two arrays
+    # per block are still read by no backward: the gate_mix output and
+    # the FFN w2 output, which norm1 and norm2 read only in the forward.
+    B, L, d, f, z, v, n_out = 4, 32, 64, 64, 16, 32, 16
+    with precision("float32"):
+        cfg = ModelConfig(depth=2, d_model=d, S=64, head="per_position_lm",
+                          n_out=n_out, vocab=16, d_ffn=f, n_state=16,
+                          attn=AttentionConfig("softmax", 8, True, z_dim=z,
+                                               v_dim=v))
+        model = Model(cfg, Rng(40))
+        r = Rng(41)
+        x, y = r.integers(0, 16, (B, L)), r.integers(0, 16, (B, L))
+        loss, _, _ = total_loss(model, x, y, 1e-4)
+    interior = [n for n in _tape(loss) if n._vjp is not None]
+    block = (8 * d      # conv, silu Z, proj, go, gate_mix, norm1, w2, norm2
+             + 2 * f    # w1, silu
+             + 6 * v    # ga, silu G_a, v, silu V, attn, G_a * O
+             + 5 * z)   # q, k, quantize, commit diff, its square
+    rows = 2 * block + d + 2 * n_out     # embed; head logits and reshape
+    want = 4 * (B * L * rows + 2 * d * L + 9)   # + ssm kernels, 9 scalars
+    census = sorted((n._op, n.data.shape) for n in interior)
+    assert len(interior) == 56, census
+    assert sum(n.data.nbytes for n in interior) == want, census
+
+
 @pytest.mark.parametrize("causal", [True, False])
 @pytest.mark.parametrize("impl", ["factored", "dense"])
 @pytest.mark.parametrize("attn_fn", ATTN_FNS)

@@ -386,6 +386,31 @@ def test_grad_conv_causal_channels():
                                   * T.tensor(probe)), [ker, x])
 
 
+def test_conv_skip_fused_equals_node_chain():
+    # the skip inside the conv node against conv(k, x) + skip * x built
+    # from separate nodes, and d(skip) against central differences
+    rng = Rng(60)
+    for B, L, d in ((1, 1, 1), (2, 9, 3), (3, 16, 4)):
+        ker = param(rng.normal((d, L)), name="ker")
+        x = param(rng.normal((B, L, d)), name="x")
+        skip = param(rng.normal((d,)), name="skip")
+        probe = T.tensor(rng.normal((B, L, d)))
+        params = [ker, x, skip]
+        fused = conv_causal_channels(ker, x, skip)
+        chain = conv_causal_channels(ker, x) + T.mul(skip, x)
+        assert rel_err(fused.data, chain.data) < 1e-12
+        want = grad(T.tsum(chain * probe), params)
+        got = grad(T.tsum(fused * probe), params)
+        for p, g, h in zip(params, got, want):
+            assert g.shape == h.shape and rel_err(g, h) < 1e-12, p.name
+        check_op_grads(lambda: T.tsum(conv_causal_channels(ker, x, skip)
+                                      * probe), params)
+    with pytest.raises(ValueError, match=r"skip shape \(4,\) != \(3,\)"):
+        conv_causal_channels(T.tensor(np.zeros((3, 4))),
+                             T.tensor(np.zeros((1, 4, 3))),
+                             T.tensor(np.zeros(4)))
+
+
 def test_grad_band_bias():
     rng = Rng(15)
     s = param(rng.normal((5, 5)), name="s")
@@ -444,16 +469,59 @@ def test_linear_equals_matmul_plus_bias():
 
 
 def test_grad_gate_mix():
+    # the gate arrives as its pre-activation and the sigmoid runs inside
     rng = Rng(25)
-    gate = param(T.sigmoid(T.tensor(rng.normal((2, 3, 4)))).data, name="gate")
+    pre = param(3.0 * rng.normal((2, 3, 4)), name="pre")
     a = param(rng.normal((2, 3, 4)), name="a")
     x = param(rng.normal((2, 3, 4)), name="x")
     probe = Rng(26).normal((2, 3, 4))
     check_op_grads(
-        lambda: T.tsum(T.gate_mix(gate, a, x) * T.tensor(probe)),
-        [gate, a, x])
-    want = gate.data * a.data + (1.0 - gate.data) * x.data
-    assert rel_err(T.gate_mix(gate, a, x).data, want) < 1e-14
+        lambda: T.tsum(T.gate_mix(pre, a, x) * T.tensor(probe)),
+        [pre, a, x])
+    gate = expit(pre.data)
+    want = gate * a.data + (1.0 - gate) * x.data
+    assert rel_err(T.gate_mix(pre, a, x).data, want) < 1e-14
+
+
+def test_gate_mix_equals_node_chain():
+    # against x + sigmoid(pre) * (a - x) built from separate nodes
+    rng = Rng(61)
+    params = [param(rng.normal((3, 5, 4)), name=n) for n in ("pre", "a", "x")]
+    pre, a, x = params
+    probe = T.tensor(rng.normal((3, 5, 4)))
+    fused = T.gate_mix(pre, a, x)
+    chain = x + T.sigmoid(pre) * (a - x)
+    assert rel_err(fused.data, chain.data) < 1e-12
+    want = grad(T.tsum(chain * probe), params)
+    got = grad(T.tsum(fused * probe), params)
+    for p, g, h in zip(params, got, want):
+        assert rel_err(g, h) < 1e-12, p.name
+    with pytest.raises(ValueError, match="gate_mix expects one shape"):
+        T.gate_mix(pre, a, T.tensor(np.zeros((3, 5, 3))))
+
+
+def test_layer_norm_residual_equals_node_chain():
+    # layer_norm(x, residual=r) against layer_norm(x + r), and the
+    # residual's gradient against central differences
+    rng = Rng(62)
+    x = param(rng.normal((2, 5, 6)), name="x")
+    r = param(rng.normal((2, 5, 6)), name="residual")
+    gain = param(np.abs(rng.normal((6,))) + 0.5, name="gain")
+    bias = param(rng.normal((6,)), name="bias")
+    probe = T.tensor(rng.normal((2, 5, 6)))
+    params = [x, gain, bias, r]
+    fused = T.layer_norm(x, gain, bias, residual=r)
+    chain = T.layer_norm(x + r, gain, bias)
+    assert rel_err(fused.data, chain.data) < 1e-12
+    want = grad(T.tsum(chain * probe), params)
+    got = grad(T.tsum(fused * probe), params)
+    for p, g, h in zip(params, got, want):
+        assert rel_err(g, h) < 1e-12, p.name
+    check_op_grads(
+        lambda: T.tsum(T.layer_norm(x, gain, bias, residual=r) * probe),
+        params, tol=1e-5)
+    with pytest.raises(ValueError, match="residual shape"):
+        T.layer_norm(x, gain, bias, residual=T.tensor(np.zeros((2, 6))))
 
 
 def _layer_norm_two_pass(x, gain, bias, g, eps=1e-5):

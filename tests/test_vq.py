@@ -75,6 +75,27 @@ def test_assign_matches_brute_force():
             assert got[i] == brute_force_assign(X[i], cb.C)
 
 
+def test_assign_float32_matches_float64_brute_force():
+    # float32 keys and codewords against a float64 argmin of the true
+    # squared distance, wherever the float64 gap between the best and the
+    # second-best code is wider than what float32 can resolve
+    rng = Rng(2)
+    for S, D in ((64, 16), (256, 16), (7, 3)):
+        C = rng.normal((S, D)).astype(np.float32)
+        cb = Codebook(C=C, ema_count=np.ones(S, np.float32),
+                      ema_sum=C.copy())
+        X = rng.normal((4, 512, D)).astype(np.float32)
+        got = assign_batch(X, cb).reshape(-1)
+        x64, c64 = X.reshape(-1, D).astype(np.float64), C.astype(np.float64)
+        d64 = ((x64[:, None, :] - c64[None]) ** 2).sum(-1)
+        want = d64.argmin(-1)
+        two = np.sort(d64, axis=-1)[:, :2]
+        scale = (x64 * x64).sum(-1) + (c64 * c64).sum(-1).max()
+        clear = two[:, 1] - two[:, 0] > 64 * np.finfo(np.float32).eps * scale
+        assert clear.mean() > 0.9
+        np.testing.assert_array_equal(got[clear], want[clear])
+
+
 # ---------------------------------------------------------------------------
 # straight-through
 
