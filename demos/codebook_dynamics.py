@@ -12,22 +12,24 @@ import numpy as np
 from longvq.rng import Rng
 from longvq.tensor import set_precision
 from longvq.vq import (
-    Codebook, assign_batch, codebook_perplexity, ema_update, seed_codebook,
+    EMA_ETA, Codebook, assign_batch, codebook_perplexity, ema_update,
+    seed_codebook,
 )
 
 set_precision("float64")
 rng = Rng(0, "demo-vq")
 
-print("1) one codeword chasing a fixed vector, eta=0.9:")
+print(f"1) one codeword chasing a fixed vector, eta={EMA_ETA}:")
 cb = Codebook(C=rng.normal((1, 2)), ema_count=np.ones(1),
-              ema_sum=np.zeros((1, 2)), eta=0.9)
+              ema_sum=np.zeros((1, 2)))
 cb.ema_sum[:] = cb.C
 target = np.array([[2.0, -1.0]])
 for step in range(8):
     dist = float(np.linalg.norm(cb.C - target))
     print(f"   step {step}: |C - v| = {dist:.6f}")
     ema_update(cb, target, np.zeros(1, dtype=int))
-print("   each line is 0.9x the one before: the EMA is a geometric decay")
+print(f"   each line is {EMA_ETA}x the one before: the EMA is a geometric "
+      f"decay")
 
 print("\n2) assignment perplexity under healthy vs collapsed keys, S=32:")
 keys_spread = rng.normal((512, 8))

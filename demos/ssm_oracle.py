@@ -39,8 +39,8 @@ for j in range(0, L, 8):
     print(f"  k[{j:2d}] {k[j]:+9.5f} {bar}")
 
 u = rng.normal((L,))
-y_conv = T.conv_causal_channels(T.Tensor(k[None]),
-                                T.Tensor(u[None, :, None])).data[0, :, 0]
+y_conv = T.conv_causal_channels(T.Tensor(k[None]), T.Tensor(u[None, :, None]),
+                                np.zeros(1)).data[0, :, 0]
 y_scan = scan_recurrent(d, u)
 print(f"\nconvolution vs recurrence on random input: "
       f"max abs diff {np.max(np.abs(y_conv - y_scan)):.3e}")

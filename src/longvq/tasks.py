@@ -164,7 +164,7 @@ def _read_batch_file(path):
     return pixels, labels
 
 
-def load_pixel_sequences(path, grayscale=False, split_seed=0):
+def load_pixel_sequences(path, grayscale=False):
     """All six CIFAR-10 batches as length-1024 uint8 sequences.
 
     Returns dict with train/val/test arrays; validation is a withheld
@@ -178,7 +178,7 @@ def load_pixel_sequences(path, grayscale=False, split_seed=0):
     X = np.concatenate(xs)
     Y = np.concatenate(ys)
     tx, ty = _read_batch_file(os.path.join(path, TEST_FILE))
-    perm = Rng(split_seed, "pixel-split").permutation(X.shape[0])
+    perm = Rng(0, "pixel-split").permutation(X.shape[0])
     n_val = X.shape[0] // 10
     val_idx, tr_idx = perm[:n_val], perm[n_val:]
     out = {"train_x": X[tr_idx], "train_y": Y[tr_idx],

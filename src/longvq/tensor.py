@@ -21,13 +21,22 @@ context manager before creating tensors.
 Shape conventions used throughout the package: sequences are batched
 (B, L, d), and a single sequence is B = 1; matrices are row-major. The
 one convolution op, ``conv_causal_channels``, takes a (d, L) kernel bank,
-a (B, L, d) input and an optional (d,) skip. The attention functions are
-not defined here: each is one numpy pair in ``factored.phi_table``.
+a (B, L, d) input and a (d,) skip. ``cross_entropy`` takes (..., C)
+logits, so one call serves a per-position head and a per-sequence one.
+The attention functions are not defined here: each is one numpy pair in
+``factored.phi_table``.
+
+The ops are the ones the package calls: ``add``, ``sub`` and ``mul``
+(with the ``+``, ``-`` and ``*`` operators), ``linear``, ``gate_mix``,
+``silu``, ``layer_norm``, ``conv_causal_channels``, ``gather_rows``,
+``tsum``/``tmean`` and ``cross_entropy`` build the model and its loss;
+``matmul``, ``transpose``, ``softmax_rows`` and ``band_bias_add`` build
+the quadratic dense oracle. ``sigmoid`` is the reference that ``gate_mix``
+and ``silu`` are tested against.
 
 Dense sublayers are fused ops, one tape node each. ``linear`` is the
 projection x @ W + b: every projection of the model is one ``linear``
-node, and ``matmul`` serves the quadratic dense oracle (scores and
-weighted values), not the projections. ``gate_mix`` is the gated residual
+node, not a ``matmul`` and an ``add``. ``gate_mix`` is the gated residual
 x + sigmoid(pre) * (a - x) from the gate's pre-activation, and
 ``layer_norm`` normalizes each row, of x or of x + residual, in one node.
 ``conv_causal_channels`` adds its per-channel skip term inside its node.
@@ -44,9 +53,8 @@ from scipy.fft import irfft, rfft
 __all__ = [
     "Tensor", "NumericsError", "set_precision", "get_dtype", "precision",
     "no_grad", "tensor", "param", "grad", "finite_diff", "zero_grads",
-    "add", "sub", "mul", "div", "neg", "matmul", "linear", "gate_mix",
-    "transpose", "reshape",
-    "stack", "gather_rows", "tsum", "tmean", "sigmoid", "silu",
+    "add", "sub", "mul", "matmul", "linear", "gate_mix", "transpose",
+    "gather_rows", "tsum", "tmean", "sigmoid", "silu",
     "softmax_rows", "cross_entropy",
     "conv_causal_channels", "band_bias_add", "layer_norm", "set_backward_fault",
     "backward_fault_hits",
@@ -56,6 +64,7 @@ _DTYPE = np.float32
 _NO_GRAD = False
 _FAULT_OP = None
 _FAULT_HITS = 0
+_LN_EPS = 1e-5
 
 
 class NumericsError(RuntimeError):
@@ -169,29 +178,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
 
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
     def __rmul__(self, other):
         return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def backward(self, seed=None):
         """Reverse-mode sweep from this node; accumulates into the leaves'
@@ -337,24 +331,12 @@ def mul(a, b):
                               _unbroadcast(g * a.data, b.data.shape)), "mul")
 
 
-def div(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data / b.data
-    return make_op(out, (a, b),
-                   lambda g: (_unbroadcast(g / b.data, a.data.shape),
-                              _unbroadcast(-g * out / b.data, b.data.shape)),
-                   "div")
-
-
-def neg(a):
-    return make_op(-a.data, (a,), lambda g: (-g,), "neg")
-
-
 def matmul(a, b):
     """Matrix product on the last two axes, leading axes broadcast."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
-        raise ValueError("matmul expects tensors with ndim >= 2")
+        raise ValueError(f"matmul expects tensors with ndim >= 2; got "
+                         f"{a.data.shape} and {b.data.shape}")
     out = a.data @ b.data
 
     def vjp(g):
@@ -426,44 +408,31 @@ def gate_mix(pre, a, x):
     return make_op(out, (pre, a, x), vjp, "gate_mix")
 
 
-def transpose(a, axes=None):
-    """Permute axes; default swaps the last two."""
-    if axes is None:
-        axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
-    inv = np.argsort(axes)
-    return make_op(np.transpose(a.data, axes), (a,),
-                   lambda g: (np.transpose(g, inv),), "transpose")
-
-
-def reshape(a, shape):
-    old = a.data.shape
-    return make_op(a.data.reshape(shape), (a,),
-                   lambda g: (g.reshape(old),), "reshape")
-
-
-def stack(tensors, axis=0):
-    """Stack equal-shaped tensors along a new axis."""
-    tensors = [_as_tensor(t) for t in tensors]
-    out = np.stack([t.data for t in tensors], axis=axis)
-
-    def vjp(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
-
-    return make_op(out, tuple(tensors), vjp, "stack")
+def transpose(a):
+    """Swap the last two axes."""
+    return make_op(np.swapaxes(a.data, -1, -2), (a,),
+                   lambda g: (np.swapaxes(g, -1, -2),), "transpose")
 
 
 def _first_out_of_range(idx, n):
-    """Index tuple of the first entry of idx outside [0, n), or None."""
+    """Position of the first entry of idx outside [0, n), or None."""
     if idx.size == 0 or (idx.min() >= 0 and idx.max() < n):
         return None
-    return tuple(int(i) for i in np.argwhere((idx < 0) | (idx >= n))[0])
+    return _position(np.argwhere((idx < 0) | (idx >= n))[0])
+
+
+def _position(at):
+    """An index row of np.argwhere as an int (1-D) or a tuple, for errors."""
+    at = tuple(int(i) for i in at)
+    return at[0] if len(at) == 1 else at
 
 
 def gather_rows(table, idx):
     """table[idx] for a 2-D table and integer index array of any shape."""
     idx = np.asarray(idx)
     if table.ndim != 2:
-        raise ValueError("gather_rows expects a 2-D table")
+        raise ValueError(f"gather_rows expects a 2-D table; got shape "
+                         f"{table.data.shape}")
     at = _first_out_of_range(idx, table.shape[0])
     if at is not None:
         raise ValueError(f"gather_rows index {idx[at]} at position {at} is "
@@ -490,24 +459,22 @@ def _row_sums(idx, rows, n):
     return out
 
 
-def tsum(a, axis=None, keepdims=False):
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a, axis=None):
+    """Sum over one axis, or over every axis when axis is None."""
+    out = a.data.sum(axis=axis)
 
     def vjp(g):
         g = np.asarray(g)
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.data.shape).copy(),)
 
     return make_op(np.asarray(out, dtype=a.data.dtype), (a,), vjp, "sum")
 
 
-def tmean(a, axis=None, keepdims=False):
-    if axis is None:
-        n = a.data.size
-    else:
-        n = a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+def tmean(a, axis=None):
+    n = a.data.size if axis is None else a.data.shape[axis]
+    return mul(tsum(a, axis=axis), 1.0 / n)
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +535,11 @@ def softmax_rows(a, mask=None):
     x = a.data
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if not mask.any(axis=-1).all():
-            raise NumericsError("softmax_rows: fully masked row")
+        empty = ~mask.any(axis=-1)
+        if empty.any():
+            raise NumericsError(f"softmax_rows: row "
+                                f"{_position(np.argwhere(empty)[0])} is "
+                                f"fully masked")
         neg = np.finfo(x.dtype).min / 4
         x = np.where(mask, x, neg)
     m = x.max(axis=-1, keepdims=True)
@@ -586,19 +556,26 @@ def softmax_rows(a, mask=None):
 
 
 def cross_entropy(logits, targets):
-    """Mean negative log-likelihood of integer targets.
+    """Mean negative log-likelihood of integer targets over every position.
 
-    logits: (N, C); targets: (N,) ints. Stable log-sum-exp; gradient is
-    (softmax - onehot)/N.
+    logits: (..., C); targets: ints of shape logits.shape[:-1], so (B, C)
+    logits of a per-sequence head and (B, L, C) logits of a per-position
+    head take the same call. The op works on the N = prod(...) rows of
+    the flattened logits, with a stable log-sum-exp; the gradient is
+    (softmax - onehot)/N, shaped back to the logits.
     """
-    x = logits.data
+    shape = logits.data.shape
     t = np.asarray(targets)
-    if x.ndim != 2 or t.shape != (x.shape[0],):
-        raise ValueError("cross_entropy expects (N, C) logits and (N,) targets")
-    at = _first_out_of_range(t, x.shape[1])
+    if logits.ndim < 1 or t.shape != shape[:-1]:
+        raise ValueError(f"cross_entropy expects (..., C) logits and targets "
+                         f"of shape logits.shape[:-1]; got {shape} and "
+                         f"{t.shape}")
+    at = _first_out_of_range(t, shape[-1])
     if at is not None:
-        raise ValueError(f"cross_entropy target {t[at]} at position {at[0]} "
-                         f"is outside [0, {x.shape[1]})")
+        raise ValueError(f"cross_entropy target {t[at]} at position {at} "
+                         f"is outside [0, {shape[-1]})")
+    x = logits.data.reshape(-1, shape[-1])
+    t = t.reshape(-1)
     m = x.max(axis=1, keepdims=True)
     e = np.exp(x - m)
     z = e.sum(axis=1, keepdims=True)
@@ -609,7 +586,7 @@ def cross_entropy(logits, targets):
     def vjp(g):
         p = e / z
         p[np.arange(n), t] -= 1.0
-        return (g * p / n,)
+        return ((g * p / n).reshape(shape),)
 
     return make_op(np.asarray(loss, dtype=x.dtype), (logits,), vjp,
                    "cross_entropy")
@@ -622,11 +599,11 @@ def _next_pow2(n):
     return 1 << (int(n - 1)).bit_length()
 
 
-def conv_causal_channels(kernels, x, skip=None):
-    """Per-channel causal convolution of a batched sequence, plus an
-    optional per-channel feedthrough.
+def conv_causal_channels(kernels, x, skip):
+    """Per-channel causal convolution of a batched sequence, plus a
+    per-channel feedthrough.
 
-    kernels: (d, L); x: (B, L, d); skip: optional (d,). Channel c of every
+    kernels: (d, L); x: (B, L, d); skip: (d,). Channel c of every
     batch element is convolved with kernels[c]: out[b, t, c] = sum_{j<=t}
     kernels[c, j] * x[b, t-j, c] + skip[c] * x[b, t, c]. The convolution
     uses zero-padded FFTs of length >= 2L; the skip term is added in the
@@ -636,8 +613,10 @@ def conv_causal_channels(kernels, x, skip=None):
     The tape keeps only the (F, d) kernel spectrum. The backward takes the
     spectrum of g once, recomputes that of x, and gets both gradients as
     cross-correlations from conjugate spectra; dk is summed over the batch
-    before its one inverse transform. With a skip, dx gains g * skip and
-    d(skip) is the column sum of g * x over every (b, t) row.
+    before its one inverse transform. dx gains g * skip and d(skip) is
+    the column sum of g * x over every (b, t) row. The output and dx are
+    copies of the first L steps of their padded inverse transforms, so
+    neither pins a buffer of twice its size, at B = 1 too.
 
     The transforms are scipy.fft's, not numpy's. numpy 2.4's float32 rfft
     over the strided L axis is about three times slower: 9.3 vs 3.0 ms at
@@ -648,41 +627,34 @@ def conv_causal_channels(kernels, x, skip=None):
     went from 36 to 17 ms at the first shape and from 49 to 26 ms at the
     second. scipy.fft runs on one thread unless asked for more.
     """
-    kernels, x = _as_tensor(kernels), _as_tensor(x)
+    kernels, x, skip = _as_tensor(kernels), _as_tensor(x), _as_tensor(skip)
     if x.ndim != 3:
         raise ValueError(f"input must be (B, L, d), got shape {x.data.shape}")
     B, L, d = x.data.shape
     if kernels.data.shape != (d, L):
         raise ValueError(
             f"kernel bank shape {kernels.data.shape} != ({d}, {L})")
-    parents = (kernels, x)
-    if skip is not None:
-        skip = _as_tensor(skip)
-        if skip.data.shape != (d,):
-            raise ValueError(f"skip shape {skip.data.shape} != ({d},)")
-        parents += (skip,)
-    dtype = np.result_type(*(p.data for p in parents))
+    if skip.data.shape != (d,):
+        raise ValueError(f"skip shape {skip.data.shape} != ({d},)")
+    dtype = np.result_type(kernels.data, x.data, skip.data)
     n = _next_pow2(2 * L)
     kf = rfft(kernels.data.T, n=n, axis=0)  # (F, d)
     out = irfft(kf * rfft(x.data, n=n, axis=1), n=n, axis=1)
-    out = np.ascontiguousarray(out[:, :L], dtype=dtype)
-    if skip is not None:
-        out += skip.data * x.data
+    out = np.array(out[:, :L], dtype=dtype, order="C")
+    out += skip.data * x.data
 
     def vjp(g):
         gf = rfft(g, n=n, axis=1)
-        dx = irfft(kf.conj() * gf, n=n, axis=1)[:, :L]
+        dx = irfft(kf.conj() * gf, n=n, axis=1)
         xf = rfft(x.data, n=n, axis=1)
         dk = irfft((xf.conj() * gf).sum(axis=0), n=n, axis=0)[:L]
         dk = np.ascontiguousarray(dk.T, dtype=dtype)
-        dx = np.ascontiguousarray(dx, dtype=dtype)
-        if skip is None:
-            return dk, dx
+        dx = np.array(dx[:, :L], dtype=dtype, order="C")
         dx += g * skip.data
         gx = (g * x.data).reshape(-1, d)
         return dk, dx, np.ones(gx.shape[0], dtype=gx.dtype) @ gx
 
-    return make_op(out, parents, vjp, "conv_causal_channels")
+    return make_op(out, (kernels, x, skip), vjp, "conv_causal_channels")
 
 
 # ---------------------------------------------------------------------------
@@ -725,11 +697,11 @@ def band_bias_add(scores, bias, w, causal):
 # ---------------------------------------------------------------------------
 # normalizers
 
-def layer_norm(x, gain, bias, eps=1e-5, residual=None):
+def layer_norm(x, gain, bias, residual=None):
     """Per-position normalization over the channel (last) axis, with a
-    (d,) gain and bias. With a residual of x's shape it normalizes
-    x + residual: the sum is a temporary of the forward, not a tape node,
-    and both inputs get the same gradient.
+    (d,) gain and bias and a variance floor of _LN_EPS. With a residual of
+    x's shape it normalizes x + residual: the sum is a temporary of the
+    forward, not a tape node, and both inputs get the same gradient.
 
     Row means are products with a (d, 1) column of 1/d, not
     mean(axis=-1): numpy's reduction over a short last axis is about five
@@ -742,7 +714,8 @@ def layer_norm(x, gain, bias, eps=1e-5, residual=None):
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise ValueError(f"layer_norm gain and bias must have shape ({d},)")
+        raise ValueError(f"layer_norm gain and bias must have shape ({d},); "
+                         f"got {gain.data.shape} and {bias.data.shape}")
     parents = (x, gain, bias)
     x2 = x.data.reshape(-1, d)
     if residual is not None:
@@ -756,7 +729,7 @@ def layer_norm(x, gain, bias, eps=1e-5, residual=None):
     xn = x2 - x2 @ col
     sq = np.square(xn)
     inv = sq @ col
-    inv += eps
+    inv += _LN_EPS
     np.sqrt(inv, out=inv)
     np.reciprocal(inv, out=inv)
     xn *= inv

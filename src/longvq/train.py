@@ -13,7 +13,6 @@ import numpy as np
 from .factored import attn_row_entropy
 from .tensor import (
     NumericsError, Tensor, cross_entropy, finite_diff, grad, no_grad,
-    reshape,
 )
 from .rng import Rng
 from .vq import codebook_perplexity, commit_loss, ema_update
@@ -64,21 +63,19 @@ def lr_at(cfg, step):
 def total_loss(model, x, y, gamma, frozen=None):
     """CE plus gamma * mean per-layer commitment loss.
 
+    The CE and the accuracy are means over every target, whatever the
+    head: (B,) targets of a per-sequence head and (B, L) targets of a
+    per-position one go through the same cross_entropy call and the same
+    argmax over the last axis.
+
     Returns (loss tensor, parts dict, auxes); parts carries floats only.
     frozen, when given, replays recorded quantizations (see
     LongVQLayer.__call__).
     """
     logits, auxes = model(x, frozen=frozen)
-    if model.cfg.head == "per_position_lm":
-        B, L, C = logits.data.shape
-        flat = reshape(logits, (B * L, C))
-        tgt = np.asarray(y).reshape(-1)
-        ce = cross_entropy(flat, tgt)
-        pred = logits.data.argmax(axis=2)
-        acc = float((pred == np.asarray(y)).mean())
-    else:
-        ce = cross_entropy(logits, y)
-        acc = float((logits.data.argmax(axis=1) == np.asarray(y)).mean())
+    y = np.asarray(y)
+    ce = cross_entropy(logits, y)
+    acc = float((logits.data.argmax(axis=-1) == y).mean())
     parts = {"ce": float(ce.data), "acc": acc}
     if gamma == 0.0:
         parts["vq"] = 0.0

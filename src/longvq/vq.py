@@ -21,6 +21,9 @@ __all__ = [
     "EMA_EPSILON",
 ]
 
+# The EMA decay eta and the Laplace smoothing epsilon of ema_update. They
+# are fixed: a checkpoint holds C and the two accumulators, and these
+# constants are the rest of a codebook's state.
 EMA_ETA = 0.99
 EMA_EPSILON = 1e-5
 
@@ -30,8 +33,6 @@ class Codebook:
     C: np.ndarray          # (S, D) codewords
     ema_count: np.ndarray  # (S,) N_s accumulators, >= 0
     ema_sum: np.ndarray    # (S, D) m_s accumulators
-    eta: float = EMA_ETA
-    epsilon: float = EMA_EPSILON
 
     @property
     def S(self):
@@ -80,18 +81,20 @@ def ema_update(cb, K_batch, z):
 
     N_s <- eta*N_s + (1-eta)*count_s
     m_s <- eta*m_s + (1-eta)*sum_{z_i=s} K_i
-    C_s <- m_s / N~_s with Laplace-smoothed N~_s; codes never hit keep
-    their initialization (up to smoothing drift).
+    C_s <- m_s / N~_s with N~_s Laplace-smoothed by epsilon; codes never
+    hit keep their initialization (up to smoothing drift). eta and
+    epsilon are EMA_ETA and EMA_EPSILON.
     """
     k = K_batch.data if isinstance(K_batch, Tensor) else np.asarray(K_batch)
     k = k.reshape(-1, cb.D)
     zf = np.asarray(z).reshape(-1)
     counts = np.bincount(zf, minlength=cb.S).astype(cb.ema_count.dtype)
     sums = _row_sums(zf, k, cb.S)
-    cb.ema_count = cb.eta * cb.ema_count + (1.0 - cb.eta) * counts
-    cb.ema_sum = cb.eta * cb.ema_sum + (1.0 - cb.eta) * sums
+    cb.ema_count = EMA_ETA * cb.ema_count + (1.0 - EMA_ETA) * counts
+    cb.ema_sum = EMA_ETA * cb.ema_sum + (1.0 - EMA_ETA) * sums
     total = cb.ema_count.sum()
-    smoothed = (cb.ema_count + cb.epsilon) / (total + cb.S * cb.epsilon) * total
+    smoothed = (cb.ema_count + EMA_EPSILON) / (total + cb.S * EMA_EPSILON)
+    smoothed *= total
     cb.C = cb.ema_sum / smoothed[:, None]
 
 

@@ -28,7 +28,7 @@ from longvq.ssm import (
 from longvq.tasks import find_pixel_data
 from longvq.tensor import Tensor, precision
 from longvq.train import gradcheck_model, total_loss, train_loop
-from longvq.vq import Codebook, ema_update
+from longvq.vq import EMA_ETA, Codebook, ema_update
 
 
 def _seed(name):
@@ -106,7 +106,8 @@ def test_ssm_convolution_equals_recurrence(capsys):
             u = r.normal((L,))
             k = materialize_kernel(d, L)[None]
             y_conv = T.conv_causal_channels(
-                Tensor(k), Tensor(u[None, :, None])).data[0, :, 0]
+                Tensor(k), Tensor(u[None, :, None]),
+                np.zeros(1)).data[0, :, 0]
             worst = max(worst, float(np.max(np.abs(y_conv
                                                    - scan_recurrent(d, u)))))
     el = time.time() - t0
@@ -176,8 +177,7 @@ def test_codebook_ema_contraction_and_batch_means(capsys):
         r = Rng(_seed("accept-ema"))
         S, D = 4, 3
         C = r.normal((S, D))
-        cb = Codebook(C=C.copy(), ema_count=np.ones(S), ema_sum=C.copy(),
-                      eta=0.99)
+        cb = Codebook(C=C.copy(), ema_count=np.ones(S), ema_sum=C.copy())
         targets = r.normal((S, D))
         prev = np.linalg.norm(cb.C - targets, axis=1)
         ratio_err = 0.0
@@ -185,17 +185,17 @@ def test_codebook_ema_contraction_and_batch_means(capsys):
             ema_update(cb, targets, np.arange(S))
             cur = np.linalg.norm(cb.C - targets, axis=1)
             ratio_err = max(ratio_err,
-                            float(np.max(np.abs(cur / prev - 0.99))))
+                            float(np.max(np.abs(cur / prev - EMA_ETA))))
             prev = cur
-        C0 = r.normal((S, D))
-        cb0 = Codebook(C=C0.copy(), ema_count=np.ones(S), ema_sum=C0.copy(),
-                       eta=0.0)
+        # from zero accumulators the codewords are the batch means
+        cb0 = Codebook(C=r.normal((S, D)), ema_count=np.zeros(S),
+                       ema_sum=np.zeros((S, D)))
         K = r.normal((4 * S, D))
         z = np.repeat(np.arange(S), 4)
         ema_update(cb0, K, z)
         mean_err = max(float(np.max(np.abs(cb0.C[s] - K[z == s].mean(0))))
                        for s in range(S))
-    _line(capsys, "ema codebook: eta contraction and eta=0 batch means",
+    _line(capsys, "ema codebook: eta contraction and zero-history batch means",
           ratio_err < 1e-6 and mean_err < 1e-12,
           f"contraction off by {ratio_err:.2e} < 1e-6, "
           f"batch-mean err {mean_err:.2e}")

@@ -190,8 +190,7 @@ def test_gradients_flow_to_all_params():
     model = Model(lm_cfg(depth=1), Rng(18))
     tok = Rng(19).integers(0, 11, (2, 12))
     logits, auxes = model(tok)
-    loss = T.cross_entropy(T.reshape(logits, (24, 11)),
-                           Rng(20).integers(0, 11, (24,)))
+    loss = T.cross_entropy(logits, Rng(20).integers(0, 11, (2, 12)))
     gs = T.grad(loss, model.params())
     zero = [p.name for p, g in zip(model.params(), gs)
             if np.max(np.abs(g)) == 0.0]
@@ -230,6 +229,24 @@ def test_backward_releases_interior_nodes(impl):
     assert x.grad is not None and x.grad.shape == x.shape
 
 
+@pytest.mark.parametrize("cfg, y", [
+    (lm_cfg(depth=1), Rng(52).integers(0, 11, (3, 10))),
+    (small_cfg(depth=1), np.array([2, 0, 1])),
+], ids=["lm", "classify"])
+def test_total_loss_is_the_flattened_cross_entropy(cfg, y):
+    # one cross_entropy call on the head's logits, whatever their rank:
+    # the CE and accuracy of the (B * L, C) and (B,) flattened forms
+    model = Model(cfg, Rng(50))
+    x = Rng(51).normal((3, 10, 2)) if cfg.in_dim else \
+        Rng(51).integers(0, 11, (3, 10))
+    _, parts, _ = total_loss(model, x, y, 0.0)
+    logits = model(x)[0].data
+    flat = logits.reshape(-1, logits.shape[-1])
+    ce = T.cross_entropy(Tensor(flat), y.reshape(-1))
+    assert parts["ce"] == ce.item()
+    assert parts["acc"] == float((flat.argmax(axis=1) == y.reshape(-1)).mean())
+
+
 def test_tape_census_lm_recipe():
     # the lm benchmark recipe at L=32: every interior node's array is
     # named below by its width in (B, L, .) rows. Per block, the SSM conv
@@ -237,6 +254,7 @@ def test_tape_census_lm_recipe():
     # residual, so none of those joins is a node of its own. Two arrays
     # per block are still read by no backward: the gate_mix output and
     # the FFN w2 output, which norm1 and norm2 read only in the forward.
+    # The loss takes the (B, L, n_out) logits as they are: no reshape.
     B, L, d, f, z, v, n_out = 4, 32, 64, 64, 16, 32, 16
     with precision("float32"):
         cfg = ModelConfig(depth=2, d_model=d, S=64, head="per_position_lm",
@@ -252,10 +270,10 @@ def test_tape_census_lm_recipe():
              + 2 * f    # w1, silu
              + 6 * v    # ga, silu G_a, v, silu V, attn, G_a * O
              + 5 * z)   # q, k, quantize, commit diff, its square
-    rows = 2 * block + d + 2 * n_out     # embed; head logits and reshape
+    rows = 2 * block + d + n_out         # embed; head logits
     want = 4 * (B * L * rows + 2 * d * L + 9)   # + ssm kernels, 9 scalars
     census = sorted((n._op, n.data.shape) for n in interior)
-    assert len(interior) == 56, census
+    assert len(interior) == 55, census
     assert sum(n.data.nbytes for n in interior) == want, census
 
 

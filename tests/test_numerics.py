@@ -79,10 +79,10 @@ def test_disconnected_param_gets_zero():
 
 
 def test_nonfinite_raises_naming_op():
-    a = T.tensor(np.array([1.0, 0.0]))
-    b = T.tensor(np.array([0.0, 0.0]))
-    with pytest.raises(NumericsError, match="div"):
-        T.div(a, b)
+    a = T.tensor(np.array([1.0, 1e300]))
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericsError, match="op 'mul'"):
+        T.mul(a, a)
 
 
 def test_backward_fault_hook_flips_sign():
@@ -135,7 +135,7 @@ def test_softmax_mask_zeroes_disallowed():
 def test_softmax_fully_masked_row_raises():
     x = T.tensor(np.zeros((2, 3)))
     mask = np.array([[True, True, True], [False, False, False]])
-    with pytest.raises(NumericsError):
+    with pytest.raises(NumericsError, match="row 1 is fully masked"):
         T.softmax_rows(x, mask=mask)
 
 
@@ -157,6 +157,26 @@ def test_cross_entropy_rejects_out_of_range_target(bad):
     with pytest.raises(ValueError, match=rf"target {bad} at position 2 is "
                                          r"outside \[0, 8\)"):
         cross_entropy(T.tensor(np.zeros((5, 8))), t)
+    # (B, L) targets are named by their (b, t) position
+    with pytest.raises(ValueError, match=rf"target {bad} at position "
+                                         r"\(0, 1\) is outside"):
+        cross_entropy(T.tensor(np.zeros((2, 2, 8))), t[1:].reshape(2, 2))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: T.matmul(T.tensor(np.zeros((2, 3))), T.tensor(np.zeros(3))),
+     r"ndim >= 2; got \(2, 3\) and \(3,\)"),
+    (lambda: T.gather_rows(T.tensor(np.zeros((2, 3, 4))), np.zeros(2, int)),
+     r"2-D table; got shape \(2, 3, 4\)"),
+    (lambda: T.layer_norm(T.tensor(np.zeros((2, 4))), T.tensor(np.ones(4)),
+                          T.tensor(np.zeros(3))),
+     r"shape \(4,\); got \(4,\) and \(3,\)"),
+    (lambda: cross_entropy(T.tensor(np.zeros((2, 3, 8))), np.zeros(6, int)),
+     r"got \(2, 3, 8\) and \(6,\)"),
+], ids=["matmul", "gather_rows", "layer_norm", "cross_entropy"])
+def test_shape_errors_name_what_the_op_got(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 @pytest.mark.parametrize("bad", [-1, 6])
@@ -176,7 +196,7 @@ def test_conv_causal_matches_direct_summation():
     for L in (1, 2, 7, 64):
         k = rng.normal((d, L))
         x = rng.normal((B, L, d))
-        out = conv_causal_channels(T.tensor(k), T.tensor(x)).data
+        out = conv_causal_channels(T.tensor(k), T.tensor(x), np.zeros(d)).data
         ref = np.zeros((B, L, d))
         for t in range(L):
             for j in range(t + 1):
@@ -190,20 +210,34 @@ def test_conv_causal_channels_matches_per_channel():
     B, L, d = 2, 33, 5
     ker = rng.normal((d, L))
     x = rng.normal((B, L, d))
-    out = conv_causal_channels(T.tensor(ker), T.tensor(x)).data
+    skip = rng.normal((d,))
+    out = conv_causal_channels(T.tensor(ker), T.tensor(x), skip).data
     for c in range(d):
         ref = conv_causal_channels(T.tensor(ker[c:c + 1]),
-                                   T.tensor(x[:, :, c:c + 1])).data
+                                   T.tensor(x[:, :, c:c + 1]),
+                                   skip[c:c + 1]).data
         np.testing.assert_allclose(out[:, :, c:c + 1], ref, atol=1e-11)
 
 
 def test_conv_causal_channels_rejects_bad_shapes():
     with pytest.raises(ValueError, match="kernel bank shape"):
         conv_causal_channels(T.tensor(np.zeros((3, 4))),
-                             T.tensor(np.zeros((1, 4, 2))))
+                             T.tensor(np.zeros((1, 4, 2))), np.zeros(2))
     with pytest.raises(ValueError, match=r"\(B, L, d\)"):
         conv_causal_channels(T.tensor(np.zeros((1, 4))),
-                             T.tensor(np.zeros(4)))
+                             T.tensor(np.zeros(4)), np.zeros(1))
+
+
+def test_conv_causal_channels_output_owns_its_memory():
+    # a lone sequence's output and dx are copies, not views of the
+    # (1, n >= 2L, d) inverse transforms they were cut from
+    rng = Rng(16)
+    L, d = 256, 4
+    ker, x = param(rng.normal((d, L)), "ker"), param(rng.normal((1, L, d)), "x")
+    out = conv_causal_channels(ker, x, np.ones(d))
+    assert out.data.base is None and out.data.flags.c_contiguous
+    grad(T.tsum(out), [x])
+    assert x.grad.base is None and x.grad.flags.c_contiguous
 
 
 def test_conv_causal_channels_float32_matches_float64():
@@ -213,14 +247,15 @@ def test_conv_causal_channels_float32_matches_float64():
     B, L, d = 2, 1024, 8
     k, x, probe = (rng.normal(s).astype(np.float32)
                    for s in ((d, L), (B, L, d), (B, L, d)))
+    skip = rng.normal((d,)).astype(np.float32)
     res = {}
     for kind in ("float32", "float64"):
         with precision(kind):
-            kt, xt = param(k, name="k"), param(x, name="x")
-            out = conv_causal_channels(kt, xt)
-            dk, dx = grad(T.tsum(out * T.tensor(probe)), [kt, xt])
-            res[kind] = (out.data, dk, dx)
-    for name, a, b in zip(("out", "dk", "dx"), res["float32"],
+            kt, xt, st = param(k, "k"), param(x, "x"), param(skip, "skip")
+            out = conv_causal_channels(kt, xt, st)
+            grads = grad(T.tsum(out * T.tensor(probe)), [kt, xt, st])
+            res[kind] = (out.data, *grads)
+    for name, a, b in zip(("out", "dk", "dx", "dskip"), res["float32"],
                           res["float64"]):
         assert a.dtype == np.float32 and b.dtype == np.float64, name
         err = np.abs(a - b).max() / np.abs(b).max()
@@ -320,14 +355,14 @@ def test_grad_dense_oracle_weight_op(attn_fn):
     check_op_grads(lambda: T.tsum(weights() * weights()), [x])
 
 
-def test_grad_matmul_and_reshape():
+def test_grad_matmul():
     rng = Rng(8)
     a = param(rng.normal((2, 3, 4)), name="a")
     b = param(rng.normal((4, 5)), name="b")
 
     def loss():
         y = T.matmul(a, b)
-        return T.tsum(T.reshape(y, (2, 15)) * T.reshape(y, (2, 15)))
+        return T.tsum(y * y)
 
     check_op_grads(loss, [a, b])
 
@@ -367,14 +402,31 @@ def test_grad_softmax_and_ce():
     check_op_grads(masked, [x])
 
 
+def test_cross_entropy_nd_equals_flattened_call():
+    # (B, L, C) logits against the same logits flattened to (B * L, C):
+    # bitwise the same loss and, shaped back, the same gradient
+    rng = Rng(63)
+    x = rng.normal((3, 5, 7))
+    t = rng.integers(0, 7, (3, 5))
+    nd, flat = param(x, "nd"), param(x.reshape(15, 7), "flat")
+    a, b = cross_entropy(nd, t), cross_entropy(flat, t.reshape(-1))
+    assert a.item() == b.item()
+    (ga,), (gb,) = grad(a, [nd]), grad(b, [flat])
+    assert ga.shape == x.shape
+    np.testing.assert_array_equal(ga, gb.reshape(x.shape))
+    check_op_grads(lambda: cross_entropy(nd, t), [nd])
+
+
 def test_grad_conv_causal():
     # the op feeds the loss twice, so both parents accumulate two grads
     rng = Rng(12)
     for L in (1, 2, 9):
         k = param(rng.normal((2, L)), name="k")
         s = param(rng.normal((3, L, 2)), name="s")
-        check_op_grads(lambda: T.tsum(conv_causal_channels(k, s)
-                                      * conv_causal_channels(k, s)), [k, s])
+        skip = param(rng.normal((2,)), name="skip")
+        check_op_grads(lambda: T.tsum(conv_causal_channels(k, s, skip)
+                                      * conv_causal_channels(k, s, skip)),
+                       [k, s, skip])
 
 
 def test_grad_conv_causal_channels():
@@ -382,13 +434,14 @@ def test_grad_conv_causal_channels():
     ker = param(rng.normal((3, 8)), name="ker")
     x = param(rng.normal((2, 8, 3)), name="x")
     probe = Rng(14).normal((2, 8, 3))
-    check_op_grads(lambda: T.tsum(conv_causal_channels(ker, x)
+    check_op_grads(lambda: T.tsum(conv_causal_channels(ker, x, np.zeros(3))
                                   * T.tensor(probe)), [ker, x])
 
 
 def test_conv_skip_fused_equals_node_chain():
-    # the skip inside the conv node against conv(k, x) + skip * x built
-    # from separate nodes, and d(skip) against central differences
+    # the skip inside the conv node against a zero-skip conv(k, x) +
+    # skip * x built from separate nodes, and d(skip) against central
+    # differences
     rng = Rng(60)
     for B, L, d in ((1, 1, 1), (2, 9, 3), (3, 16, 4)):
         ker = param(rng.normal((d, L)), name="ker")
@@ -397,7 +450,7 @@ def test_conv_skip_fused_equals_node_chain():
         probe = T.tensor(rng.normal((B, L, d)))
         params = [ker, x, skip]
         fused = conv_causal_channels(ker, x, skip)
-        chain = conv_causal_channels(ker, x) + T.mul(skip, x)
+        chain = conv_causal_channels(ker, x, np.zeros(d)) + T.mul(skip, x)
         assert rel_err(fused.data, chain.data) < 1e-12
         want = grad(T.tsum(chain * probe), params)
         got = grad(T.tsum(fused * probe), params)

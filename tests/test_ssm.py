@@ -159,8 +159,8 @@ def test_conv_equals_scan_random_channels():
         d = discretize(ch)
         u = rng.normal((L,))
         k = materialize_kernel(d, L)[None]
-        y_conv = conv_causal_channels(T.Tensor(k),
-                                      T.Tensor(u[None, :, None])).data[0, :, 0]
+        y_conv = conv_causal_channels(T.Tensor(k), T.Tensor(u[None, :, None]),
+                                      np.zeros(1)).data[0, :, 0]
         y_scan = scan_recurrent(d, u)
         assert np.max(np.abs(y_conv - y_scan)) < 1e-6
 

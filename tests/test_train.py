@@ -15,7 +15,7 @@ from longvq.train import (
     assignment_margin,
     clip_grads, global_norm, gradcheck_model, lr_at, total_loss, train_loop,
 )
-from longvq.vq import Codebook, ema_update
+from longvq.vq import EMA_EPSILON, EMA_ETA, Codebook, ema_update
 
 
 @pytest.fixture(autouse=True)
@@ -240,16 +240,21 @@ def test_code_signals_planted():
 
 
 def test_code_drift_planted():
-    # one key (3, 6) on code 0 = (3, 4), eta 0.5, no smoothing: the count
-    # stays 1 and the sum goes to (3, 5), so C_0 moves by 1; the unused
-    # code 1 stays 0, so the drift is 1 / ||(3, 4)|| = 0.2
+    # one key (3, 6) on code 0 = (3, 4): the count stays 1 and the sum
+    # goes to (3, 4 + 2 (1 - eta)), so C_0 moves by about 2 (1 - eta) and
+    # the drift is that over ||(3, 4)|| = 5; the unused code 1 stays 0.
+    # Exactly, C_0 is the sum over its smoothed count
     C = np.array([[3.0, 4.0], [0.0, 0.0]])
-    cb = Codebook(C=C, ema_count=np.ones(2), ema_sum=C.copy(), eta=0.5,
-                  epsilon=0.0)
+    cb = Codebook(C=C, ema_count=np.ones(2), ema_sum=C.copy())
     aux = {"K": Tensor(np.array([[[3.0, 6.0]]])), "z": np.array([[0]])}
     layer = type("Layer", (), {"codebook": cb})()
-    assert _ema_step([layer], [aux]) == [pytest.approx(0.2, rel=1e-15)]
-    np.testing.assert_array_equal(cb.C, [[3.0, 5.0], [0.0, 0.0]])
+    n = np.array([1.0, EMA_ETA])
+    m0 = EMA_ETA * C[0] + (1.0 - EMA_ETA) * np.array([3.0, 6.0])
+    c0 = m0 / ((1.0 + EMA_EPSILON) / (n.sum() + 2 * EMA_EPSILON) * n.sum())
+    drift = np.linalg.norm(c0 - C[0]) / 5.0
+    assert _ema_step([layer], [aux]) == [pytest.approx(drift, rel=1e-12)]
+    assert drift == pytest.approx(2 * (1.0 - EMA_ETA) / 5.0, rel=1e-3)
+    np.testing.assert_allclose(cb.C, [c0, [0.0, 0.0]], rtol=1e-15)
 
 
 def test_loop_deterministic_modulo_wallclock(tmp_path):

@@ -1,6 +1,8 @@
 """Codebook checks: assignment against brute force, straight-through
 pass-through, EMA law, commitment loss, diagnostics, checkpointing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from longvq.attention import AttentionConfig
 from longvq.model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from longvq.rng import Rng
 from longvq.vq import (
-    Codebook, assign_batch, codebook_perplexity, commit_loss,
-    ema_update, quantize_st, seed_codebook,
+    EMA_EPSILON, EMA_ETA, Codebook, assign_batch, codebook_perplexity,
+    commit_loss, ema_update, quantize_st, seed_codebook,
 )
 from longvq.tensor import Tensor, grad, param, precision
 
@@ -21,9 +23,9 @@ def _float64():
         yield
 
 
-def make_cb(S, D, rng, eta=0.99):
+def make_cb(S, D, rng):
     C = rng.normal((S, D))
-    return Codebook(C=C, ema_count=np.ones(S), ema_sum=C.copy(), eta=eta)
+    return Codebook(C=C, ema_count=np.ones(S), ema_sum=C.copy())
 
 
 def brute_force_assign(x, C):
@@ -160,10 +162,13 @@ def test_quantize_codebook_untouched_by_backward():
 # ---------------------------------------------------------------------------
 # EMA law
 
-def test_ema_eta0_balanced_batch_means():
+def test_ema_zero_history_balanced_batch_means():
+    # from zero accumulators both take (1 - eta) of the batch, so the
+    # codewords are the batch means, whatever eta is
     rng = Rng(7)
     S, D = 3, 2
-    cb = make_cb(S, D, rng, eta=0.0)
+    cb = make_cb(S, D, rng)
+    cb.ema_count, cb.ema_sum = np.zeros(S), np.zeros((S, D))
     K = rng.normal((12, D))
     z = np.repeat(np.arange(S), 4)  # balanced: smoothing cancels exactly
     ema_update(cb, K, z)
@@ -174,19 +179,19 @@ def test_ema_eta0_balanced_batch_means():
 def test_ema_eta099_geometric_contraction():
     rng = Rng(8)
     S, D = 4, 3
-    cb = make_cb(S, D, rng, eta=0.99)
+    cb = make_cb(S, D, rng)
     targets = rng.normal((S, D))
     prev = np.linalg.norm(cb.C - targets, axis=1)
     for _ in range(20):
         ema_update(cb, targets, np.arange(S))  # one vector per code
         cur = np.linalg.norm(cb.C - targets, axis=1)
-        np.testing.assert_allclose(cur / prev, 0.99, atol=1e-9)
+        np.testing.assert_allclose(cur / prev, EMA_ETA, atol=1e-9)
         prev = cur
 
 
 def test_ema_unhit_code_decays_and_drifts_only_via_smoothing():
     rng = Rng(9)
-    cb = make_cb(3, 2, rng, eta=0.9)
+    cb = make_cb(3, 2, rng)
     c2_init = cb.C[2].copy()
     K = rng.normal((8, 2))
     z = np.array([0, 0, 0, 0, 1, 1, 1, 1])  # code 2 never hit
@@ -196,10 +201,11 @@ def test_ema_unhit_code_decays_and_drifts_only_via_smoothing():
     # the per-code sums equal np.add.at's: repeated codes, one never hit
     ref = np.zeros_like(m_all)
     np.add.at(ref, z, K)
-    np.testing.assert_allclose(cb.ema_sum, 0.9 * m_all + 0.1 * ref,
+    np.testing.assert_allclose(cb.ema_sum,
+                               EMA_ETA * m_all + (1 - EMA_ETA) * ref,
                                atol=1e-12)
-    np.testing.assert_allclose(cb.ema_count[2], 0.9 * n2, atol=1e-12)
-    np.testing.assert_allclose(cb.ema_sum[2], 0.9 * m2, atol=1e-12)
+    np.testing.assert_allclose(cb.ema_count[2], EMA_ETA * n2, atol=1e-12)
+    np.testing.assert_allclose(cb.ema_sum[2], EMA_ETA * m2, atol=1e-12)
     # position change is bounded by the smoothing scale
     assert np.linalg.norm(cb.C[2] - c2_init) < 1e-3
 
@@ -212,7 +218,8 @@ def test_ema_invariant_c_equals_smoothed_ratio():
         ema_update(cb, K, assign_batch(K, cb))
         assert np.all(cb.ema_count >= 0)
         total = cb.ema_count.sum()
-        smoothed = (cb.ema_count + cb.epsilon) / (total + 5 * cb.epsilon) * total
+        smoothed = (cb.ema_count + EMA_EPSILON) / (total + 5 * EMA_EPSILON) \
+            * total
         np.testing.assert_allclose(cb.C, cb.ema_sum / smoothed[:, None],
                                    atol=1e-12)
 
@@ -295,7 +302,8 @@ def test_seed_codebook_deterministic():
 
 
 def test_codebook_checkpoint_roundtrip(tmp_path):
-    # codebook state travels in the model checkpoint, the one format
+    # codebook state travels in the model checkpoint, the one format;
+    # every field of a Codebook is in it
     cfg = ModelConfig(attn=AttentionConfig("softmax", 2, True, z_dim=3,
                                            v_dim=4),
                       head="mean_pool_classify", n_out=2, depth=1,
@@ -310,5 +318,6 @@ def test_codebook_checkpoint_roundtrip(tmp_path):
         path = str(tmp_path / "ckpt.f32")
         save_checkpoint(path, model)
         cb2 = load_checkpoint(path, Model(cfg, Rng(21))).layers()[0].codebook
-        for a in ("C", "ema_count", "ema_sum"):
-            np.testing.assert_array_equal(getattr(cb, a), getattr(cb2, a))
+        for f in dataclasses.fields(cb):
+            np.testing.assert_array_equal(getattr(cb, f.name),
+                                          getattr(cb2, f.name))
