@@ -13,9 +13,7 @@ input through a learned sigmoid gate:
 X is (B, L, d); a single sequence is B = 1. The dense oracle materializes
 the full L x L score matrix on the tape and is the ground truth the
 factored op must reproduce; it takes any leading axes. Its relu2/laplace
-weights are one tape op built from factored.phi_table's (f, f') pair. A
-blocked no-grad scorer caps memory; it exists only to time the dense path
-at long L.
+weights are one tape op built from factored.phi_table's (f, f') pair.
 """
 
 from __future__ import annotations
@@ -33,10 +31,7 @@ from .tensor import (
 )
 from .vq import quantize_st, seed_codebook
 
-__all__ = [
-    "AttentionConfig", "GateSet", "LongVQLayer", "attn_dense_oracle",
-    "attn_dense_blocked",
-]
+__all__ = ["AttentionConfig", "GateSet", "LongVQLayer", "attn_dense_oracle"]
 
 ATTN_FNS = ("softmax", "relu2", "laplace")
 
@@ -87,36 +82,6 @@ def attn_dense_oracle(Q, K_hat, V, bias, cfg):
             tri = np.tril(np.ones((L, L), dtype=get_dtype()))
             wts = mul(wts, Tensor(tri))
     return matmul(wts, V)
-
-
-def attn_dense_blocked(q, kh, v, bias, cfg, block=512):
-    """No-grad dense scorer over row blocks; O(block*L) peak memory.
-
-    q/kh/v are numpy (L, .). Returns out (L, v_dim).
-    """
-    L, dv = q.shape[0], v.shape[1]
-    w = cfg.window
-    out = np.empty((L, dv), dtype=q.dtype)
-    col = np.arange(L)
-    for r0 in range(0, L, block):
-        r1 = min(r0 + block, L)
-        rows = np.arange(r0, r1)
-        logits = cfg.scale * (q[r0:r1] @ kh.T)
-        off = rows[:, None] - col[None, :]
-        band = np.abs(off) <= w
-        logits[band] += bias[off[band] + w]
-        disallow = off < 0 if cfg.causal else np.zeros_like(band)
-        if cfg.attn_fn == "softmax":
-            logits[disallow] = -np.inf
-            m = logits.max(axis=1, keepdims=True)
-            e = np.exp(logits - m)
-            p = e / e.sum(axis=1, keepdims=True)
-        else:
-            f, _ = phi_table(cfg.attn_fn)
-            p = f(logits)
-            p[disallow] = 0.0
-        out[r0:r1] = p @ v
-    return out
 
 
 @dataclass

@@ -1,9 +1,12 @@
 """Wall-clock scaling probe for the two attention paths.
 
-Times one bidirectional softmax forward per length: the blocked dense
-scorer against codebook stats + factored evaluation. Least-squares slope
-of log(time) on log(L) separates quadratic from linear growth without
-depending on absolute machine speed.
+Times one bidirectional softmax forward per length: a no-grad dense
+scorer over blocks of 512 query rows (O(512 * L) memory) against codebook
+stats + factored evaluation. The scorer is private to this module and
+knows only the bidirectional softmax it times, so it takes no attention
+config that it could silently ignore. Least-squares slope of log(time) on
+log(L) separates quadratic from linear growth without depending on
+absolute machine speed.
 """
 
 from __future__ import annotations
@@ -12,13 +15,16 @@ import time
 
 import numpy as np
 
-from .attention import AttentionConfig, attn_dense_blocked
+from .attention import AttentionConfig
 from .factored import attn_factored, build_code_stats
 from .rng import Rng
 from .tensor import Tensor, get_dtype, no_grad
 from .vq import Codebook
 
 __all__ = ["bench_instance", "time_forward", "fit_slope", "bench_scaling"]
+
+# query rows per block of the dense scorer
+_ROWS = 512
 
 
 def bench_instance(L, S, w, d, rng):
@@ -35,13 +41,33 @@ def bench_instance(L, S, w, d, rng):
             "bias": bias, "S": S, "cb": cb}
 
 
+def _dense_blocked(q, kh, v, bias, scale):
+    """Bidirectional softmax attention over row blocks, no tape.
+
+    q/kh/v are numpy (L, .); bias is the (2w + 1,) band bias on the
+    offsets |i - j| <= w. Returns out (L, v_dim).
+    """
+    L, w = q.shape[0], (bias.shape[0] - 1) // 2
+    out = np.empty((L, v.shape[1]), dtype=q.dtype)
+    col = np.arange(L)
+    for r0 in range(0, L, _ROWS):
+        r1 = min(r0 + _ROWS, L)
+        logits = scale * (q[r0:r1] @ kh.T)
+        off = np.arange(r0, r1)[:, None] - col[None, :]
+        band = np.abs(off) <= w
+        logits[band] += bias[off[band] + w]
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        out[r0:r1] = (e / e.sum(axis=1, keepdims=True)) @ v
+    return out
+
+
 def time_forward(mode, inst):
     """Seconds for one forward pass; stats build counts toward vq."""
     cfg = inst["cfg"]
     t0 = time.perf_counter()
     if mode == "dense":
-        attn_dense_blocked(inst["q"], inst["kh"], inst["v"], inst["bias"],
-                           cfg, block=512)
+        _dense_blocked(inst["q"], inst["kh"], inst["v"], inst["bias"],
+                       cfg.scale)
     elif mode == "vq":
         with no_grad():       # the op's layout has a batch axis: B = 1
             V = Tensor(inst["v"][None])

@@ -36,7 +36,7 @@ import scipy
 
 from .bench import bench_scaling
 from .config import ConfigError, apply_sets, build_run, load_run_config
-from .model import Model, load_checkpoint, param_count, save_checkpoint
+from .model import Model, load_checkpoint, save_checkpoint
 from .rng import Rng
 from .tensor import (backward_fault_hits, get_dtype, set_backward_fault,
                      set_precision)
@@ -121,7 +121,7 @@ def cmd_train(args):
     final = evals[-1] if evals else {}
     payload = {"schema": SCHEMA, "command": "train",
                "steps": train_cfg.total_steps,
-               "param_count": param_count(model_cfg),
+               "param_count": sum(p.data.size for p in model.params()),
                "skipped_steps": sum(1 for r in records
                                     if r["split"] == "train" and "event" in r),
                "final_eval": {k: final.get(k) for k in

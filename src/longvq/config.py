@@ -22,7 +22,7 @@ from .tasks import TaskSpec, build_task
 from .train import TrainConfig
 
 __all__ = ["ConfigError", "DEFAULTS", "load_run_config", "apply_sets",
-           "build_run", "config_to_text"]
+           "build_run"]
 
 
 class ConfigError(ValueError):
@@ -128,14 +128,3 @@ def build_run(cfg, seed=None):
     if impl not in ("factored", "dense"):
         raise ConfigError(f"bad value for 'model.impl': {impl!r}")
     return task, model_cfg, train_cfg, impl
-
-
-def config_to_text(cfg):
-    """Round-trippable INI rendering of a config dict."""
-    lines = []
-    for section, kv in cfg.items():
-        lines.append(f"[{section}]")
-        for key, val in kv.items():
-            lines.append(f"{key} = {val}")
-        lines.append("")
-    return "\n".join(lines)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .tensor import (
 )
 from .vq import Codebook
 
-__all__ = ["ModelConfig", "Norm", "Ffn", "Block", "Model", "param_count",
-           "save_checkpoint", "load_checkpoint"]
+__all__ = ["ModelConfig", "Norm", "Ffn", "Block", "Model", "save_checkpoint",
+           "load_checkpoint"]
 
 HEADS = ("mean_pool_classify", "per_position_lm")
 
@@ -177,9 +177,6 @@ class Model:
         ps += [self.head_w, self.head_b]
         return ps
 
-    def params_dict(self):
-        return {p.name: p for p in self.params()}
-
     def layers(self):
         return [b.attn for b in self.blocks]
 
@@ -260,21 +257,6 @@ class Model:
                 C=arrays[f"{pre}.C"].astype(dt),
                 ema_count=arrays[f"{pre}.ema_count"].astype(dt),
                 ema_sum=arrays[f"{pre}.ema_sum"].astype(dt))
-
-
-def param_count(cfg: ModelConfig) -> int:
-    """Closed-form trainable parameter count for a ModelConfig."""
-    d, f, n = cfg.d_model, cfg.d_ffn, cfg.n_state
-    z, v, w = cfg.attn.z_dim, cfg.attn.v_dim, cfg.attn.window
-    ssm = d * n + 2 * d if cfg.ssm_enabled else 0
-    gates = (d * v + v) + 2 * (d * z + z) + (d * v + v) \
-        + (d * d + d) + (v * d + d)
-    layer = ssm + gates + (2 * w + 1)
-    ffn = d * f + f + f * d + d
-    block = layer + 2 * (2 * d) + ffn     # two LayerNorms, gain and bias
-    embed = cfg.vocab * d if cfg.vocab > 0 else cfg.in_dim * d + d
-    head = d * cfg.n_out + cfg.n_out
-    return embed + cfg.depth * block + head
 
 
 # ---------------------------------------------------------------------------

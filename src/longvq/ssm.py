@@ -14,7 +14,8 @@ same node, so the branch is two tape nodes. The backward of
 ``ssm_kernels`` runs the same blocked orbit on an augmented 2N system
 whose upper half is the dt-tangent of the state. ``materialize_kernel``
 (state iteration) and ``scan_recurrent`` (the literal recurrence) are the
-references.
+references; they take one channel as an ``SsmChannel`` of plain arrays
+and floats, discretized by ``discretize``.
 
 A and B_in are fixed at init: the kernel op differentiates C_out and
 log_dt only, and B_in is a constant input, not a tape parent.
@@ -69,10 +70,10 @@ def init_s4(n):
 class SsmChannel:
     """One SISO state-space channel in continuous form."""
     A: np.ndarray
-    B_in: object       # (N,) array or Tensor
-    C_out: object      # (N,) array or Tensor
-    D_skip: object     # scalar or Tensor
-    log_dt: object     # scalar or Tensor; dt = exp(log_dt) > 0 always
+    B_in: np.ndarray   # (N,)
+    C_out: np.ndarray  # (N,)
+    D_skip: float
+    log_dt: float      # dt = exp(log_dt) > 0 always
     N: int = 0
     label: str = "ssm"
 
@@ -88,15 +89,11 @@ class DiscreteSsm:
     C_bar: np.ndarray
 
 
-def _value(x):
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-
-
 def discretize(ch):
     """Bilinear rule: A_bar=(I-dt/2 A)^{-1}(I+dt/2 A), B_bar=(I-dt/2 A)^{-1} dt B."""
     a = np.asarray(ch.A, dtype=np.float64)
-    b = _value(ch.B_in)
-    dt = float(np.exp(_value(ch.log_dt)))
+    b = np.asarray(ch.B_in, dtype=np.float64)
+    dt = float(np.exp(ch.log_dt))
     n = a.shape[0]
     m = np.eye(n) - 0.5 * dt * a
     try:
@@ -105,7 +102,7 @@ def discretize(ch):
     except np.linalg.LinAlgError as e:
         raise NumericsError(
             f"singular discretization matrix for channel '{ch.label}'") from e
-    return DiscreteSsm(a_bar, b_bar, _value(ch.C_out).astype(np.float64))
+    return DiscreteSsm(a_bar, b_bar, np.asarray(ch.C_out, dtype=np.float64))
 
 
 def materialize_kernel(d, L):
@@ -254,15 +251,3 @@ class SsmBank:
         """x: (B, L, d) tensor -> (B, L, d) tensor."""
         return conv_causal_channels(self.kernels(x.data.shape[1]), x,
                                     self.D_skip)
-
-    def channels(self):
-        """Per-channel views for the oracle path (values only)."""
-        out = []
-        for c in range(self.d):
-            out.append(SsmChannel(
-                A=self.A, B_in=self.B_in.data.astype(np.float64),
-                C_out=self.C_out.data[c].astype(np.float64),
-                D_skip=float(self.D_skip.data[c]),
-                log_dt=float(self.log_dt.data[c]),
-                label=f"c{c}"))
-        return out

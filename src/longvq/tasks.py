@@ -1,17 +1,20 @@
 """Desk-scale tasks: synthetic recall, pixel sequences, byte-level LM.
 
-The reduction-head generator builds key-value sequences with a marker and
-a final query key; the query's pair occurs exactly once, so the label is
+Each task draws training batches with ``sample(split, batch_size, rng)``
+and yields its evaluation set with ``eval_batches(split, batch_size)``.
+The reduction task builds key-value sequences with a marker and a final
+query key; the query's pair occurs exactly once, so the label is
 unambiguous. Within a sequence a key is bound to a single value, so
-repeated keys carry their value with them. Pixel sequences come from the
+repeated keys carry their value with them; its evaluation set is 16
+batches from a fixed per-split stream. Pixel sequences come from the
 standard CIFAR-10 binary batches, 1024 steps of 3 channels (or 1
 luminance channel). The character corpus is byte-level with a contiguous
-90/5/5 split.
+90/5/5 split. The pixel and character tasks evaluate on the whole split,
+in order.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -19,14 +22,16 @@ import numpy as np
 
 from .rng import Rng
 
-__all__ = ["TaskSpec", "build_task", "gen_reduction_head",
-           "ReductionHeadTask", "load_pixel_sequences", "find_pixel_data",
-           "PixelTask", "load_char_corpus", "CharTask", "bpc"]
+__all__ = ["TaskSpec", "build_task", "ReductionHeadTask",
+           "load_pixel_sequences", "find_pixel_data", "PixelTask",
+           "load_char_corpus", "CharTask"]
 
 TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 TEST_FILE = "test_batch.bin"
 RECORD = 3073          # 1 label byte + 1024 R + 1024 G + 1024 B
 _CLASSES = 10
+# batches in the reduction task's evaluation set
+_EVAL_BATCHES = 16
 
 
 @dataclass
@@ -44,32 +49,32 @@ class TaskSpec:
         if self.name not in _TASKS:
             raise ValueError(f"unknown task '{self.name}' (expected one of "
                              f"{', '.join(_TASKS)})")
+        if self.channels not in (1, 3):
+            raise ValueError(f"task.channels must be 1 or 3, got "
+                             f"{self.channels}")
         if self.name == "reduction":
-            _check_reduction_dims(self.L, self.vocab, prefix="task.")
+            _check_reduction_dims(self.L, self.vocab)
 
 
 def build_task(spec: TaskSpec):
     return _TASKS[spec.name](spec)
 
 
-def bpc(ce: float) -> float:
-    """Cross-entropy in nats per token -> bits per character."""
-    return ce / math.log(2.0)
-
-
 # ---------------------------------------------------------------------------
 # reduction head
 
-def _check_reduction_dims(L, vocab, prefix=""):
+def _check_reduction_dims(L, vocab):
     """A reduction sequence needs a key, a value and a marker symbol, and
-    an even length with room for a few pairs; prefix names the keys."""
+    an even length with room for a few pairs."""
     if vocab < 4:
-        raise ValueError(f"{prefix}vocab must be >= 4, got {vocab}")
+        raise ValueError(f"task.vocab must be >= 4, got {vocab}")
     if L < 8 or L % 2:
-        raise ValueError(f"{prefix}L must be even and >= 8, got {L}")
+        raise ValueError(f"task.L must be even and >= 8, got {L}")
 
 
 def _reduction_batch(L, vocab, bs, rng):
+    """bs sequences [k v k v ... MARK k_query]; label is the queried
+    value."""
     nk = (vocab - 1) // 2
     marker = vocab - 1
     m = (L - 2) // 2
@@ -93,12 +98,6 @@ def _reduction_batch(L, vocab, bs, rng):
     seq[:, L - 2] = marker
     seq[:, L - 1] = q
     return seq, labels
-
-
-def gen_reduction_head(L, vocab, n, seed):
-    """n sequences [k v k v ... MARK k_query]; label is the queried value."""
-    _check_reduction_dims(L, vocab)
-    return _reduction_batch(L, vocab, n, Rng(seed, "reduction"))
 
 
 class ReductionHeadTask:
@@ -125,10 +124,10 @@ class ReductionHeadTask:
         Y[:, -1] = lab
         return X, Y
 
-    def eval_batches(self, split, batch_size, n_batches=16):
-        """n_batches sampled batches from a fixed per-split stream."""
+    def eval_batches(self, split, batch_size):
+        """_EVAL_BATCHES sampled batches from a fixed per-split stream."""
         rng = Rng(self.spec.seed, f"reduction-eval-{split}")
-        for _ in range(n_batches):
+        for _ in range(_EVAL_BATCHES):
             yield self.sample(split, batch_size, rng)
 
 
@@ -164,7 +163,7 @@ def _read_batch_file(path):
     return pixels, labels
 
 
-def load_pixel_sequences(path, grayscale=False):
+def load_pixel_sequences(path):
     """All six CIFAR-10 batches as length-1024 uint8 sequences.
 
     Returns dict with train/val/test arrays; validation is a withheld
@@ -181,10 +180,9 @@ def load_pixel_sequences(path, grayscale=False):
     perm = Rng(0, "pixel-split").permutation(X.shape[0])
     n_val = X.shape[0] // 10
     val_idx, tr_idx = perm[:n_val], perm[n_val:]
-    out = {"train_x": X[tr_idx], "train_y": Y[tr_idx],
-           "val_x": X[val_idx], "val_y": Y[val_idx],
-           "test_x": tx, "test_y": ty, "grayscale": bool(grayscale)}
-    return out
+    return {"train_x": X[tr_idx], "train_y": Y[tr_idx],
+            "val_x": X[val_idx], "val_y": Y[val_idx],
+            "test_x": tx, "test_y": ty}
 
 
 def to_float_pixels(x_uint8, grayscale):
@@ -205,7 +203,7 @@ class PixelTask:
                 raise FileNotFoundError(
                     "CIFAR-10 binaries not found; set LONGVQ_CIFAR_DIR or "
                     "place them under data/cifar-10-batches-bin")
-            data = load_pixel_sequences(path, grayscale=spec.channels == 1)
+            data = load_pixel_sequences(path)
         self.data = data
         n = min(spec.train_size, data["train_x"].shape[0])
         self.train_x = data["train_x"][:n]
@@ -225,12 +223,10 @@ class PixelTask:
         idx = rng.integers(0, x.shape[0], (batch_size,))
         return to_float_pixels(x[idx], self.spec.channels == 1), y[idx]
 
-    def eval_batches(self, split, batch_size, n_batches=None):
-        """The split in order; n_batches=None covers all of it."""
+    def eval_batches(self, split, batch_size):
+        """The whole split, in order."""
         x, y = self._arrays(split)
         n = x.shape[0]
-        if n_batches is not None:
-            n = min(n, n_batches * batch_size)
         for lo in range(0, n, batch_size):
             hi = min(lo + batch_size, n)
             yield (to_float_pixels(x[lo:hi], self.spec.channels == 1),
@@ -271,15 +267,13 @@ def load_char_corpus(path, vocab_cap=256):
 
 
 class CharTask:
-    def __init__(self, spec: TaskSpec, corpus=None):
+    def __init__(self, spec: TaskSpec):
         self.spec = spec
         self.name = "chars"
-        if corpus is None:
-            if not spec.path:
-                raise ValueError("chars task needs a corpus path")
-            corpus = load_char_corpus(spec.path, vocab_cap=spec.vocab)
-        self.corpus = corpus
-        self.vocab = corpus["vocab"]
+        if not spec.path:
+            raise ValueError("chars task needs a corpus path")
+        self.corpus = load_char_corpus(spec.path, vocab_cap=spec.vocab)
+        self.vocab = self.corpus["vocab"]
 
     def model_kwargs(self):
         return {"vocab": self.vocab, "n_out": self.vocab,
@@ -299,13 +293,11 @@ class CharTask:
         seg = ids[win]
         return seg[:, :-1], seg[:, 1:]
 
-    def eval_batches(self, split, batch_size, n_batches=None):
-        """Back-to-back segments; n_batches=None covers the whole split."""
+    def eval_batches(self, split, batch_size):
+        """Back-to-back segments over the whole split."""
         lo, hi = self._span(split)
         ids = self.corpus["ids"]
         starts = np.arange(lo, hi - self.spec.L, self.spec.L)
-        if n_batches is not None:
-            starts = starts[:n_batches * batch_size]
         for base in range(0, starts.size, batch_size):
             sl = starts[base:base + batch_size]
             win = sl[:, None] + np.arange(self.spec.L + 1)[None, :]

@@ -32,7 +32,14 @@ The ops are the ones the package calls: ``add``, ``sub`` and ``mul``
 ``tsum``/``tmean`` and ``cross_entropy`` build the model and its loss;
 ``matmul``, ``transpose``, ``softmax_rows`` and ``band_bias_add`` build
 the quadratic dense oracle. ``sigmoid`` is the reference that ``gate_mix``
-and ``silu`` are tested against.
+and ``silu`` are tested against. A leaf is built with the constructor
+itself: ``Tensor(x)`` for a constant, ``Tensor(x, requires_grad=True,
+name=...)`` for a parameter. Around the ops sit the precision switches
+(``set_precision``, ``get_dtype``, ``precision``), ``no_grad``, the
+gradient helpers ``grad``, ``zero_grads`` and ``finite_diff`` (the
+central-difference reference), and the fault hook
+``set_backward_fault``/``backward_fault_hits`` behind ``longvq gradcheck
+--inject-fault``.
 
 Dense sublayers are fused ops, one tape node each. ``linear`` is the
 projection x @ W + b: every projection of the model is one ``linear``
@@ -52,7 +59,7 @@ from scipy.fft import irfft, rfft
 
 __all__ = [
     "Tensor", "NumericsError", "set_precision", "get_dtype", "precision",
-    "no_grad", "tensor", "param", "grad", "finite_diff", "zero_grads",
+    "no_grad", "grad", "finite_diff", "zero_grads",
     "add", "sub", "mul", "matmul", "linear", "gate_mix", "transpose",
     "gather_rows", "tsum", "tmean", "sigmoid", "silu",
     "softmax_rows", "cross_entropy",
@@ -171,9 +178,6 @@ class Tensor:
         tag = f" '{self.name}'" if self.name else ""
         return f"Tensor{tag}(shape={self.data.shape}, dtype={self.data.dtype})"
 
-    def item(self):
-        return float(self.data)
-
     # operator sugar
     def __add__(self, other):
         return add(self, _as_tensor(other))
@@ -247,16 +251,6 @@ def _toposort(root):
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def tensor(data):
-    """Wrap data as a constant (non-tracked) tensor at current precision."""
-    return Tensor(data)
-
-
-def param(data, name=None):
-    """Wrap data as a trainable parameter."""
-    return Tensor(data, requires_grad=True, name=name)
 
 
 def _wants_grad(t):

@@ -11,9 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factored import attn_row_entropy
-from .tensor import (
-    NumericsError, Tensor, cross_entropy, finite_diff, grad, no_grad,
-)
+from .tensor import NumericsError, cross_entropy, finite_diff, grad, no_grad
 from .rng import Rng
 from .vq import codebook_perplexity, commit_loss, ema_update
 
@@ -37,12 +35,23 @@ class TrainConfig:
     eval_batches: int = 8
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if self.grad_clip <= 0:
-            raise ValueError("grad_clip must be > 0")
+        # a comparison with nan is False, so each check asks for the good
+        # range, which nan is never in
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not (np.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be finite and >= 0, got "
+                             f"{self.gamma}")
+        if not (np.isfinite(self.grad_clip) and self.grad_clip > 0):
+            raise ValueError(f"grad_clip must be finite and > 0, got "
+                             f"{self.grad_clip}")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got "
+                             f"{self.weight_decay}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got "
+                                 f"{getattr(self, name)}")
         for name in ("batch_size", "eval_batches"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -304,6 +313,16 @@ def train_loop(model, task, cfg: TrainConfig, metrics_path=None,
 # ---------------------------------------------------------------------------
 # gradient checking
 
+# gradcheck_model passes when every parameter's max relative error is below
+# _GC_TOL; it draws up to _GC_TRIES models and batches until every key
+# clears its runner-up codeword by _GC_MARGIN, and checks the loss with
+# commitment weight _GC_GAMMA
+_GC_TOL = 1e-4
+_GC_TRIES = 100
+_GC_MARGIN = 1e-3
+_GC_GAMMA = 0.01
+
+
 def assignment_margin(K, C):
     """Smallest gap between best and runner-up codeword distance."""
     k = K.reshape(-1, C.shape[1])
@@ -328,8 +347,7 @@ def _rel_table(analytic, numeric, names):
     return out
 
 
-def gradcheck_model(make_model, make_batch, tol=1e-4, tries=100,
-                    margin=1e-3, gamma=0.01, eps=1e-5, seed=0):
+def gradcheck_model(make_model, make_batch, seed=0):
     """Check every parameter gradient of a full model against central
     finite differences.
 
@@ -338,20 +356,20 @@ def gradcheck_model(make_model, make_batch, tol=1e-4, tries=100,
     both the tape and the differencer compute; the straight-through rule
     defines the gradient at the requantization jump rather than
     approximating anything measurable there. Inputs are resampled until
-    every key's assignment margin exceeds ``margin`` so the frozen codes
-    are locally stable. Returns a report dict.
+    every key's assignment margin exceeds ``_GC_MARGIN`` so the frozen
+    codes are locally stable. Returns a report dict.
     """
-    for attempt in range(1, tries + 1):
+    for attempt in range(1, _GC_TRIES + 1):
         model = make_model(seed + attempt)
         x, y = make_batch(seed + attempt)
         _, auxes = model(x)      # seeds codebooks, records assignments
         mg = min(assignment_margin(a["K"].data, lay.codebook.C)
                  for a, lay in zip(auxes, model.layers()))
-        if mg > margin:
+        if mg > _GC_MARGIN:
             break
     else:
-        return {"skipped": True, "tries": tries,
-                "reason": f"no draw reached assignment margin {margin}"}
+        return {"skipped": True, "tries": _GC_TRIES,
+                "reason": f"no draw reached assignment margin {_GC_MARGIN}"}
 
     frozen = [{"z": a["z"], "offset": a["K_hat"].data - a["K"].data}
               for a in auxes]
@@ -359,13 +377,13 @@ def gradcheck_model(make_model, make_batch, tol=1e-4, tries=100,
     params = model.params()    # which perturbed parameters break
 
     def loss_fn():
-        return total_loss(model, x, y, gamma, frozen=frozen)[0]
+        return total_loss(model, x, y, _GC_GAMMA, frozen=frozen)[0]
 
     analytic = grad(loss_fn(), params)
-    numeric = finite_diff(loss_fn, params, eps=eps)
+    numeric = finite_diff(loss_fn, params)
     names = [p.name for p in params]
     table = _rel_table(analytic, numeric, names)
     worst = max(table, key=table.get)
-    return {"skipped": False, "tries": attempt, "margin": mg, "tol": tol,
-            "passed": max(table.values()) < tol,
+    return {"skipped": False, "tries": attempt, "margin": mg, "tol": _GC_TOL,
+            "passed": max(table.values()) < _GC_TOL,
             "params": table, "worst": (worst, table[worst])}

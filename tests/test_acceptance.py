@@ -451,7 +451,7 @@ def test_pixel_subset_classification(capsys):
         train_loop(model, task, tcfg)
         model.training = False
         correct = total = 0
-        for x, y in task.eval_batches("test", 100, n_batches=100):
+        for x, y in task.eval_batches("test", 100):
             logits, _ = model(x)
             correct += int((logits.data.argmax(axis=1) == y).sum())
             total += len(y)

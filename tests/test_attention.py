@@ -7,16 +7,15 @@ import re
 import numpy as np
 import pytest
 
+import longvq.bench as bench
 import longvq.factored as factored
 import longvq.tensor as T
-from longvq.attention import (
-    AttentionConfig, LongVQLayer, attn_dense_blocked, attn_dense_oracle,
-)
+from longvq.attention import AttentionConfig, LongVQLayer, attn_dense_oracle
 from longvq.factored import (
     CodeStats, attn_factored, attn_row_entropy, build_code_stats, stats_chunk,
 )
 from longvq.rng import Rng
-from longvq.tensor import Tensor, grad, param, precision
+from longvq.tensor import Tensor, grad, precision
 from longvq.vq import Codebook
 
 
@@ -133,18 +132,18 @@ def test_stats_causal_prefix_matches_brute_force():
 def run_both(cfg, cb, z, Q, V, bias, want_grads=False, probe_rng=None,
              chunk=None):
     S = cb.S
-    Qf = param(Q.copy(), name="Q")
-    Kf = param(cb.C[z].copy(), name="Kh")
-    Vf = param(V.copy(), name="V")
-    bf = param(bias.copy(), name="b")
+    Qf = Tensor(Q.copy(), requires_grad=True, name="Q")
+    Kf = Tensor(cb.C[z].copy(), requires_grad=True, name="Kh")
+    Vf = Tensor(V.copy(), requires_grad=True, name="V")
+    bf = Tensor(bias.copy(), requires_grad=True, name="b")
     stats = build_code_stats(z, Vf.data, S, cfg.causal,
                              chunk or stats_chunk(cfg.window, cfg.causal))
     out_f = attn_factored(Qf, cb, stats, Kf, Vf, bf, cfg)
 
-    Qd = param(Q.copy(), name="Qd")
-    Kd = param(cb.C[z].copy(), name="Khd")
-    Vd = param(V.copy(), name="Vd")
-    bd = param(bias.copy(), name="bd")
+    Qd = Tensor(Q.copy(), requires_grad=True, name="Qd")
+    Kd = Tensor(cb.C[z].copy(), requires_grad=True, name="Khd")
+    Vd = Tensor(V.copy(), requires_grad=True, name="Vd")
+    bd = Tensor(bias.copy(), requires_grad=True, name="bd")
     out_d = attn_dense_oracle(Qd, Kd, Vd, bd, cfg)
     if not want_grads:
         return out_f.data, out_d.data
@@ -289,7 +288,8 @@ def test_unused_codewords_change_nothing(attn_fn, causal):
 
     def run(C):
         cb = Codebook(C=C, ema_count=np.ones(len(C)), ema_sum=C.copy())
-        ins = [param(a.copy()) for a in (Q, C[z], V, bias)]
+        ins = [Tensor(a.copy(), requires_grad=True)
+               for a in (Q, C[z], V, bias)]
         stats = build_code_stats(z, V, len(C), causal, stats_chunk(w, causal))
         out = attn_factored(ins[0], cb, stats, ins[1], ins[2], ins[3], cfg)
         grads = grad(T.tsum(out * Tensor(g)), ins)
@@ -303,18 +303,18 @@ def test_unused_codewords_change_nothing(attn_fn, causal):
 # blocked dense scorer and entropy
 
 def test_blocked_matches_oracle():
+    # the bench's scorer times bidirectional softmax, its only case; L
+    # spans two full row blocks and a partial third
     rng = Rng(9)
-    for attn_fn in ("softmax", "relu2"):
-        for causal in (False, True):
-            L = 33
-            cfg = AttentionConfig(attn_fn, 3, causal, z_dim=4, v_dim=5)
-            Q, K = rng.normal((L, 4)), rng.normal((L, 4))
-            V = rng.normal((L, 5))
-            bias = rng.normal((7,))
-            ref = attn_dense_oracle(Tensor(Q), Tensor(K), Tensor(V),
-                                    Tensor(bias), cfg).data
-            got = attn_dense_blocked(Q, K, V, bias, cfg, block=8)
-            np.testing.assert_allclose(got, ref, atol=1e-10)
+    L = 2 * bench._ROWS + 33
+    cfg = AttentionConfig("softmax", 3, False, z_dim=4, v_dim=5)
+    Q, K = rng.normal((L, 4)), rng.normal((L, 4))
+    V = rng.normal((L, 5))
+    bias = rng.normal((7,))
+    ref = attn_dense_oracle(Tensor(Q), Tensor(K), Tensor(V), Tensor(bias),
+                            cfg).data
+    got = bench._dense_blocked(Q, K, V, bias, cfg.scale)
+    np.testing.assert_allclose(got, ref, atol=1e-10)
 
 
 def test_entropy_uniform_rows():
@@ -355,7 +355,7 @@ def test_layer_zero_input_zero_projections():
     Z, G_a, Q, K, V = layer.project_inputs(X)
     for t in (G_a, Q, K, V):
         np.testing.assert_allclose(t.data, 0.0, atol=1e-12)
-    assert abs(T.silu(Tensor(np.array(1.0))).item() - 0.7310586) < 1e-6
+    assert abs(float(T.silu(Tensor(np.array(1.0))).data) - 0.7310586) < 1e-6
 
 
 def test_layer_l1_sequence():
@@ -507,13 +507,14 @@ def test_batched_causal_softmax_kernel_matches_per_element():
     v = rng.normal((B, L, vd))
     bias = rng.normal((2 * w + 1,))
     g = rng.normal((B, L, vd))
-    ins = [param(a.copy()) for a in (q, C[z], v, bias)]
+    ins = [Tensor(a.copy(), requires_grad=True) for a in (q, C[z], v, bias)]
     stats = build_code_stats(z, v, S, True, chunk=w)
     out = attn_factored(ins[0], cb, stats, ins[1], ins[2], ins[3], cfg)
     dQ, dK, dV, db = grad(T.tsum(out * Tensor(g)), ins)
     db_ref = np.zeros_like(bias)
     for bi in range(B):
-        ref_ins = [param(a.copy()) for a in (q[bi], C[z[bi]], v[bi], bias)]
+        ref_ins = [Tensor(a.copy(), requires_grad=True)
+                   for a in (q[bi], C[z[bi]], v[bi], bias)]
         ref = attn_dense_oracle(*ref_ins, cfg)
         a, bk, c, d = grad(T.tsum(ref * Tensor(g[bi])), ref_ins)
         np.testing.assert_allclose(out.data[bi], ref.data, atol=1e-12)
@@ -736,8 +737,8 @@ def test_key_gradient_contraction_choice(name, B, L, S, used, w, causal,
     z[0, :used] = np.arange(used)                # every used code appears
     v = rng.normal((B, L, vd))
     cfg = AttentionConfig("softmax", w, causal, z_dim=zd, v_dim=vd)
-    ins = [param(a) for a in (rng.normal((B, L, zd)), C[z], v,
-                              np.zeros(2 * w + 1))]
+    ins = [Tensor(a, requires_grad=True)
+           for a in (rng.normal((B, L, zd)), C[z], v, np.zeros(2 * w + 1))]
     stats = build_code_stats(z, v, S, causal, stats_chunk(w, causal))
     out = attn_factored(ins[0], cb, stats, ins[1], ins[2], ins[3], cfg)
     grad(T.tsum(out), ins)

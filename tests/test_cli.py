@@ -10,9 +10,9 @@ from longvq.attention import AttentionConfig
 from longvq.bench import bench_scaling, fit_slope, time_forward
 from longvq.cli import _pin_threads, main
 from longvq.config import (ConfigError, DEFAULTS, apply_sets, build_run,
-                           config_to_text, load_run_config)
+                           load_run_config)
 from longvq.factored import attn_row_entropy
-from longvq.model import ModelConfig
+from longvq.model import Model, ModelConfig
 from longvq.rng import Rng
 from longvq.tasks import TaskSpec
 from longvq.tensor import Tensor, precision
@@ -42,7 +42,9 @@ def test_defaults_round_trip(tmp_path):
     cfg = load_run_config(None)
     assert cfg == DEFAULTS and cfg is not DEFAULTS
     p = tmp_path / "c.ini"
-    p.write_text(config_to_text(cfg))
+    p.write_text("".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+        for section, kv in cfg.items()))
     again = load_run_config(str(p))
     assert again == cfg
 
@@ -169,6 +171,22 @@ def test_train_report_counts_skipped_steps(tmp_path, monkeypatch, capsys):
     assert [r["step"] for r in recs if "event" in r] == [3]
 
 
+def test_train_report_param_count_is_the_models(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    counts = {}
+    for on in ("true", "false"):
+        sets = [*TINY, "--set", f"model.ssm_enabled={on}"]
+        assert main(["train", *sets, "--out", on]) == 0
+        counts[on] = json.load(open(f"{on}/report.json"))["param_count"]
+        cfg = apply_sets(load_run_config(None), sets[1::2])
+        _, mcfg, _, _ = build_run(cfg)
+        model = Model(mcfg, Rng(0, "model"))
+        assert counts[on] == sum(p.data.size for p in model.params())
+    # the SSM bank adds C_out (d, N), log_dt (d,) and D_skip (d,) per layer
+    d, n = mcfg.d_model, mcfg.n_state
+    assert counts["true"] - counts["false"] == mcfg.depth * (d * n + 2 * d)
+
+
 def test_train_determinism_modulo_wallclock(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["train", *TINY, "--seed", "3", "--out", "a"]) == 0
@@ -214,6 +232,22 @@ def test_nonpositive_size_exits_2_naming_it(key, value, tmp_path,
     ("attn.z_dim", "0", "z_dim must be >= 1"),
     ("attn.v_dim", "0", "v_dim must be >= 1"),
     ("attn.window", "-1", "window must be >= 0"),
+    ("train.lr", "nan", "lr must be finite and > 0, got nan"),
+    ("train.lr", "inf", "lr must be finite and > 0, got inf"),
+    ("train.gamma", "inf", "gamma must be finite and >= 0, got inf"),
+    ("train.gamma", "nan", "gamma must be finite and >= 0, got nan"),
+    ("train.grad_clip", "nan", "grad_clip must be finite and > 0, got nan"),
+    ("train.grad_clip", "inf", "grad_clip must be finite and > 0, got inf"),
+    ("train.beta1", "1.0", "beta1 must be in [0, 1), got 1.0"),
+    ("train.beta1", "-0.1", "beta1 must be in [0, 1), got -0.1"),
+    ("train.beta2", "1.5", "beta2 must be in [0, 1), got 1.5"),
+    ("train.beta2", "nan", "beta2 must be in [0, 1), got nan"),
+    ("train.weight_decay", "-1",
+     "weight_decay must be finite and >= 0, got -1.0"),
+    ("train.weight_decay", "inf",
+     "weight_decay must be finite and >= 0, got inf"),
+    ("task.channels", "2", "task.channels must be 1 or 3, got 2"),
+    ("task.channels", "0", "task.channels must be 1 or 3, got 0"),
 ])
 def test_bad_value_exits_2_naming_its_key(key, value, message, tmp_path,
                                           monkeypatch, capsys):

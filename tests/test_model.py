@@ -8,8 +8,7 @@ import pytest
 import longvq.tensor as T
 from longvq.attention import ATTN_FNS, AttentionConfig
 from longvq.model import (
-    Ffn, Model, ModelConfig, Norm, load_checkpoint, param_count,
-    save_checkpoint,
+    Ffn, Model, ModelConfig, Norm, load_checkpoint, save_checkpoint,
 )
 from longvq.rng import Rng
 from longvq.tensor import Tensor, precision
@@ -173,17 +172,8 @@ def test_param_names_and_registry():
     assert "blocks.0.attn.ssm.C_out" in names
     assert "embed.table" in names and "head.w" in names
     assert len(names) == len(set(names))
-    d = model.params_dict()
-    assert d["head.b"].data.shape == (11,)
-
-
-@pytest.mark.parametrize("ssm_enabled", [True, False])
-def test_param_count_formula(ssm_enabled):
-    for cfg in (small_cfg(ssm_enabled=ssm_enabled),
-                lm_cfg(ssm_enabled=ssm_enabled, depth=3)):
-        model = Model(cfg, Rng(17))
-        actual = sum(p.data.size for p in model.params())
-        assert actual == param_count(cfg)
+    head_b = [p for p in model.params() if p.name == "head.b"]
+    assert [p.data.shape for p in head_b] == [(11,)]
 
 
 def test_gradients_flow_to_all_params():
@@ -243,7 +233,7 @@ def test_total_loss_is_the_flattened_cross_entropy(cfg, y):
     logits = model(x)[0].data
     flat = logits.reshape(-1, logits.shape[-1])
     ce = T.cross_entropy(Tensor(flat), y.reshape(-1))
-    assert parts["ce"] == ce.item()
+    assert parts["ce"] == float(ce.data)
     assert parts["acc"] == float((flat.argmax(axis=1) == y.reshape(-1)).mean())
 
 

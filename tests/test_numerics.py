@@ -14,7 +14,7 @@ from longvq.factored import LAPLACE_MU, phi_table
 from longvq.rng import Rng
 from longvq.tensor import (
     NumericsError, Tensor, band_bias_add, conv_causal_channels,
-    cross_entropy, finite_diff, grad, no_grad, param, precision,
+    cross_entropy, finite_diff, grad, no_grad, precision,
 )
 
 
@@ -33,7 +33,7 @@ def rel_err(a, b):
 def check_op_grads(build_loss, params, tol=1e-6, eps=1e-6):
     """Compare reverse-mode grads with central differences for one op."""
     gs = grad(build_loss(), params)
-    fd = finite_diff(lambda: build_loss().item(), params, eps=eps)
+    fd = finite_diff(build_loss, params, eps=eps)
     for g, f, p in zip(gs, fd, params):
         assert rel_err(g, f) < tol, f"grad mismatch for {p.name}: {rel_err(g, f)}"
 
@@ -42,7 +42,7 @@ def check_op_grads(build_loss, params, tol=1e-6, eps=1e-6):
 # tape mechanics
 
 def test_backward_accumulates_over_shared_node():
-    x = param(np.array([2.0, 3.0]), name="x")
+    x = Tensor(np.array([2.0, 3.0]), requires_grad=True, name="x")
     y = x * x + x * x  # x used twice on each branch
     loss = T.tsum(y)
     (g,) = grad(loss, [x])
@@ -50,7 +50,7 @@ def test_backward_accumulates_over_shared_node():
 
 
 def test_swept_tape_is_single_use():
-    x = param(np.array([2.0, 3.0]), name="x")
+    x = Tensor(np.array([2.0, 3.0]), requires_grad=True, name="x")
     h = T.silu(x * x)
     loss = T.tsum(h)
     (g,) = grad(loss, [x])
@@ -64,29 +64,29 @@ def test_swept_tape_is_single_use():
 
 
 def test_no_grad_suppresses_tape():
-    x = param(np.ones(3), name="x")
+    x = Tensor(np.ones(3), requires_grad=True, name="x")
     with no_grad():
         y = x * x
     assert y._vjp is None and y._parents == ()
 
 
 def test_disconnected_param_gets_zero():
-    x = param(np.ones(3), name="x")
-    z = param(np.ones(3), name="z")
+    x = Tensor(np.ones(3), requires_grad=True, name="x")
+    z = Tensor(np.ones(3), requires_grad=True, name="z")
     loss = T.tsum(x * x)
     gs = grad(loss, [x, z])
     assert np.all(gs[1] == 0.0)
 
 
 def test_nonfinite_raises_naming_op():
-    a = T.tensor(np.array([1.0, 1e300]))
+    a = Tensor(np.array([1.0, 1e300]))
     with np.errstate(over="ignore"), \
             pytest.raises(NumericsError, match="op 'mul'"):
         T.mul(a, a)
 
 
 def test_backward_fault_hook_flips_sign():
-    x = param(np.array([1.5]), name="x")
+    x = Tensor(np.array([1.5]), requires_grad=True, name="x")
     T.set_backward_fault("mul")
     try:
         (g,) = grad(T.tsum(x * x), [x])
@@ -97,8 +97,8 @@ def test_backward_fault_hook_flips_sign():
 
 def test_unbroadcast_bias_add():
     rng = Rng(0)
-    x = param(rng.normal((4, 5)), name="x")
-    b = param(rng.normal((5,)), name="b")
+    x = Tensor(rng.normal((4, 5)), requires_grad=True, name="x")
+    b = Tensor(rng.normal((5,)), requires_grad=True, name="b")
     check_op_grads(lambda: T.tsum((x + b) * (x + b)), [x, b])
 
 
@@ -107,8 +107,8 @@ def test_unbroadcast_bias_add():
 
 def test_matmul_batched_matches_einsum():
     rng = Rng(1)
-    a = T.tensor(rng.normal((3, 4, 5)))
-    b = T.tensor(rng.normal((5, 6)))
+    a = Tensor(rng.normal((3, 4, 5)))
+    b = Tensor(rng.normal((5, 6)))
     out = T.matmul(a, b)
     np.testing.assert_allclose(out.data, np.einsum("bij,jk->bik", a.data, b.data),
                                rtol=1e-12)
@@ -117,7 +117,7 @@ def test_matmul_batched_matches_einsum():
 def test_softmax_rows_matches_direct():
     rng = Rng(2)
     x = rng.normal((6, 7))
-    p = T.softmax_rows(T.tensor(x)).data
+    p = T.softmax_rows(Tensor(x)).data
     ref = np.exp(x) / np.exp(x).sum(-1, keepdims=True)
     np.testing.assert_allclose(p, ref, rtol=1e-12)
     assert np.allclose(p.sum(-1), 1.0)
@@ -127,13 +127,13 @@ def test_softmax_mask_zeroes_disallowed():
     rng = Rng(3)
     x = rng.normal((4, 4))
     mask = np.tril(np.ones((4, 4), dtype=bool))
-    p = T.softmax_rows(T.tensor(x), mask=mask).data
+    p = T.softmax_rows(Tensor(x), mask=mask).data
     assert np.all(p[~mask] == 0.0)
     assert np.allclose(p.sum(-1), 1.0)
 
 
 def test_softmax_fully_masked_row_raises():
-    x = T.tensor(np.zeros((2, 3)))
+    x = Tensor(np.zeros((2, 3)))
     mask = np.array([[True, True, True], [False, False, False]])
     with pytest.raises(NumericsError, match="row 1 is fully masked"):
         T.softmax_rows(x, mask=mask)
@@ -143,7 +143,7 @@ def test_cross_entropy_matches_log_softmax():
     rng = Rng(4)
     x = rng.normal((5, 8))
     t = rng.integers(0, 8, (5,))
-    loss = cross_entropy(T.tensor(x), t).item()
+    loss = float(cross_entropy(Tensor(x), t).data)
     logp = x - np.log(np.exp(x - x.max(1, keepdims=True)).sum(1, keepdims=True)) \
         - x.max(1, keepdims=True)
     ref = -logp[np.arange(5), t].mean()
@@ -156,22 +156,22 @@ def test_cross_entropy_rejects_out_of_range_target(bad):
     t = np.array([0, 7, bad, 3, bad])
     with pytest.raises(ValueError, match=rf"target {bad} at position 2 is "
                                          r"outside \[0, 8\)"):
-        cross_entropy(T.tensor(np.zeros((5, 8))), t)
+        cross_entropy(Tensor(np.zeros((5, 8))), t)
     # (B, L) targets are named by their (b, t) position
     with pytest.raises(ValueError, match=rf"target {bad} at position "
                                          r"\(0, 1\) is outside"):
-        cross_entropy(T.tensor(np.zeros((2, 2, 8))), t[1:].reshape(2, 2))
+        cross_entropy(Tensor(np.zeros((2, 2, 8))), t[1:].reshape(2, 2))
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda: T.matmul(T.tensor(np.zeros((2, 3))), T.tensor(np.zeros(3))),
+    (lambda: T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3))),
      r"ndim >= 2; got \(2, 3\) and \(3,\)"),
-    (lambda: T.gather_rows(T.tensor(np.zeros((2, 3, 4))), np.zeros(2, int)),
+    (lambda: T.gather_rows(Tensor(np.zeros((2, 3, 4))), np.zeros(2, int)),
      r"2-D table; got shape \(2, 3, 4\)"),
-    (lambda: T.layer_norm(T.tensor(np.zeros((2, 4))), T.tensor(np.ones(4)),
-                          T.tensor(np.zeros(3))),
+    (lambda: T.layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.ones(4)),
+                          Tensor(np.zeros(3))),
      r"shape \(4,\); got \(4,\) and \(3,\)"),
-    (lambda: cross_entropy(T.tensor(np.zeros((2, 3, 8))), np.zeros(6, int)),
+    (lambda: cross_entropy(Tensor(np.zeros((2, 3, 8))), np.zeros(6, int)),
      r"got \(2, 3, 8\) and \(6,\)"),
 ], ids=["matmul", "gather_rows", "layer_norm", "cross_entropy"])
 def test_shape_errors_name_what_the_op_got(call, match):
@@ -182,7 +182,7 @@ def test_shape_errors_name_what_the_op_got(call, match):
 @pytest.mark.parametrize("bad", [-1, 6])
 def test_gather_rows_rejects_out_of_range_index(bad):
     # numpy would read -1 as the last row and embed it silently
-    tab = T.tensor(np.zeros((6, 3)))
+    tab = Tensor(np.zeros((6, 3)))
     idx = np.array([[0, 5, 2], [1, bad, bad]])
     with pytest.raises(ValueError, match=rf"index {bad} at position \(1, 1\) "
                                          r"is outside \[0, 6\)"):
@@ -196,7 +196,7 @@ def test_conv_causal_matches_direct_summation():
     for L in (1, 2, 7, 64):
         k = rng.normal((d, L))
         x = rng.normal((B, L, d))
-        out = conv_causal_channels(T.tensor(k), T.tensor(x), np.zeros(d)).data
+        out = conv_causal_channels(Tensor(k), Tensor(x), np.zeros(d)).data
         ref = np.zeros((B, L, d))
         for t in range(L):
             for j in range(t + 1):
@@ -211,21 +211,21 @@ def test_conv_causal_channels_matches_per_channel():
     ker = rng.normal((d, L))
     x = rng.normal((B, L, d))
     skip = rng.normal((d,))
-    out = conv_causal_channels(T.tensor(ker), T.tensor(x), skip).data
+    out = conv_causal_channels(Tensor(ker), Tensor(x), skip).data
     for c in range(d):
-        ref = conv_causal_channels(T.tensor(ker[c:c + 1]),
-                                   T.tensor(x[:, :, c:c + 1]),
+        ref = conv_causal_channels(Tensor(ker[c:c + 1]),
+                                   Tensor(x[:, :, c:c + 1]),
                                    skip[c:c + 1]).data
         np.testing.assert_allclose(out[:, :, c:c + 1], ref, atol=1e-11)
 
 
 def test_conv_causal_channels_rejects_bad_shapes():
     with pytest.raises(ValueError, match="kernel bank shape"):
-        conv_causal_channels(T.tensor(np.zeros((3, 4))),
-                             T.tensor(np.zeros((1, 4, 2))), np.zeros(2))
+        conv_causal_channels(Tensor(np.zeros((3, 4))),
+                             Tensor(np.zeros((1, 4, 2))), np.zeros(2))
     with pytest.raises(ValueError, match=r"\(B, L, d\)"):
-        conv_causal_channels(T.tensor(np.zeros((1, 4))),
-                             T.tensor(np.zeros(4)), np.zeros(1))
+        conv_causal_channels(Tensor(np.zeros((1, 4))),
+                             Tensor(np.zeros(4)), np.zeros(1))
 
 
 def test_conv_causal_channels_output_owns_its_memory():
@@ -233,7 +233,8 @@ def test_conv_causal_channels_output_owns_its_memory():
     # (1, n >= 2L, d) inverse transforms they were cut from
     rng = Rng(16)
     L, d = 256, 4
-    ker, x = param(rng.normal((d, L)), "ker"), param(rng.normal((1, L, d)), "x")
+    ker = Tensor(rng.normal((d, L)), requires_grad=True, name="ker")
+    x = Tensor(rng.normal((1, L, d)), requires_grad=True, name="x")
     out = conv_causal_channels(ker, x, np.ones(d))
     assert out.data.base is None and out.data.flags.c_contiguous
     grad(T.tsum(out), [x])
@@ -251,9 +252,10 @@ def test_conv_causal_channels_float32_matches_float64():
     res = {}
     for kind in ("float32", "float64"):
         with precision(kind):
-            kt, xt, st = param(k, "k"), param(x, "x"), param(skip, "skip")
+            kt, xt, st = (Tensor(a, requires_grad=True, name=n)
+                          for a, n in ((k, "k"), (x, "x"), (skip, "skip")))
             out = conv_causal_channels(kt, xt, st)
-            grads = grad(T.tsum(out * T.tensor(probe)), [kt, xt, st])
+            grads = grad(T.tsum(out * Tensor(probe)), [kt, xt, st])
             res[kind] = (out.data, *grads)
     for name, a, b in zip(("out", "dk", "dx", "dskip"), res["float32"],
                           res["float64"]):
@@ -264,8 +266,8 @@ def test_conv_causal_channels_float32_matches_float64():
 
 def test_band_bias_add_bidirectional():
     L, w = 6, 2
-    scores = T.tensor(np.zeros((L, L)))
-    bias = T.tensor(np.arange(-w, w + 1, dtype=np.float64))
+    scores = Tensor(np.zeros((L, L)))
+    bias = Tensor(np.arange(-w, w + 1, dtype=np.float64))
     out = band_bias_add(scores, bias, w, causal=False).data
     for i in range(L):
         for j in range(L):
@@ -275,14 +277,14 @@ def test_band_bias_add_bidirectional():
 
 def test_band_bias_add_names_the_bias_shape_it_got():
     with pytest.raises(ValueError, match=r"shape \(5,\), got \(3,\)"):
-        band_bias_add(T.tensor(np.zeros((4, 4))), T.tensor(np.zeros(3)), 2,
+        band_bias_add(Tensor(np.zeros((4, 4))), Tensor(np.zeros(3)), 2,
                       causal=False)
 
 
 def test_band_bias_add_causal_skips_future():
     L, w = 5, 2
-    scores = T.tensor(np.zeros((L, L)))
-    bias = T.tensor(np.ones(2 * w + 1))
+    scores = Tensor(np.zeros((L, L)))
+    bias = Tensor(np.ones(2 * w + 1))
     out = band_bias_add(scores, bias, w, causal=True).data
     for i in range(L):
         for j in range(L):
@@ -317,8 +319,8 @@ def test_sigmoid_silu_match_reference_over_wide_range(dtype):
     ref = expit(x.astype(np.float64))
     with precision(dtype), warnings.catch_warnings():
         warnings.simplefilter("error")
-        s = T.sigmoid(T.tensor(x)).data
-        u = T.silu(T.tensor(x)).data
+        s = T.sigmoid(Tensor(x)).data
+        u = T.silu(Tensor(x)).data
     assert s.dtype == dtype and u.dtype == dtype
     tiny, eps = np.finfo(dtype).tiny, np.finfo(dtype).eps
     normal = ref >= tiny
@@ -334,7 +336,7 @@ def test_sigmoid_silu_match_reference_over_wide_range(dtype):
 
 def test_grad_elementwise_ops():
     rng = Rng(7)
-    x = param(rng.normal((3, 4)), name="x")
+    x = Tensor(rng.normal((3, 4)), requires_grad=True, name="x")
     for op in (T.sigmoid, T.silu):
         check_op_grads(lambda: T.tsum(op(x) * op(x)), [x])
 
@@ -343,7 +345,7 @@ def test_grad_elementwise_ops():
 def test_grad_dense_oracle_weight_op(attn_fn):
     # with K = 2I at z_dim 4 (scale 1/2), a zero bias and V = I, the
     # oracle's output is its weight op, phi_table's f, applied to Q
-    x = param(Rng(7).normal((4, 4)), name="x")
+    x = Tensor(Rng(7).normal((4, 4)), requires_grad=True, name="x")
     cfg = AttentionConfig(attn_fn, 0, False, z_dim=4, v_dim=4)
 
     def weights():
@@ -357,8 +359,8 @@ def test_grad_dense_oracle_weight_op(attn_fn):
 
 def test_grad_matmul():
     rng = Rng(8)
-    a = param(rng.normal((2, 3, 4)), name="a")
-    b = param(rng.normal((4, 5)), name="b")
+    a = Tensor(rng.normal((2, 3, 4)), requires_grad=True, name="a")
+    b = Tensor(rng.normal((4, 5)), requires_grad=True, name="b")
 
     def loss():
         y = T.matmul(a, b)
@@ -369,7 +371,7 @@ def test_grad_matmul():
 
 def test_grad_gather_rows():
     rng = Rng(9)
-    tab = param(rng.normal((6, 3)), name="tab")
+    tab = Tensor(rng.normal((6, 3)), requires_grad=True, name="tab")
     idx = np.array([[0, 2, 2], [5, 0, 1]])
     check_op_grads(lambda: T.tsum(T.gather_rows(tab, idx)
                                   * T.gather_rows(tab, idx)), [tab])
@@ -389,14 +391,14 @@ def test_grad_gather_rows():
 
 def test_grad_softmax_and_ce():
     rng = Rng(10)
-    x = param(rng.normal((4, 6)), name="x")
+    x = Tensor(rng.normal((4, 6)), requires_grad=True, name="x")
     t = rng.integers(0, 6, (4,))
     check_op_grads(lambda: cross_entropy(x, t), [x])
     mask = np.tril(np.ones((4, 6), dtype=bool), k=2)
 
     def masked():
         p = T.softmax_rows(x, mask=mask)
-        return T.tsum(p * T.tensor(rng_fixed))
+        return T.tsum(p * Tensor(rng_fixed))
 
     rng_fixed = Rng(11).normal((4, 6))
     check_op_grads(masked, [x])
@@ -408,9 +410,10 @@ def test_cross_entropy_nd_equals_flattened_call():
     rng = Rng(63)
     x = rng.normal((3, 5, 7))
     t = rng.integers(0, 7, (3, 5))
-    nd, flat = param(x, "nd"), param(x.reshape(15, 7), "flat")
+    nd = Tensor(x, requires_grad=True, name="nd")
+    flat = Tensor(x.reshape(15, 7), requires_grad=True, name="flat")
     a, b = cross_entropy(nd, t), cross_entropy(flat, t.reshape(-1))
-    assert a.item() == b.item()
+    assert float(a.data) == float(b.data)
     (ga,), (gb,) = grad(a, [nd]), grad(b, [flat])
     assert ga.shape == x.shape
     np.testing.assert_array_equal(ga, gb.reshape(x.shape))
@@ -421,9 +424,9 @@ def test_grad_conv_causal():
     # the op feeds the loss twice, so both parents accumulate two grads
     rng = Rng(12)
     for L in (1, 2, 9):
-        k = param(rng.normal((2, L)), name="k")
-        s = param(rng.normal((3, L, 2)), name="s")
-        skip = param(rng.normal((2,)), name="skip")
+        k = Tensor(rng.normal((2, L)), requires_grad=True, name="k")
+        s = Tensor(rng.normal((3, L, 2)), requires_grad=True, name="s")
+        skip = Tensor(rng.normal((2,)), requires_grad=True, name="skip")
         check_op_grads(lambda: T.tsum(conv_causal_channels(k, s, skip)
                                       * conv_causal_channels(k, s, skip)),
                        [k, s, skip])
@@ -431,11 +434,11 @@ def test_grad_conv_causal():
 
 def test_grad_conv_causal_channels():
     rng = Rng(13)
-    ker = param(rng.normal((3, 8)), name="ker")
-    x = param(rng.normal((2, 8, 3)), name="x")
+    ker = Tensor(rng.normal((3, 8)), requires_grad=True, name="ker")
+    x = Tensor(rng.normal((2, 8, 3)), requires_grad=True, name="x")
     probe = Rng(14).normal((2, 8, 3))
     check_op_grads(lambda: T.tsum(conv_causal_channels(ker, x, np.zeros(3))
-                                  * T.tensor(probe)), [ker, x])
+                                  * Tensor(probe)), [ker, x])
 
 
 def test_conv_skip_fused_equals_node_chain():
@@ -444,10 +447,10 @@ def test_conv_skip_fused_equals_node_chain():
     # differences
     rng = Rng(60)
     for B, L, d in ((1, 1, 1), (2, 9, 3), (3, 16, 4)):
-        ker = param(rng.normal((d, L)), name="ker")
-        x = param(rng.normal((B, L, d)), name="x")
-        skip = param(rng.normal((d,)), name="skip")
-        probe = T.tensor(rng.normal((B, L, d)))
+        ker = Tensor(rng.normal((d, L)), requires_grad=True, name="ker")
+        x = Tensor(rng.normal((B, L, d)), requires_grad=True, name="x")
+        skip = Tensor(rng.normal((d,)), requires_grad=True, name="skip")
+        probe = Tensor(rng.normal((B, L, d)))
         params = [ker, x, skip]
         fused = conv_causal_channels(ker, x, skip)
         chain = conv_causal_channels(ker, x, np.zeros(d)) + T.mul(skip, x)
@@ -459,30 +462,31 @@ def test_conv_skip_fused_equals_node_chain():
         check_op_grads(lambda: T.tsum(conv_causal_channels(ker, x, skip)
                                       * probe), params)
     with pytest.raises(ValueError, match=r"skip shape \(4,\) != \(3,\)"):
-        conv_causal_channels(T.tensor(np.zeros((3, 4))),
-                             T.tensor(np.zeros((1, 4, 3))),
-                             T.tensor(np.zeros(4)))
+        conv_causal_channels(Tensor(np.zeros((3, 4))),
+                             Tensor(np.zeros((1, 4, 3))),
+                             Tensor(np.zeros(4)))
 
 
 def test_grad_band_bias():
     rng = Rng(15)
-    s = param(rng.normal((5, 5)), name="s")
-    b = param(rng.normal((5,)), name="b")
+    s = Tensor(rng.normal((5, 5)), requires_grad=True, name="s")
+    b = Tensor(rng.normal((5,)), requires_grad=True, name="b")
     probe = Rng(16).normal((5, 5))
     for causal in (False, True):
         check_op_grads(
-            lambda: T.tsum(band_bias_add(s, b, 2, causal) * T.tensor(probe)),
+            lambda: T.tsum(band_bias_add(s, b, 2, causal) * Tensor(probe)),
             [s, b])
 
 
 def test_grad_norms():
     rng = Rng(17)
-    x = param(rng.normal((2, 5, 6)), name="x")
-    gain = param(np.abs(rng.normal((6,))) + 0.5, name="gain")
-    bias = param(rng.normal((6,)), name="bias")
+    x = Tensor(rng.normal((2, 5, 6)), requires_grad=True, name="x")
+    gain = Tensor(np.abs(rng.normal((6,))) + 0.5, requires_grad=True,
+                  name="gain")
+    bias = Tensor(rng.normal((6,)), requires_grad=True, name="bias")
     probe = Rng(18).normal((2, 5, 6))
     check_op_grads(
-        lambda: T.tsum(T.layer_norm(x, gain, bias) * T.tensor(probe)),
+        lambda: T.tsum(T.layer_norm(x, gain, bias) * Tensor(probe)),
         [x, gain, bias], tol=1e-5)
 
 
@@ -490,26 +494,26 @@ def test_grad_linear():
     # the fused projection against central differences on 1-D, 2-D and
     # 3-D inputs; with a constant x the node returns no dx at all
     rng = Rng(20)
-    w = param(rng.normal((4, 3)), name="w")
-    b = param(rng.normal((3,)), name="b")
+    w = Tensor(rng.normal((4, 3)), requires_grad=True, name="w")
+    b = Tensor(rng.normal((3,)), requires_grad=True, name="b")
     for shape in ((4,), (5, 4), (2, 5, 4)):
-        x = param(rng.normal(shape), name="x")
+        x = Tensor(rng.normal(shape), requires_grad=True, name="x")
         probe = Rng(21).normal(shape[:-1] + (3,))
-        check_op_grads(lambda: T.tsum(T.linear(x, w, b) * T.tensor(probe)),
+        check_op_grads(lambda: T.tsum(T.linear(x, w, b) * Tensor(probe)),
                        [x, w, b])
-    x = T.tensor(rng.normal((2, 5, 4)))
+    x = Tensor(rng.normal((2, 5, 4)))
     probe = Rng(22).normal((2, 5, 3))
-    check_op_grads(lambda: T.tsum(T.linear(x, w, b) * T.tensor(probe)),
+    check_op_grads(lambda: T.tsum(T.linear(x, w, b) * Tensor(probe)),
                    [w, b])
     assert T.linear(x, w, b)._vjp(probe)[0] is None
 
 
 def test_linear_equals_matmul_plus_bias():
     rng = Rng(23)
-    x = param(rng.normal((3, 7, 5)), name="x")
-    w = param(rng.normal((5, 4)), name="w")
-    b = param(rng.normal((4,)), name="b")
-    probe = T.tensor(Rng(24).normal((3, 7, 4)))
+    x = Tensor(rng.normal((3, 7, 5)), requires_grad=True, name="x")
+    w = Tensor(rng.normal((5, 4)), requires_grad=True, name="w")
+    b = Tensor(rng.normal((4,)), requires_grad=True, name="b")
+    probe = Tensor(Rng(24).normal((3, 7, 4)))
     fused = T.linear(x, w, b)
     chain = T.matmul(x, w) + b
     want = grad(T.tsum(chain * probe), [x, w, b])
@@ -518,18 +522,18 @@ def test_linear_equals_matmul_plus_bias():
     for name, g, h in zip(("x", "w", "b"), got, want):
         assert g.shape == h.shape and rel_err(g, h) < 1e-12, name
     with pytest.raises(ValueError, match="linear expects"):
-        T.linear(x, T.tensor(np.zeros((4, 4))), b)
+        T.linear(x, Tensor(np.zeros((4, 4))), b)
 
 
 def test_grad_gate_mix():
     # the gate arrives as its pre-activation and the sigmoid runs inside
     rng = Rng(25)
-    pre = param(3.0 * rng.normal((2, 3, 4)), name="pre")
-    a = param(rng.normal((2, 3, 4)), name="a")
-    x = param(rng.normal((2, 3, 4)), name="x")
+    pre = Tensor(3.0 * rng.normal((2, 3, 4)), requires_grad=True, name="pre")
+    a = Tensor(rng.normal((2, 3, 4)), requires_grad=True, name="a")
+    x = Tensor(rng.normal((2, 3, 4)), requires_grad=True, name="x")
     probe = Rng(26).normal((2, 3, 4))
     check_op_grads(
-        lambda: T.tsum(T.gate_mix(pre, a, x) * T.tensor(probe)),
+        lambda: T.tsum(T.gate_mix(pre, a, x) * Tensor(probe)),
         [pre, a, x])
     gate = expit(pre.data)
     want = gate * a.data + (1.0 - gate) * x.data
@@ -539,9 +543,10 @@ def test_grad_gate_mix():
 def test_gate_mix_equals_node_chain():
     # against x + sigmoid(pre) * (a - x) built from separate nodes
     rng = Rng(61)
-    params = [param(rng.normal((3, 5, 4)), name=n) for n in ("pre", "a", "x")]
+    params = [Tensor(rng.normal((3, 5, 4)), requires_grad=True, name=n)
+              for n in ("pre", "a", "x")]
     pre, a, x = params
-    probe = T.tensor(rng.normal((3, 5, 4)))
+    probe = Tensor(rng.normal((3, 5, 4)))
     fused = T.gate_mix(pre, a, x)
     chain = x + T.sigmoid(pre) * (a - x)
     assert rel_err(fused.data, chain.data) < 1e-12
@@ -550,18 +555,19 @@ def test_gate_mix_equals_node_chain():
     for p, g, h in zip(params, got, want):
         assert rel_err(g, h) < 1e-12, p.name
     with pytest.raises(ValueError, match="gate_mix expects one shape"):
-        T.gate_mix(pre, a, T.tensor(np.zeros((3, 5, 3))))
+        T.gate_mix(pre, a, Tensor(np.zeros((3, 5, 3))))
 
 
 def test_layer_norm_residual_equals_node_chain():
     # layer_norm(x, residual=r) against layer_norm(x + r), and the
     # residual's gradient against central differences
     rng = Rng(62)
-    x = param(rng.normal((2, 5, 6)), name="x")
-    r = param(rng.normal((2, 5, 6)), name="residual")
-    gain = param(np.abs(rng.normal((6,))) + 0.5, name="gain")
-    bias = param(rng.normal((6,)), name="bias")
-    probe = T.tensor(rng.normal((2, 5, 6)))
+    x = Tensor(rng.normal((2, 5, 6)), requires_grad=True, name="x")
+    r = Tensor(rng.normal((2, 5, 6)), requires_grad=True, name="residual")
+    gain = Tensor(np.abs(rng.normal((6,))) + 0.5, requires_grad=True,
+                  name="gain")
+    bias = Tensor(rng.normal((6,)), requires_grad=True, name="bias")
+    probe = Tensor(rng.normal((2, 5, 6)))
     params = [x, gain, bias, r]
     fused = T.layer_norm(x, gain, bias, residual=r)
     chain = T.layer_norm(x + r, gain, bias)
@@ -574,7 +580,7 @@ def test_layer_norm_residual_equals_node_chain():
         lambda: T.tsum(T.layer_norm(x, gain, bias, residual=r) * probe),
         params, tol=1e-5)
     with pytest.raises(ValueError, match="residual shape"):
-        T.layer_norm(x, gain, bias, residual=T.tensor(np.zeros((2, 6))))
+        T.layer_norm(x, gain, bias, residual=Tensor(np.zeros((2, 6))))
 
 
 def _layer_norm_two_pass(x, gain, bias, g, eps=1e-5):
@@ -593,9 +599,10 @@ def _layer_norm_two_pass(x, gain, bias, g, eps=1e-5):
 
 
 def _layer_norm_op(x, gain, bias, g):
-    xt, gt, bt = param(x, "x"), param(gain, "gain"), param(bias, "bias")
+    xt, gt, bt = (Tensor(a, requires_grad=True, name=n)
+                  for a, n in ((x, "x"), (gain, "gain"), (bias, "bias")))
     out = T.layer_norm(xt, gt, bt)
-    return (out.data, *grad(T.tsum(out * T.tensor(g)), [xt, gt, bt]))
+    return (out.data, *grad(T.tsum(out * Tensor(g)), [xt, gt, bt]))
 
 
 def test_layer_norm_matches_two_pass_reference():
@@ -626,7 +633,7 @@ def test_layer_norm_float32_matches_float64():
 
 
 def test_sigmoid_silu_zero_d_input():
-    x = param(np.array(0.3), name="x")
+    x = Tensor(np.array(0.3), requires_grad=True, name="x")
     for op, want, dwant in (
             (T.sigmoid, expit(0.3), expit(0.3) * (1 - expit(0.3))),
             (T.silu, 0.3 * expit(0.3),
@@ -639,7 +646,7 @@ def test_sigmoid_silu_zero_d_input():
 
 def test_grad_sum_mean_axes():
     rng = Rng(19)
-    x = param(rng.normal((3, 4, 5)), name="x")
+    x = Tensor(rng.normal((3, 4, 5)), requires_grad=True, name="x")
     check_op_grads(lambda: T.tsum(T.tmean(x, axis=1) * T.tmean(x, axis=1)), [x])
     check_op_grads(lambda: T.tsum(T.tsum(x, axis=2) * T.tsum(x, axis=2)), [x])
 

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 
 import numpy as np
@@ -7,23 +6,29 @@ import pytest
 
 from longvq.cli import main
 from longvq.rng import Rng
-from longvq.tasks import (TaskSpec, build_task, gen_reduction_head,
-                          ReductionHeadTask, load_pixel_sequences,
-                          PixelTask, to_float_pixels, load_char_corpus,
-                          CharTask, bpc, RECORD, TRAIN_FILES, TEST_FILE)
+from longvq.tasks import (TaskSpec, build_task, ReductionHeadTask,
+                          load_pixel_sequences, PixelTask, to_float_pixels,
+                          load_char_corpus, CharTask, RECORD, TRAIN_FILES,
+                          TEST_FILE)
 from longvq.tensor import precision
 
 
 # ---------------------------------------------------------------------------
 # reduction head
 
+def gen_reduction_head(L, vocab, n, seed):
+    """n classification sequences [k v ... MARK k_query] and their labels."""
+    task = ReductionHeadTask(TaskSpec(name="reduction", L=L, vocab=vocab))
+    return task.sample("train", n, Rng(seed, "reduction"))
+
+
 def test_reduction_preconditions():
-    with pytest.raises(ValueError, match="vocab"):
-        gen_reduction_head(16, 3, 4, 0)
-    with pytest.raises(ValueError, match="even"):
-        gen_reduction_head(7, 16, 4, 0)
-    with pytest.raises(ValueError, match="even"):
-        gen_reduction_head(9, 16, 4, 0)
+    with pytest.raises(ValueError, match="task.vocab"):
+        TaskSpec(name="reduction", L=16, vocab=3)
+    with pytest.raises(ValueError, match="task.L must be even"):
+        TaskSpec(name="reduction", L=7, vocab=16)
+    with pytest.raises(ValueError, match="task.L must be even"):
+        TaskSpec(name="reduction", L=9, vocab=16)
 
 
 def test_reduction_layout_and_alphabets():
@@ -98,8 +103,10 @@ def test_reduction_task_protocol():
     x2, y2 = task.sample("train", 7, Rng(4, "t"))
     assert x1.shape == (7, 16)
     assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
-    batches = list(task.eval_batches("val", 5, n_batches=3))
-    assert len(batches) == 3 and batches[0][0].shape == (5, 16)
+    batches = list(task.eval_batches("val", 5))
+    assert len(batches) == 16 and batches[0][0].shape == (5, 16)
+    again = next(iter(task.eval_batches("val", 5)))
+    assert np.array_equal(again[0], batches[0][0])     # a fixed stream
 
 
 def test_reduction_lm_variant_targets():
@@ -256,23 +263,22 @@ def test_pixel_train_and_eval_commands_end_to_end(tmp_path, monkeypatch,
     assert "eval[test]: n=8" in capsys.readouterr().out
 
 
-def test_eval_batches_yields_n_batches(tmp_path):
+def test_eval_batches_cover_the_split(tmp_path):
     red = build_task(TaskSpec(name="reduction", L=16, vocab=8, seed=1))
-    assert len(list(red.eval_batches("test", 3))) == 16
+    assert [len(y) for _, y in red.eval_batches("test", 3)] == [3] * 16
     pix = PixelTask(TaskSpec(name="pixels", path=_write_fake_cifar(
         str(tmp_path / "tiny"), per_file=8)))
     p = tmp_path / "c.txt"
     p.write_bytes(bytes(range(7)) * 200)
     char = CharTask(TaskSpec(name="chars", L=10, path=str(p)))
-    for task in (red, pix, char):
-        for n in (1, 2, 3):
-            got = list(task.eval_batches("test" if task is pix else "train",
-                                         2, n_batches=n))
-            assert len(got) == n, (task.name, n)
-            assert all(len(y) == 2 for _, y in got)
-    # None covers the whole split for the two file-backed tasks
-    assert sum(len(y) for _, y in pix.eval_batches("test", 3)) == 8
-    assert sum(len(y) for _, y in char.eval_batches("train", 8)) == 125
+    # the two file-backed tasks cover the whole split in order, the last
+    # batch short
+    got = list(pix.eval_batches("test", 3))
+    assert [len(y) for _, y in got] == [3, 3, 2]
+    assert np.array_equal(np.concatenate([y for _, y in got]),
+                          pix.data["test_y"])
+    sizes = [len(y) for _, y in char.eval_batches("train", 8)]
+    assert sum(sizes) == 125 and sizes[-1] == 125 % 8
 
 
 def test_pixel_task_grayscale_channel(cifar_dir):
@@ -360,11 +366,6 @@ def test_char_sample_needs_room(tmp_path):
     task = CharTask(TaskSpec(name="chars", L=4, path=str(p)))
     with pytest.raises(ValueError, match="shorter"):
         task.sample("val", 2, Rng(0, "x"))
-
-
-def test_bpc_conversion():
-    assert bpc(math.log(2.0)) == pytest.approx(1.0)
-    assert bpc(2.0 * math.log(2.0)) == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ def test_global_norm():
 # optimizer
 
 def test_adamw_zero_beta_sign_scaled():
-    p = T.param(np.array([1.0, -2.0]), name="p")
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True, name="p")
     cfg = TrainConfig(lr=0.5, beta1=0.0, beta2=0.0, weight_decay=0.0)
     opt = AdamW([p], cfg)
     g = np.array([0.3, -0.4])
@@ -125,7 +125,7 @@ def test_adamw_zero_beta_sign_scaled():
 
 
 def test_adamw_decoupled_weight_decay():
-    p = T.param(np.array([2.0]), name="p")
+    p = Tensor(np.array([2.0]), requires_grad=True, name="p")
     cfg = TrainConfig(lr=1.0, beta1=0.9, beta2=0.98, weight_decay=0.5)
     opt = AdamW([p], cfg)
     opt.step([np.zeros(1)], lr=0.1)
@@ -133,7 +133,7 @@ def test_adamw_decoupled_weight_decay():
 
 
 def test_adamw_zero_lr_is_identity():
-    p = T.param(np.array([1.5]), name="p")
+    p = Tensor(np.array([1.5]), requires_grad=True, name="p")
     opt = AdamW([p], TrainConfig(lr=1.0))
     opt.step([np.array([0.7])], lr=0.0)
     np.testing.assert_array_equal(p.data, [1.5])
@@ -351,8 +351,8 @@ def test_loop_aborts_after_repeated_nonfinite_grads(monkeypatch):
 
 def test_finite_diff_linear_model_tight():
     rng = Rng(12)
-    w = T.param(rng.normal((3, 2)), name="w")
-    b = T.param(np.zeros(2), name="b")
+    w = Tensor(rng.normal((3, 2)), requires_grad=True, name="w")
+    b = Tensor(np.zeros(2), requires_grad=True, name="b")
     x = rng.normal((5, 3))
     y = rng.integers(0, 2, (5,))
 
@@ -392,10 +392,12 @@ def test_gradcheck_detects_planted_fault():
     assert not rep["skipped"] and not rep["passed"]
 
 
-def test_gradcheck_margin_skip():
+def test_gradcheck_margin_skip(monkeypatch):
+    import longvq.train as train_mod
+    monkeypatch.setattr(train_mod, "_GC_MARGIN", 1e9)
+    monkeypatch.setattr(train_mod, "_GC_TRIES", 3)
     make_model, make_batch = _mk("softmax")
-    rep = gradcheck_model(make_model, make_batch, margin=1e9, tries=3,
-                          seed=0)
+    rep = gradcheck_model(make_model, make_batch, seed=0)
     assert rep["skipped"] and rep["tries"] == 3
 
 

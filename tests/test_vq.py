@@ -14,7 +14,7 @@ from longvq.vq import (
     EMA_EPSILON, EMA_ETA, Codebook, assign_batch, codebook_perplexity,
     commit_loss, ema_update, quantize_st, seed_codebook,
 )
-from longvq.tensor import Tensor, grad, param, precision
+from longvq.tensor import Tensor, grad, precision
 
 
 @pytest.fixture(autouse=True)
@@ -123,7 +123,7 @@ def test_quantize_fixed_point_bitwise():
 def test_quantize_passthrough_grad_ones():
     rng = Rng(4)
     cb = make_cb(4, 3, rng)
-    K = param(rng.normal((7, 3)), name="K")
+    K = Tensor(rng.normal((7, 3)), requires_grad=True, name="K")
     K_hat, _ = quantize_st(K, cb)
     (g,) = grad(T.tsum(K_hat), [K])
     np.testing.assert_array_equal(g, np.ones_like(K.data))
@@ -133,7 +133,7 @@ def test_quantize_passthrough_arbitrary_downstream():
     # dL/dK must equal dL/dK_hat elementwise for a nonlinear downstream loss
     rng = Rng(5)
     cb = make_cb(6, 4, rng)
-    K = param(rng.normal((8, 4)), name="K")
+    K = Tensor(rng.normal((8, 4)), requires_grad=True, name="K")
     W = Tensor(rng.normal((4, 4)))
 
     K_hat, _ = quantize_st(K, cb)
@@ -141,7 +141,7 @@ def test_quantize_passthrough_arbitrary_downstream():
     loss = T.tsum(T.silu(y) * T.silu(y))
     (gK,) = grad(loss, [K])
 
-    K_fixed = param(K_hat.data.copy(), name="Kh")
+    K_fixed = Tensor(K_hat.data.copy(), requires_grad=True, name="Kh")
     y2 = T.matmul(K_fixed, W)
     loss2 = T.tsum(T.silu(y2) * T.silu(y2))
     (gKh,) = grad(loss2, [K_fixed])
@@ -152,7 +152,7 @@ def test_quantize_codebook_untouched_by_backward():
     rng = Rng(6)
     cb = make_cb(4, 3, rng)
     before = cb.C.copy()
-    K = param(rng.normal((5, 3)), name="K")
+    K = Tensor(rng.normal((5, 3)), requires_grad=True, name="K")
     K_hat, z = quantize_st(K, cb)
     loss = T.tsum(K_hat * K_hat) + commit_loss(K, cb, z)
     grad(loss, [K])
@@ -232,20 +232,20 @@ def test_commit_loss_zero_at_fixed_point():
     cb = make_cb(4, 3, rng)
     K = Tensor(cb.C[np.array([1, 3])].copy())
     z = np.array([1, 3])
-    assert commit_loss(K, cb, z).item() == 0.0
+    assert float(commit_loss(K, cb, z).data) == 0.0
 
 
 def test_commit_loss_hand_value():
     cb = Codebook(C=np.array([[0.0, 0.0]]), ema_count=np.ones(1),
                   ema_sum=np.zeros((1, 2)))
     K = Tensor(np.array([[1.0, 0.0]]))
-    assert abs(commit_loss(K, cb, np.array([0])).item() - 0.5) < 1e-12
+    assert abs(float(commit_loss(K, cb, np.array([0])).data) - 0.5) < 1e-12
 
 
 def test_commit_loss_grad_to_keys_only():
     rng = Rng(12)
     cb = make_cb(4, 3, rng)
-    K = param(rng.normal((6, 3)), name="K")
+    K = Tensor(rng.normal((6, 3)), requires_grad=True, name="K")
     z = assign_batch(K.data, cb)
     C_before = cb.C.copy()
     (g,) = grad(commit_loss(K, cb, z), [K])
@@ -270,7 +270,7 @@ def test_permutation_equivariance():
     cb = make_cb(S, D, rng)
     K = Tensor(rng.normal((10, D)))
     K_hat, z = quantize_st(K, cb)
-    loss = commit_loss(K, cb, z).item()
+    loss = float(commit_loss(K, cb, z).data)
 
     perm = Rng(14).permutation(S)
     cb2 = Codebook(C=cb.C[perm].copy(), ema_count=cb.ema_count[perm].copy(),
@@ -278,7 +278,7 @@ def test_permutation_equivariance():
     K_hat2, z2 = quantize_st(K, cb2)
     np.testing.assert_array_equal(K_hat.data, K_hat2.data)
     np.testing.assert_array_equal(perm[z2], z)
-    assert abs(commit_loss(K, cb2, z2).item() - loss) < 1e-12
+    assert abs(float(commit_loss(K, cb2, z2).data) - loss) < 1e-12
 
 
 def test_seed_codebook_rows_come_from_keys():
