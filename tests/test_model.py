@@ -176,6 +176,29 @@ def test_param_names_and_registry():
     assert [p.data.shape for p in head_b] == [(11,)]
 
 
+def _closed_form_param_count(cfg):
+    d, f, n = cfg.d_model, cfg.d_ffn, cfg.n_state
+    z, v, w = cfg.attn.z_dim, cfg.attn.v_dim, cfg.attn.window
+    ssm = d * n + 2 * d if cfg.ssm_enabled else 0
+    gates = (d * v + v) + 2 * (d * z + z) + (d * v + v) \
+        + (d * d + d) + (v * d + d)
+    layer = ssm + gates + (2 * w + 1)
+    ffn = d * f + f + f * d + d
+    block = layer + 2 * (2 * d) + ffn     # two LayerNorms, gain and bias
+    embed = cfg.vocab * d if cfg.vocab > 0 else cfg.in_dim * d + d
+    head = d * cfg.n_out + cfg.n_out
+    return embed + cfg.depth * block + head
+
+
+@pytest.mark.parametrize("ssm_enabled", [True, False])
+def test_param_count_formula(ssm_enabled):
+    for cfg in (small_cfg(ssm_enabled=ssm_enabled),
+                lm_cfg(ssm_enabled=ssm_enabled, depth=3)):
+        model = Model(cfg, Rng(17))
+        actual = sum(p.data.size for p in model.params())
+        assert actual == _closed_form_param_count(cfg)
+
+
 def test_gradients_flow_to_all_params():
     model = Model(lm_cfg(depth=1), Rng(18))
     tok = Rng(19).integers(0, 11, (2, 12))
