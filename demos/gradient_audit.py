@@ -18,13 +18,11 @@ from longvq.train import gradcheck_model
 set_precision("float64")
 
 cfg = apply_sets(load_run_config(None), GRADCHECK_TINY)
-task, mcfg, tcfg, impl = build_run(cfg)
+task, mcfg, tcfg, _ = build_run(cfg)
 
 
 def make_model(s):
-    m = Model(mcfg, Rng(s, "model"))
-    m.impl = impl
-    return m
+    return Model(mcfg, Rng(s, "model"), impl="dense")
 
 
 def make_batch(s):

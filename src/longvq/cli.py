@@ -2,7 +2,10 @@
 
 Commands: train, eval, bench-scaling, diag-entropy, gradcheck,
 kernel-dump. Each writes machine-readable output (metrics.jsonl,
-report.json) under --out and prints a one-line summary. LONGVQ_THREADS
+report.json) under --out and prints a one-line summary. train also
+writes checkpoint.npz, the model's state_arrays() at its own precision;
+eval, diag-entropy and kernel-dump restore one with --checkpoint.
+Numeric flags are range-checked when parsed. LONGVQ_THREADS
 caps BLAS parallelism; bench-scaling pins itself to one thread unless
 told otherwise.
 """
@@ -96,26 +99,26 @@ def _load_cfg(args, extra_defaults=None):
     return cfg
 
 
-def _build_model(model_cfg, seed, impl):
-    return Model(model_cfg, Rng(seed, "model"), impl=impl)
-
-
-def _restore(args, model):
+def _run_model(args, command):
+    """(task, train config, model, output dir) for a run: the model is
+    built from the config and restored from --checkpoint when given."""
+    task, model_cfg, train_cfg, impl = build_run(_load_cfg(args),
+                                                 seed=args.seed)
+    out = _outdir(args, command)
+    model = Model(model_cfg, Rng(train_cfg.seed, "model"), impl=impl)
     if getattr(args, "checkpoint", None):
         load_checkpoint(args.checkpoint, model)
+    return task, train_cfg, model, out
 
 
 # ---------------------------------------------------------------------------
 
 
 def cmd_train(args):
-    cfg = _load_cfg(args)
-    task, model_cfg, train_cfg, impl = build_run(cfg, seed=args.seed)
-    out = _outdir(args, "train")
-    model = _build_model(model_cfg, train_cfg.seed, impl)
+    task, train_cfg, model, out = _run_model(args, "train")
     metrics = os.path.join(out, "metrics.jsonl")
     records = train_loop(model, task, train_cfg, metrics_path=metrics)
-    ckpt = os.path.join(out, "checkpoint.f32")
+    ckpt = os.path.join(out, "checkpoint.npz")
     save_checkpoint(ckpt, model)
     evals = [r for r in records if r.get("split") == "eval"]
     final = evals[-1] if evals else {}
@@ -136,11 +139,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    cfg = _load_cfg(args)
-    task, model_cfg, train_cfg, impl = build_run(cfg, seed=args.seed)
-    out = _outdir(args, "eval")
-    model = _build_model(model_cfg, train_cfg.seed, impl)
-    _restore(args, model)
+    task, train_cfg, model, out = _run_model(args, "eval")
     res = evaluate(model, task.eval_batches(args.split, train_cfg.batch_size),
                    gamma=0.0)
     payload = {"schema": SCHEMA, "command": "eval", "split": args.split,
@@ -155,7 +154,7 @@ def cmd_eval(args):
 
 def cmd_bench_scaling(args):
     out = _outdir(args, "bench-scaling")
-    Ls = [int(s) for s in args.lengths.split(",") if s]
+    Ls = args.lengths
     modes = ("dense", "vq") if args.mode == "both" else (args.mode,)
     report = bench_scaling(Ls, reps=args.reps, S=args.S, w=args.w,
                            d=args.d, modes=modes, seed=args.seed or 0)
@@ -173,11 +172,7 @@ def cmd_bench_scaling(args):
 
 
 def cmd_diag_entropy(args):
-    cfg = _load_cfg(args)
-    task, model_cfg, train_cfg, impl = build_run(cfg, seed=args.seed)
-    out = _outdir(args, "diag-entropy")
-    model = _build_model(model_cfg, train_cfg.seed, impl)
-    _restore(args, model)
+    task, train_cfg, model, out = _run_model(args, "diag-entropy")
     rng = Rng(train_cfg.seed, "diag")
     per_batch = [evaluate(model, [task.sample("val", train_cfg.batch_size,
                                               rng)], 0.0)["attn_entropy"]
@@ -196,11 +191,11 @@ def cmd_diag_entropy(args):
 
 def cmd_gradcheck(args):
     cfg = _load_cfg(args, extra_defaults=GRADCHECK_TINY)
-    task, model_cfg, train_cfg, impl = build_run(cfg, seed=args.seed)
+    task, model_cfg, train_cfg, _ = build_run(cfg, seed=args.seed)
     out = _outdir(args, "gradcheck")
 
     def make_model(s):
-        return _build_model(model_cfg, s, impl)
+        return Model(model_cfg, Rng(s, "model"), impl="dense")
 
     def make_batch(s):
         return task.sample("train", train_cfg.batch_size,
@@ -240,12 +235,8 @@ def cmd_gradcheck(args):
 
 
 def cmd_kernel_dump(args):
-    cfg = _load_cfg(args)
-    task, model_cfg, train_cfg, impl = build_run(cfg, seed=args.seed)
-    out = _outdir(args, "kernel-dump")
-    model = _build_model(model_cfg, train_cfg.seed, impl)
-    _restore(args, model)
-    L = args.length or cfg["task"]["L"]
+    task, train_cfg, model, out = _run_model(args, "kernel-dump")
+    L = args.length or task.spec.L
     arrays = {f"layer{i}": layer.bank.kernels(L).data
               for i, layer in enumerate(model.layers())
               if layer.bank is not None}
@@ -264,6 +255,23 @@ def cmd_kernel_dump(args):
 
 
 # ---------------------------------------------------------------------------
+
+
+def _int_at_least(lo):
+    def integer(text):
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
+        return n
+    return integer
+
+
+def _lengths(text):
+    Ls = [_int_at_least(1)(s) for s in text.split(",") if s]
+    if len(set(Ls)) < 2:
+        raise argparse.ArgumentTypeError(
+            f"need at least two distinct lengths to fit a slope, got {text!r}")
+    return Ls
 
 
 def _add_common(sp):
@@ -295,11 +303,11 @@ def build_parser():
                         help="forward-pass wall-clock vs sequence length")
     sp.add_argument("--mode", default="both",
                     choices=("dense", "vq", "both"))
-    sp.add_argument("--lengths", default="1024,2048,4096,8192")
-    sp.add_argument("--reps", type=int, default=3)
-    sp.add_argument("--S", type=int, default=512)
-    sp.add_argument("--w", type=int, default=64)
-    sp.add_argument("--d", type=int, default=64)
+    sp.add_argument("--lengths", type=_lengths, default="1024,2048,4096,8192")
+    sp.add_argument("--reps", type=_int_at_least(1), default=3)
+    sp.add_argument("--S", type=_int_at_least(1), default=512)
+    sp.add_argument("--w", type=_int_at_least(0), default=64)
+    sp.add_argument("--d", type=_int_at_least(1), default=64)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
 
@@ -307,7 +315,7 @@ def build_parser():
                         help="normalized attention-row entropy per layer")
     _add_common(sp)
     sp.add_argument("--checkpoint", default=None)
-    sp.add_argument("--batches", type=int, default=4)
+    sp.add_argument("--batches", type=_int_at_least(1), default=4)
 
     sp = sub.add_parser("gradcheck",
                         help="reverse-mode vs finite-difference gradients")
@@ -319,7 +327,7 @@ def build_parser():
                         help="write materialized conv kernels + codebooks")
     _add_common(sp)
     sp.add_argument("--checkpoint", default=None)
-    sp.add_argument("--length", type=int, default=None)
+    sp.add_argument("--length", type=_int_at_least(1), default=None)
     return p
 
 

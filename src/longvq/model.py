@@ -10,8 +10,7 @@ so the sum is never a tape array.
 
 from __future__ import annotations
 
-import json
-import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,15 +159,6 @@ class Model:
 
     # -- plumbing ----------------------------------------------------------
 
-    @property
-    def impl(self):
-        return self.blocks[0].attn.impl
-
-    @impl.setter
-    def impl(self, value):
-        for b in self.blocks:
-            b.attn.impl = value
-
     def params(self):
         ps = [self.embed_w] + ([self.embed_b] if self.embed_b is not None
                                else [])
@@ -260,37 +250,25 @@ class Model:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: one raw little-endian float32 blob + a JSON manifest sidecar
+# checkpoints: one .npz of state_arrays(), each array at the model's dtype
 
 def save_checkpoint(path, model):
-    arrays = model.state_arrays()
-    manifest = {"format": "longvq-ckpt", "version": 1, "entries": []}
-    off = 0
     with open(path, "wb") as fh:
-        for name, arr in arrays.items():
-            flat = np.ascontiguousarray(arr, dtype="<f4")
-            fh.write(flat.tobytes())
-            manifest["entries"].append(
-                {"name": name, "shape": list(arr.shape), "offset": off})
-            off += flat.size * 4
-    with open(path + ".json", "w") as fh:
-        json.dump(manifest, fh, indent=1)
+        np.savez(fh, **model.state_arrays())
 
 
 def load_checkpoint(path, model):
-    with open(path + ".json") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != "longvq-ckpt":
-        raise ValueError(f"{path}: not a checkpoint manifest")
-    size = os.path.getsize(path)
-    blob = np.fromfile(path, dtype="<f4")
-    arrays = {}
-    for ent in manifest["entries"]:
-        shape = tuple(ent["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = ent["offset"] // 4
-        if ent["offset"] + count * 4 > size:
-            raise ValueError(f"{path}: truncated at entry '{ent['name']}'")
-        arrays[ent["name"]] = blob[start:start + count].reshape(shape)
+    # BadZipFile covers truncation and a failed CRC-32; ValueError covers
+    # pickles and files that are neither .npz nor .npy; a damaged central
+    # directory can raise any of the others
+    try:
+        npz = np.load(path, allow_pickle=False)
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise ValueError("a bare .npy array, not an .npz")
+        with npz:
+            arrays = {name: npz[name] for name in npz.files}
+    except (zipfile.BadZipFile, ValueError, EOFError, OSError,
+            NotImplementedError) as e:
+        raise ValueError(f"{path}: not a readable checkpoint ({e})") from e
     model.load_state(arrays)
     return model

@@ -357,10 +357,16 @@ def gradcheck_model(make_model, make_batch, seed=0):
     defines the gradient at the requantization jump rather than
     approximating anything measurable there. Inputs are resampled until
     every key's assignment margin exceeds ``_GC_MARGIN`` so the frozen
-    codes are locally stable. Returns a report dict.
+    codes are locally stable. make_model must build on the dense path:
+    factored attention insists K_hat rows equal codewords, which
+    perturbed parameters break. Returns a report dict.
     """
     for attempt in range(1, _GC_TRIES + 1):
         model = make_model(seed + attempt)
+        for lay in model.layers():
+            if lay.impl != "dense":
+                raise ValueError(f"gradcheck needs impl='dense', but layer "
+                                 f"'{lay.prefix}' is {lay.impl!r}")
         x, y = make_batch(seed + attempt)
         _, auxes = model(x)      # seeds codebooks, records assignments
         mg = min(assignment_margin(a["K"].data, lay.codebook.C)
@@ -373,8 +379,7 @@ def gradcheck_model(make_model, make_batch, seed=0):
 
     frozen = [{"z": a["z"], "offset": a["K_hat"].data - a["K"].data}
               for a in auxes]
-    model.impl = "dense"   # factored insists K_hat rows equal codewords,
-    params = model.params()    # which perturbed parameters break
+    params = model.params()
 
     def loss_fn():
         return total_loss(model, x, y, _GC_GAMMA, frozen=frozen)[0]

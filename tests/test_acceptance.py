@@ -147,12 +147,10 @@ def test_full_layer_gradients_match_finite_differences(capsys):
         for fn in ("softmax", "relu2"):
             cfg = apply_sets(load_run_config(None),
                              GRADCHECK_TINY + [f"attn.attn_fn={fn}"])
-            task, mcfg, tcfg, impl = build_run(cfg)
+            task, mcfg, tcfg, _ = build_run(cfg)
 
-            def make_model(s, mcfg=mcfg, impl=impl):
-                m = Model(mcfg, Rng(s, "model"))
-                m.impl = impl
-                return m
+            def make_model(s, mcfg=mcfg):
+                return Model(mcfg, Rng(s, "model"), impl="dense")
 
             def make_batch(s, task=task, tcfg=tcfg):
                 return task.sample("train", tcfg.batch_size,
@@ -215,8 +213,7 @@ def test_future_inputs_cannot_touch_past_logits(capsys):
     with precision("float64"):
         cfg = apply_sets(load_run_config(None), sets)
         task, mcfg, tcfg, impl = build_run(cfg)
-        model = Model(mcfg, Rng(_seed("accept-causal"), "model"))
-        model.impl = impl
+        model = Model(mcfg, Rng(_seed("accept-causal"), "model"), impl=impl)
         model.training = False
         x, _ = task.sample("train", 4, Rng(1, "causal-batch"))
         model(x)                    # seeds the codebooks once
@@ -382,8 +379,7 @@ def _train_reduction_arm(extra_sets, stop_at=None, step_cap=None,
                          budget_s=900.0):
     cfg = apply_sets(load_run_config(None), LEARN_RECIPE + extra_sets)
     task, mcfg, tcfg, impl = build_run(cfg)
-    model = Model(mcfg, Rng(tcfg.seed, "model"))
-    model.impl = impl
+    model = Model(mcfg, Rng(tcfg.seed, "model"), impl=impl)
     qx, qy = task.sample("val", 256, Rng(tcfg.seed, "query-heldout"))
     t0 = time.time()
     state = {"steps": 0, "qacc": 0.0}
@@ -446,8 +442,7 @@ def test_pixel_subset_classification(capsys):
         cfg = apply_sets(load_run_config(None), sets)
         cfg["train"]["total_steps"] = 20 * steps_per_epoch
         task, mcfg, tcfg, impl = build_run(cfg)
-        model = Model(mcfg, Rng(tcfg.seed, "model"))
-        model.impl = impl
+        model = Model(mcfg, Rng(tcfg.seed, "model"), impl=impl)
         train_loop(model, task, tcfg)
         model.training = False
         correct = total = 0

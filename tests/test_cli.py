@@ -149,8 +149,8 @@ def test_train_writes_artifacts(tmp_path, monkeypatch, capsys):
     rep = json.load(open("run/report.json"))
     assert rep["schema"] == "longvq-report-v1"
     assert rep["command"] == "train"
-    assert os.path.exists("run/checkpoint.f32")
-    assert os.path.exists("run/checkpoint.f32.json")
+    assert os.path.exists("run/checkpoint.npz")
+    assert not os.path.exists("run/checkpoint.npz.npz")
 
 
 def test_train_report_counts_skipped_steps(tmp_path, monkeypatch, capsys):
@@ -290,7 +290,7 @@ def test_eval_roundtrip_from_checkpoint(tmp_path, monkeypatch, capsys):
     assert main(["train", *TINY, "--seed", "2", "--out", "tr"]) == 0
     capsys.readouterr()
     rc = main(["eval", *TINY[:18], "--seed", "2",
-               "--checkpoint", "tr/checkpoint.f32", "--out", "ev"])
+               "--checkpoint", "tr/checkpoint.npz", "--out", "ev"])
     assert rc == 0
     rep = json.load(open("ev/report.json"))
     assert rep["command"] == "eval" and rep["examples"] > 0
@@ -307,7 +307,7 @@ def test_train_and_eval_reports_carry_the_environment(tmp_path, monkeypatch,
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert main(["train", *TINY, "--seed", "4", "--out", "tr"]) == 0
     assert main(["eval", *TINY[:18], "--seed", "4",
-                 "--checkpoint", "tr/checkpoint.f32", "--out", "ev"]) == 0
+                 "--checkpoint", "tr/checkpoint.npz", "--out", "ev"]) == 0
     for out in ("tr", "ev"):
         env = json.load(open(f"{out}/report.json"))["env"]
         assert env == {"python": platform.python_version(),
@@ -319,10 +319,66 @@ def test_train_and_eval_reports_carry_the_environment(tmp_path, monkeypatch,
 
 def test_eval_missing_checkpoint_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    rc = main(["eval", *TINY[:18], "--checkpoint", "nope.f32",
+    rc = main(["eval", *TINY[:18], "--checkpoint", "nope.npz",
                "--out", "ev"])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_train_then_eval_restores_the_state_bitwise(tmp_path, monkeypatch):
+    import longvq.cli as cli
+    monkeypatch.chdir(tmp_path)
+    seen = {}
+    real_save, real_evaluate = cli.save_checkpoint, cli.evaluate
+
+    def save(path, model):
+        seen["trained"] = {k: v.copy()
+                           for k, v in model.state_arrays().items()}
+        return real_save(path, model)
+
+    def evaluate(model, batches, gamma):
+        seen["restored"] = model.state_arrays()
+        return real_evaluate(model, batches, gamma)
+
+    monkeypatch.setattr(cli, "save_checkpoint", save)
+    monkeypatch.setattr(cli, "evaluate", evaluate)
+    assert main(["train", *TINY, "--seed", "3", "--out", "tr"]) == 0
+    assert main(["eval", *TINY, "--seed", "3",
+                 "--checkpoint", "tr/checkpoint.npz", "--out", "ev"]) == 0
+    trained, restored = seen["trained"], seen["restored"]
+    assert list(restored) == list(trained)
+    for name, arr in trained.items():
+        assert arr.dtype == restored[name].dtype == np.float64, name
+        np.testing.assert_array_equal(restored[name], arr, err_msg=name)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "byte_flipped", "bare_npy",
+                                    "old_f32"])
+def test_eval_refuses_a_damaged_checkpoint_naming_it(damage, tmp_path,
+                                                     monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", *TINY, "--seed", "1", "--out", "tr"]) == 0
+    raw = open("tr/checkpoint.npz", "rb").read()
+    with np.load("tr/checkpoint.npz") as z:
+        arrays = {k: z[k] for k in z.files}
+    path = f"bad-{damage}.npz"
+    with open(path, "wb") as fh:
+        if damage == "truncated":
+            fh.write(raw[:len(raw) // 2])
+        elif damage == "byte_flipped":
+            # a byte of array data, which only the zip's CRC-32 covers
+            at = raw.index(arrays["embed.table"].tobytes()) + 3
+            fh.write(raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1:])
+        elif damage == "bare_npy":
+            np.save(fh, arrays["embed.table"])
+        else:   # the float32 blob of the format before .npz
+            fh.write(np.concatenate([a.ravel() for a in arrays.values()])
+                     .astype("<f4").tobytes())
+    capsys.readouterr()
+    rc = main(["eval", *TINY[:18], "--checkpoint", path, "--out", "ev"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not a readable checkpoint"), err
 
 
 def test_gradcheck_fault_injection_detected(tmp_path, monkeypatch, capsys):
@@ -374,12 +430,10 @@ def test_kernel_dump_shapes(tmp_path, monkeypatch, capsys):
     # under its checkpoint name, equal to the stored arrays
     assert main(["train", *TINY, "--set", "model.depth=2", "--out", "tr"]) == 0
     rc = main(["kernel-dump", *TINY[:18], "--set", "model.depth=2",
-               "--checkpoint", "tr/checkpoint.f32", "--out", "kc"])
+               "--checkpoint", "tr/checkpoint.npz", "--out", "kc"])
     assert rc == 0
-    manifest = json.load(open("tr/checkpoint.f32.json"))
-    blob = np.fromfile("tr/checkpoint.f32", dtype="<f4")
-    stored = {e["name"]: blob[e["offset"] // 4:][:int(np.prod(e["shape"]))]
-              .reshape(e["shape"]) for e in manifest["entries"]}
+    with np.load("tr/checkpoint.npz", allow_pickle=False) as z:
+        stored = {k: z[k] for k in z.files}
     names = {f"blocks.{i}.attn.codebook.{a}" for i in (0, 1)
              for a in ("C", "ema_count", "ema_sum")}
     with np.load("kc/kernels.npz") as z:
@@ -399,6 +453,31 @@ def test_bench_command_report(tmp_path, monkeypatch, capsys):
     assert "slope" in rep["modes"]["vq"]
     assert set(rep["dense_over_vq"]) == {"128", "256"}
     assert "bench-scaling:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command,flag,bad,ok", [
+    ("diag-entropy", "--batches", "0", "1"),
+    ("kernel-dump", "--length", "0", "1"),
+    ("kernel-dump", "--length", "-5", "1"),
+    ("bench-scaling", "--reps", "0", "1"),
+    ("bench-scaling", "--S", "0", "1"),
+    ("bench-scaling", "--d", "0", "1"),
+    ("bench-scaling", "--w", "-1", "0"),
+    ("bench-scaling", "--lengths", "0,128", "1,128"),
+    ("bench-scaling", "--lengths", "64", "64,128"),
+    ("bench-scaling", "--lengths", "64,64", "64,65"),
+])
+def test_numeric_flag_out_of_range_exits_2_naming_it(command, flag, bad, ok,
+                                                     tmp_path, monkeypatch,
+                                                     capsys):
+    from longvq.cli import build_parser
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, bad, "--out", "x"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert not os.path.exists("x")        # refused before any work
+    build_parser().parse_args([command, flag, ok])   # the bound itself runs
 
 
 # ---------------------------------------------------------------------------

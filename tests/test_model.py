@@ -311,17 +311,29 @@ def test_float32_tape_stays_float32(attn_fn, impl, causal):
 # checkpoints
 
 def test_checkpoint_roundtrip(tmp_path):
+    # the file holds each array at the model's own dtype, so a restored
+    # model is the saved one, bit for bit
     cfg = lm_cfg()
-    model = Model(cfg, Rng(21))
     tok = Rng(22).integers(0, 11, (2, 16))
-    ref, _ = model(tok)              # seeds the codebooks
-    path = str(tmp_path / "ckpt.bin")
-    save_checkpoint(path, model)
+    for prec in ("float64", "float32"):
+        with precision(prec):
+            model = Model(cfg, Rng(21))
+            ref, _ = model(tok)              # seeds the codebooks
+            path = str(tmp_path / f"ckpt-{prec}.bin")
+            save_checkpoint(path, model)
 
-    model2 = Model(cfg, Rng(23))     # different init
-    load_checkpoint(path, model2)
-    got, _ = model2(tok)
-    assert np.max(np.abs(got.data - ref.data)) < 1e-5  # f32 storage
+            model2 = Model(cfg, Rng(23))     # different init
+            load_checkpoint(path, model2)
+            got, _ = model2(tok)
+        want = model.state_arrays()
+        have = model2.state_arrays()
+        assert list(have) == list(want)
+        for name in want:
+            assert have[name].dtype == want[name].dtype == prec, name
+            np.testing.assert_array_equal(have[name], want[name],
+                                          err_msg=name)
+        assert got.data.dtype == prec
+        np.testing.assert_array_equal(got.data, ref.data)
 
 
 def test_checkpoint_without_codebook_fails_to_load(tmp_path):
@@ -354,16 +366,20 @@ def test_embed_names_the_input_shape_it_got():
         Model(small_cfg(), Rng(29)).embed(np.zeros((1, 4, 3)))
 
 
-def test_checkpoint_manifest_layout(tmp_path):
-    import json
-    model = Model(small_cfg(depth=1), Rng(26))
-    path = str(tmp_path / "ckpt.bin")
-    save_checkpoint(path, model)
-    with open(path + ".json") as fh:
-        man = json.load(fh)
-    assert man["format"] == "longvq-ckpt"
-    ents = {e["name"]: e for e in man["entries"]}
-    assert ents["embed.w"]["offset"] == 0
-    total = sum(int(np.prod(e["shape"])) for e in man["entries"])
-    import os
-    assert os.path.getsize(path) == 4 * total
+def test_checkpoint_file_holds_state_arrays(tmp_path):
+    # one .npz at the given path, no sidecar: its members are
+    # state_arrays() by name, order, shape and dtype
+    for prec in ("float64", "float32"):
+        with precision(prec):
+            model = Model(small_cfg(depth=1), Rng(26))
+            model(Rng(30).normal((2, 6, 2)))     # seeds the codebook
+        path = tmp_path / f"ckpt-{prec}.bin"
+        save_checkpoint(str(path), model)
+        want = model.state_arrays()
+        with np.load(path, allow_pickle=False) as z:
+            assert z.files == list(want)
+            for name in want:
+                assert z[name].dtype == want[name].dtype == prec, name
+                assert z[name].shape == want[name].shape, name
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "ckpt-float32.bin", "ckpt-float64.bin"]

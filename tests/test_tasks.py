@@ -253,7 +253,7 @@ def test_pixel_train_and_eval_commands_end_to_end(tmp_path, monkeypatch,
         sets += ["--set", kv]
     with precision("float64"):
         assert main(["train", *sets, "--out", "tr"]) == 0
-        assert main(["eval", *sets, "--checkpoint", "tr/checkpoint.f32",
+        assert main(["eval", *sets, "--checkpoint", "tr/checkpoint.npz",
                      "--out", "ev"]) == 0
     recs = [json.loads(l) for l in open("tr/metrics.jsonl")]
     assert [r["split"] for r in recs] == ["train", "train", "eval"]

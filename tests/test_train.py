@@ -367,7 +367,7 @@ def test_finite_diff_linear_model_tight():
 
 def _mk(attn_fn):
     def make_model(seed):
-        return Model(tiny_lm_cfg(attn_fn), Rng(seed, "model"))
+        return Model(tiny_lm_cfg(attn_fn), Rng(seed, "model"), impl="dense")
 
     def make_batch(seed):
         r = Rng(seed, "batch")
@@ -390,6 +390,18 @@ def test_gradcheck_detects_planted_fault():
     rep = gradcheck_model(make_model, make_batch, seed=100)
     set_backward_fault(None)
     assert not rep["skipped"] and not rep["passed"]
+
+
+def test_gradcheck_refuses_a_factored_model():
+    # the factored path cannot differentiate perturbed keys, and
+    # gradcheck does not rebuild a model it was handed
+    def make_model(seed):
+        return Model(tiny_lm_cfg(depth=2), Rng(seed, "model"),
+                     impl="factored")
+
+    with pytest.raises(ValueError, match="layer 'blocks.0.attn' is "
+                                         "'factored'"):
+        gradcheck_model(make_model, _mk("softmax")[1], seed=0)
 
 
 def test_gradcheck_margin_skip(monkeypatch):

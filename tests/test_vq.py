@@ -315,7 +315,7 @@ def test_codebook_checkpoint_roundtrip(tmp_path):
         cb = model.layers()[0].codebook
         ema_update(cb, rng.normal((10, 3), dtype=np.float32),
                    assign_batch(rng.normal((10, 3)), cb))
-        path = str(tmp_path / "ckpt.f32")
+        path = str(tmp_path / "ckpt.npz")
         save_checkpoint(path, model)
         cb2 = load_checkpoint(path, Model(cfg, Rng(21))).layers()[0].codebook
         for f in dataclasses.fields(cb):
