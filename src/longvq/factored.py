@@ -71,7 +71,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.special import erf
 
-from .tensor import Tensor, _first_out_of_range, make_op
+from .tensor import Tensor, _first_out_of_range, _key_sums, make_op
 
 __all__ = ["CodeStats", "build_code_stats", "stats_chunk", "attn_factored",
            "attn_row_entropy", "phi_table"]
@@ -143,14 +143,13 @@ def stats_chunk(window, causal):
 
 def _chunk_sums(z, v, S, cs):
     """Code counts (B, T, S) and float64 value sums (B, T, S, dv) of each
-    chunk of cs positions of z (B, L), v (B, L, dv). bincount adds in
-    position order, so a rebuild is bitwise equal."""
+    chunk of cs positions of z (B, L), v (B, L, dv). Both add in position
+    order, so a rebuild is bitwise equal."""
     B, L, dv = v.shape
     T = -(-L // cs)
-    key = (np.arange(B)[:, None] * T + np.arange(L) // cs) * S + z
-    cnt = np.bincount(key.ravel(), minlength=B * T * S)
-    sums = np.bincount((key[..., None] * dv + np.arange(dv)).ravel(),
-                       weights=v.ravel(), minlength=B * T * S * dv)
+    key = ((np.arange(B)[:, None] * T + np.arange(L) // cs) * S + z).ravel()
+    cnt = np.bincount(key, minlength=B * T * S)
+    sums = _key_sums(key, v.reshape(B * L, dv), B * T * S)
     return cnt.reshape(B, T, S), sums.reshape(B, T, S, dv)
 
 

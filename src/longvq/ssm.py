@@ -2,28 +2,28 @@
 
 Each embedding dimension gets an independent single-input single-output
 linear state-space system. The continuous (A, B) pair comes from the
-structured init below, is discretized with the bilinear rule at a learned
-per-channel step size, and is applied as a causal convolution with the
-materialized kernel k[j] = C_bar A_bar^j B_bar plus a learned skip D.
+structured init below, is discretized with the bilinear rule of S4 at a
+learned per-channel step size, and is applied as a causal convolution
+with the materialized kernel k[j] = C A_bar^j B_bar plus a learned skip D.
 
-``SsmBank`` is the one differentiable path: ``ssm_kernels`` builds the d
-kernels from the state orbit A_bar^j B_bar in fixed-size blocks (doubling
-inside the first block, one batched matmul per block after it), and
-``tensor.conv_causal_channels`` applies them with the skip D inside the
-same node, so the branch is two tape nodes. The backward of
+``discretize`` is the one bilinear rule: it takes the shared (A, B) and a
+(d,) vector of steps and returns every channel's (A_bar, B_bar) in
+float64. ``SsmBank`` is the one differentiable path: ``ssm_kernels``
+builds the d kernels from the state orbit A_bar^j B_bar in fixed-size
+blocks (doubling inside the first block, one batched matmul per block
+after it), and ``tensor.conv_causal_channels`` applies them with the skip
+D inside the same node, so the branch is two tape nodes. The backward of
 ``ssm_kernels`` runs the same blocked orbit on an augmented 2N system
 whose upper half is the dt-tangent of the state. ``materialize_kernel``
 (state iteration) and ``scan_recurrent`` (the literal recurrence) are the
-references; they take one channel as an ``SsmChannel`` of plain arrays
-and floats, discretized by ``discretize``.
+references; each takes one channel's (A_bar, B_bar, C) arrays, and
+neither uses the blocked orbit or the FFT.
 
 A and B_in are fixed at init: the kernel op differentiates C_out and
 log_dt only, and B_in is a constant input, not a tape parent.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +32,8 @@ from .tensor import (
 )
 
 __all__ = [
-    "init_s4", "SsmChannel", "DiscreteSsm", "discretize",
-    "materialize_kernel", "scan_recurrent", "ssm_kernels", "SsmBank",
-    "DT_MIN", "DT_MAX",
+    "init_s4", "discretize", "materialize_kernel", "scan_recurrent",
+    "ssm_kernels", "SsmBank", "DT_MIN", "DT_MAX",
 ]
 
 DT_MIN = 0.001
@@ -66,75 +65,18 @@ def init_s4(n):
     return a, b
 
 
-@dataclass
-class SsmChannel:
-    """One SISO state-space channel in continuous form."""
-    A: np.ndarray
-    B_in: np.ndarray   # (N,)
-    C_out: np.ndarray  # (N,)
-    D_skip: float
-    log_dt: float      # dt = exp(log_dt) > 0 always
-    N: int = 0
-    label: str = "ssm"
+def discretize(a, b, dt):
+    """Bilinear rule for d channels that share one (A, B):
+    A_bar = (I - dt/2 A)^{-1} (I + dt/2 A), B_bar = (I - dt/2 A)^{-1} dt B.
 
-    def __post_init__(self):
-        if self.N == 0:
-            self.N = int(self.A.shape[0])
-
-
-@dataclass
-class DiscreteSsm:
-    A_bar: np.ndarray
-    B_bar: np.ndarray
-    C_bar: np.ndarray
-
-
-def discretize(ch):
-    """Bilinear rule: A_bar=(I-dt/2 A)^{-1}(I+dt/2 A), B_bar=(I-dt/2 A)^{-1} dt B."""
-    a = np.asarray(ch.A, dtype=np.float64)
-    b = np.asarray(ch.B_in, dtype=np.float64)
-    dt = float(np.exp(ch.log_dt))
-    n = a.shape[0]
-    m = np.eye(n) - 0.5 * dt * a
-    try:
-        a_bar = np.linalg.solve(m, np.eye(n) + 0.5 * dt * a)
-        b_bar = np.linalg.solve(m, dt * b)
-    except np.linalg.LinAlgError as e:
-        raise NumericsError(
-            f"singular discretization matrix for channel '{ch.label}'") from e
-    return DiscreteSsm(a_bar, b_bar, np.asarray(ch.C_out, dtype=np.float64))
-
-
-def materialize_kernel(d, L):
-    """k[j] = C_bar . (A_bar^j B_bar) by iterating the state, O(L N^2)."""
-    if L < 1:
-        raise ValueError("kernel length must be >= 1")
-    k = np.empty(L)
-    u = d.B_bar.copy()
-    for j in range(L):
-        k[j] = d.C_bar @ u
-        u = d.A_bar @ u
-    return k
-
-def scan_recurrent(d, u):
-    """Literal recurrence x_k = A_bar x_{k-1} + B_bar u_k, y_k = C_bar x_k."""
-    u = np.asarray(u, dtype=np.float64)
-    L = u.shape[0]
-    x = np.zeros_like(d.B_bar)
-    y = np.empty(L)
-    for t in range(L):
-        x = d.A_bar @ x + d.B_bar * u[t]
-        y[t] = d.C_bar @ x
-    return y
-
-
-# ---------------------------------------------------------------------------
-# differentiable kernel materialization for a bank of channels
-
-def _batched_discretize(a, b, dt):
-    """a: (N,N); b: (N,); dt: (d,) -> A_bar (d,N,N), B_bar (d,N), R (d,N,N)."""
-    n = a.shape[0]
-    eye = np.eye(n, dtype=a.dtype)
+    a: (N, N); b: (N,); dt: (d,) steps. Returns float64 A_bar (d, N, N)
+    and B_bar (d, N). A singular I - dt/2 A raises NumericsError naming
+    the channel, 'c<i>' for row i of dt.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    dt = np.asarray(dt, dtype=np.float64)
+    eye = np.eye(a.shape[0])
     m = eye[None] - 0.5 * dt[:, None, None] * a[None]
     p = eye[None] + 0.5 * dt[:, None, None] * a[None]
     try:
@@ -144,10 +86,38 @@ def _batched_discretize(a, b, dt):
         bad = int(np.argmin(np.abs(dets)))
         raise NumericsError(
             f"singular discretization matrix for channel 'c{bad}'") from e
-    a_bar = r @ p
-    b_bar = np.einsum("dnm,dm->dn", r, dt[:, None] * b[None])
-    return a_bar, b_bar, r
+    return r @ p, np.einsum("dnm,dm->dn", r, dt[:, None] * b[None])
 
+
+def materialize_kernel(a_bar, b_bar, c, L):
+    """One channel's k[j] = c . (A_bar^j B_bar) by iterating the state,
+    O(L N^2): a_bar (N, N), b_bar (N,), c (N,)."""
+    if L < 1:
+        raise ValueError("kernel length must be >= 1")
+    c = np.asarray(c, dtype=np.float64)
+    k = np.empty(L)
+    u = np.asarray(b_bar, dtype=np.float64)
+    for j in range(L):
+        k[j] = c @ u
+        u = a_bar @ u
+    return k
+
+
+def scan_recurrent(a_bar, b_bar, c, u):
+    """One channel's literal recurrence x_k = A_bar x_{k-1} + B_bar u_k,
+    y_k = c . x_k: a_bar (N, N), b_bar (N,), c (N,), u (L,)."""
+    c = np.asarray(c, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    x = np.zeros(np.shape(b_bar))
+    y = np.empty(u.shape[0])
+    for t in range(u.shape[0]):
+        x = a_bar @ x + b_bar * u[t]
+        y[t] = c @ x
+    return y
+
+
+# ---------------------------------------------------------------------------
+# differentiable kernel materialization for a bank of channels
 
 def _orbit(m, x0, L):
     """The orbit m^j x0 for j < L, in consecutive blocks.
@@ -192,7 +162,7 @@ def ssm_kernels(C_out, log_dt, B_in, A, L):
     a = np.asarray(A, dtype=np.float64)
     d, n = c.shape
     dt = np.exp(ld)
-    a_bar, b_bar, r = _batched_discretize(a, bv, dt)
+    a_bar, b_bar = discretize(a, bv, dt)
 
     k = np.empty((d, L))
     for j0, s in _orbit(a_bar, b_bar, L):
@@ -203,9 +173,12 @@ def ssm_kernels(C_out, log_dt, B_in, A, L):
         g64 = g.astype(np.float64)
         # derivatives of A_bar and B_bar in dt; the orbit of the augmented
         # system [[A_bar, A_bar'], [0, A_bar]] from [B_bar'; B_bar] carries
-        # the dt-tangent of every state above the state itself
+        # the dt-tangent of every state above the state itself. The rule
+        # gives A_bar + I = 2 (I - dt/2 A)^{-1}, so r is that inverse
+        ap = a_bar + np.eye(n)
+        r = 0.5 * ap
         ra2 = r @ (0.5 * a)
-        a_tan = ra2 @ (a_bar + np.eye(n))
+        a_tan = ra2 @ ap
         b_tan = np.einsum("dnm,dm->dn", ra2, b_bar) \
             + np.einsum("dnm,m->dn", r, bv)
         m = np.zeros((d, 2 * n, 2 * n))

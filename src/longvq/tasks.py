@@ -52,8 +52,13 @@ class TaskSpec:
         if self.channels not in (1, 3):
             raise ValueError(f"task.channels must be 1 or 3, got "
                              f"{self.channels}")
+        if self.train_size < 1:
+            raise ValueError(f"task.train_size must be >= 1, got "
+                             f"{self.train_size}")
         if self.name == "reduction":
             _check_reduction_dims(self.L, self.vocab)
+        elif self.name == "chars" and self.vocab < 2:
+            raise ValueError(f"task.vocab must be >= 2, got {self.vocab}")
 
 
 def build_task(spec: TaskSpec):

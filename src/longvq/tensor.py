@@ -55,7 +55,7 @@ that reads it is never a node array that no backward reads.
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import irfft, rfft
+from scipy.fft import irfft, next_fast_len, rfft
 
 __all__ = [
     "Tensor", "NumericsError", "set_precision", "get_dtype", "precision",
@@ -435,22 +435,20 @@ def gather_rows(table, idx):
 
     def vjp(g):
         n, D = table.data.shape
-        return (_row_sums(idx.reshape(-1), g.reshape(-1, D), n),)
+        return (_key_sums(idx.reshape(-1), g.reshape(-1, D), n)
+                .astype(g.dtype),)
 
     return make_op(out, (table,), vjp, "gather_rows")
 
 
-def _row_sums(idx, rows, n):
-    """(n, D) sums of the rows (N, D) per index idx (N,) in [0, n), in the
-    dtype of rows. It sums over a stable sort with np.add.reduceat:
-    np.add.at is an unbuffered per-row loop, several times slower."""
-    out = np.zeros((n, rows.shape[1]), dtype=rows.dtype)
-    if idx.size:
-        order = np.argsort(idx, kind="stable")
-        keys = idx[order]
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        out[keys[starts]] = np.add.reduceat(rows[order], starts, axis=0)
-    return out
+def _key_sums(keys, rows, n):
+    """Float64 (n, D) sums of the rows (N, D) that share a key, for keys
+    (N,) in [0, n); a key with no row sums to zero. One bincount adds the
+    rows in order, so equal inputs give bitwise equal sums."""
+    D = rows.shape[1]
+    flat = (keys[:, None] * D + np.arange(D)).ravel()
+    return np.bincount(flat, weights=rows.ravel(),
+                       minlength=n * D).reshape(n, D)
 
 
 def tsum(a, axis=None):
@@ -589,10 +587,6 @@ def cross_entropy(logits, targets):
 # ---------------------------------------------------------------------------
 # causal convolution via FFT
 
-def _next_pow2(n):
-    return 1 << (int(n - 1)).bit_length()
-
-
 def conv_causal_channels(kernels, x, skip):
     """Per-channel causal convolution of a batched sequence, plus a
     per-channel feedthrough.
@@ -600,9 +594,12 @@ def conv_causal_channels(kernels, x, skip):
     kernels: (d, L); x: (B, L, d); skip: (d,). Channel c of every
     batch element is convolved with kernels[c]: out[b, t, c] = sum_{j<=t}
     kernels[c, j] * x[b, t-j, c] + skip[c] * x[b, t, c]. The convolution
-    uses zero-padded FFTs of length >= 2L; the skip term is added in the
-    time domain, exactly, so the op's output is the SSM branch with its D
-    term and no separate product or sum node holds a (B, L, d) array.
+    uses zero-padded FFTs of length at least 2L - 1, the length of the
+    full linear convolution, so no output wraps round; scipy.fft's
+    next_fast_len picks it (2L for a power-of-two L of 16 or more). The
+    skip term is added in the time domain, exactly, so the op's output is
+    the SSM branch with its D term and no separate product or sum node
+    holds a (B, L, d) array.
 
     The tape keeps only the (F, d) kernel spectrum. The backward takes the
     spectrum of g once, recomputes that of x, and gets both gradients as
@@ -631,7 +628,7 @@ def conv_causal_channels(kernels, x, skip):
     if skip.data.shape != (d,):
         raise ValueError(f"skip shape {skip.data.shape} != ({d},)")
     dtype = np.result_type(kernels.data, x.data, skip.data)
-    n = _next_pow2(2 * L)
+    n = next_fast_len(2 * L - 1, real=True)
     kf = rfft(kernels.data.T, n=n, axis=0)  # (F, d)
     out = irfft(kf * rfft(x.data, n=n, axis=1), n=n, axis=1)
     out = np.array(out[:, :L], dtype=dtype, order="C")

@@ -52,9 +52,13 @@ class TrainConfig:
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got "
                                  f"{getattr(self, name)}")
-        for name in ("batch_size", "eval_batches"):
+        for name in ("batch_size", "eval_batches", "total_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("warmup_steps", "eval_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got "
+                                 f"{getattr(self, name)}")
 
 
 def lr_at(cfg, step):
@@ -146,10 +150,6 @@ class AdamW:
 
 # ---------------------------------------------------------------------------
 # the loop
-
-def _finite(x):
-    return bool(np.isfinite(x))
-
 
 def _perplexities(model, auxes):
     return [codebook_perplexity(a["z"], model.cfg.S) for a in auxes]
@@ -253,10 +253,10 @@ def train_loop(model, task, cfg: TrainConfig, metrics_path=None,
             t0 = time.perf_counter()
             x, y = task.sample("train", cfg.batch_size, rng)
             t_fwd = time.perf_counter()
+            # every op checks its output, so a non-finite loss raises here
             try:
                 loss, parts, auxes = total_loss(model, x, y, cfg.gamma)
-                event = (None if _finite(loss.data)
-                         else "nonfinite_loss_skipped")
+                event = None
             except NumericsError:
                 event = "nonfinite_loss_skipped"
             t_bwd = time.perf_counter()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, _row_sums, get_dtype, make_op, tmean
+from .tensor import Tensor, _key_sums, get_dtype, make_op, tmean
 
 __all__ = [
     "Codebook", "assign_batch", "quantize_st", "ema_update",
@@ -89,7 +89,7 @@ def ema_update(cb, K_batch, z):
     k = k.reshape(-1, cb.D)
     zf = np.asarray(z).reshape(-1)
     counts = np.bincount(zf, minlength=cb.S).astype(cb.ema_count.dtype)
-    sums = _row_sums(zf, k, cb.S)
+    sums = _key_sums(zf, k, cb.S).astype(k.dtype)
     cb.ema_count = EMA_ETA * cb.ema_count + (1.0 - EMA_ETA) * counts
     cb.ema_sum = EMA_ETA * cb.ema_sum + (1.0 - EMA_ETA) * sums
     total = cb.ema_count.sum()

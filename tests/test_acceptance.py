@@ -23,7 +23,7 @@ from longvq.factored import attn_factored, build_code_stats, stats_chunk
 from longvq.model import Model
 from longvq.rng import Rng
 from longvq.ssm import (
-    SsmChannel, discretize, init_s4, materialize_kernel, scan_recurrent,
+    discretize, init_s4, materialize_kernel, scan_recurrent,
 )
 from longvq.tasks import find_pixel_data
 from longvq.tensor import Tensor, precision
@@ -99,17 +99,15 @@ def test_ssm_convolution_equals_recurrence(capsys):
             L = int(r.integers(2, 257))
             a, b = init_s4(n)
             dt = float(10.0 ** r.uniform(low=-3.0, high=-1.0))
-            ch = SsmChannel(A=a, B_in=b, C_out=r.normal((n,)),
-                            D_skip=0.0, log_dt=float(np.log(dt)),
-                            label=f"c{trial}")
-            d = discretize(ch)
+            a_bar, b_bar = discretize(a, b, [dt])
+            chan = (a_bar[0], b_bar[0], r.normal((n,)))
             u = r.normal((L,))
-            k = materialize_kernel(d, L)[None]
+            k = materialize_kernel(*chan, L)[None]
             y_conv = T.conv_causal_channels(
                 Tensor(k), Tensor(u[None, :, None]),
                 np.zeros(1)).data[0, :, 0]
-            worst = max(worst, float(np.max(np.abs(y_conv
-                                                   - scan_recurrent(d, u)))))
+            worst = max(worst, float(np.max(np.abs(
+                y_conv - scan_recurrent(*chan, u)))))
     el = time.time() - t0
     _line(capsys, "ssm convolution == recurrent scan, 100 channels",
           worst < 1e-6 and el < 30.0,

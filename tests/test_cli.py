@@ -248,11 +248,24 @@ def test_nonpositive_size_exits_2_naming_it(key, value, tmp_path,
      "weight_decay must be finite and >= 0, got inf"),
     ("task.channels", "2", "task.channels must be 1 or 3, got 2"),
     ("task.channels", "0", "task.channels must be 1 or 3, got 0"),
+    ("train.total_steps", "0", "total_steps must be >= 1"),
+    ("train.total_steps", "-3", "total_steps must be >= 1"),
+    ("train.warmup_steps", "-10", "warmup_steps must be >= 0, got -10"),
+    ("train.eval_every", "-1", "eval_every must be >= 0, got -1"),
+    ("task.train_size", "-5", "task.train_size must be >= 1, got -5"),
+    ("task.train_size", "0", "task.train_size must be >= 1, got 0"),
+    # a key only the chars task reads: the case sets the task first
+    *(pytest.param(("task.name=chars", "task.vocab"), v,
+                   f"task.vocab must be >= 2, got {v}",
+                   id=f"chars-task.vocab-{v}") for v in ("1", "0", "-3")),
 ])
 def test_bad_value_exits_2_naming_its_key(key, value, message, tmp_path,
                                           monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    rc = main(["train", *TINY, "--set", f"{key}={value}", "--out", "x"])
+    *pre, key = (key,) if isinstance(key, str) else key
+    pre = [arg for item in pre for arg in ("--set", item)]
+    rc = main(["train", *TINY, *pre, "--set", f"{key}={value}", "--out",
+               "x"])
     assert rc == 2
     assert f"config error: {message}" in capsys.readouterr().err
 

@@ -230,7 +230,7 @@ def test_conv_causal_channels_rejects_bad_shapes():
 
 def test_conv_causal_channels_output_owns_its_memory():
     # a lone sequence's output and dx are copies, not views of the
-    # (1, n >= 2L, d) inverse transforms they were cut from
+    # (1, n >= 2L - 1, d) inverse transforms they were cut from
     rng = Rng(16)
     L, d = 256, 4
     ker = Tensor(rng.normal((d, L)), requires_grad=True, name="ker")
@@ -387,6 +387,27 @@ def test_grad_gather_rows():
     empty = np.zeros((0,), dtype=int)
     got = grad(T.tsum(T.gather_rows(tab, empty)), [tab])[0]
     np.testing.assert_array_equal(got, np.zeros((6, 3)))
+
+
+def test_key_sums_match_add_at():
+    # the one per-key row sum behind the embedding gradient, the EMA sums
+    # and the code stats, against np.add.at in float64: keys 0-3 of 7, so
+    # keys 4-6 have no rows; float32 rows are summed in float64. Then no
+    # rows at all, and rows of width 0
+    rng = Rng(17)
+    keys = rng.integers(0, 4, (200,))
+    for dtype in (np.float64, np.float32):
+        rows = rng.normal((200, 5)).astype(dtype)
+        ref = np.zeros((7, 5))
+        np.add.at(ref, keys, rows.astype(np.float64))
+        got = T._key_sums(keys, rows, 7)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
+        assert not got[4:].any()
+    np.testing.assert_array_equal(
+        T._key_sums(np.zeros(0, dtype=int), np.zeros((0, 5)), 7),
+        np.zeros((7, 5)))
+    assert T._key_sums(keys, np.zeros((200, 0)), 7).shape == (7, 0)
 
 
 def test_grad_softmax_and_ce():

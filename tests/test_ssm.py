@@ -3,12 +3,13 @@ kernel/scan equivalence, and gradient flow through the kernel op."""
 
 import numpy as np
 import pytest
+from scipy.signal import cont2discrete
 
 import longvq.tensor as T
 from longvq.rng import Rng
 from longvq.ssm import (
-    DiscreteSsm, SsmBank, SsmChannel, conv_causal_channels, discretize,
-    init_s4, materialize_kernel, scan_recurrent, ssm_kernels,
+    SsmBank, conv_causal_channels, discretize, init_s4, materialize_kernel,
+    scan_recurrent, ssm_kernels,
 )
 from longvq.tensor import NumericsError, Tensor, finite_diff, grad, precision
 
@@ -20,19 +21,19 @@ def _float64():
 
 
 def bank_channels(bank):
-    """Per-channel oracle views of a bank's current values."""
-    return [SsmChannel(A=bank.A, B_in=bank.B_in.data.astype(np.float64),
-                       C_out=bank.C_out.data[c].astype(np.float64),
-                       D_skip=float(bank.D_skip.data[c]),
-                       log_dt=float(bank.log_dt.data[c]), label=f"c{c}")
-            for c in range(bank.d)]
+    """Per-channel oracle views (A_bar, B_bar, C, D) of a bank's current
+    values."""
+    a_bar, b_bar = discretize(bank.A, bank.B_in.data,
+                              np.exp(bank.log_dt.data))
+    return [(a_bar[c], b_bar[c], bank.C_out.data[c],
+             float(bank.D_skip.data[c])) for c in range(bank.d)]
 
 
-def make_channel(n, rng, label="t"):
+def make_channel(n, rng, dt=0.05):
+    """One S4 channel at step dt: (A_bar, B_bar, C) with a random C."""
     a, b = init_s4(n)
-    return SsmChannel(A=a, B_in=b, C_out=rng.normal((n,)),
-                      D_skip=float(rng.normal()), log_dt=float(np.log(0.05)),
-                      label=label)
+    a_bar, b_bar = discretize(a, b, [dt])
+    return a_bar[0], b_bar[0], rng.normal((n,))
 
 
 # ---------------------------------------------------------------------------
@@ -82,81 +83,89 @@ def test_init_rejects_bad_n():
 # discretization
 
 def test_discretize_zero_state_matrix():
-    ch = SsmChannel(A=np.zeros((1, 1)), B_in=np.array([2.0]),
-                    C_out=np.array([1.0]), D_skip=0.0,
-                    log_dt=float(np.log(0.3)))
-    d = discretize(ch)
-    np.testing.assert_allclose(d.A_bar, [[1.0]], atol=1e-12)
-    np.testing.assert_allclose(d.B_bar, [0.3 * 2.0], atol=1e-12)
+    a_bar, b_bar = discretize(np.zeros((1, 1)), [2.0], [0.3])
+    np.testing.assert_allclose(a_bar[0], [[1.0]], atol=1e-12)
+    np.testing.assert_allclose(b_bar[0], [0.3 * 2.0], atol=1e-12)
 
 
 def test_discretize_scalar_bilinear():
-    ch = SsmChannel(A=np.array([[-1.0]]), B_in=np.array([1.0]),
-                    C_out=np.array([1.0]), D_skip=0.0,
-                    log_dt=float(np.log(0.5)))
-    d = discretize(ch)
-    np.testing.assert_allclose(d.A_bar, [[0.6]], atol=1e-12)
-    np.testing.assert_allclose(d.B_bar, [0.4], atol=1e-12)
+    a_bar, b_bar = discretize(np.array([[-1.0]]), [1.0], [0.5])
+    np.testing.assert_allclose(a_bar[0], [[0.6]], atol=1e-12)
+    np.testing.assert_allclose(b_bar[0], [0.4], atol=1e-12)
+
+
+def test_discretize_matches_scipy_bilinear():
+    # the S4 A at several state sizes and steps against scipy's own
+    # bilinear (Tustin) discretization
+    for n in (1, 4, 16, 32):
+        a, b = init_s4(n)
+        dts = np.geomspace(1e-3, 0.1, 7)
+        a_bar, b_bar = discretize(a, b, dts)
+        assert a_bar.dtype == b_bar.dtype == np.float64
+        assert a_bar.shape == (7, n, n) and b_bar.shape == (7, n)
+        for c, dt in enumerate(dts):
+            ad, bd, *_ = cont2discrete((a, b[:, None], np.eye(1, n),
+                                        np.zeros((1, 1))), dt,
+                                       method="bilinear")
+            for got, want in ((a_bar[c], ad), (b_bar[c], bd[:, 0])):
+                err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                assert err < 1e-13, (n, dt, err)
 
 
 def test_discretize_spectral_radius_contracts():
     # power-iteration growth estimate on the discretized HiPPO system
-    ch = make_channel(4, Rng(0))
-    ch.log_dt = float(np.log(0.01))
-    d = discretize(ch)
+    a_bar, _, _ = make_channel(4, Rng(0), dt=0.01)
     v = Rng(1).normal((4,))
     v /= np.linalg.norm(v)
     growth = 1.0
     for _ in range(300):
-        w = d.A_bar @ v
+        w = a_bar @ v
         growth = np.linalg.norm(w)
         v = w / growth
     assert growth < 1.0
 
 
 def test_discretize_singular_names_channel():
-    # A with eigenvalue 2/dt makes (I - dt/2 A) singular
-    ch = SsmChannel(A=np.array([[2.0 / 0.5]]), B_in=np.array([1.0]),
-                    C_out=np.array([1.0]), D_skip=0.0,
-                    log_dt=float(np.log(0.5)), label="bad-ch")
-    with pytest.raises(NumericsError, match="bad-ch"):
-        discretize(ch)
+    # A with eigenvalue 2/dt makes (I - dt/2 A) singular: channel 1 only
+    with pytest.raises(NumericsError, match="channel 'c1'"):
+        discretize(np.array([[2.0 / 0.5]]), [1.0], [0.1, 0.5, 0.2])
 
 
 # ---------------------------------------------------------------------------
 # kernels and scans
 
 def test_kernel_scalar_hand_iteration():
-    d = DiscreteSsm(np.array([[0.6]]), np.array([0.4]), np.array([1.0]))
-    np.testing.assert_allclose(materialize_kernel(d, 3), [0.4, 0.24, 0.144],
-                               atol=1e-12)
+    np.testing.assert_allclose(
+        materialize_kernel(np.array([[0.6]]), [0.4], [1.0], 3),
+        [0.4, 0.24, 0.144], atol=1e-12)
 
 
 def test_kernel_identity_abar():
-    d = DiscreteSsm(np.eye(2), np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-    np.testing.assert_allclose(materialize_kernel(d, 5), np.ones(5), atol=0)
+    np.testing.assert_allclose(
+        materialize_kernel(np.eye(2), np.array([1.0, 0.0]), [1.0, 0.0], 5),
+        np.ones(5), atol=0)
 
 
 def test_scan_zero_input():
-    d = DiscreteSsm(np.array([[0.6]]), np.array([0.4]), np.array([1.0]))
-    np.testing.assert_array_equal(scan_recurrent(d, np.zeros(4)), np.zeros(4))
+    np.testing.assert_array_equal(
+        scan_recurrent(np.array([[0.6]]), np.array([0.4]), [1.0],
+                       np.zeros(4)), np.zeros(4))
 
 
 def test_scan_impulse_equals_kernel():
-    rng = Rng(2)
-    ch = make_channel(8, rng)
-    d = discretize(ch)
+    chan = make_channel(8, Rng(2))
     L = 64
     imp = np.zeros(L)
     imp[0] = 1.0
-    np.testing.assert_allclose(scan_recurrent(d, imp),
-                               materialize_kernel(d, L), atol=1e-12)
+    np.testing.assert_allclose(scan_recurrent(*chan, imp),
+                               materialize_kernel(*chan, L), atol=1e-12)
 
 
 def test_scan_hand_values():
-    d = DiscreteSsm(np.array([[0.6]]), np.array([0.4]), np.array([1.0]))
-    np.testing.assert_allclose(scan_recurrent(d, np.array([1.0, 0, 0])),
-                               [0.4, 0.24, 0.144], atol=1e-12)
+    np.testing.assert_allclose(
+        scan_recurrent(np.array([[0.6]]), np.array([0.4]), [1.0],
+                       np.array([1.0, 0, 0])),
+        [0.4, 0.24, 0.144], atol=1e-12)
 
 
 def test_conv_equals_scan_random_channels():
@@ -164,13 +173,12 @@ def test_conv_equals_scan_random_channels():
     for trial in range(10):
         n = int(rng.integers(1, 17))
         L = int(rng.integers(2, 257))
-        ch = make_channel(n, rng, label=f"t{trial}")
-        d = discretize(ch)
+        chan = make_channel(n, rng)
         u = rng.normal((L,))
-        k = materialize_kernel(d, L)[None]
+        k = materialize_kernel(*chan, L)[None]
         y_conv = conv_causal_channels(T.Tensor(k), T.Tensor(u[None, :, None]),
                                       np.zeros(1)).data[0, :, 0]
-        y_scan = scan_recurrent(d, u)
+        y_scan = scan_recurrent(*chan, u)
         assert np.max(np.abs(y_conv - y_scan)) < 1e-6
 
 
@@ -199,9 +207,9 @@ def test_apply_impulse_response():
     x = np.zeros((1, L, 2))
     x[0, 0, :] = 1.0
     y = bank(Tensor(x)).data
-    for c, ch in enumerate(bank_channels(bank)):
-        want = materialize_kernel(discretize(ch), L)
-        want[0] += ch.D_skip
+    for c, (a_bar, b_bar, cc, skip) in enumerate(bank_channels(bank)):
+        want = materialize_kernel(a_bar, b_bar, cc, L)
+        want[0] += skip
         np.testing.assert_allclose(y[0, :, c], want, atol=1e-10)
 
 
@@ -211,10 +219,10 @@ def test_apply_equals_scan_plus_skip():
     L = 32
     x = rng.normal((2, L, 3))
     y = bank(Tensor(x)).data
-    for c, ch in enumerate(bank_channels(bank)):
+    for c, (a_bar, b_bar, cc, skip) in enumerate(bank_channels(bank)):
         for b in range(2):
-            want = scan_recurrent(discretize(ch), x[b, :, c]) \
-                + ch.D_skip * x[b, :, c]
+            want = scan_recurrent(a_bar, b_bar, cc, x[b, :, c]) \
+                + skip * x[b, :, c]
             assert np.max(np.abs(y[b, :, c] - want)) < 1e-6
 
 
@@ -249,10 +257,10 @@ def test_bank_matches_per_channel_path():
     L = 12
     x = rng.normal((2, L, 3))
     y = bank(Tensor(x)).data
-    for c, ch in enumerate(bank_channels(bank)):
-        k = materialize_kernel(discretize(ch), L)
+    for c, (a_bar, b_bar, cc, skip) in enumerate(bank_channels(bank)):
+        k = materialize_kernel(a_bar, b_bar, cc, L)
         for b in range(2):
-            want = np.convolve(k, x[b, :, c])[:L] + ch.D_skip * x[b, :, c]
+            want = np.convolve(k, x[b, :, c])[:L] + skip * x[b, :, c]
             np.testing.assert_allclose(y[b, :, c], want, atol=1e-10)
 
 
@@ -264,8 +272,8 @@ def test_bank_kernels_equal_materialized_kernels():
     chans = bank_channels(bank)
     for L in (1, 2, 3, 63, 64, 65, 127, 129, 1000, 4097):
         k = bank.kernels(L).data
-        for c, ch in enumerate(chans):
-            ref = materialize_kernel(discretize(ch), L)
+        for c, (a_bar, b_bar, cc, _) in enumerate(chans):
+            ref = materialize_kernel(a_bar, b_bar, cc, L)
             err = np.max(np.abs(k[c] - ref)) / np.max(np.abs(ref))
             assert err < 1e-12, (L, c, err)
 

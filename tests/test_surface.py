@@ -8,6 +8,11 @@ name, an attribute of that name, or (outside ``src/``, where the
 benchmark's span table names its targets as strings) a string constant
 equal to it. The kept references below are the deliberate exceptions,
 each with its reason.
+
+The methods and properties of each exported class pass the same scan,
+outside their own definition. Dunders are exempt: the language calls
+them. A read is matched by name alone, whatever the object, so the scan
+can miss an unread method that shares its name with a read attribute.
 """
 
 import ast
@@ -72,12 +77,16 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _outside_reads():
+    """Every name read in demos/ and perfbench/, strings included."""
+    return {name for sub in CALLERS
+            for p in sorted((ROOT / sub).rglob("*.py"))
+            for name in _reads(_parse(p), strings=True)}
+
+
 def test_every_exported_name_has_a_production_caller():
     modules = {p: _parse(p) for p in sorted(PACKAGE.glob("*.py"))}
-    outside = set()
-    for sub in CALLERS:
-        for p in sorted((ROOT / sub).rglob("*.py")):
-            outside |= _reads(_parse(p), strings=True)
+    outside = _outside_reads()
     unreached = []
     for path, tree in modules.items():
         try:
@@ -97,6 +106,35 @@ def test_every_exported_name_has_a_production_caller():
     assert not unreached, (
         f"exported names that only tests reach: {unreached}; delete them, "
         "or add each to KEPT with its reason")
+
+
+def _methods(tree, names):
+    """(class, method) and its def for each non-dunder method or property
+    defined in the body of a top-level class whose name is in names."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in names:
+            out += [((node.name, f.name), f) for f in node.body
+                    if isinstance(f, ast.FunctionDef)
+                    and not (f.name.startswith("__")
+                             and f.name.endswith("__"))]
+    return out
+
+
+def test_every_method_of_an_exported_class_has_a_production_caller():
+    modules = {p: _parse(p) for p in sorted(PACKAGE.glob("*.py"))}
+    outside = _outside_reads()
+    unreached = []
+    for path, tree in modules.items():
+        for (cls, name), node in _methods(tree, _all_names(tree)):
+            if name in outside or any(
+                    name in _reads(t, strings=False,
+                                   skip={node} if p == path else ())
+                    for p, t in modules.items()):
+                continue
+            unreached.append(f"{path.stem}.{cls}.{name}")
+    assert not unreached, (
+        f"methods that only tests reach: {unreached}; delete them")
 
 
 def test_kept_names_are_still_exported():

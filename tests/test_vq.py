@@ -315,6 +315,9 @@ def test_codebook_checkpoint_roundtrip(tmp_path):
         cb = model.layers()[0].codebook
         ema_update(cb, rng.normal((10, 3), dtype=np.float32),
                    assign_batch(rng.normal((10, 3)), cb))
+        # the float64 per-key sums are cast back: no field changes dtype
+        for f in dataclasses.fields(cb):
+            assert getattr(cb, f.name).dtype == np.float32, f.name
         path = str(tmp_path / "ckpt.npz")
         save_checkpoint(path, model)
         cb2 = load_checkpoint(path, Model(cfg, Rng(21))).layers()[0].codebook
