@@ -68,11 +68,31 @@ def load_run_config(path=None):
     cfg = copy.deepcopy(DEFAULTS)
     if path is None:
         return cfg
-    parser = configparser.ConfigParser()
+    # values are taken literally: no '%' interpolation
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str        # keys are case-sensitive (task.L)
-    read = parser.read(path)
-    if not read:
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError:
         raise ConfigError(f"cannot read config file: {path}")
+    try:
+        parser.read_string(raw.decode("utf-8"), source=str(path))
+    except UnicodeDecodeError as e:
+        line = raw[:e.start].count(b"\n") + 1
+        raise ConfigError(f"{path}: line {line}: not UTF-8 text") from None
+    except configparser.DuplicateOptionError as e:
+        raise ConfigError(f"{path}: line {e.lineno}: duplicate key "
+                          f"'{e.section}.{e.option}'") from None
+    except configparser.DuplicateSectionError as e:
+        raise ConfigError(f"{path}: line {e.lineno}: duplicate section "
+                          f"'{e.section}'") from None
+    except configparser.MissingSectionHeaderError as e:
+        raise ConfigError(f"{path}: line {e.lineno}: a key before the "
+                          "first [section] header") from None
+    except configparser.ParsingError as e:
+        raise ConfigError(f"{path}: line {e.errors[0][0]}: expected "
+                          "[section] or key = value") from None
     for section in parser.sections():
         if section not in cfg:
             raise ConfigError(f"unknown config section '{section}'")

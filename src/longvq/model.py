@@ -214,39 +214,37 @@ class Model:
         return out
 
     def load_state(self, arrays):
-        state = self.state_arrays()
+        """Install a state_arrays() map, after checking every entry's name
+        and shape; the model changes only if all of them pass."""
+        params = {p.name: p.data for p in self.params()}
+        S, D = self.cfg.S, self.cfg.attn.z_dim
+        layers = [f"blocks.{i}.attn" for i in range(len(self.blocks))]
+        fields = {"C": (S, D), "ema_count": (S,), "ema_sum": (S, D)}
+        want = {n: a.shape for n, a in params.items()}
+        want.update({f"{lay}.codebook.{n}": shape for lay in layers
+                     for n, shape in fields.items()})
         for name, arr in arrays.items():
-            if name.endswith((".codebook.C", ".codebook.ema_count",
-                              ".codebook.ema_sum")):
-                continue  # installed below
-            if name not in state:
+            if name not in want:
                 raise ValueError(f"unexpected checkpoint entry '{name}'")
-            if state[name].shape != arr.shape:
+            if arr.shape != want[name]:
                 raise ValueError(f"shape mismatch for '{name}': checkpoint "
-                                 f"{arr.shape}, model {state[name].shape}")
-            state[name][...] = arr.astype(state[name].dtype)
-        missing = [n for n in state
-                   if n not in arrays and ".codebook." not in n]
+                                 f"{arr.shape}, model {want[name]}")
+        missing = [n for n in params if n not in arrays]
         if missing:
             raise ValueError(f"checkpoint missing entries: {missing}")
         # a codebook left out would be seeded from whatever batch comes
         # next, eval data included, so a checkpoint must carry every one
-        dt = get_dtype()
-        for i, b in enumerate(self.blocks):
-            pre = f"blocks.{i}.attn.codebook"
-            if not all(f"{pre}.{n}" in arrays
-                       for n in ("C", "ema_count", "ema_sum")):
+        for lay in layers:
+            if not all(f"{lay}.codebook.{n}" in arrays for n in fields):
                 raise ValueError(
-                    f"checkpoint has no codebook for 'blocks.{i}.attn' "
+                    f"checkpoint has no codebook for '{lay}' "
                     "(saved before the model's first forward?)")
-            want = (self.cfg.S, self.cfg.attn.z_dim)
-            if arrays[f"{pre}.C"].shape != want:
-                raise ValueError(
-                    f"codebook shape {arrays[f'{pre}.C'].shape} != {want}")
-            b.attn.codebook = Codebook(
-                C=arrays[f"{pre}.C"].astype(dt),
-                ema_count=arrays[f"{pre}.ema_count"].astype(dt),
-                ema_sum=arrays[f"{pre}.ema_sum"].astype(dt))
+        for name, data in params.items():
+            data[...] = arrays[name].astype(data.dtype)
+        for lay, b in zip(layers, self.blocks):
+            b.attn.codebook = Codebook(**{
+                n: arrays[f"{lay}.codebook.{n}"].astype(get_dtype())
+                for n in fields})
 
 
 # ---------------------------------------------------------------------------

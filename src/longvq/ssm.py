@@ -2,7 +2,7 @@
 
 Each embedding dimension gets an independent single-input single-output
 linear state-space system. The continuous (A, B) pair comes from the
-structured init below, is discretized with the bilinear rule of S4 at a
+HiPPO-LegS init below, is discretized with the bilinear rule of S4 at a
 learned per-channel step size, and is applied as a causal convolution
 with the materialized kernel k[j] = C A_bar^j B_bar plus a learned skip D.
 
@@ -13,14 +13,12 @@ builds the d kernels from the state orbit A_bar^j B_bar in fixed-size
 blocks (doubling inside the first block, one batched matmul per block
 after it), and ``tensor.conv_causal_channels`` applies them with the skip
 D inside the same node, so the branch is two tape nodes. The backward of
-``ssm_kernels`` runs the same blocked orbit on an augmented 2N system
-whose upper half is the dt-tangent of the state. ``materialize_kernel``
+``ssm_kernels`` walks the same N-state orbit once more: A_bar, its
+dt-derivative and (I - dt/2 A)^{-1} are functions of A and commute, so
+both gradients are weighted sums over that orbit. ``materialize_kernel``
 (state iteration) and ``scan_recurrent`` (the literal recurrence) are the
 references; each takes one channel's (A_bar, B_bar, C) arrays, and
 neither uses the blocked orbit or the FFT.
-
-A and B_in are fixed at init: the kernel op differentiates C_out and
-log_dt only, and B_in is a constant input, not a tape parent.
 """
 
 from __future__ import annotations
@@ -44,23 +42,18 @@ _BLOCK = 64
 
 
 def init_s4(n):
-    """Structured (A, B) init for one channel.
+    """HiPPO-LegS (A, B) for one channel, in closed form.
 
-    A = A_normal - P P^T with P_i = (i+1/2)^{1/2} and the three-case
-    normal part; B_i = (2i+1)^{1/2}.  The algebra forces A strictly
-    lower-triangular with diagonal -(i+1).
+    A_ij = -(2i+1)^{1/2} (2j+1)^{1/2} below the diagonal (taken as
+    -2 P_i P_j with P_i = (i+1/2)^{1/2}), A_ii = -(i+1) and zero above;
+    B_i = (2i+1)^{1/2}.
     """
     if n <= 0:
         raise ValueError("state size must be >= 1")
     i = np.arange(n, dtype=np.float64)
     p = np.sqrt(i + 0.5)
-    # share one P_i*P_j array between the normal part and the rank-1 term
-    # so the i<j entries cancel exactly, not just to round-off
-    pp = np.outer(p, p)
-    ii, jj = np.meshgrid(i, i, indexing="ij")
-    a_norm = np.where(ii > jj, -pp, pp)
-    np.fill_diagonal(a_norm, -0.5)
-    a = a_norm - pp
+    a = np.tril(-2.0 * np.outer(p, p), -1)
+    np.fill_diagonal(a, -(i + 1.0))
     b = np.sqrt(2.0 * i + 1.0)
     return a, b
 
@@ -82,8 +75,7 @@ def discretize(a, b, dt):
     try:
         r = np.linalg.solve(m, np.broadcast_to(eye, m.shape).copy())
     except np.linalg.LinAlgError as e:
-        dets = [float(np.linalg.det(mi)) for mi in m]
-        bad = int(np.argmin(np.abs(dets)))
+        bad = int(np.argmin(np.abs(np.linalg.det(m))))
         raise NumericsError(
             f"singular discretization matrix for channel 'c{bad}'") from e
     return r @ p, np.einsum("dnm,dm->dn", r, dt[:, None] * b[None])
@@ -140,14 +132,6 @@ def _orbit(m, x0, L):
         yield j0, s[:, :L - j0]
 
 
-def _orbit_sum(m, x0, g):
-    """sum_j g[:, j] m^j x0 for g: (d, L) -> (d, n)."""
-    acc = np.zeros_like(x0)
-    for j0, s in _orbit(m, x0, g.shape[1]):
-        acc += np.einsum("dj,djn->dn", g[:, j0:j0 + s.shape[1]], s)
-    return acc
-
-
 def ssm_kernels(C_out, log_dt, B_in, A, L):
     """Materialized kernels for d channels sharing A.
 
@@ -157,12 +141,10 @@ def ssm_kernels(C_out, log_dt, B_in, A, L):
     """
     dtype = get_dtype()
     c = C_out.data.astype(np.float64)
-    ld = log_dt.data.astype(np.float64)
-    bv = B_in.data.astype(np.float64)
     a = np.asarray(A, dtype=np.float64)
     d, n = c.shape
-    dt = np.exp(ld)
-    a_bar, b_bar = discretize(a, bv, dt)
+    dt = np.exp(log_dt.data.astype(np.float64))
+    a_bar, b_bar = discretize(a, B_in.data, dt)
 
     k = np.empty((d, L))
     for j0, s in _orbit(a_bar, b_bar, L):
@@ -171,24 +153,25 @@ def ssm_kernels(C_out, log_dt, B_in, A, L):
 
     def vjp(g):
         g64 = g.astype(np.float64)
-        # derivatives of A_bar and B_bar in dt; the orbit of the augmented
-        # system [[A_bar, A_bar'], [0, A_bar]] from [B_bar'; B_bar] carries
-        # the dt-tangent of every state above the state itself. The rule
-        # gives A_bar + I = 2 (I - dt/2 A)^{-1}, so r is that inverse
+        # dk_j/d dt = c . (j A_bar^(j-1) A_bar' B_bar + A_bar^j B_bar'), and
+        # A_bar, A_bar' and R = (I - dt/2 A)^{-1} = (A_bar + I)/2 are all
+        # functions of A, so they commute: A_bar' = R A/2 (A_bar + I) and
+        # B_bar' = B_bar/dt + R A/2 B_bar. Both gradients then come from
+        # h = sum_j g_j A_bar^j B_bar, which is dC_out, and
+        # h' = sum_j (j+1) g_(j+1) A_bar^j B_bar:
+        # d log_dt = c . (dt R A/2 ((A_bar + I) h' + h) + h)
+        w = np.zeros((d, 2, L))
+        w[:, 0] = g64
+        w[:, 1, :-1] = g64[:, 1:] * np.arange(1, L)
+        acc = np.zeros((d, 2, n))
+        for j0, s in _orbit(a_bar, b_bar, L):
+            acc += w[:, :, j0:j0 + s.shape[1]] @ s
+        h, hp = acc[:, 0], acc[:, 1]
         ap = a_bar + np.eye(n)
-        r = 0.5 * ap
-        ra2 = r @ (0.5 * a)
-        a_tan = ra2 @ ap
-        b_tan = np.einsum("dnm,dm->dn", ra2, b_bar) \
-            + np.einsum("dnm,m->dn", r, bv)
-        m = np.zeros((d, 2 * n, 2 * n))
-        m[:, :n, :n] = a_bar
-        m[:, :n, n:] = a_tan
-        m[:, n:, n:] = a_bar
-        h = _orbit_sum(m, np.concatenate([b_tan, b_bar], axis=1), g64)
-        dc = h[:, n:]
-        dld = dt * np.einsum("dn,dn->d", c, h[:, :n])
-        return dc.astype(dtype), dld.astype(dtype)
+        v = np.einsum("dnm,dm->dn", ap, hp) + h
+        v = np.einsum("dnm,dm->dn", ap, 0.25 * v @ a.T)
+        dld = np.einsum("dn,dn->d", c, dt[:, None] * v + h)
+        return h.astype(dtype), dld.astype(dtype)
 
     return make_op(k, (C_out, log_dt), vjp, "ssm_kernels")
 

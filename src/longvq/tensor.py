@@ -54,6 +54,8 @@ that reads it is never a node array that no backward reads.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
@@ -93,36 +95,26 @@ def get_dtype():
     return _DTYPE
 
 
-class precision:
+@contextlib.contextmanager
+def precision(kind):
     """Context manager scoping the process precision."""
-
-    def __init__(self, kind):
-        self.kind = kind
-        self._saved = None
-
-    def __enter__(self):
-        self._saved = _DTYPE
-        set_precision(self.kind)
-        return self
-
-    def __exit__(self, *exc):
-        set_precision(self._saved)
-        return False
+    saved = _DTYPE
+    set_precision(kind)
+    try:
+        yield
+    finally:
+        set_precision(saved)
 
 
-class no_grad:
+@contextlib.contextmanager
+def no_grad():
     """Context manager disabling tape recording (forward values only)."""
-
-    def __enter__(self):
-        global _NO_GRAD
-        self._saved = _NO_GRAD
-        _NO_GRAD = True
-        return self
-
-    def __exit__(self, *exc):
-        global _NO_GRAD
-        _NO_GRAD = self._saved
-        return False
+    global _NO_GRAD
+    saved, _NO_GRAD = _NO_GRAD, True
+    try:
+        yield
+    finally:
+        _NO_GRAD = saved
 
 
 def set_backward_fault(op_name):

@@ -27,7 +27,7 @@ from longvq.ssm import (
 )
 from longvq.tasks import find_pixel_data
 from longvq.tensor import Tensor, precision
-from longvq.train import gradcheck_model, total_loss, train_loop
+from longvq.train import gradcheck_model, train_loop
 from longvq.vq import EMA_ETA, Codebook, ema_update
 
 

@@ -134,6 +134,33 @@ def test_removed_keys_rejected(key, value, tmp_path):
         load_run_config(str(p))
 
 
+@pytest.mark.parametrize("text,message", [
+    (b"[task]\nL = 16\nL = 32\n", "line 3: duplicate key 'task.L'"),
+    (b"[task]\nL = 16\n[train]\nlr = 0.1\n[task]\nlm = true\n",
+     "line 5: duplicate section 'task'"),
+    (b"L = 16\n[task]\n", "line 1: a key before the first [section] header"),
+    (b"[task]\nL = 16\njust words\n",
+     "line 3: expected [section] or key = value"),
+    (b"[task]\nL = 16\nname = \xff\xfe\n", "line 3: not UTF-8 text"),
+], ids=["duplicate-key", "duplicate-section", "no-header", "no-equals",
+        "not-utf8"])
+def test_malformed_config_file_exits_2_naming_file_and_line(
+        text, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.ini").write_bytes(text)
+    rc = main(["train", "--config", "f.ini", "--out", "x"])
+    assert rc == 2
+    assert f"config error: f.ini: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_values_are_literal(tmp_path):
+    # a '%' is not interpolation syntax: the value reaches the key's check
+    p = tmp_path / "c.ini"
+    p.write_text("[task]\nname = 50%\n")
+    assert load_run_config(str(p))["task"]["name"] == "50%"
+
+
 # ---------------------------------------------------------------------------
 # commands, in process
 
@@ -254,6 +281,10 @@ def test_nonpositive_size_exits_2_naming_it(key, value, tmp_path,
     ("train.eval_every", "-1", "eval_every must be >= 0, got -1"),
     ("task.train_size", "-5", "task.train_size must be >= 1, got -5"),
     ("task.train_size", "0", "task.train_size must be >= 1, got 0"),
+    # the pixels task reads no L: its sequences are always 1024 steps
+    *(pytest.param(("task.name=pixels", "task.L"), v,
+                   f"task.L must be 1024 for the pixels task, got {v}",
+                   id=f"pixels-task.L-{v}") for v in ("256", "2048")),
     # a key only the chars task reads: the case sets the task first
     *(pytest.param(("task.name=chars", "task.vocab"), v,
                    f"task.vocab must be >= 2, got {v}",
@@ -291,8 +322,8 @@ def test_truncated_pixel_file_exits_1(tmp_path, monkeypatch, capsys):
     for name in TRAIN_FILES + [TEST_FILE]:
         (tmp_path / name).write_bytes(bytes(2 * RECORD))
     (tmp_path / "data_batch_2.bin").write_bytes(bytes(1000))
-    rc = main(["train", "--set", "task.name=pixels", "--set",
-               f"task.path={tmp_path}", "--out", "x"])
+    rc = main(["train", "--set", "task.name=pixels", "--set", "task.L=1024",
+               "--set", f"task.path={tmp_path}", "--out", "x"])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "data_batch_2.bin" in err

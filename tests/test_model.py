@@ -359,6 +359,52 @@ def test_checkpoint_rejects_wrong_shape(tmp_path):
         load_checkpoint(path, other)
 
 
+def _codebook_checkpoint(tmp_path, entry, shape):
+    """A seeded lm_cfg checkpoint whose `entry` is zeros of `shape`."""
+    model = Model(lm_cfg(), Rng(30))
+    model(Rng(22).integers(0, 11, (2, 16)))
+    arrays = dict(model.state_arrays())
+    arrays[entry] = np.zeros(shape)
+    path = str(tmp_path / "ckpt.bin")
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    return path
+
+
+def test_checkpoint_rejects_wrong_ema_count_shape(tmp_path):
+    # a (1,) count would broadcast over all S codes at the first EMA step
+    path = _codebook_checkpoint(
+        tmp_path, "blocks.0.attn.codebook.ema_count", (1,))
+    model = Model(lm_cfg(), Rng(31))
+    before = {n: a.copy() for n, a in model.state_arrays().items()}
+    with pytest.raises(ValueError, match=(
+            r"shape mismatch for 'blocks.0.attn.codebook.ema_count': "
+            r"checkpoint \(1,\), model \(6,\)")):
+        load_checkpoint(path, model)
+    # a refused checkpoint leaves the model as it was
+    after = model.state_arrays()
+    assert list(after) == list(before)
+    for name in before:
+        np.testing.assert_array_equal(after[name], before[name])
+
+
+def test_checkpoint_rejects_wrong_ema_sum_shape(tmp_path):
+    path = _codebook_checkpoint(
+        tmp_path, "blocks.0.attn.codebook.ema_sum", (1, 4))
+    with pytest.raises(ValueError, match=(
+            r"shape mismatch for 'blocks.0.attn.codebook.ema_sum': "
+            r"checkpoint \(1, 4\), model \(6, 4\)")):
+        load_checkpoint(path, Model(lm_cfg(), Rng(31)))
+
+
+def test_checkpoint_rejects_a_codebook_of_no_layer(tmp_path):
+    # lm_cfg has two blocks: a third codebook is not silently dropped
+    path = _codebook_checkpoint(tmp_path, "blocks.2.attn.codebook.C", (6, 4))
+    with pytest.raises(ValueError, match=(
+            r"unexpected checkpoint entry 'blocks.2.attn.codebook.C'")):
+        load_checkpoint(path, Model(lm_cfg(), Rng(31)))
+
+
 def test_embed_names_the_input_shape_it_got():
     with pytest.raises(ValueError, match=r"\(B, L\), got shape \(5,\)"):
         Model(lm_cfg(), Rng(29)).embed(np.zeros(5, dtype=int))

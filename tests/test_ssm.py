@@ -8,8 +8,8 @@ from scipy.signal import cont2discrete
 import longvq.tensor as T
 from longvq.rng import Rng
 from longvq.ssm import (
-    SsmBank, conv_causal_channels, discretize, init_s4, materialize_kernel,
-    scan_recurrent, ssm_kernels,
+    DT_MAX, DT_MIN, SsmBank, conv_causal_channels, discretize, init_s4,
+    materialize_kernel, scan_recurrent, ssm_kernels,
 )
 from longvq.tensor import NumericsError, Tensor, finite_diff, grad, precision
 
@@ -42,10 +42,9 @@ def make_channel(n, rng, dt=0.05):
 def test_init_values_n2():
     a, b = init_s4(2)
     np.testing.assert_allclose(b, [1.0, np.sqrt(3.0)], atol=1e-12)
-    assert abs(a[0, 0] + 1.0) < 1e-12
-    assert abs(a[0, 1]) < 1e-12
+    assert a[0, 0] == -1.0 and a[1, 1] == -2.0
+    assert a[0, 1] == 0.0
     assert abs(a[1, 0] + np.sqrt(3.0)) < 1e-12
-    assert abs(a[1, 1] + 2.0) < 1e-12
 
 
 def test_init_matches_direct_formula_reeval():
@@ -67,11 +66,11 @@ def test_init_matches_direct_formula_reeval():
 
 
 def test_init_lower_triangular_diag():
-    for n in (1, 3, 8):
+    for n in (1, 3, 8, 16, 64):
         a, _ = init_s4(n)
         assert np.all(np.triu(a, k=1) == 0.0)
-        np.testing.assert_allclose(np.diag(a), -(np.arange(n) + 1.0),
-                                   atol=1e-12)
+        # the diagonal is exactly -(i+1), not -(i+1) up to round-off
+        np.testing.assert_array_equal(np.diag(a), -(np.arange(n) + 1.0))
 
 
 def test_init_rejects_bad_n():
@@ -279,21 +278,52 @@ def test_bank_kernels_equal_materialized_kernels():
 
 
 def test_bank_kernel_op_grads_match_fd():
+    # a small random bank, then N=16 with one channel at each end of the
+    # step range and an L that crosses many orbit blocks
     rng = Rng(11)
-    bank = SsmBank(d=2, n=3, rng=rng.child("bank"))
-    params = [bank.C_out, bank.log_dt]
-    for L in (7, 65, 130):
-        probe = Rng(12).normal((2, L))
+    small = SsmBank(d=2, n=3, rng=rng.child("bank"))
+    wide = SsmBank(d=2, n=16, rng=rng.child("wide"))
+    wide.log_dt.data[:] = np.log([DT_MIN, DT_MAX])
+    for bank, lengths in ((small, (7, 65, 130)), (wide, (7, 130, 1000))):
+        params = [bank.C_out, bank.log_dt]
+        for L in lengths:
+            probe = Rng(12).normal((2, L))
 
-        def loss():
-            return T.tsum(ssm_kernels(bank.C_out, bank.log_dt, bank.B_in,
-                                      bank.A, L) * T.Tensor(probe))
+            def loss():
+                return T.tsum(ssm_kernels(bank.C_out, bank.log_dt,
+                                          bank.B_in, bank.A, L)
+                              * T.Tensor(probe))
 
-        gs = grad(loss(), params)
-        fd = finite_diff(loss, params, eps=1e-6)
-        for g, f, p in zip(gs, fd, params):
-            err = np.linalg.norm(g - f) / max(np.linalg.norm(f), 1e-10)
-            assert err < 1e-6, f"L={L} {p.name}: {err}"
+            gs = grad(loss(), params)
+            fd = finite_diff(loss, params, eps=1e-6)
+            for g, f, p in zip(gs, fd, params):
+                err = np.linalg.norm(g - f) / max(np.linalg.norm(f), 1e-10)
+                assert err < 1e-6, f"N={bank.n} L={L} {p.name}: {err}"
+
+
+def test_bank_kernel_op_float32_grads_match_float64():
+    # the op computes in float64 whatever the precision: its float32
+    # gradients are the float64 ones up to float32 rounding
+    rng = Rng(16)
+    n, L = 16, 1000
+    a, b = init_s4(n)
+    c = rng.normal((4, n))
+    ld = np.linspace(np.log(DT_MIN), np.log(DT_MAX), 4)
+    probe = rng.normal((4, L))
+    got = {}
+    for prec in ("float32", "float64"):
+        with precision(prec):
+            dt = T.get_dtype()
+            params = [Tensor(c.astype(dt), requires_grad=True),
+                      Tensor(ld.astype(dt), requires_grad=True)]
+            loss = T.tsum(ssm_kernels(*params, Tensor(b.astype(dt)), a, L)
+                          * Tensor(probe.astype(dt)))
+            got[prec] = grad(loss, params)
+    for g32, g64, name in zip(got["float32"], got["float64"],
+                              ("C_out", "log_dt")):
+        assert g32.dtype == np.float32 and g64.dtype == np.float64
+        err = np.max(np.abs(g32 - g64)) / np.max(np.abs(g64))
+        assert err < 1e-5, f"{name}: {err}"
 
 
 def test_bank_grad_flows_to_input():

@@ -13,6 +13,10 @@ The methods and properties of each exported class pass the same scan,
 outside their own definition. Dunders are exempt: the language calls
 them. A read is matched by name alone, whatever the object, so the scan
 can miss an unread method that shares its name with a read attribute.
+
+Every import in ``src/``, ``demos/`` and ``tests/`` is read by code in
+its own file; a name listed in that file's ``__all__`` counts as read
+(a re-export), and ``from __future__`` imports are exempt.
 """
 
 import ast
@@ -21,6 +25,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "longvq"
 CALLERS = ("demos", "perfbench")
+# the trees whose every import must be read in its own file
+IMPORTERS = ("src", "demos", "tests")
 
 # reference implementations that tests compare the program against
 KEPT = {
@@ -135,6 +141,31 @@ def test_every_method_of_an_exported_class_has_a_production_caller():
             unreached.append(f"{path.stem}.{cls}.{name}")
     assert not unreached, (
         f"methods that only tests reach: {unreached}; delete them")
+
+
+def _imports(tree):
+    """(name, line) for each name an import statement binds in tree."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(a.asname or a.name.split(".")[0], node.lineno)
+                    for a in node.names]
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module != "__future__":
+            out += [(a.asname or a.name, node.lineno) for a in node.names]
+    return out
+
+
+def test_every_import_is_read_in_its_file():
+    unread = []
+    for sub in IMPORTERS:
+        for path in sorted((ROOT / sub).rglob("*.py")):
+            tree = _parse(path)
+            read = {n.id for n in ast.walk(tree)
+                    if isinstance(n, ast.Name)} | set(_all_names(tree))
+            unread += [f"{path.relative_to(ROOT)}:{line} {name}"
+                       for name, line in _imports(tree) if name not in read]
+    assert not unread, f"imports that nothing reads: {unread}"
 
 
 def test_kept_names_are_still_exported():

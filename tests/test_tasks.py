@@ -266,7 +266,7 @@ def test_pixel_train_and_eval_commands_end_to_end(tmp_path, monkeypatch,
 def test_eval_batches_cover_the_split(tmp_path):
     red = build_task(TaskSpec(name="reduction", L=16, vocab=8, seed=1))
     assert [len(y) for _, y in red.eval_batches("test", 3)] == [3] * 16
-    pix = PixelTask(TaskSpec(name="pixels", path=_write_fake_cifar(
+    pix = PixelTask(TaskSpec(name="pixels", L=1024, path=_write_fake_cifar(
         str(tmp_path / "tiny"), per_file=8)))
     p = tmp_path / "c.txt"
     p.write_bytes(bytes(range(7)) * 200)
@@ -282,8 +282,8 @@ def test_eval_batches_cover_the_split(tmp_path):
 
 
 def test_pixel_task_grayscale_channel(cifar_dir):
-    task = PixelTask(TaskSpec(name="pixels", channels=1, train_size=50,
-                              path=cifar_dir))
+    task = PixelTask(TaskSpec(name="pixels", L=1024, channels=1,
+                              train_size=50, path=cifar_dir))
     x, _ = task.sample("val", 3, Rng(1, "g"))
     assert x.shape == (3, 1024, 1)
 
