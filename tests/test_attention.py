@@ -745,6 +745,45 @@ def test_key_gradient_contraction_choice(name, B, L, S, used, w, causal,
     assert choices == [pairwise]
 
 
+@pytest.mark.parametrize("attn_fn", ["softmax", "relu2", "laplace"])
+@pytest.mark.parametrize("B, L, S, w, causal", [
+    (4, 256, 64, 8, True), (2, 1024, 256, 16, False),
+    (1, 2048, 64, 8, True)])
+def test_float32_factored_matches_float64_oracle(attn_fn, B, L, S, w,
+                                                 causal):
+    # the float32 op at the layer's own chunk against the float64 oracle on
+    # the same (float32) inputs, each array scored by its peak; L=2048 has
+    # the longest causal prefix, so the far field cancels most there
+    rng = Rng(combo_seed("f32", attn_fn, B, L))
+    zd, vd = 16, 32
+    C = rng.normal((S, zd)).astype(np.float32)
+    cb = Codebook(C=C, ema_count=np.ones(S, np.float32), ema_sum=C.copy())
+    z = rng.integers(0, S, (B, L))
+    v = rng.normal((B, L, vd)).astype(np.float32)
+    bias = rng.normal((2 * w + 1,)).astype(np.float32)
+    g = rng.normal((B, L, vd))
+    cfg = AttentionConfig(attn_fn, w, causal, z_dim=zd, v_dim=vd)
+    q1 = rng.normal((B, L, zd)).astype(np.float32)
+    for mult in (1, 8):
+        q = q1 * np.float32(mult)
+        with precision("float32"):
+            ins = [Tensor(a.copy(), requires_grad=True)
+                   for a in (q, C[z], v, bias)]
+            stats = build_code_stats(z, v, S, causal, stats_chunk(w, causal))
+            out = attn_factored(ins[0], cb, stats, ins[1], ins[2], ins[3],
+                                cfg)
+            lo = [out.data, *grad(T.tsum(out * Tensor(g.astype(np.float32))),
+                                  ins)]
+        ref_ins = [Tensor(a.astype(np.float64), requires_grad=True)
+                   for a in (q, C[z], v, bias)]
+        ref = attn_dense_oracle(*ref_ins, cfg)
+        hi = [ref.data, *grad(T.tsum(ref * Tensor(g)), ref_ins)]
+        for name, a, b in zip(("out", "dQ", "dK", "dV", "dbias"), lo, hi):
+            assert a.dtype == np.float32, name
+            err = np.abs(a - b).max() / np.abs(b).max()
+            assert err < 1e-5, (name, mult, f"{err:.2e}")
+
+
 def dense_row_entropy(P, causal):
     """Normalized entropy of weight rows P (B, L, L), the definition
     attn_row_entropy computes: rows normalized, all-zero rows read 0,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import longvq.tensor as T
+import longvq.vq as vq
 from longvq.attention import ATTN_FNS, AttentionConfig
 from longvq.model import (
     Ffn, Model, ModelConfig, Norm, load_checkpoint, save_checkpoint,
@@ -305,6 +306,37 @@ def test_float32_tape_stays_float32(attn_fn, impl, causal):
         assert not wide, f"non-float32 nodes from {sorted(map(str, wide))}"
         gs = T.grad(loss, model.params())
     assert all(g.dtype == np.float32 for g in gs)
+
+
+def test_float32_lm_loss_and_gradients_match_float64(monkeypatch):
+    # the lm recipe's layer shapes on one small batch: the float32 loss and
+    # every parameter gradient against float64 at the same (float32)
+    # weights and codebooks, with the float64 codes replayed in float32 so
+    # a near-tie in the assignment cannot pick another code
+    cfg = ModelConfig(depth=2, d_model=64, S=64, head="per_position_lm",
+                      n_out=16, vocab=16, d_ffn=64, n_state=16,
+                      attn=AttentionConfig("softmax", 8, True, z_dim=16,
+                                           v_dim=32))
+    r = Rng(43)
+    x, y = r.integers(0, 16, (4, 96)), r.integers(0, 16, (4, 96))
+    model = Model(cfg, Rng(42))
+    model(x)                                       # seeds the codebooks
+    state = {k: a.astype(np.float32) for k, a in model.state_arrays().items()}
+    model.load_state(state)
+    loss, _, auxes = total_loss(model, x, y, 0.25)
+    hi = [loss.data, *T.grad(loss, model.params())]
+    codes = [aux["z"] for aux in auxes]
+    monkeypatch.setattr(vq, "assign_batch", lambda k, cb: codes.pop(0))
+    with precision("float32"):
+        model = Model(cfg, Rng(42))
+        model.load_state(state)
+        loss, _, _ = total_loss(model, x, y, 0.25)
+        lo = [loss.data, *T.grad(loss, model.params())]
+    names = ["loss"] + [p.name for p in model.params()]
+    for name, a, b in zip(names, lo, hi):
+        assert a.dtype == np.float32, name
+        err = np.abs(a - b).max() / np.abs(b).max()
+        assert err < 1e-5, (name, f"{err:.2e}")
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,19 @@ def test_phi_pair_keeps_float32(name):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", ["relu2", "laplace"])
+def test_phi_pair_maps_minus_inf_to_zero(name, dtype):
+    # the factored op masks what a row cannot see with -inf in its logit
+    # buffer and applies f and f' to the whole buffer
+    x = np.array([[-np.inf, 0.5], [2.0, -np.inf]], dtype=dtype)
+    with np.errstate(all="raise"):
+        for fn in phi_table(name):
+            y = fn(x)
+            assert y.dtype == dtype
+            assert y[0, 0] == 0.0 and y[1, 1] == 0.0 and y[0, 1] > 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_sigmoid_silu_match_reference_over_wide_range(dtype):
     # against scipy's expit in float64: a few ulps wherever the reference
     # is a normal number of the dtype, within the smallest normal below
