@@ -1,16 +1,14 @@
 """Linear-time attention over quantized keys.
 
 Because every key row equals a codeword, the score matrix has at most S
-distinct columns. Queries run in row chunks. A chunk adds directly the
-keys within w of it (and, when causal, its own keys, which its prefix
-stats leave out), with the learned bias on the |i-j| <= w band, and meets
-every other key once per (query, code) pair through per-code counts n and
-value sums U. The plain terms of the local keys the stats count are taken
-back off the numerator; the denominator uses counts with those keys
-removed, which cancel exactly, and only adds, so a bias that annihilates
-the local keys of a row cannot cancel its far field. Output equals the
-dense quadratic computation on the same quantized inputs up to
-reassociation error.
+distinct columns. Queries run in row chunks. A chunk adds its local keys
+directly: those within w of it and, when causal, its own keys, which its
+prefix stats leave out, with the learned bias on the |i-j| <= w band. It
+meets every other key, a far key, once per (query, code) pair through the
+code's far count and value sum: the chunk's stats less the local keys
+they count. So each key enters a row once, and nothing is taken back.
+Output equals the dense quadratic computation on the same quantized
+inputs up to reassociation error.
 
 Causal stats hold, for chunk t, the prefix over all chunks before t. The
 op takes the chunk from the stats and accepts any chunk >= max(1, w); each
@@ -37,20 +35,23 @@ Cost model, in multiply-adds per query row, with S_u the number of codes
 the batch uses (at most S). The forward's far field costs S_u·(dz + dv).
 The exact far-field key gradient costs min(S_u·dz·dv, counted_keys·(dz +
 dv)): the per-code accumulator Tm, whatever L, or the pairwise
-contraction over the keys the row's stats count (the prefix before its
-chunk when causal, all L when not). Each call takes the side whose sum
-over its chunks is smaller, so the backward stays linear in L. At dz=16,
-dv=32 the pairwise side wins below L ≈ 2·S_u·dz·dv / (dz + dv) + 64 with
-64-row causal chunks (about 1430 with S_u=64) and below L ≈ S_u·dz·dv /
-(dz + dv) when bidirectional (about 2730 with S_u=256); a bidirectional
-L=1024 batch that uses 96 codes or fewer takes the accumulator. The dense
-computation costs about 3·L·(dz + dv) per row, forward plus backward.
+contraction over the row's far keys, counted as the keys its stats count
+(the prefix before its chunk when causal, all L when not). Each call
+takes the side whose sum over its chunks is smaller, so the backward
+stays linear in L. At dz=16, dv=32 the pairwise side wins below L ≈
+2·S_u·dz·dv / (dz + dv) + 64 with 64-row causal chunks (about 1430 with
+S_u=64) and below L ≈ S_u·dz·dv / (dz + dv) when bidirectional (about
+2730 with S_u=256); a bidirectional L=1024 batch that uses 96 codes or
+fewer takes the accumulator. The dense computation costs about
+3·L·(dz + dv) per row, forward plus backward.
 
 Each attention function is defined once, as the numpy pair (f, f') of
 phi_table: the relu^2 and Laplace maps of MEGA (arXiv:2209.10655). The
-dense oracle builds its tape op from the same pair. One helper, _weights,
-gives a chunk's far, local and held-back weights to the forward, the
-backward and the entropy.
+dense oracle builds its tape op from the same pair. A chunk's code and
+local logits share one buffer, -inf wherever the row sees nothing, and
+one rule, _weights, turns it into weights for the forward, the backward
+and the entropy: exp(logit - shift) for softmax, f otherwise; both take
+-inf to 0.
 
 The same walk gives each attention row's entropy (attn_row_entropy)
 without values or an L x L array. With weights W >= 0 (exp(logit - row
@@ -228,9 +229,8 @@ def _checked_stats(stats, kh, v, C, w, causal):
 
 def _in_use(z, C, n, U):
     """The codebook, shortcodes and stats cut to the codes z uses. A code
-    with no key has n = 0 and U = 0 in every chunk: its far weight meets
-    zero counts and sums, under softmax its logit is masked, and no key
-    reads its accumulator rows, so dropping it is exact."""
+    with no key has n = 0 and U = 0 in every chunk: its logit is masked
+    and no key reads its accumulator rows, so dropping it is exact."""
     u, zu = np.unique(z, return_inverse=True)
     return zu.reshape(z.shape), C[u], n[..., u], U[..., u, :]
 
@@ -238,65 +238,64 @@ def _in_use(z, C, n, U):
 # ---------------------------------------------------------------------------
 # the kernels
 
-def _chunk(t, q, kh, z, n, U, C, b, scale, w, cs, causal):
+def _chunk(t, q, kh, z, v, n, U, C, b, scale, w, cs, causal):
     """What chunk t, rows [lo, hi), needs in both passes.
 
     Its local keys [klo, khi) are the w keys before it, then the chunk
-    itself when causal or the chunk and the w keys after it when not;
-    every other key it meets through the code stats. Ub holds the value
-    sums of all keys the chunk's stats count (the prefix when causal) and
-    n0 the count per code of those it does not add directly: integer
-    counts cancel exactly, so a code whose keys are all local leaves the
-    far field. The plain terms of the counted local keys are in Ub, so
-    the kernels take them back. Also: code logits G, plain local logits
-    Lp, the visible mask, the bias matrix, and offsets d with the band
-    mask for dbias.
+    itself when causal or the chunk and the w keys after it when not.
+    Every other key is far: the chunk meets it through the far count and
+    value sum of its code, the chunk's stats (the prefix when causal) less
+    the local keys they count too, the first kc (shared). So each key
+    enters a row once. Returns the logit buffer X (B, r, S + k) = [code
+    logits | local logits + bias], -inf wherever the row sees nothing (a
+    code with no far key, a local key after a causal row); the matching
+    keys as columns K (B, dz, S + k), pre-scaled, values V (B, S + k, dv),
+    counts cnt (B, S + k) = [n0 | 1]; the clipped offsets for dbias; and
+    the slice of the shared keys.
     """
     B, L, _ = q.shape
-    S = C.shape[0]
+    S, dv = C.shape[0], v.shape[2]
     lo = t * cs
     hi = min(lo + cs, L)
     klo = max(0, lo - w)
     khi = hi if causal else min(L, hi + w)
     kc = (lo if causal else khi) - klo          # local keys the stats count
-    d = np.arange(lo, hi)[:, None] - np.arange(klo, khi)
-    seen = d >= 0 if causal else np.ones(d.shape, dtype=bool)
-    band = seen & (np.abs(d) <= w)
+    # offset i - j + w + 1, clipped to [0, 2w + 2]: the ends are off the band
+    off = np.clip(np.arange(lo, hi)[:, None] - np.arange(klo, khi), -w - 1,
+                  w + 1) + w + 1
     nb, Ub = (n[:, t], U[:, t]) if causal else (n, U)
-    idx = (np.arange(B)[:, None] * S + z[:, klo:klo + kc]).ravel()
-    n0 = nb - np.bincount(idx, minlength=B * S).reshape(B, S)
-    qr = q[:, lo:hi]
-    return SimpleNamespace(
-        lo=lo, hi=hi, klo=klo, khi=khi, d=d, band=band, seen=seen,
-        counted=np.arange(khi - klo) < kc, n0=n0.astype(nb.dtype), Ub=Ub,
-        bias=np.where(band, b[np.clip(d, -w, w) + w], 0.0),
-        G=scale * (qr @ C.T),
-        Lp=scale * (qr @ kh[:, klo:khi].transpose(0, 2, 1)))
+    key = (np.arange(B)[:, None] * S + z[:, klo:klo + kc]).ravel()
+    cnt = np.ones((B, S + khi - klo), dtype=nb.dtype)
+    cnt[:, :S] = nb - np.bincount(key, minlength=B * S).reshape(B, S)
+    V = np.concatenate([Ub, v[:, klo:khi]], axis=1)
+    V[:, :S] -= _key_sums(key, v[:, klo:klo + kc].reshape(B * kc, dv),
+                          B * S).reshape(B, S, dv).astype(v.dtype)
+    K = scale * np.concatenate([np.broadcast_to(C.T, (B,) + C.T.shape),
+                                kh[:, klo:khi].transpose(0, 2, 1)], axis=2)
+    X = q[:, lo:hi] @ K
+    ninf = X.dtype.type(-np.inf)            # a float64 mask would upcast
+    if not cnt[:, :S].all():
+        X[..., :S] += np.where(cnt[:, None, :S] > 0, 0, ninf)
+    tab = np.zeros(2 * w + 3, dtype=X.dtype)    # what each offset adds
+    tab[1:-1] = b
+    if causal:
+        tab[:w + 1] = ninf                      # a key after the row
+    X[..., S:] += tab[off]
+    return SimpleNamespace(lo=lo, hi=hi, klo=klo, khi=khi, off=off, X=X, K=K,
+                           V=V, cnt=cnt, shared=slice(klo, klo + kc))
 
 
-def _weights(c, z, phi, shift=None):
-    """Far (B, r, S), local (B, r, k) and held-back (B, r, k) weights of
-    chunk c, and the softmax shift.
-
-    phi is an elementwise map (f or f' of phi_table), or None for softmax:
-    exp(logit - shift), with the shift the row max unless given (the
-    backward passes the row log-normalizers). The held-back weights are
-    the plain terms of the counted local keys, which the far field holds
-    too: all of them under phi, and under softmax those whose code the
-    far field keeps (n0 > 0).
-    """
-    La = c.Lp + c.bias
+def _weights(X, phi, shift=None):
+    """Weights of a logit buffer and the softmax shift: phi(X) for an
+    elementwise map (f or f' of phi_table), which takes -inf to 0, or,
+    for softmax (phi None), exp(X - shift) with the shift the row max
+    unless given (the backward passes the row log-normalizers)."""
     if phi is not None:
-        return (phi(c.G), np.where(c.seen, phi(La), 0.0),
-                c.counted * phi(c.Lp), None)
-    far = np.where(c.n0[:, None, :] > 0, c.G, -np.inf)
-    loc = np.where(c.seen, La, -np.inf)
-    n0k = np.take_along_axis(c.n0, z[:, c.klo:c.khi], axis=1)
-    held = np.where((c.counted & (n0k > 0))[:, None, :], c.Lp, -np.inf)
+        return phi(X), None
     if shift is None:
-        shift = np.maximum(far.max(axis=2), loc.max(axis=2))[..., None]
-    return (np.exp(far - shift), np.exp(loc - shift), np.exp(held - shift),
-            shift)
+        shift = X.max(axis=2, keepdims=True)
+    W = X - shift
+    return np.exp(W, out=W), shift
 
 
 def _forward(q, kh, v, b, C, z, n, U, scale, w, cs, causal, phi):
@@ -308,15 +307,13 @@ def _forward(q, kh, v, b, C, z, n, U, scale, w, cs, causal, phi):
     lse = np.empty((B, L), dtype=q.dtype) if phi is None else None
     f = phi[0] if phi else None
     for t in range(-(-L // cs)):
-        c = _chunk(t, q, kh, z, n, U, C, b, scale, w, cs, causal)
-        far, loc, held, m = _weights(c, z, f)
-        num = far @ c.Ub + (loc - held) @ v[:, c.klo:c.khi]
+        c = _chunk(t, q, kh, z, v, n, U, C, b, scale, w, cs, causal)
+        W, m = _weights(c.X, f)
+        out[:, c.lo:c.hi] = W @ c.V
         if phi is None:
-            den = (far @ c.n0[..., None])[..., 0] + loc.sum(axis=2)
-            out[:, c.lo:c.hi] = num / den[..., None]
+            den = (W @ c.cnt[..., None])[..., 0]
+            out[:, c.lo:c.hi] /= den[..., None]
             lse[:, c.lo:c.hi] = m[..., 0] + np.log(den)
-        else:
-            out[:, c.lo:c.hi] = num
     return out, lse
 
 
@@ -334,22 +331,25 @@ def _backward(q, kh, v, b, C, z, n, U, scale, w, cs, causal, phi, g, out,
               lse):
     """(dQ, dK_hat, dV, dbias) in one pass over the chunks, last first.
 
-    A key j of code c takes, from the query rows i whose stats count it,
-    the far-field gradient sum_i W'_ic (g_i.v_j - r_i) q_i (r_i = 0 under
-    phi). Two exact contractions give that sum, and each call takes the
-    one with fewer multiply-adds (_pairwise_is_cheaper):
+    E = W' * (g V^T - r cnt) is the gradient of a chunk's logit buffer
+    (W' = W and r_i = g_i.out_i under softmax, W' = f'(X) and r = 0 under
+    phi). It gives dQ, and dK_hat, dV and dbias of the local keys. A far
+    key j of code c takes sum_i W'_ic (g_i.v_j - r_i) q_i over the rows of
+    every chunk that counts it as far, by one of two exact contractions;
+    each call takes the one with fewer multiply-adds (_pairwise_is_cheaper):
+      - pairwise: each chunk gathers its far W' at every far key's code
+        and adds M^T q with M_ji = W'_{i,z_j} (v_j.g_i - r_i); far
+        keys·(dz + dv) per query row.
       - accumulator: per-code Tm = sum_i W'_ic q_i g_i^T and, for softmax,
         y = sum_i W_ic r_i q_i, read as Tm_c v_j - y_c; S·dz·dv per query
         row, whatever L. Causal keys read before their own chunk is
-        added, bidirectional keys once every chunk is in.
-      - pairwise: each chunk gathers its far weights at every counted
-        key's code and adds M^T q with M_ji = W'_{i,z_j} (v_j.g_i - r_i);
-        counted keys·(dz + dv) per query row.
-    Value gradients read F = sum_i W_ic g_i per code on both sides. A
-    chunk adds its far weights for every counted key, so it takes them
-    back off those it adds directly; those weights are bounded (a softmax
-    W is at most 1), so nothing large cancels. The accumulators are
-    (B, S, .) and every temporary is one chunk of rows.
+        added, bidirectional keys once every chunk is in. The reads reach
+        a chunk's counted local keys too, so the chunk takes those terms
+        back through the pairwise gather.
+    Far value gradients read F = sum_i W_ic g_i per code, and each chunk
+    takes its own part back off its counted local keys; the weights are
+    bounded (a softmax W is at most 1), so nothing large cancels. The
+    accumulators are (B, S, .) and every temporary is one chunk of rows.
     """
     B, L, dz = q.shape
     S, dv = C.shape[0], v.shape[2]
@@ -357,10 +357,9 @@ def _backward(q, kh, v, b, C, z, n, U, scale, w, cs, causal, phi, g, out,
     db = np.zeros_like(b)
     F = np.zeros((B, S, dv), dtype=q.dtype)
     bi = np.arange(B)[:, None]
+    zb = bi * S + z                         # each key's row of (B*S, r)
     pairwise = _pairwise_is_cheaper(L, S, dz, dv, cs, causal)
-    if pairwise:
-        zb = bi * S + z                     # each key's row of (B*S, r)
-    else:
+    if not pairwise:
         Tm = np.zeros((B, S, dz * dv), dtype=q.dtype)
         y = np.zeros((B, S, dz), dtype=q.dtype)
 
@@ -376,48 +375,49 @@ def _backward(q, kh, v, b, C, z, n, U, scale, w, cs, causal, phi, g, out,
         dK[:, lo:hi] += scale * (far - y[bi, zc])
 
     for t in range(-(-L // cs) - 1, -1, -1):
-        c = _chunk(t, q, kh, z, n, U, C, b, scale, w, cs, causal)
+        c = _chunk(t, q, kh, z, v, n, U, C, b, scale, w, cs, causal)
         if causal:
             read(c.lo, c.hi)
         qr, gr = q[:, c.lo:c.hi], g[:, c.lo:c.hi]
-        vk, khk = v[:, c.klo:c.khi], kh[:, c.klo:c.khi]
-        gU = gr @ c.Ub.transpose(0, 2, 1)                    # (B, r, S)
-        P = gr @ vk.transpose(0, 2, 1)                       # (B, r, k)
+        sq = scale * qr
+        gV = gr @ c.V.transpose(0, 2, 1)                     # (B, r, S + k)
         if phi is None:
-            W, A, Wk, _ = _weights(c, z, None, lse[:, c.lo:c.hi, None])
-            Wd, Wdk = W, Wk
+            Wd = W = _weights(c.X, None, lse[:, c.lo:c.hi, None])[0]
             r = (out[:, c.lo:c.hi] * gr).sum(axis=2)[..., None]
-            E = W * (gU - r * c.n0[:, None, :])
-            Pr = P - r
-            dl = A * Pr
+            E = W * (gV - r * c.cnt[:, None, :])
         else:
-            W, A, Wk, _ = _weights(c, z, phi[0])
-            Wd, dA, Wdk, _ = _weights(c, z, phi[1])
-            E = Wd * gU
-            Pr = P
-            dl = dA * P
-        dQ[:, c.lo:c.hi] += scale * (E @ C + (dl - Wdk * P) @ khk)
-        db += np.bincount((c.d + w)[c.band], weights=dl.sum(axis=0)[c.band],
-                          minlength=2 * w + 1)
-        dV[:, c.klo:c.khi] += (A - Wk).transpose(0, 2, 1) @ gr
-        dK[:, c.klo:c.khi] += scale * ((dl - Wdk * Pr).transpose(0, 2, 1)
-                                       @ qr)
-        F += W.transpose(0, 2, 1) @ gr
-        if pairwise:
-            ke = c.lo if causal else L               # keys the stats count
-            # one row gather from a contiguous (B*S, r) copy of Wd^T
-            M = Wd.transpose(0, 2, 1).reshape(B * S, -1)[zb[:, :ke]]
-            Pk = v[:, :ke] @ gr.transpose(0, 2, 1)   # (B, k, r)
+            W, Wd = phi[0](c.X), phi[1](c.X)
+            E = Wd * gV
+        dQ[:, c.lo:c.hi] += E @ c.K.transpose(0, 2, 1)
+        El = E[..., S:]
+        db += np.bincount(c.off.ravel(), weights=El.sum(axis=0).ravel(),
+                          minlength=2 * w + 3)[1:-1]
+        dK[:, c.klo:c.khi] += El.transpose(0, 2, 1) @ sq
+        WG = W.transpose(0, 2, 1) @ gr                       # (B, S + k, dv)
+        F += WG[:, :S]
+        dV[:, c.klo:c.khi] += WG[:, S:]
+        dV[:, c.shared] -= WG[bi, z[:, c.shared]]
+        # one row gather from a contiguous (B*S, r) copy of the far W'^T
+        WdT = Wd[..., :S].transpose(0, 2, 1).reshape(B * S, -1)
+
+        def far_terms(ks):
+            M = WdT[zb[:, ks]]
+            Pk = v[:, ks] @ gr.transpose(0, 2, 1)            # (B, k, r)
             if phi is None:
                 Pk -= r.transpose(0, 2, 1)
             M *= Pk
-            dK[:, :ke] += M @ (scale * qr)
+            return M @ sq
+
+        if pairwise:
+            dK[:, :c.klo] += far_terms(slice(0, c.klo))
+            if not causal:
+                dK[:, c.khi:] += far_terms(slice(c.khi, L))
         else:
-            qg = (qr[..., :, None] * gr[..., None, :]).reshape(B, c.hi - c.lo,
-                                                               -1)
-            Tm += Wd.transpose(0, 2, 1) @ qg
-            if phi is None:
-                y += W.transpose(0, 2, 1) @ (r * qr)
+            qg = (qr[..., None] * gr[..., None, :]).reshape(*qr.shape[:2], -1)
+            Tm += WdT.reshape(B, S, -1) @ qg
+            if phi is None:                  # W' = W
+                y += WdT.reshape(B, S, -1) @ (r * qr)
+            dK[:, c.shared] -= far_terms(c.shared)
     if not causal:
         for lo in range(0, L, cs):
             read(lo, min(lo + cs, L))
@@ -480,11 +480,11 @@ def attn_row_entropy(q, z, bias, C, cfg):
     f = None if cfg.attn_fn == "softmax" else phi_table(cfg.attn_fn)[0]
     H = np.empty((B, L), dtype=q.dtype)
     for t in range(-(-L // cs)):
-        c = _chunk(t, q, kh, z, n, U, C, bias, cfg.scale, w, cs, causal)
-        Wf, Wl, _, _ = _weights(c, z, f)
-        T = (Wf @ c.n0[..., None])[..., 0] + Wl.sum(axis=2)
-        T = np.where(T > 0, T, 1.0)[..., None]
-        H[:, c.lo:c.hi] = -((_xlogx(Wf / T) @ c.n0[..., None])[..., 0]
-                            + _xlogx(Wl / T).sum(axis=2))
+        c = _chunk(t, q, kh, z, q[..., :0], n, U, C, bias, cfg.scale, w, cs,
+                   causal)
+        W, _ = _weights(c.X, f)
+        cnt = c.cnt[..., None]
+        T = W @ cnt
+        H[:, c.lo:c.hi] = -(_xlogx(W / np.where(T > 0, T, 1.0)) @ cnt)[..., 0]
     keys = np.arange(1, L + 1) if causal else np.full(L, L)
     return np.where(keys > 1, H / np.log(np.maximum(keys, 2)), 1.0)

@@ -31,10 +31,10 @@ The ops are the ones the package calls: ``add``, ``sub`` and ``mul``
 ``silu``, ``layer_norm``, ``conv_causal_channels``, ``gather_rows``,
 ``tsum``/``tmean`` and ``cross_entropy`` build the model and its loss;
 ``matmul``, ``transpose``, ``softmax_rows`` and ``band_bias_add`` build
-the quadratic dense oracle. ``sigmoid`` is the reference that ``gate_mix``
-and ``silu`` are tested against. A leaf is built with the constructor
-itself: ``Tensor(x)`` for a constant, ``Tensor(x, requires_grad=True,
-name=...)`` for a parameter. Around the ops sit the precision switches
+the quadratic dense oracle. The sigmoid node that ``gate_mix`` and
+``silu`` are tested against lives with the tests. A leaf is built with
+the constructor itself: ``Tensor(x)`` for a constant, ``Tensor(x,
+requires_grad=True, name=...)`` for a parameter. Around the ops sit the precision switches
 (``set_precision``, ``get_dtype``, ``precision``), ``no_grad``, the
 gradient helpers ``grad``, ``zero_grads`` and ``finite_diff`` (the
 central-difference reference), and the fault hook
@@ -63,7 +63,7 @@ __all__ = [
     "Tensor", "NumericsError", "set_precision", "get_dtype", "precision",
     "no_grad", "grad", "finite_diff", "zero_grads",
     "add", "sub", "mul", "matmul", "linear", "gate_mix", "transpose",
-    "gather_rows", "tsum", "tmean", "sigmoid", "silu",
+    "gather_rows", "tsum", "tmean", "silu",
     "softmax_rows", "cross_entropy",
     "conv_causal_channels", "band_bias_add", "layer_norm", "set_backward_fault",
     "backward_fault_hits",
@@ -477,18 +477,6 @@ def _sigmoid_np(x):
         np.exp(s, out=s)
     s += 1.0
     return np.reciprocal(s, out=s)
-
-
-def sigmoid(a):
-    s = _sigmoid_np(a.data)
-
-    def vjp(g):
-        ds = np.subtract(1.0, s, out=np.empty_like(s))
-        ds *= s
-        ds *= g
-        return (ds,)
-
-    return make_op(s, (a,), vjp, "sigmoid")
 
 
 def silu(a):

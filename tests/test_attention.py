@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import longvq.bench as bench
 import longvq.factored as factored
@@ -457,7 +458,7 @@ def test_layer_ga_zero_passthrough():
     layer.gates.b_ga.data[:] = 0.0     # G_a = silu(0) = 0
     X = Tensor(rng.normal((1, 9, 8)))
     O, _ = layer(X)
-    G_o = T.sigmoid(T.matmul(X, layer.gates.w_go) + layer.gates.b_go).data
+    G_o = expit((T.matmul(X, layer.gates.w_go) + layer.gates.b_go).data)
     want = G_o * layer.gates.b_out.data + (1.0 - G_o) * X.data
     np.testing.assert_allclose(O.data, want, atol=1e-10)
 

@@ -6,8 +6,8 @@ code in ``src/`` outside its own definition, in ``demos/`` or in
 fails here; so does one whose only caller is itself. A read is a bare
 name, an attribute of that name, or (outside ``src/``, where the
 benchmark's span table names its targets as strings) a string constant
-equal to it. The kept references below are the deliberate exceptions,
-each with its reason.
+equal to it. There are no exceptions: a reference implementation that
+only tests compare against lives in the tests.
 
 The methods and properties of each exported class pass the same scan,
 outside their own definition. Dunders are exempt: the language calls
@@ -27,12 +27,6 @@ PACKAGE = ROOT / "src" / "longvq"
 CALLERS = ("demos", "perfbench")
 # the trees whose every import must be read in its own file
 IMPORTERS = ("src", "demos", "tests")
-
-# reference implementations that tests compare the program against
-KEPT = {
-    "sigmoid": "the reference that gate_mix and silu are tested against",
-}
-
 
 def _all_names(tree):
     """The module's __all__; a list the scan cannot read raises."""
@@ -101,7 +95,7 @@ def test_every_exported_name_has_a_production_caller():
             unreached.append(f"{path.stem}.__all__ (not a literal list)")
             continue
         for name in names:
-            if name in KEPT or name in outside:
+            if name in outside:
                 continue
             if any(name in _reads(t, strings=False,
                                   skip=_definitions(t, name) if p == path
@@ -111,7 +105,7 @@ def test_every_exported_name_has_a_production_caller():
             unreached.append(f"{path.stem}.{name}")
     assert not unreached, (
         f"exported names that only tests reach: {unreached}; delete them, "
-        "or add each to KEPT with its reason")
+        "or move each into the tests that use it")
 
 
 def _methods(tree, names):
@@ -166,9 +160,3 @@ def test_every_import_is_read_in_its_file():
             unread += [f"{path.relative_to(ROOT)}:{line} {name}"
                        for name, line in _imports(tree) if name not in read]
     assert not unread, f"imports that nothing reads: {unread}"
-
-
-def test_kept_names_are_still_exported():
-    exported = {n for p in PACKAGE.glob("*.py")
-                for n in _all_names(_parse(p))}
-    assert set(KEPT) <= exported, sorted(set(KEPT) - exported)
