@@ -245,7 +245,7 @@ def _chunk(t, q, kh, z, v, n, U, C, b, scale, w, cs, causal):
     itself when causal or the chunk and the w keys after it when not.
     Every other key is far: the chunk meets it through the far count and
     value sum of its code, the chunk's stats (the prefix when causal) less
-    the local keys they count too, the first kc (shared). So each key
+    the local keys they count too (the first kc, shared). So each key
     enters a row once. Returns the logit buffer X (B, r, S + k) = [code
     logits | local logits + bias], -inf wherever the row sees nothing (a
     code with no far key, a local key after a causal row); the matching
@@ -344,12 +344,11 @@ def _backward(q, kh, v, b, C, z, n, U, scale, w, cs, causal, phi, g, out,
         y = sum_i W_ic r_i q_i, read as Tm_c v_j - y_c; S·dz·dv per query
         row, whatever L. Causal keys read before their own chunk is
         added, bidirectional keys once every chunk is in. The reads reach
-        a chunk's counted local keys too, so the chunk takes those terms
-        back through the pairwise gather.
+        a chunk's shared keys too; it takes them back by the pairwise gather.
     Far value gradients read F = sum_i W_ic g_i per code, and each chunk
-    takes its own part back off its counted local keys; the weights are
-    bounded (a softmax W is at most 1), so nothing large cancels. The
-    accumulators are (B, S, .) and every temporary is one chunk of rows.
+    takes its own part back off its shared keys; a softmax W is at most 1,
+    so nothing large cancels. The accumulators are (B, S, .) and every
+    temporary is one chunk of rows.
     """
     B, L, dz = q.shape
     S, dv = C.shape[0], v.shape[2]

@@ -34,10 +34,10 @@ The ops are the ones the package calls: ``add``, ``sub`` and ``mul``
 the quadratic dense oracle. The sigmoid node that ``gate_mix`` and
 ``silu`` are tested against lives with the tests. A leaf is built with
 the constructor itself: ``Tensor(x)`` for a constant, ``Tensor(x,
-requires_grad=True, name=...)`` for a parameter. Around the ops sit the precision switches
-(``set_precision``, ``get_dtype``, ``precision``), ``no_grad``, the
-gradient helpers ``grad``, ``zero_grads`` and ``finite_diff`` (the
-central-difference reference), and the fault hook
+requires_grad=True, name=...)`` for a parameter. Around the ops sit the
+precision switches (``set_precision``, ``get_dtype``, ``precision``),
+``no_grad``, the gradient helpers ``grad``, ``zero_grads`` and
+``finite_diff`` (the central-difference reference), and the fault hook
 ``set_backward_fault``/``backward_fault_hits`` behind ``longvq gradcheck
 --inject-fault``.
 

@@ -274,6 +274,28 @@ def test_codebook_permutation_invariance():
     np.testing.assert_allclose(out, out2, atol=1e-10)
 
 
+@pytest.mark.parametrize("causal", [False, True])
+def test_code_with_only_local_keys_has_no_far_weight(causal):
+    # both keys of code 2 are local to row 2's chunk, so the code has no
+    # far key there and its far sum is an exact zero: a far weight on it
+    # (relu2 of a 1e5 logit) would change no value, but the take-backs
+    # would leave ~1e10 * eps of it in dK_hat and dV. The band bias cancels
+    # the local terms, so every true weight of row 2 is zero
+    w, z = 2, np.array([[2, 2, 0, 1, 3, 1, 0, 3]])
+    C = np.eye(4)                               # code logits q . e_c / 2
+    cb = Codebook(C=C, ema_count=np.ones(4), ema_sum=C.copy())
+    rng = Rng(combo_seed("local-only", causal))
+    Q, V = rng.normal((1, 8, 4)), rng.normal((1, 8, 3))
+    Q[0, 2] = 2e5 * C[2]
+    cfg = AttentionConfig("relu2", w, causal, z_dim=4, v_dim=3)
+    f, d, gf, gd = run_both(cfg, cb, z, Q, V, np.full(2 * w + 1, -1e6),
+                            want_grads=True, probe_rng=rng,
+                            chunk=w if causal else None)
+    assert rel_diff(f, d) < 1e-10
+    for name, a, b in zip(("dQ", "dK", "dV", "db"), gf, gd):
+        assert rel_diff(a, b) < 1e-9, name
+
+
 @pytest.mark.parametrize("attn_fn", ["softmax", "relu2", "laplace"])
 @pytest.mark.parametrize("causal", [False, True])
 def test_unused_codewords_change_nothing(attn_fn, causal):

@@ -28,6 +28,7 @@ CALLERS = ("demos", "perfbench")
 # the trees whose every import must be read in its own file
 IMPORTERS = ("src", "demos", "tests")
 
+
 def _all_names(tree):
     """The module's __all__; a list the scan cannot read raises."""
     for node in tree.body:
