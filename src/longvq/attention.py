@@ -11,9 +11,12 @@ input through a learned sigmoid gate:
     O   = G_o * (O_a W_out) + (1 - G_o) * X,  G_o = sigmoid(X W_go)
 
 X is (B, L, d); a single sequence is B = 1. The dense oracle materializes
-the full L x L score matrix on the tape and is the ground truth the
-factored op must reproduce; it takes any leading axes. Its relu2/laplace
-weights are one tape op built from factored.phi_table's (f, f') pair.
+the full L x L weights and is the ground truth the factored op must
+reproduce; it takes any leading axes. It is two tape nodes: the weights,
+built by one numpy rule (_dense_weights) from the scaled logits, the band
+bias, the causal mask and softmax or factored.phi_table's (f, f') pair,
+then their product with V. The bench-scaling probe times the same rule
+over blocks of query rows, with no tape.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ import numpy as np
 from .factored import attn_factored, build_code_stats, phi_table, stats_chunk
 from .ssm import SsmBank
 from .tensor import (
-    Tensor, band_bias_add, gate_mix, get_dtype, linear, make_op, matmul, mul,
-    silu, softmax_rows, transpose,
+    Tensor, gate_mix, get_dtype, linear, make_op, matmul, mul, silu,
 )
 from .vq import quantize_st, seed_codebook
 
@@ -58,30 +60,81 @@ class AttentionConfig:
         return 1.0 / sqrt(self.z_dim)
 
 
-def attn_dense_oracle(Q, K_hat, V, bias, cfg):
-    """Quadratic reference: full score matrix on the tape.
+def _band_index(rows, cols, w):
+    """Positions in the (2w + 3,) logit table of _dense_weights for query
+    positions rows against key positions cols: the offset i - j, clipped
+    to [-w - 1, w + 1], plus w + 1."""
+    idx = rows[:, None] - cols + (w + 1)
+    return np.clip(idx, 0, 2 * w + 2, out=idx)
 
-    softmax normalizes each row over allowed keys; relu2/laplace are
-    unnormalized elementwise maps; causal masks j > i; the learned bias
-    only touches the |i-j| <= w band.
+
+def _dense_weights(q, kh, bias, cfg, r0=0):
+    """The dense weights rule in numpy: weights (..., r, L) of the query
+    rows q, at positions r0.., over every key, and the logits that phi's
+    derivative reads (None for softmax).
+
+    The logits are scale * q kh^T plus one entry of a (2w + 3,) table per
+    offset: the bias on |i - j| <= w, -inf after the row when causal, 0
+    elsewhere. The table is read only on the key columns within w of the
+    rows: every key before them is off the band, and every key after them
+    is after every row, so a causal block sets those to -inf and a
+    bidirectional one leaves them. Softmax's exp and phi_table's f both
+    take a masked logit to exactly 0.
     """
-    L = Q.data.shape[-2]
-    logits = mul(matmul(Q, transpose(K_hat)), cfg.scale)
-    logits = band_bias_add(logits, bias, cfg.window, cfg.causal)
-    if cfg.attn_fn == "softmax":
-        mask = None
-        if cfg.causal:
-            mask = np.broadcast_to(np.tril(np.ones((L, L), dtype=bool)),
-                                   logits.data.shape)
-        wts = softmax_rows(logits, mask=mask)
-    else:
-        f, df = phi_table(cfg.attn_fn)
-        x = logits.data
-        wts = make_op(f(x), (logits,), lambda g: (g * df(x),), cfg.attn_fn)
-        if cfg.causal:
-            tri = np.tril(np.ones((L, L), dtype=get_dtype()))
-            wts = mul(wts, Tensor(tri))
-    return matmul(wts, V)
+    w, r, L = cfg.window, q.shape[-2], kh.shape[-2]
+    X = q @ np.swapaxes(kh, -1, -2)
+    X *= cfg.scale
+    tab = np.zeros(2 * w + 3, dtype=X.dtype)
+    tab[1:-1] = bias
+    if cfg.causal:
+        tab[:w + 1] = -np.inf                 # a key after the row
+    lo, hi = max(0, r0 - w), min(L, r0 + r + w)
+    X[..., lo:hi] += tab[_band_index(np.arange(r0, r0 + r),
+                                     np.arange(lo, hi), w)]
+    if cfg.causal:
+        X[..., hi:] = -np.inf
+    if cfg.attn_fn != "softmax":
+        return phi_table(cfg.attn_fn)[0](X), X
+    W = X - X.max(axis=-1, keepdims=True)
+    np.exp(W, out=W)
+    W /= W.sum(axis=-1, keepdims=True)
+    return W, None
+
+
+def attn_dense_oracle(Q, K_hat, V, bias, cfg):
+    """Quadratic reference: the full (..., L, L) weights as one tape node,
+    then W @ V.
+
+    softmax normalizes each row over the keys it sees; relu2/laplace are
+    unnormalized elementwise maps; causal gives a key after the row weight
+    exactly 0; the learned bias only touches the |i-j| <= w band. Q,
+    K_hat (..., L, z_dim) and V (..., L, v_dim) share their leading axes.
+
+    The weights' backward is the textbook dense one: dX = W * (g -
+    rowsum(W * g)) for softmax and g * f'(X) for phi, which is 0 wherever
+    a row sees no key; then dQ = scale dX K_hat, dK_hat = scale dX^T Q and
+    the bias gradient by one bincount of dX over the table positions.
+    """
+    L, w = K_hat.data.shape[-2], cfg.window
+    if bias.data.shape != (2 * w + 1,):
+        raise ValueError(f"bias must have shape ({2 * w + 1},), got "
+                         f"{bias.data.shape}")
+    W, X = _dense_weights(Q.data, K_hat.data, bias.data, cfg)
+
+    def vjp(g):
+        if X is None:
+            dX = W * (g - (W * g).sum(axis=-1, keepdims=True))
+        else:
+            dX = g * phi_table(cfg.attn_fn)[1](X)
+        pos = np.arange(L)
+        db = np.bincount(_band_index(pos, pos, w).ravel(),
+                         weights=dX.reshape(-1, L, L).sum(axis=0).ravel(),
+                         minlength=2 * w + 3)
+        dX *= cfg.scale
+        return (dX @ K_hat.data, np.swapaxes(dX, -1, -2) @ Q.data,
+                db[1:-1].astype(dX.dtype))
+
+    return matmul(make_op(W, (Q, K_hat, bias), vjp, "dense_weights"), V)
 
 
 @dataclass

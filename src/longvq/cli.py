@@ -6,8 +6,8 @@ report.json) under --out and prints a one-line summary. train also
 writes checkpoint.npz, the model's state_arrays() at its own precision;
 eval, diag-entropy and kernel-dump restore one with --checkpoint.
 Numeric flags are range-checked when parsed. LONGVQ_THREADS
-caps BLAS parallelism; bench-scaling pins itself to one thread unless
-told otherwise.
+caps BLAS parallelism, and any value but a positive integer exits 2;
+bench-scaling pins itself to one thread unless told otherwise.
 """
 
 from __future__ import annotations
@@ -17,18 +17,25 @@ import sys
 
 
 def _pin_threads():
+    """Copy LONGVQ_THREADS into the BLAS thread variables. Returns an
+    error message, and pins nothing, when it holds anything but a
+    positive integer (empty counts as unset); main() reports it before
+    any work."""
     # BLAS libraries read these when they load, so this must run before
     # the first numpy import anywhere in the process.
     n = os.environ.get("LONGVQ_THREADS")
+    if n and not (n.isascii() and n.isdigit() and int(n) >= 1):
+        return f"LONGVQ_THREADS must be a positive integer, got {n!r}"
     if n is None and sys.argv[1:2] == ["bench-scaling"]:
         n = "1"           # noise control for slope measurements
     if n:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
             os.environ[var] = n
+    return None
 
 
-_pin_threads()
+_THREADS_ERROR = _pin_threads()
 
 import argparse
 import json
@@ -342,6 +349,9 @@ COMMANDS = {
 
 
 def main(argv=None):
+    if _THREADS_ERROR:
+        print(f"error: {_THREADS_ERROR}", file=sys.stderr)
+        return 2
     parser = build_parser()
     args = parser.parse_args(argv)
     # every numerical claim in the docs is stated at 64-bit; the CLI

@@ -47,7 +47,7 @@ fewer takes the accumulator. The dense computation costs about
 
 Each attention function is defined once, as the numpy pair (f, f') of
 phi_table: the relu^2 and Laplace maps of MEGA (arXiv:2209.10655). The
-dense oracle builds its tape op from the same pair. A chunk's code and
+dense oracle's weights node reads the same pair. A chunk's code and
 local logits share one buffer, -inf wherever the row sees nothing, and
 one rule, _weights, turns it into weights for the forward, the backward
 and the entropy: exp(logit - shift) for softmax, f otherwise; both take

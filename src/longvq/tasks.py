@@ -57,8 +57,11 @@ class TaskSpec:
                              f"{self.train_size}")
         if self.name == "reduction":
             _check_reduction_dims(self.L, self.vocab)
-        elif self.name == "chars" and self.vocab < 2:
-            raise ValueError(f"task.vocab must be >= 2, got {self.vocab}")
+        elif self.name == "chars":
+            if self.vocab < 2:
+                raise ValueError(f"task.vocab must be >= 2, got {self.vocab}")
+            if self.L < 1:
+                raise ValueError(f"task.L must be >= 1, got {self.L}")
         elif self.name == "pixels" and self.L != 1024:
             # PixelTask yields one step per CIFAR-10 pixel and reads no L
             raise ValueError(f"task.L must be 1024 for the pixels task, "

@@ -30,16 +30,16 @@ The ops are the ones the package calls: ``add``, ``sub`` and ``mul``
 (with the ``+``, ``-`` and ``*`` operators), ``linear``, ``gate_mix``,
 ``silu``, ``layer_norm``, ``conv_causal_channels``, ``gather_rows``,
 ``tsum``/``tmean`` and ``cross_entropy`` build the model and its loss;
-``matmul``, ``transpose``, ``softmax_rows`` and ``band_bias_add`` build
-the quadratic dense oracle. The sigmoid node that ``gate_mix`` and
-``silu`` are tested against lives with the tests. A leaf is built with
-the constructor itself: ``Tensor(x)`` for a constant, ``Tensor(x,
-requires_grad=True, name=...)`` for a parameter. Around the ops sit the
-precision switches (``set_precision``, ``get_dtype``, ``precision``),
-``no_grad``, the gradient helpers ``grad``, ``zero_grads`` and
-``finite_diff`` (the central-difference reference), and the fault hook
-``set_backward_fault``/``backward_fault_hits`` behind ``longvq gradcheck
---inject-fault``.
+``matmul`` applies the dense oracle's weights, one node that
+``attention`` builds with ``make_op``, to its values. The sigmoid node
+that ``gate_mix`` and ``silu`` are tested against lives with the tests.
+A leaf is built with the constructor itself: ``Tensor(x)`` for a
+constant, ``Tensor(x, requires_grad=True, name=...)`` for a parameter.
+Around the ops sit the precision switches (``set_precision``,
+``get_dtype``, ``precision``), ``no_grad``, the gradient helpers
+``grad``, ``zero_grads`` and ``finite_diff`` (the central-difference
+reference), and the fault hook ``set_backward_fault``/
+``backward_fault_hits`` behind ``longvq gradcheck --inject-fault``.
 
 Dense sublayers are fused ops, one tape node each. ``linear`` is the
 projection x @ W + b: every projection of the model is one ``linear``
@@ -62,10 +62,9 @@ from scipy.fft import irfft, next_fast_len, rfft
 __all__ = [
     "Tensor", "NumericsError", "set_precision", "get_dtype", "precision",
     "no_grad", "grad", "finite_diff", "zero_grads",
-    "add", "sub", "mul", "matmul", "linear", "gate_mix", "transpose",
-    "gather_rows", "tsum", "tmean", "silu",
-    "softmax_rows", "cross_entropy",
-    "conv_causal_channels", "band_bias_add", "layer_norm", "set_backward_fault",
+    "add", "sub", "mul", "matmul", "linear", "gate_mix",
+    "gather_rows", "tsum", "tmean", "silu", "cross_entropy",
+    "conv_causal_channels", "layer_norm", "set_backward_fault",
     "backward_fault_hits",
 ]
 
@@ -394,12 +393,6 @@ def gate_mix(pre, a, x):
     return make_op(out, (pre, a, x), vjp, "gate_mix")
 
 
-def transpose(a):
-    """Swap the last two axes."""
-    return make_op(np.swapaxes(a.data, -1, -2), (a,),
-                   lambda g: (np.swapaxes(g, -1, -2),), "transpose")
-
-
 def _first_out_of_range(idx, n):
     """Position of the first entry of idx outside [0, n), or None."""
     if idx.size == 0 or (idx.min() >= 0 and idx.max() < n):
@@ -493,38 +486,6 @@ def silu(a):
         return (dx,)
 
     return make_op(a.data * s, (a,), vjp, "silu")
-
-
-# ---------------------------------------------------------------------------
-# rows of scores -> rows of weights
-
-def softmax_rows(a, mask=None):
-    """Row-stable softmax over the last axis.
-
-    mask: optional boolean array (True = allowed). Disallowed entries get
-    zero weight; each row must keep at least one allowed entry.
-    """
-    x = a.data
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        empty = ~mask.any(axis=-1)
-        if empty.any():
-            raise NumericsError(f"softmax_rows: row "
-                                f"{_position(np.argwhere(empty)[0])} is "
-                                f"fully masked")
-        neg = np.finfo(x.dtype).min / 4
-        x = np.where(mask, x, neg)
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    if mask is not None:
-        e = np.where(mask, e, 0.0)
-    p = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        dot = (p * g).sum(axis=-1, keepdims=True)
-        return (p * (g - dot),)
-
-    return make_op(p, (a,), vjp, "softmax_rows")
 
 
 def cross_entropy(logits, targets):
@@ -626,43 +587,6 @@ def conv_causal_channels(kernels, x, skip):
         return dk, dx, np.ones(gx.shape[0], dtype=gx.dtype) @ gx
 
     return make_op(out, (kernels, x, skip), vjp, "conv_causal_channels")
-
-
-# ---------------------------------------------------------------------------
-# banded relative-position bias
-
-def _band_diagonals(L, w, causal):
-    """Index arrays per relative offset delta with |delta| <= w."""
-    out = []
-    lo = 0 if causal else -w
-    for delta in range(lo, w + 1):
-        i = np.arange(max(0, delta), L + min(0, delta))
-        out.append((delta, i, i - delta))
-    return out
-
-
-def band_bias_add(scores, bias, w, causal):
-    """Add learnable per-offset biases on the band |i-j| <= w.
-
-    scores: (..., L, L) logits; bias: (2w+1,) indexed by offset i-j from
-    -w..w. In causal mode only offsets >= 0 are touched.
-    """
-    L = scores.data.shape[-1]
-    if bias.data.shape != (2 * w + 1,):
-        raise ValueError(f"bias must have shape ({2 * w + 1},), got "
-                         f"{bias.data.shape}")
-    out = scores.data.copy()
-    diags = _band_diagonals(L, w, causal)
-    for delta, i, j in diags:
-        out[..., i, j] += bias.data[delta + w]
-
-    def vjp(g):
-        db = np.zeros_like(bias.data)
-        for delta, i, j in diags:
-            db[delta + w] = g[..., i, j].sum()
-        return g, db
-
-    return make_op(out, (scores, bias), vjp, "band_bias_add")
 
 
 # ---------------------------------------------------------------------------

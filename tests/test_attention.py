@@ -90,6 +90,42 @@ def test_dense_softmax_rows_sum_one_over_allowed():
     assert np.all(out.data[np.triu_indices(L, k=1)] == 0.0)
 
 
+@pytest.mark.parametrize("causal", [False, True])
+@pytest.mark.parametrize("attn_fn", ["softmax", "relu2", "laplace"])
+def test_dense_bias_lands_on_band_and_causal_weights_are_zero(attn_fn,
+                                                              causal):
+    # zero queries make every logit the bias of its offset (0 off the
+    # band), and V = I makes the output the weights; the reference adds
+    # bias[i - j + w] on |i - j| <= w only, and only at j <= i when causal
+    L, w = 7, 2
+    cfg = AttentionConfig(attn_fn, w, causal, z_dim=2, v_dim=L)
+    bias = np.array([0.9, -0.4, 1.3, 0.2, -1.1])
+    X = np.zeros((L, L))
+    for i in range(L):
+        for j in range(L):
+            if abs(i - j) <= w:
+                X[i, j] = bias[i - j + w]
+    seen = np.tril(np.ones((L, L), dtype=bool)) if causal \
+        else np.ones((L, L), dtype=bool)
+    if attn_fn == "softmax":
+        want = np.where(seen, np.exp(X), 0.0)
+        want /= want.sum(axis=1, keepdims=True)
+    else:
+        want = np.where(seen, factored.phi_table(attn_fn)[0](X), 0.0)
+    W = attn_dense_oracle(Tensor(np.zeros((L, 2))), Tensor(Rng(3).normal(
+        (L, 2))), Tensor(np.eye(L)), Tensor(bias), cfg).data
+    np.testing.assert_allclose(W, want, rtol=1e-13, atol=1e-15)
+    if causal:
+        assert np.all(W[np.triu_indices(L, k=1)] == 0.0)
+
+
+def test_dense_names_the_bias_shape_it_got():
+    cfg = AttentionConfig("softmax", 2, False, z_dim=2, v_dim=2)
+    x = Tensor(np.zeros((4, 2)))
+    with pytest.raises(ValueError, match=r"shape \(5,\), got \(3,\)"):
+        attn_dense_oracle(x, x, x, Tensor(np.zeros(3)), cfg)
+
+
 # ---------------------------------------------------------------------------
 # code stats
 
@@ -323,21 +359,24 @@ def test_unused_codewords_change_nothing(attn_fn, causal):
 
 
 # ---------------------------------------------------------------------------
-# blocked dense scorer and entropy
+# the bench's row-blocked dense path, and entropy
 
 def test_blocked_matches_oracle():
-    # the bench's scorer times bidirectional softmax, its only case; L
-    # spans two full row blocks and a partial third
-    rng = Rng(9)
-    L = 2 * bench._ROWS + 33
-    cfg = AttentionConfig("softmax", 3, False, z_dim=4, v_dim=5)
-    Q, K = rng.normal((L, 4)), rng.normal((L, 4))
-    V = rng.normal((L, 5))
-    bias = rng.normal((7,))
-    ref = attn_dense_oracle(Tensor(Q), Tensor(K), Tensor(V), Tensor(bias),
-                            cfg).data
-    got = bench._dense_blocked(Q, K, V, bias, cfg.scale)
-    np.testing.assert_allclose(got, ref, atol=1e-10)
+    # the bench's dense path, 512 query rows at a time, on the oracle's
+    # weights rule; L spans two full row blocks and a partial third, and
+    # the band crosses each block edge. The bench times bidirectional
+    # softmax; the rule's causal and phi forms are checked blocked too
+    L = 2 * 512 + 33
+    inst = bench.bench_instance(L, 16, 3, 4, Rng(9))
+    for fn in ("softmax", "relu2", "laplace"):
+        for causal in (False, True):
+            inst["cfg"] = AttentionConfig(fn, 3, causal, z_dim=4, v_dim=4)
+            ref = attn_dense_oracle(Tensor(inst["q"]), Tensor(inst["kh"]),
+                                    Tensor(inst["v"]), Tensor(inst["bias"]),
+                                    inst["cfg"]).data
+            got = bench._dense_rows(inst)
+            np.testing.assert_allclose(got, ref, atol=1e-10,
+                                       err_msg=f"{fn} causal={causal}")
 
 
 def test_entropy_uniform_rows():

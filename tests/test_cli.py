@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import longvq
 from longvq.attention import AttentionConfig
 from longvq.bench import bench_scaling, fit_slope, time_forward
 from longvq.cli import _pin_threads, main
@@ -289,6 +290,10 @@ def test_nonpositive_size_exits_2_naming_it(key, value, tmp_path,
     *(pytest.param(("task.name=chars", "task.vocab"), v,
                    f"task.vocab must be >= 2, got {v}",
                    id=f"chars-task.vocab-{v}") for v in ("1", "0", "-3")),
+    # refused before any corpus is read: the case names no task.path
+    *(pytest.param(("task.name=chars", "task.L"), v,
+                   f"task.L must be >= 1, got {v}",
+                   id=f"chars-task.L-{v}") for v in ("0", "-3")),
 ])
 def test_bad_value_exits_2_naming_its_key(key, value, message, tmp_path,
                                           monkeypatch, capsys):
@@ -435,6 +440,18 @@ def test_gradcheck_fault_injection_detected(tmp_path, monkeypatch, capsys):
     assert rep["worst"][1] > rep["tol"]
     # every parameter appears in the table
     assert len(rep["params"]) > 10
+
+
+def test_gradcheck_fault_on_dense_weights_detected(tmp_path, monkeypatch,
+                                                  capsys):
+    # the dense oracle's weights are one node; a fault in its backward
+    # corrupts every attention gradient the check compares
+    monkeypatch.chdir(tmp_path)
+    rc = main(["gradcheck", "--inject-fault", "dense_weights", "--out", "gc"])
+    assert rc == 1
+    assert "FAIL" in capsys.readouterr().out
+    rep = json.load(open("gc/report.json"))
+    assert rep["passed"] is False and rep["fault_nodes"] > 0
 
 
 def test_gradcheck_fault_on_linear_detected(tmp_path, monkeypatch, capsys):
@@ -629,6 +646,31 @@ def test_pin_threads_defaults_to_one_for_bench(monkeypatch):
     monkeypatch.setattr(sys, "argv", ["longvq", "bench-scaling"])
     _pin_threads()
     assert os.environ["OMP_NUM_THREADS"] == "1"
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_bad_thread_count_exits_2_naming_it(value, tmp_path, monkeypatch):
+    # none of these values starts a thread: the pin refuses each and sets
+    # no BLAS variable, and the command stops before it writes anything
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+            "NUMEXPR_NUM_THREADS")
+    for var in blas:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("LONGVQ_THREADS", value)
+    assert _pin_threads() == (f"LONGVQ_THREADS must be a positive integer, "
+                              f"got {value!r}")
+    assert not any(var in os.environ for var in blas)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(longvq.__file__)))
+    out = tmp_path / "bench"
+    res = subprocess.run(
+        [sys.executable, "-m", "longvq.cli", "bench-scaling", "--lengths",
+         "64,128", "--reps", "1", "--S", "8", "--w", "2", "--d", "4",
+         "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=60)
+    assert res.returncode == 2, res.stderr
+    assert "error: LONGVQ_THREADS must be a positive integer" in res.stderr
+    assert not out.exists()
 
 
 def test_package_import_leaves_numpy_unloaded():

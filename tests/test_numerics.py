@@ -13,8 +13,8 @@ from longvq.attention import AttentionConfig, attn_dense_oracle
 from longvq.factored import LAPLACE_MU, phi_table
 from longvq.rng import Rng
 from longvq.tensor import (
-    NumericsError, Tensor, band_bias_add, conv_causal_channels,
-    cross_entropy, finite_diff, grad, no_grad, precision,
+    NumericsError, Tensor, conv_causal_channels, cross_entropy, finite_diff,
+    grad, no_grad, precision,
 )
 
 
@@ -126,31 +126,6 @@ def test_matmul_batched_matches_einsum():
     out = T.matmul(a, b)
     np.testing.assert_allclose(out.data, np.einsum("bij,jk->bik", a.data, b.data),
                                rtol=1e-12)
-
-
-def test_softmax_rows_matches_direct():
-    rng = Rng(2)
-    x = rng.normal((6, 7))
-    p = T.softmax_rows(Tensor(x)).data
-    ref = np.exp(x) / np.exp(x).sum(-1, keepdims=True)
-    np.testing.assert_allclose(p, ref, rtol=1e-12)
-    assert np.allclose(p.sum(-1), 1.0)
-
-
-def test_softmax_mask_zeroes_disallowed():
-    rng = Rng(3)
-    x = rng.normal((4, 4))
-    mask = np.tril(np.ones((4, 4), dtype=bool))
-    p = T.softmax_rows(Tensor(x), mask=mask).data
-    assert np.all(p[~mask] == 0.0)
-    assert np.allclose(p.sum(-1), 1.0)
-
-
-def test_softmax_fully_masked_row_raises():
-    x = Tensor(np.zeros((2, 3)))
-    mask = np.array([[True, True, True], [False, False, False]])
-    with pytest.raises(NumericsError, match="row 1 is fully masked"):
-        T.softmax_rows(x, mask=mask)
 
 
 def test_cross_entropy_matches_log_softmax():
@@ -278,34 +253,6 @@ def test_conv_causal_channels_float32_matches_float64():
         assert err < 1e-5, f"{name}: {err:.2e}"
 
 
-def test_band_bias_add_bidirectional():
-    L, w = 6, 2
-    scores = Tensor(np.zeros((L, L)))
-    bias = Tensor(np.arange(-w, w + 1, dtype=np.float64))
-    out = band_bias_add(scores, bias, w, causal=False).data
-    for i in range(L):
-        for j in range(L):
-            want = (i - j) if abs(i - j) <= w else 0.0
-            assert out[i, j] == want
-
-
-def test_band_bias_add_names_the_bias_shape_it_got():
-    with pytest.raises(ValueError, match=r"shape \(5,\), got \(3,\)"):
-        band_bias_add(Tensor(np.zeros((4, 4))), Tensor(np.zeros(3)), 2,
-                      causal=False)
-
-
-def test_band_bias_add_causal_skips_future():
-    L, w = 5, 2
-    scores = Tensor(np.zeros((L, L)))
-    bias = Tensor(np.ones(2 * w + 1))
-    out = band_bias_add(scores, bias, w, causal=True).data
-    for i in range(L):
-        for j in range(L):
-            want = 1.0 if 0 <= i - j <= w else 0.0
-            assert out[i, j] == want
-
-
 def test_laplace_phi_range_and_midpoint():
     f, _ = phi_table("laplace")
     x = np.linspace(-4, 4, 201)
@@ -384,6 +331,25 @@ def test_grad_dense_oracle_weight_op(attn_fn):
     check_op_grads(lambda: T.tsum(weights() * weights()), [x])
 
 
+@pytest.mark.parametrize("causal", [False, True])
+@pytest.mark.parametrize("attn_fn", ["softmax", "relu2", "laplace"])
+def test_grad_dense_oracle(attn_fn, causal):
+    # the oracle's two nodes (its weights, then W @ V) against central
+    # differences in Q, K_hat, V and a nonzero band bias, on one (L, d)
+    # sequence and on a (B, L, d) batch; w = 2 puts keys on both sides
+    # of the band and outside it
+    cfg = AttentionConfig(attn_fn, 2, causal, z_dim=3, v_dim=2)
+    rng = Rng(19)
+    for lead in ((), (2,)):
+        Q, K = (Tensor(rng.normal(lead + (6, 3)), requires_grad=True,
+                       name=n) for n in ("Q", "K_hat"))
+        V = Tensor(rng.normal(lead + (6, 2)), requires_grad=True, name="V")
+        b = Tensor(rng.normal((5,)), requires_grad=True, name="bias")
+        probe = Tensor(rng.normal(lead + (6, 2)))
+        check_op_grads(lambda: T.tsum(attn_dense_oracle(Q, K, V, b, cfg)
+                                      * probe), [Q, K, V, b])
+
+
 def test_grad_matmul():
     rng = Rng(8)
     a = Tensor(rng.normal((2, 3, 4)), requires_grad=True, name="a")
@@ -442,14 +408,6 @@ def test_grad_softmax_and_ce():
     x = Tensor(rng.normal((4, 6)), requires_grad=True, name="x")
     t = rng.integers(0, 6, (4,))
     check_op_grads(lambda: cross_entropy(x, t), [x])
-    mask = np.tril(np.ones((4, 6), dtype=bool), k=2)
-
-    def masked():
-        p = T.softmax_rows(x, mask=mask)
-        return T.tsum(p * Tensor(rng_fixed))
-
-    rng_fixed = Rng(11).normal((4, 6))
-    check_op_grads(masked, [x])
 
 
 def test_cross_entropy_nd_equals_flattened_call():
@@ -513,17 +471,6 @@ def test_conv_skip_fused_equals_node_chain():
         conv_causal_channels(Tensor(np.zeros((3, 4))),
                              Tensor(np.zeros((1, 4, 3))),
                              Tensor(np.zeros(4)))
-
-
-def test_grad_band_bias():
-    rng = Rng(15)
-    s = Tensor(rng.normal((5, 5)), requires_grad=True, name="s")
-    b = Tensor(rng.normal((5,)), requires_grad=True, name="b")
-    probe = Rng(16).normal((5, 5))
-    for causal in (False, True):
-        check_op_grads(
-            lambda: T.tsum(band_bias_add(s, b, 2, causal) * Tensor(probe)),
-            [s, b])
 
 
 def test_grad_norms():
