@@ -76,23 +76,32 @@ def bench_scaling(Ls, reps=3, S=512, w=64, d=64, modes=("dense", "vq"),
                   seed=0):
     """Median-of-reps forward times per length, plus log-log slopes.
 
-    Each mode also reports the fastest and slowest rep per length
-    (min_s, max_s), so the spread behind every median is on record.
+    After one warm-up call per (mode, length), the reps run in rounds, and
+    each round times every (mode, length) once. A slow stretch of the
+    machine then lands on one round, which the median drops, and not on
+    every rep of one length, which would bend the slope. Each mode also
+    reports the fastest and slowest rep per length (min_s, max_s), so the
+    spread behind every median is on record.
     """
     report = {"schema": "longvq-bench-v1",
               "params": {"S": S, "w": w, "d": d, "reps": reps,
                          "Ls": list(Ls), "seed": seed},
               "modes": {}}
+    insts = {L: bench_instance(L, S, w, d, Rng(seed, f"bench-{L}"))
+             for L in Ls}
+    cells = [(mode, L) for mode in modes for L in Ls]
+    for mode, L in cells:
+        time_forward(mode, insts[L])          # warmup, not recorded
+    samples = {cell: [] for cell in cells}
+    for _ in range(reps):
+        for mode, L in cells:
+            samples[mode, L].append(time_forward(mode, insts[L]))
     for mode in modes:
-        times, lo, hi = {}, {}, {}
-        for L in Ls:
-            inst = bench_instance(L, S, w, d, Rng(seed, f"bench-{L}"))
-            time_forward(mode, inst)          # warmup, not recorded
-            samples = [time_forward(mode, inst) for _ in range(reps)]
-            times[str(L)] = float(np.median(samples))
-            lo[str(L)], hi[str(L)] = min(samples), max(samples)
+        times = {str(L): float(np.median(samples[mode, L])) for L in Ls}
         report["modes"][mode] = {
-            "times_s": times, "min_s": lo, "max_s": hi,
+            "times_s": times,
+            "min_s": {str(L): min(samples[mode, L]) for L in Ls},
+            "max_s": {str(L): max(samples[mode, L]) for L in Ls},
             "slope": fit_slope(Ls, list(times.values()))}
     if "dense" in report["modes"] and "vq" in report["modes"]:
         ratios = {}

@@ -244,7 +244,7 @@ def cmd_gradcheck(args):
 def cmd_kernel_dump(args):
     task, train_cfg, model, out = _run_model(args, "kernel-dump")
     L = args.length or task.spec.L
-    arrays = {f"layer{i}": layer.bank.kernels(L).data
+    arrays = {f"layer{i}": layer.bank.kernels(L)
               for i, layer in enumerate(model.layers())
               if layer.bank is not None}
     n_banks = len(arrays)

@@ -47,7 +47,9 @@ fewer takes the accumulator. The dense computation costs about
 
 Each attention function is defined once, as the numpy pair (f, f') of
 phi_table: the relu^2 and Laplace maps of MEGA (arXiv:2209.10655). The
-dense oracle's weights node reads the same pair. A chunk's code and
+dense oracle's weights node reads the same pair. The Laplace map imports
+scipy.special's erf when it first runs, so a softmax or relu^2 process
+never loads scipy.special. A chunk's code and
 local logits share one buffer, -inf wherever the row sees nothing, and
 one rule, _weights, turns it into weights for the forward, the backward
 and the entropy: exp(logit - shift) for softmax, f otherwise; both take
@@ -70,7 +72,6 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.special import erf
 
 from .tensor import Tensor, _first_out_of_range, _key_sums, make_op
 
@@ -102,6 +103,8 @@ def _drelu2(x):
 
 
 def _laplace(x):
+    from scipy.special import erf
+
     return 0.5 * (1.0 + erf((x - LAPLACE_MU) / _LAPLACE_ERF_SCALE))
 
 

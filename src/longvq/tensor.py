@@ -19,23 +19,25 @@ oracle and gradient tests); use ``set_precision`` or the ``precision``
 context manager before creating tensors.
 
 Shape conventions used throughout the package: sequences are batched
-(B, L, d), and a single sequence is B = 1; matrices are row-major. The
-one convolution op, ``conv_causal_channels``, takes a (d, L) kernel bank,
-a (B, L, d) input and a (d,) skip. ``cross_entropy`` takes (..., C)
-logits, so one call serves a per-position head and a per-sequence one.
+(B, L, d), and a single sequence is B = 1; matrices are row-major.
+``cross_entropy`` takes (..., C) logits, so one call serves a
+per-position head and a per-sequence one.
 The attention functions are not defined here: each is one numpy pair in
 ``factored.phi_table``.
 
 The ops are the ones the package calls: ``add``, ``sub`` and ``mul``
 (with the ``+``, ``-`` and ``*`` operators), ``linear``, ``gate_mix``,
-``silu``, ``layer_norm``, ``conv_causal_channels``, ``gather_rows``,
-``tsum``/``tmean`` and ``cross_entropy`` build the model and its loss;
-``matmul`` applies the dense oracle's weights, one node that
-``attention`` builds with ``make_op``, to its values. The sigmoid node
-that ``gate_mix`` and ``silu`` are tested against lives with the tests.
-A leaf is built with the constructor itself: ``Tensor(x)`` for a
-constant, ``Tensor(x, requires_grad=True, name=...)`` for a parameter.
-Around the ops sit the precision switches (``set_precision``,
+``silu``, ``layer_norm``, ``gather_rows``, ``tsum``/``tmean`` and
+``cross_entropy`` build the model and its loss; ``matmul`` applies the
+dense oracle's weights, one node that ``attention`` builds with
+``make_op``, to its values. The SSM branch is one node of its own,
+``ssm.ssm_scan``. ``conv_causal_channels``, a per-channel FFT
+convolution with a skip, is the reference that scan is checked against;
+no training step calls it, and it imports ``scipy.fft`` only when it
+runs. The sigmoid node that ``gate_mix`` and ``silu`` are tested against
+lives with the tests. A leaf is built with the constructor itself:
+``Tensor(x)`` for a constant, ``Tensor(x, requires_grad=True, name=...)``
+for a parameter. Around the ops sit the precision switches (``set_precision``,
 ``get_dtype``, ``precision``), ``no_grad``, the gradient helpers
 ``grad``, ``zero_grads`` and ``finite_diff`` (the central-difference
 reference), and the fault hook ``set_backward_fault``/
@@ -46,7 +48,6 @@ projection x @ W + b: every projection of the model is one ``linear``
 node, not a ``matmul`` and an ``add``. ``gate_mix`` is the gated residual
 x + sigmoid(pre) * (a - x) from the gate's pre-activation, and
 ``layer_norm`` normalizes each row, of x or of x + residual, in one node.
-``conv_causal_channels`` adds its per-channel skip term inside its node.
 Each keeps fewer full-size arrays alive until the backward than the chain
 of elementwise nodes it replaces: a sum or product folded into the op
 that reads it is never a node array that no backward reads.
@@ -57,7 +58,6 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 __all__ = [
     "Tensor", "NumericsError", "set_precision", "get_dtype", "precision",
@@ -526,11 +526,17 @@ def cross_entropy(logits, targets):
 
 
 # ---------------------------------------------------------------------------
-# causal convolution via FFT
+# causal convolution via FFT: the reference for the SSM scan
 
 def conv_causal_channels(kernels, x, skip):
     """Per-channel causal convolution of a batched sequence, plus a
     per-channel feedthrough.
+
+    A reference, not a training op: the SSM branch runs as
+    ``ssm.ssm_scan``, and this op is what the scan is checked against
+    (with ``ssm.ssm_kernels``), in the tests and the SSM demo. It imports
+    ``scipy.fft`` when called, so a process that never calls it never
+    loads it.
 
     kernels: (d, L); x: (B, L, d); skip: (d,). Channel c of every
     batch element is convolved with kernels[c]: out[b, t, c] = sum_{j<=t}
@@ -539,7 +545,7 @@ def conv_causal_channels(kernels, x, skip):
     full linear convolution, so no output wraps round; scipy.fft's
     next_fast_len picks it (2L for a power-of-two L of 16 or more). The
     skip term is added in the time domain, exactly, so the op's output is
-    the SSM branch with its D term and no separate product or sum node
+    the SSM output with its D term and no separate product or sum node
     holds a (B, L, d) array.
 
     The tape keeps only the (F, d) kernel spectrum. The backward takes the
@@ -559,6 +565,8 @@ def conv_causal_channels(kernels, x, skip):
     went from 36 to 17 ms at the first shape and from 49 to 26 ms at the
     second. scipy.fft runs on one thread unless asked for more.
     """
+    from scipy.fft import irfft, next_fast_len, rfft
+
     kernels, x, skip = _as_tensor(kernels), _as_tensor(x), _as_tensor(skip)
     if x.ndim != 3:
         raise ValueError(f"input must be (B, L, d), got shape {x.data.shape}")

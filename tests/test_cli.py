@@ -464,6 +464,17 @@ def test_gradcheck_fault_on_linear_detected(tmp_path, monkeypatch, capsys):
     assert rep["passed"] is False and rep["fault_nodes"] > 0
 
 
+def test_gradcheck_fault_on_ssm_scan_detected(tmp_path, monkeypatch, capsys):
+    # the whole SSM branch is one scan node; a fault in its backward must
+    # show in the model-level check
+    monkeypatch.chdir(tmp_path)
+    rc = main(["gradcheck", "--inject-fault", "ssm_scan", "--out", "gc"])
+    assert rc == 1
+    assert "FAIL" in capsys.readouterr().out
+    rep = json.load(open("gc/report.json"))
+    assert rep["passed"] is False and rep["fault_nodes"] > 0
+
+
 def test_gradcheck_fault_on_unknown_op_exits_2(tmp_path, monkeypatch,
                                                capsys):
     # a misspelt op wraps no node; the check must not report a pass
@@ -681,3 +692,31 @@ def test_package_import_leaves_numpy_unloaded():
                          text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("attn_fn,loaded", [
+    ("softmax", []), ("laplace", ["scipy.special"])])
+def test_training_step_loads_only_the_scipy_it_uses(attn_fn, loaded,
+                                                    tmp_path):
+    # the SSM branch needs no FFT and only the Laplace map needs erf, so
+    # a softmax run never imports scipy.fft or scipy.special
+    keep = [v for v in TINY[1::2] if not v.startswith(
+        ("train.total_steps=", "train.warmup_steps="))]
+    sets = [a for v in keep + ["train.total_steps=1", "train.warmup_steps=1",
+                               f"attn.attn_fn={attn_fn}"]
+            for a in ("--set", v)]
+    code = ("import sys; from longvq.cli import main; "
+            f"rc = main(['train', *{sets!r}, '--out', {str(tmp_path)!r}]); "
+            "print(rc, [m for m in ('scipy.fft', 'scipy.special') "
+            "if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(longvq.__file__)))
+    res = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": src,
+                              "LONGVQ_THREADS": "1"},
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == f"0 {loaded}"
+    train = [r for r in map(json.loads, open(tmp_path / "metrics.jsonl"))
+             if r["split"] == "train"]
+    assert [r["step"] for r in train] == [1]
+    assert np.isfinite(train[0]["loss"])

@@ -263,9 +263,10 @@ def test_total_loss_is_the_flattened_cross_entropy(cfg, y):
 
 def test_tape_census_lm_recipe():
     # the lm benchmark recipe at L=32: every interior node's array is
-    # named below by its width in (B, L, .) rows. Per block, the SSM conv
-    # node carries its skip, gate_mix its sigmoid and norm2 the FFN
-    # residual, so none of those joins is a node of its own. Two arrays
+    # named below by its width in (B, L, .) rows. Per block, the SSM scan
+    # node is the whole branch, skip included (no kernel array), gate_mix
+    # carries its sigmoid and norm2 the FFN residual, so none of those
+    # joins is a node of its own. Two arrays
     # per block are still read by no backward: the gate_mix output and
     # the FFN w2 output, which norm1 and norm2 read only in the forward.
     # The loss takes the (B, L, n_out) logits as they are: no reshape.
@@ -280,14 +281,14 @@ def test_tape_census_lm_recipe():
         x, y = r.integers(0, 16, (B, L)), r.integers(0, 16, (B, L))
         loss, _, _ = total_loss(model, x, y, 1e-4)
     interior = [n for n in _tape(loss) if n._vjp is not None]
-    block = (8 * d      # conv, silu Z, proj, go, gate_mix, norm1, w2, norm2
+    block = (8 * d      # scan, silu Z, proj, go, gate_mix, norm1, w2, norm2
              + 2 * f    # w1, silu
              + 6 * v    # ga, silu G_a, v, silu V, attn, G_a * O
              + 5 * z)   # q, k, quantize, commit diff, its square
     rows = 2 * block + d + n_out         # embed; head logits
-    want = 4 * (B * L * rows + 2 * d * L + 9)   # + ssm kernels, 9 scalars
+    want = 4 * (B * L * rows + 9)               # + 9 scalars
     census = sorted((n._op, n.data.shape) for n in interior)
-    assert len(interior) == 55, census
+    assert len(interior) == 53, census
     assert sum(n.data.nbytes for n in interior) == want, census
 
 

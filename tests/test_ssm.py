@@ -1,5 +1,6 @@
 """State-space module checks: init algebra, bilinear discretization,
-kernel/scan equivalence, and gradient flow through the kernel op."""
+kernel/scan equivalence, and the blocked scan op against the references
+and finite differences."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import longvq.tensor as T
 from longvq.rng import Rng
 from longvq.ssm import (
     DT_MAX, DT_MIN, SsmBank, conv_causal_channels, discretize, init_s4,
-    materialize_kernel, scan_recurrent, ssm_kernels,
+    materialize_kernel, scan_recurrent, ssm_kernels, ssm_scan,
 )
 from longvq.tensor import NumericsError, Tensor, finite_diff, grad, precision
 
@@ -213,9 +214,10 @@ def test_apply_impulse_response():
 
 
 def test_apply_equals_scan_plus_skip():
+    # three blocks of the scan, the last one partial
     rng = Rng(6)
     bank = make_bank(3, 8, rng)
-    L = 32
+    L = 150
     x = rng.normal((2, L, 3))
     y = bank(Tensor(x)).data
     for c, (a_bar, b_bar, cc, skip) in enumerate(bank_channels(bank)):
@@ -227,7 +229,8 @@ def test_apply_equals_scan_plus_skip():
 
 def test_apply_channel_count_mismatch():
     bank = make_bank(3, 2, Rng(7))
-    with pytest.raises(ValueError, match="kernel bank shape"):
+    with pytest.raises(ValueError, match="input has 2 channels, the SSM "
+                                         "bank 3"):
         bank(Tensor(np.zeros((1, 4, 2))))
 
 
@@ -270,60 +273,97 @@ def test_bank_kernels_equal_materialized_kernels():
     bank.log_dt.data[:] = np.linspace(np.log(0.001), np.log(0.1), 4)
     chans = bank_channels(bank)
     for L in (1, 2, 3, 63, 64, 65, 127, 129, 1000, 4097):
-        k = bank.kernels(L).data
+        k = bank.kernels(L)
         for c, (a_bar, b_bar, cc, _) in enumerate(chans):
             ref = materialize_kernel(a_bar, b_bar, cc, L)
             err = np.max(np.abs(k[c] - ref)) / np.max(np.abs(ref))
             assert err < 1e-12, (L, c, err)
 
 
-def test_bank_kernel_op_grads_match_fd():
-    # a small random bank, then N=16 with one channel at each end of the
-    # step range and an L that crosses many orbit blocks
-    rng = Rng(11)
-    small = SsmBank(d=2, n=3, rng=rng.child("bank"))
-    wide = SsmBank(d=2, n=16, rng=rng.child("wide"))
-    wide.log_dt.data[:] = np.log([DT_MIN, DT_MAX])
-    for bank, lengths in ((small, (7, 65, 130)), (wide, (7, 130, 1000))):
-        params = [bank.C_out, bank.log_dt]
-        for L in lengths:
-            probe = Rng(12).normal((2, L))
+# ---------------------------------------------------------------------------
+# the blocked scan: every block count, against the references
 
-            def loss():
-                return T.tsum(ssm_kernels(bank.C_out, bank.log_dt,
-                                          bank.B_in, bank.A, L)
-                              * T.Tensor(probe))
-
-            gs = grad(loss(), params)
-            fd = finite_diff(loss, params, eps=1e-6)
-            for g, f, p in zip(gs, fd, params):
-                err = np.linalg.norm(g - f) / max(np.linalg.norm(f), 1e-10)
-                assert err < 1e-6, f"N={bank.n} L={L} {p.name}: {err}"
+# (B, L): one position; under a block; one block; a partial second block;
+# three blocks, the last partial; four full blocks
+SCAN_SHAPES = [(2, 1), (1, 7), (2, 64), (1, 100), (2, 150), (1, 256)]
 
 
-def test_bank_kernel_op_float32_grads_match_float64():
-    # the op computes in float64 whatever the precision: its float32
-    # gradients are the float64 ones up to float32 rounding
-    rng = Rng(16)
-    n, L = 16, 1000
+def scan_bank(d, n, rng):
+    """A bank with one channel at each end of the step range."""
+    bank = make_bank(d, n, rng)
+    bank.log_dt.data[:] = np.linspace(np.log(DT_MIN), np.log(DT_MAX), d)
+    return bank
+
+
+@pytest.mark.parametrize("B,L", SCAN_SHAPES)
+def test_scan_equals_recurrence_and_fft_conv(B, L):
+    rng = Rng(17)
+    bank = scan_bank(3, 16, rng)
+    x = rng.normal((B, L, 3))
+    y = bank(Tensor(x)).data
+    conv = conv_causal_channels(ssm_kernels(bank.C_out.data, bank.log_dt.data,
+                                            bank.B_in.data, bank.A, L),
+                                Tensor(x), bank.D_skip).data
+    assert np.max(np.abs(y - conv)) / np.max(np.abs(conv)) < 1e-13
+    for c, (a_bar, b_bar, cc, skip) in enumerate(bank_channels(bank)):
+        for b in range(B):
+            want = scan_recurrent(a_bar, b_bar, cc, x[b, :, c]) \
+                + skip * x[b, :, c]
+            err = np.max(np.abs(y[b, :, c] - want)) / np.max(np.abs(want))
+            assert err < 1e-12, (L, c, err)
+
+
+@pytest.mark.parametrize("B,L", SCAN_SHAPES)
+def test_scan_grads_match_fd(B, L):
+    rng = Rng(18)
+    bank = scan_bank(2, 16, rng)
+    x = Tensor(rng.normal((B, L, 2)), requires_grad=True, name="x")
+    probe = Tensor(rng.normal((B, L, 2)))
+    params = bank.params() + [x]
+
+    def loss():
+        return T.tsum(bank(x) * probe)
+
+    gs = grad(loss(), params)
+    fd = finite_diff(loss, params, eps=1e-6)
+    for g, f, p in zip(gs, fd, params):
+        err = np.linalg.norm(g - f) / max(np.linalg.norm(f), 1e-10)
+        assert err < 1e-6, f"L={L} {p.name}: {err}"
+
+
+def test_scan_input_shape_named():
+    bank = make_bank(2, 3, Rng(19))
+    with pytest.raises(ValueError, match=r"\(B, L, d\), got shape \(4, 2\)"):
+        bank(Tensor(np.zeros((4, 2))))
+
+
+@pytest.mark.parametrize("B,L", [(32, 256), (8, 1024)])
+def test_scan_float32_matches_float64(B, L):
+    # the bulk products run in float32, the small matrices in float64:
+    # the output and every gradient are the float64 ones up to float32
+    # rounding (worst here 1.3e-6, on log_dt; the FFT path's worst on
+    # three other draws was 1.1e-6)
+    rng = Rng(20)
+    d, n = 64, 16
     a, b = init_s4(n)
-    c = rng.normal((4, n))
-    ld = np.linspace(np.log(DT_MIN), np.log(DT_MAX), 4)
-    probe = rng.normal((4, L))
+    values = [rng.normal((d, n)),
+              rng.uniform((d,), np.log(DT_MIN), np.log(DT_MAX)),
+              rng.normal((d,)), rng.normal((B, L, d))]
+    probe = rng.normal((B, L, d))
     got = {}
     for prec in ("float32", "float64"):
         with precision(prec):
             dt = T.get_dtype()
-            params = [Tensor(c.astype(dt), requires_grad=True),
-                      Tensor(ld.astype(dt), requires_grad=True)]
-            loss = T.tsum(ssm_kernels(*params, Tensor(b.astype(dt)), a, L)
-                          * Tensor(probe.astype(dt)))
-            got[prec] = grad(loss, params)
-    for g32, g64, name in zip(got["float32"], got["float64"],
-                              ("C_out", "log_dt")):
-        assert g32.dtype == np.float32 and g64.dtype == np.float64
-        err = np.max(np.abs(g32 - g64)) / np.max(np.abs(g64))
-        assert err < 1e-5, f"{name}: {err}"
+            c, ld, skip, x = [Tensor(v.astype(dt), requires_grad=True)
+                              for v in values]
+            y = ssm_scan(c, ld, skip, Tensor(b.astype(dt)), a, x)
+            gs = grad(T.tsum(y * Tensor(probe.astype(dt))), [c, ld, skip, x])
+            got[prec] = [y.data, *gs]
+    names = ("y", "C_out", "log_dt", "D_skip", "x")
+    for lo, hi, name in zip(got["float32"], got["float64"], names):
+        assert lo.dtype == np.float32 and hi.dtype == np.float64, name
+        err = np.max(np.abs(lo - hi)) / np.max(np.abs(hi))
+        assert err < 5e-6, f"{name}: {err:.2e}"
 
 
 def test_bank_grad_flows_to_input():
