@@ -267,12 +267,19 @@ def _chunk(t, q, kh, z, v, n, U, C, b, scale, w, cs, causal):
     off = np.clip(np.arange(lo, hi)[:, None] - np.arange(klo, khi), -w - 1,
                   w + 1) + w + 1
     nb, Ub = (n[:, t], U[:, t]) if causal else (n, U)
+    k = khi - klo
     key = (np.arange(B)[:, None] * S + z[:, klo:klo + kc]).ravel()
-    cnt = np.ones((B, S + khi - klo), dtype=nb.dtype)
-    cnt[:, :S] = nb - np.bincount(key, minlength=B * S).reshape(B, S)
+    per = np.bincount(key, minlength=B * S)
+    cnt = np.ones((B, S + k), dtype=nb.dtype)
+    cnt[:, :S] = nb - per.reshape(B, S)
+    # sum the shared keys' values only for the (batch, code) pairs they
+    # hold, each pair at its rank among them, and take them out at its row
+    pair = np.flatnonzero(per)
+    rank = np.cumsum(per > 0) - 1
     V = np.concatenate([Ub, v[:, klo:khi]], axis=1)
-    V[:, :S] -= _key_sums(key, v[:, klo:klo + kc].reshape(B * kc, dv),
-                          B * S).reshape(B, S, dv).astype(v.dtype)
+    V.reshape(B * (S + k), dv)[pair + pair // S * k] -= _key_sums(
+        rank[key], v[:, klo:klo + kc].reshape(B * kc, dv),
+        pair.size).astype(v.dtype)
     K = scale * np.concatenate([np.broadcast_to(C.T, (B,) + C.T.shape),
                                 kh[:, klo:khi].transpose(0, 2, 1)], axis=2)
     X = q[:, lo:hi] @ K

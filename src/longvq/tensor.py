@@ -13,6 +13,17 @@ holds (saved activations, statistics, spectra). Leaves keep theirs: after
 in ``.grad``. Every node keeps its ``data`` and parents, so a tape's values
 live as long as its output does. A second backward through a swept node,
 or through an op built on one, raises ``RuntimeError`` naming the node's op.
+Training drops each step's output, and so its whole tape, before the next
+step's forward (``train._train_step``), so only one tape is alive at a
+time. That frees tens of MB of 0.1-30 MB numpy buffers every step, which
+glibc's default policy would hand back to the kernel (a buffer above its
+adaptive mmap threshold is unmapped, a free heap top above its trim
+threshold is trimmed) for the next step to fault in again page by page:
+about 16k minor faults per lm-recipe step. So importing this module
+raises glibc's ``M_MMAP_THRESHOLD`` to 32 MiB and its
+``M_TRIM_THRESHOLD`` to 256 MiB: freed buffers stay mapped in the heap
+and the next step reuses them. On a libc without ``mallopt`` this does
+nothing.
 
 Precision is a process-wide setting (float32 for training, float64 for
 oracle and gradient tests); use ``set_precision`` or the ``precision``
@@ -56,6 +67,7 @@ that reads it is never a node array that no backward reads.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 
 import numpy as np
 
@@ -73,6 +85,22 @@ _NO_GRAD = False
 _FAULT_OP = None
 _FAULT_HITS = 0
 _LN_EPS = 1e-5
+
+
+def _keep_freed_pages():
+    """Raise glibc's mmap and trim thresholds (see the module docstring);
+    a no-op where the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)           # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)          # M_TRIM_THRESHOLD
+
+
+_keep_freed_pages()
 
 
 class NumericsError(RuntimeError):

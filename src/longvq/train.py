@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factored import attn_row_entropy
-from .tensor import NumericsError, cross_entropy, finite_diff, grad, no_grad
+from .tensor import (NumericsError, cross_entropy, finite_diff, grad,
+                     no_grad, zero_grads)
 from .rng import Rng
 from .vq import codebook_perplexity, commit_loss, ema_update
 
@@ -192,6 +193,21 @@ def emit(records, fh, rec):
         fh.flush()
 
 
+def _eval_batch(model, x, y, gamma, first):
+    """The loss parts of one batch, loss included, and, when first, its
+    per-layer codebook_perplexity and attn_entropy. The batch's outputs
+    and auxes die on return, before the next batch's forward."""
+    loss, parts, auxes = total_loss(model, x, y, gamma)
+    parts["loss"] = float(loss.data)
+    if not first:
+        return parts, None
+    return parts, {"codebook_perplexity": _perplexities(model, auxes),
+                   "attn_entropy": [float(attn_row_entropy(
+                       a["Q"], a["z"], lay.local_bias.data,
+                       lay.codebook.C, lay.cfg).mean())
+                       for a, lay in zip(auxes, model.layers())]}
+
+
 def evaluate(model, batches, gamma):
     """One no-grad pass over (inputs, targets) batches: the example count
     and the example-weighted loss, ce, vq and acc; from the first batch,
@@ -203,22 +219,58 @@ def evaluate(model, batches, gamma):
     n, first = 0, {"codebook_perplexity": [], "attn_entropy": []}
     with no_grad():
         for x, y in batches:
-            loss, parts, auxes = total_loss(model, x, y, gamma)
-            parts["loss"] = float(loss.data)
+            parts, layers = _eval_batch(model, x, y, gamma, n == 0)
             bs = np.asarray(y).shape[0]
             for k in tot:
                 tot[k] += parts[k] * bs
             if n == 0:
-                first = {"codebook_perplexity": _perplexities(model, auxes),
-                         "attn_entropy": [float(attn_row_entropy(
-                             a["Q"], a["z"], lay.local_bias.data,
-                             lay.codebook.C, lay.cfg).mean())
-                             for a, lay in zip(auxes, model.layers())]}
+                first = layers
             n += bs
     if n == 0:
         raise ValueError("evaluate needs at least one batch with examples")
     return {"examples": n, **{k: v / n for k, v in tot.items()},
             **first}
+
+
+def _train_step(model, params, opt, task, rng, cfg, step):
+    """One optimizer step on a fresh train batch: the train record, or
+    the name of the event when a non-finite loss or gradient skips it.
+    The step's tape (loss, auxes, grads) lives only in this frame, so it
+    is freed when the step returns: before its record is emitted, and
+    before any eval pass or stop_fn that follows."""
+    t0 = time.perf_counter()
+    x, y = task.sample("train", cfg.batch_size, rng)
+    t_fwd = time.perf_counter()
+    # every op checks its output, so a non-finite loss raises here
+    try:
+        loss, parts, auxes = total_loss(model, x, y, cfg.gamma)
+    except NumericsError:
+        return "nonfinite_loss_skipped"
+    t_bwd = time.perf_counter()
+    grads = grad(loss, params)
+    zero_grads(params)          # so only grads holds them, and dies here
+    t_grads = time.perf_counter()
+    if not all(np.all(np.isfinite(g)) for g in grads):
+        return "nonfinite_grads_skipped"
+    t_opt = time.perf_counter()
+    grads, gnorm = clip_grads(grads, cfg.grad_clip)
+    lr = lr_at(cfg, step)
+    opt.step(grads, lr)
+    t_ema = time.perf_counter()
+    drift = _ema_step(model.layers(), auxes)
+    t_end = time.perf_counter()
+    phases = {"total": t_end - t0, "forward": t_bwd - t_fwd,
+              "backward": t_grads - t_bwd, "optimizer": t_ema - t_opt,
+              "ema": t_end - t_ema}
+    return {"step": step, "split": "train",
+            "loss": float(loss.data), "ce": parts["ce"],
+            "vq": parts["vq"], "acc": parts["acc"],
+            "codebook_perplexity": _perplexities(model, auxes),
+            "dead_codes": _dead_codes(auxes, model.cfg.S),
+            "quant_err": _quant_errs(auxes), "code_drift": drift,
+            "lr": lr, "grad_norm": float(gnorm),
+            "wallclock_ms": {k: round(dt * 1000.0, 3)
+                             for k, dt in phases.items()}}
 
 
 def train_loop(model, task, cfg: TrainConfig, metrics_path=None,
@@ -230,7 +282,9 @@ def train_loop(model, task, cfg: TrainConfig, metrics_path=None,
     given, sees each train record and may return True to stop early.
     A train record's wallclock_ms holds the step's total and four of its
     phases: forward (total_loss), backward (grad), optimizer (clip_grads
-    and AdamW.step) and ema (the codebook update).
+    and AdamW.step) and ema (the codebook update). No tape outlives its
+    step (see _train_step), so an eval pass or stop_fn never runs beside
+    the last step's activations.
     """
     rng = Rng(cfg.seed, "train")
     erng = Rng(cfg.seed, "eval")
@@ -250,50 +304,17 @@ def train_loop(model, task, cfg: TrainConfig, metrics_path=None,
     try:
         for step in range(1, cfg.total_steps + 1):
             last_step = step
-            t0 = time.perf_counter()
-            x, y = task.sample("train", cfg.batch_size, rng)
-            t_fwd = time.perf_counter()
-            # every op checks its output, so a non-finite loss raises here
-            try:
-                loss, parts, auxes = total_loss(model, x, y, cfg.gamma)
-                event = None
-            except NumericsError:
-                event = "nonfinite_loss_skipped"
-            t_bwd = time.perf_counter()
-            if event is None:
-                grads = grad(loss, params)
-                t_grads = time.perf_counter()
-                if not all(np.all(np.isfinite(g)) for g in grads):
-                    event = "nonfinite_grads_skipped"
-            if event is not None:
+            rec = _train_step(model, params, opt, task, rng, cfg, step)
+            if isinstance(rec, str):
                 bad += 1
                 if bad > 10:
                     raise RuntimeError(
                         "aborting: >10 consecutive steps with a non-finite "
                         "loss or non-finite gradients")
                 emit(records, fh, {"step": step, "split": "train",
-                                   "event": event})
+                                   "event": rec})
                 continue
             bad = 0
-            t_opt = time.perf_counter()
-            grads, gnorm = clip_grads(grads, cfg.grad_clip)
-            lr = lr_at(cfg, step)
-            opt.step(grads, lr)
-            t_ema = time.perf_counter()
-            drift = _ema_step(model.layers(), auxes)
-            t_end = time.perf_counter()
-            phases = {"total": t_end - t0, "forward": t_bwd - t_fwd,
-                      "backward": t_grads - t_bwd, "optimizer": t_ema - t_opt,
-                      "ema": t_end - t_ema}
-            rec = {"step": step, "split": "train",
-                   "loss": float(loss.data), "ce": parts["ce"],
-                   "vq": parts["vq"], "acc": parts["acc"],
-                   "codebook_perplexity": _perplexities(model, auxes),
-                   "dead_codes": _dead_codes(auxes, model.cfg.S),
-                   "quant_err": _quant_errs(auxes), "code_drift": drift,
-                   "lr": lr, "grad_norm": float(gnorm),
-                   "wallclock_ms": {k: round(dt * 1000.0, 3)
-                                    for k, dt in phases.items()}}
             emit(records, fh, rec)
             if cfg.eval_every > 0 and step % cfg.eval_every == 0:
                 eval_pass(erng.child(f"e{step}"), step)

@@ -2,12 +2,17 @@
 op gradients against central differences, tape mechanics, and stream
 determinism."""
 
+import os
+import platform
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+import longvq
 import longvq.tensor as T
 from longvq.attention import AttentionConfig, attn_dense_oracle
 from longvq.factored import LAPLACE_MU, phi_table
@@ -82,6 +87,33 @@ def test_no_grad_suppresses_tape():
     with no_grad():
         y = x * x
     assert y._vjp is None and y._parents == ()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap setting is glibc's mallopt")
+def test_freed_buffers_stay_mapped():
+    # a train step frees its tape, tens of MB of 0.1-30 MB arrays, before
+    # the next step allocates the same again: once longvq.tensor is
+    # imported, a round of forty fresh 1 MB arrays reuses the last round's
+    # pages instead of faulting in new ones (about 10k faults a round
+    # under glibc's default thresholds)
+    code = ("import resource; import numpy as np; import longvq.tensor\n"
+            "per = []\n"
+            "for _ in range(5):\n"
+            "    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    arrs = [np.ones(1 << 18, np.float32) for _ in range(40)]\n"
+            "    del arrs\n"
+            "    per.append(resource.getrusage(resource.RUSAGE_SELF)"
+            ".ru_minflt - f0)\n"
+            "print(*per)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(longvq.__file__)))
+    res = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    per = [int(f) for f in res.stdout.split()]
+    assert per[0] > 5000, per          # the first round maps its pages
+    assert max(per[1:]) < 100, per
 
 
 def test_disconnected_param_gets_zero():

@@ -1,6 +1,7 @@
 """Loss assembly, optimizer behavior, loop plumbing, gradient checking."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,11 +27,11 @@ def _float64():
         set_backward_fault(None)
 
 
-def tiny_lm_cfg(attn_fn="softmax", depth=1):
-    return ModelConfig(depth=depth, d_model=8, S=4, head="per_position_lm",
-                       n_out=8, vocab=8,
+def tiny_lm_cfg(attn_fn="softmax", depth=1, d_model=8):
+    return ModelConfig(depth=depth, d_model=d_model, S=4,
+                       head="per_position_lm", n_out=8, vocab=8,
                        attn=AttentionConfig(attn_fn, 2, True, z_dim=4,
-                                            v_dim=8),
+                                            v_dim=d_model),
                        n_state=4)
 
 
@@ -344,6 +345,44 @@ def test_loop_aborts_after_repeated_nonfinite_grads(monkeypatch):
         train_loop(model, ToyTask(), cfg)
     for p, b in zip(model.params(), before):
         np.testing.assert_array_equal(p.data, b)
+
+
+class CopyTask:
+    """Next-token copy on 64 positions, so a step's tape (B*L*d per node)
+    outweighs the parameters many times over."""
+
+    L = 64
+
+    def sample(self, split, batch_size, rng):
+        x = rng.integers(0, 8, (batch_size, self.L))
+        return x, np.roll(x, 1, axis=1)
+
+
+def test_loop_frees_each_steps_tape():
+    # what stop_fn and an eval pass run beside is the parameters, the
+    # AdamW moments and the records, never the last step's tape: live
+    # bytes read about 44x those weights when the tape is held, about 1x
+    # when it is freed
+    model = Model(tiny_lm_cfg(d_model=16), Rng(0, "model"))
+    weights = 3 * sum(p.data.nbytes for p in model.params())
+    cfg = TrainConfig(lr=1e-2, warmup_steps=2, total_steps=6, batch_size=16,
+                      eval_every=3, eval_batches=2)
+    live = []
+
+    def stop(rec):
+        live.append((rec["step"], rec["split"],
+                     tracemalloc.get_traced_memory()[0]))
+        return False
+
+    tracemalloc.start()
+    try:
+        train_loop(model, CopyTask(), cfg, stop_fn=stop)
+    finally:
+        tracemalloc.stop()
+    # stop_fn sees the eval record on an eval step
+    assert [split for _, split, _ in live] == ["train", "train", "eval"] * 2
+    for step, split, nbytes in live:
+        assert nbytes < 2 * weights, (step, split, nbytes, weights)
 
 
 # ---------------------------------------------------------------------------
