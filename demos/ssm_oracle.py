@@ -2,17 +2,20 @@
 
 Shows the structured init, the bilinear discretization (the same
 ``discretize`` the trained bank uses, here for a single step size), and
-the fact that materializing the kernel and convolving equals stepping the
-recurrence one sample at a time. The kernel decay plot is ASCII because
-that is all a terminal needs.
+that stepping the recurrence one sample at a time equals both
+materializing the kernel and convolving, and the blocked ``ssm_scan``
+the bank trains with (here over several of its blocks). The kernel
+decay plot is ASCII because that is all a terminal needs.
 """
 
 import numpy as np
 
-import longvq.tensor as T
 from longvq.rng import Rng
-from longvq.ssm import discretize, init_s4, materialize_kernel, scan_recurrent
-from longvq.tensor import set_precision
+from longvq.ssm import (
+    conv_causal_channels, discretize, init_s4, materialize_kernel,
+    scan_recurrent, ssm_scan,
+)
+from longvq.tensor import Tensor, set_precision
 
 set_precision("float64")
 
@@ -37,9 +40,14 @@ for j in range(0, L, 8):
     bar = "#" * int(48 * abs(k[j]) / peak)
     print(f"  k[{j:2d}] {k[j]:+9.5f} {bar}")
 
-u = rng.normal((L,))
-y_conv = T.conv_causal_channels(T.Tensor(k[None]), T.Tensor(u[None, :, None]),
-                                np.zeros(1)).data[0, :, 0]
-y_scan = scan_recurrent(*chan, u)
-print(f"\nconvolution vs recurrence on random input: "
-      f"max abs diff {np.max(np.abs(y_conv - y_scan)):.3e}")
+steps = 300
+u = rng.normal((steps,))
+y_rec = scan_recurrent(*chan, u)
+y_conv = conv_causal_channels(materialize_kernel(*chan, steps)[None],
+                              u[None, :, None], np.zeros(1))[0, :, 0]
+y_scan = ssm_scan(Tensor(chan[2][None]), Tensor([np.log(0.05)]),
+                  Tensor([0.0]), Tensor(b), a,
+                  Tensor(u[None, :, None])).data[0, :, 0]
+print(f"\non {steps} random inputs, max abs diff to the recurrence:")
+print(f"  convolution by the kernel  {np.max(np.abs(y_conv - y_rec)):.3e}")
+print(f"  blocked ssm_scan           {np.max(np.abs(y_scan - y_rec)):.3e}")

@@ -331,7 +331,7 @@ def build_parser():
                     help="corrupt one op's backward (harness sanity hook)")
 
     sp = sub.add_parser("kernel-dump",
-                        help="write materialized conv kernels + codebooks")
+                        help="write SSM impulse-response kernels + codebooks")
     _add_common(sp)
     sp.add_argument("--checkpoint", default=None)
     sp.add_argument("--length", type=_int_at_least(1), default=None)

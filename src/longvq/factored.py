@@ -181,7 +181,7 @@ def build_code_stats(z, V, S, causal, chunk=None):
     """
     z = np.asarray(z)
     v = V.data if isinstance(V, Tensor) else np.asarray(V)
-    if z.ndim != 2 or v.ndim != 3:
+    if z.ndim != 2 or v.ndim != 3 or z.shape != v.shape[:2]:
         raise ValueError(f"build_code_stats takes z (B, L) and V (B, L, dv), "
                          f"got z {z.shape} and V {v.shape}")
     at = _first_out_of_range(z, S)

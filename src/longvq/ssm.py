@@ -23,12 +23,16 @@ only the bulk products run in the model dtype. The C and dt gradients are
 weighted sums over the same orbits: A_bar, its dt-derivative and
 (I - dt/2 A)^{-1} are functions of A and commute.
 
-``ssm_kernels`` builds the (d, L) kernels by the blocked B_bar orbit,
-forward only, for ``longvq kernel-dump``. The references are
-``materialize_kernel`` (state iteration), ``scan_recurrent`` (the literal
-recurrence), each on one channel's (A_bar, B_bar, C) arrays, and the FFT
-convolution ``tensor.conv_causal_channels``, re-exported here; none of
-them is on the training path.
+``ssm_kernels`` gives the (d, L) kernels as the scan's impulse response,
+forward only, for ``longvq kernel-dump``: by the same duality, one scan of
+a unit impulse with a zero skip returns k. The references, none of them
+on the training path, are ``materialize_kernel`` (state iteration) and
+``scan_recurrent`` (the literal recurrence), each on one channel's
+(A_bar, B_bar, C) arrays, and ``conv_causal_channels``, the causal
+convolution by direct per-channel summation. ``ssm_kernels`` and
+``conv_causal_channels`` keep their names and signatures because the
+benchmark's span table (``perfbench/spans.py``) wraps both. The scan is
+the only op here that builds a tape node.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import (
-    NumericsError, Tensor, conv_causal_channels, get_dtype, make_op,
+    NumericsError, Tensor, get_dtype, make_op, no_grad, precision,
 )
 
 __all__ = [
@@ -49,8 +53,7 @@ __all__ = [
 DT_MIN = 0.001
 DT_MAX = 0.1
 
-# positions per block of ssm_scan and states per orbit block of
-# ssm_kernels (a power of two)
+# positions per block of ssm_scan
 _BLOCK = 64
 
 
@@ -121,64 +124,61 @@ def scan_recurrent(a_bar, b_bar, c, u):
     return y
 
 
+def conv_causal_channels(kernels, x, skip):
+    """Per-channel causal convolution plus a per-channel feedthrough, by
+    direct summation: the reference the scan is checked against.
+
+    kernels: (d, L); x: (B, L, d); skip: (d,) arrays. Returns the float64
+    (B, L, d) array out[b, t, c] = sum_(j<=t) kernels[c, j] x[b, t-j, c]
+    + skip[c] x[b, t, c].
+    """
+    kernels, x, skip = (np.asarray(v, dtype=np.float64)
+                        for v in (kernels, x, skip))
+    if x.ndim != 3:
+        raise ValueError(f"input must be (B, L, d), got shape {x.shape}")
+    B, L, d = x.shape
+    if kernels.shape != (d, L):
+        raise ValueError(f"kernel bank shape {kernels.shape} != ({d}, {L})")
+    if skip.shape != (d,):
+        raise ValueError(f"skip shape {skip.shape} != ({d},)")
+    out = skip * x
+    for i, c in np.ndindex(B, d):
+        out[i, :, c] += np.convolve(kernels[c], x[i, :, c])[:L]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # a bank of channels: orbits, kernels and the blocked scan
 
 def _squarings(m, n):
-    """[m, m^2, m^4, ..., m^(2^k)] for a (d, n, n) stack m, with 2^k the
-    first power of two >= n: the powers that double an orbit to n states,
-    then the step from one such block to the next."""
-    pw = [m]
-    while 1 << (len(pw) - 1) < n:
-        pw.append(pw[-1] @ pw[-1])
+    """[m, m^2, m^4, ..., m^(2^(k-1))] for a (d, n, n) stack m, with 2^k
+    the first power of two >= n: the powers that double an orbit to n
+    states."""
+    pw = []
+    while 1 << len(pw) < n:
+        pw.append(pw[-1] @ pw[-1] if pw else m)
     return pw
 
 
-def _orbit(pw, x0, L):
-    """The orbit m^j x0 for j < L, in consecutive blocks.
-
-    pw: _squarings(m, min(_BLOCK, L)); x0: (d, n). Yields (j0, s) with
-    s[:, i] = m^(j0+i) x0, s of shape (d, b, n). The first block is built
-    by doubling (each step appends m^len applied to the states so far);
-    every later block is one batched matmul of the previous block with
-    pw[-1] = m^len. Only the current block is alive, so no (L, d, n)
-    history is ever kept.
-    """
+def _orbit(pw, x0, n):
+    """The orbit s[:, j] = m^j x0 for j < n, of shape (d, n, states), built
+    by doubling: each step appends m^len applied to the states so far.
+    pw: _squarings(m, n); x0: (d, states)."""
     s = x0[:, None, :]
-    for p in pw[:-1]:
+    for p in pw:
         s = np.concatenate([s, s @ np.swapaxes(p, 1, 2)], axis=1)
-    step = np.swapaxes(pw[-1], 1, 2)
-    for j0 in range(0, L, s.shape[1]):
-        if j0:
-            s = s @ step
-        yield j0, s[:, :L - j0]
+    return s[:, :n]
 
 
 def _fold(pw, v):
     """sum_i m^i v_i over the rows of v (d, n_rows, n): the transpose of
     _orbit's doubling, pairing v_2i + m^(2^k) v_(2i+1) at level k."""
-    n = 1 << (len(pw) - 1)
+    n = 1 << len(pw)
     v = np.concatenate([v, np.zeros((v.shape[0], n - v.shape[1],
                                      v.shape[2]))], axis=1)
-    for p in pw[:-1]:
+    for p in pw:
         v = v[:, 0::2] + v[:, 1::2] @ np.swapaxes(p, 1, 2)
     return v[:, 0]
-
-
-def ssm_kernels(c, log_dt, b_in, a, L):
-    """Materialized kernels k[c, j] = C A_bar^j B_bar of d channels
-    sharing A, forward only.
-
-    c: (d, N); log_dt: (d,); b_in: (N,); a: (N, N) arrays. Returns a
-    (d, L) array at the model dtype.
-    """
-    c = np.asarray(c, dtype=np.float64)
-    a_bar, b_bar = discretize(a, b_in, np.exp(np.asarray(log_dt,
-                                                         np.float64)))
-    k = np.empty((c.shape[0], L))
-    for j0, s in _orbit(_squarings(a_bar, min(_BLOCK, L)), b_bar, L):
-        k[:, j0:j0 + s.shape[1]] = np.einsum("djn,dn->dj", s, c)
-    return k.astype(get_dtype())
 
 
 def _tiles(u, b, width):
@@ -210,8 +210,8 @@ def _block_matrices(a_bar, b_bar, c, skip, b, dtype):
     kt = [T^T; Q^T] (d, b + N, b), W^T (d, b, N) and A_bar^b."""
     d, n = c.shape
     pw = _squarings(a_bar, b)
-    _, s = next(_orbit(pw, b_bar, b))
-    _, r = next(_orbit([np.swapaxes(p, 1, 2) for p in pw], c, b))
+    s = _orbit(pw, b_bar, b)
+    r = _orbit([np.swapaxes(p, 1, 2) for p in pw], c, b)
     k = np.einsum("dmn,dn->dm", s, c)
     k[:, 0] += skip
     # row j of T^T is k[i - j] for i >= j: a window of k behind b - 1 zeros
@@ -247,6 +247,9 @@ def ssm_scan(C_out, log_dt, D_skip, B_in, A, x):
     if x.ndim != 3:
         raise ValueError(f"input must be (B, L, d), got shape {x.data.shape}")
     B, L, d = x.data.shape
+    if L < 1:
+        raise ValueError(f"input must hold at least one position, got shape "
+                         f"{x.data.shape}")
     if C_out.data.shape[0] != d:
         raise ValueError(f"input has {d} channels, the SSM bank "
                          f"{C_out.data.shape[0]}")
@@ -325,6 +328,26 @@ def ssm_scan(C_out, log_dt, D_skip, B_in, A, x):
                 dx)
 
     return make_op(y, (C_out, log_dt, D_skip, x), vjp, "ssm_scan")
+
+
+def ssm_kernels(c, log_dt, b_in, a, L):
+    """Materialized kernels k[c, j] = C A_bar^j B_bar of d channels
+    sharing A, forward only: the impulse response of ``ssm_scan``, run
+    once in float64 on a (1, L, d) unit impulse with a zero skip.
+
+    c: (d, N); log_dt: (d,); b_in: (N,); a: (N, N) arrays. Returns a
+    (d, L) array at the model dtype.
+    """
+    if L < 1:
+        raise ValueError("kernel length must be >= 1")
+    dtype = get_dtype()
+    d = np.shape(c)[0]
+    x = np.zeros((1, L, d))
+    x[0, 0] = 1.0
+    with precision("float64"), no_grad():
+        y = ssm_scan(Tensor(c), Tensor(log_dt), Tensor(np.zeros(d)),
+                     Tensor(b_in), a, Tensor(x))
+    return np.ascontiguousarray(y.data[0].T, dtype=dtype)
 
 
 class SsmBank:

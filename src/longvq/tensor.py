@@ -42,17 +42,15 @@ The ops are the ones the package calls: ``add``, ``sub`` and ``mul``
 ``cross_entropy`` build the model and its loss; ``matmul`` applies the
 dense oracle's weights, one node that ``attention`` builds with
 ``make_op``, to its values. The SSM branch is one node of its own,
-``ssm.ssm_scan``. ``conv_causal_channels``, a per-channel FFT
-convolution with a skip, is the reference that scan is checked against;
-no training step calls it, and it imports ``scipy.fft`` only when it
-runs. The sigmoid node that ``gate_mix`` and ``silu`` are tested against
-lives with the tests. A leaf is built with the constructor itself:
-``Tensor(x)`` for a constant, ``Tensor(x, requires_grad=True, name=...)``
-for a parameter. Around the ops sit the precision switches (``set_precision``,
-``get_dtype``, ``precision``), ``no_grad``, the gradient helpers
-``grad``, ``zero_grads`` and ``finite_diff`` (the central-difference
-reference), and the fault hook ``set_backward_fault``/
-``backward_fault_hits`` behind ``longvq gradcheck --inject-fault``.
+``ssm.ssm_scan``. The sigmoid node that ``gate_mix`` and ``silu`` are
+tested against lives with the tests. A leaf is built with the constructor
+itself: ``Tensor(x)`` for a constant, ``Tensor(x, requires_grad=True,
+name=...)`` for a parameter. Around the ops sit the precision switches
+(``set_precision``, ``get_dtype``, ``precision``), ``no_grad``, the
+gradient helpers ``grad``, ``zero_grads`` and ``finite_diff`` (the
+central-difference reference), and the fault hook
+``set_backward_fault``/``backward_fault_hits`` behind ``longvq gradcheck
+--inject-fault``.
 
 Dense sublayers are fused ops, one tape node each. ``linear`` is the
 projection x @ W + b: every projection of the model is one ``linear``
@@ -76,8 +74,7 @@ __all__ = [
     "no_grad", "grad", "finite_diff", "zero_grads",
     "add", "sub", "mul", "matmul", "linear", "gate_mix",
     "gather_rows", "tsum", "tmean", "silu", "cross_entropy",
-    "conv_causal_channels", "layer_norm", "set_backward_fault",
-    "backward_fault_hits",
+    "layer_norm", "set_backward_fault", "backward_fault_hits",
 ]
 
 _DTYPE = np.float32
@@ -551,78 +548,6 @@ def cross_entropy(logits, targets):
 
     return make_op(np.asarray(loss, dtype=x.dtype), (logits,), vjp,
                    "cross_entropy")
-
-
-# ---------------------------------------------------------------------------
-# causal convolution via FFT: the reference for the SSM scan
-
-def conv_causal_channels(kernels, x, skip):
-    """Per-channel causal convolution of a batched sequence, plus a
-    per-channel feedthrough.
-
-    A reference, not a training op: the SSM branch runs as
-    ``ssm.ssm_scan``, and this op is what the scan is checked against
-    (with ``ssm.ssm_kernels``), in the tests and the SSM demo. It imports
-    ``scipy.fft`` when called, so a process that never calls it never
-    loads it.
-
-    kernels: (d, L); x: (B, L, d); skip: (d,). Channel c of every
-    batch element is convolved with kernels[c]: out[b, t, c] = sum_{j<=t}
-    kernels[c, j] * x[b, t-j, c] + skip[c] * x[b, t, c]. The convolution
-    uses zero-padded FFTs of length at least 2L - 1, the length of the
-    full linear convolution, so no output wraps round; scipy.fft's
-    next_fast_len picks it (2L for a power-of-two L of 16 or more). The
-    skip term is added in the time domain, exactly, so the op's output is
-    the SSM output with its D term and no separate product or sum node
-    holds a (B, L, d) array.
-
-    The tape keeps only the (F, d) kernel spectrum. The backward takes the
-    spectrum of g once, recomputes that of x, and gets both gradients as
-    cross-correlations from conjugate spectra; dk is summed over the batch
-    before its one inverse transform. dx gains g * skip and d(skip) is
-    the column sum of g * x over every (b, t) row. The output and dx are
-    copies of the first L steps of their padded inverse transforms, so
-    neither pins a buffer of twice its size, at B = 1 too.
-
-    The transforms are scipy.fft's, not numpy's. numpy 2.4's float32 rfft
-    over the strided L axis is about three times slower: 9.3 vs 3.0 ms at
-    (B, L, d) = (32, 256, 64) and 8.1 vs 3.0 ms at (8, 1024, 64), min of
-    7 on one thread of a 2-vCPU x86-64 VM. The inverse transforms cost
-    about the same in both, and so does everything in float64, where the
-    two give bit-identical outputs and gradients. Forward plus backward
-    went from 36 to 17 ms at the first shape and from 49 to 26 ms at the
-    second. scipy.fft runs on one thread unless asked for more.
-    """
-    from scipy.fft import irfft, next_fast_len, rfft
-
-    kernels, x, skip = _as_tensor(kernels), _as_tensor(x), _as_tensor(skip)
-    if x.ndim != 3:
-        raise ValueError(f"input must be (B, L, d), got shape {x.data.shape}")
-    B, L, d = x.data.shape
-    if kernels.data.shape != (d, L):
-        raise ValueError(
-            f"kernel bank shape {kernels.data.shape} != ({d}, {L})")
-    if skip.data.shape != (d,):
-        raise ValueError(f"skip shape {skip.data.shape} != ({d},)")
-    dtype = np.result_type(kernels.data, x.data, skip.data)
-    n = next_fast_len(2 * L - 1, real=True)
-    kf = rfft(kernels.data.T, n=n, axis=0)  # (F, d)
-    out = irfft(kf * rfft(x.data, n=n, axis=1), n=n, axis=1)
-    out = np.array(out[:, :L], dtype=dtype, order="C")
-    out += skip.data * x.data
-
-    def vjp(g):
-        gf = rfft(g, n=n, axis=1)
-        dx = irfft(kf.conj() * gf, n=n, axis=1)
-        xf = rfft(x.data, n=n, axis=1)
-        dk = irfft((xf.conj() * gf).sum(axis=0), n=n, axis=0)[:L]
-        dk = np.ascontiguousarray(dk.T, dtype=dtype)
-        dx = np.array(dx[:, :L], dtype=dtype, order="C")
-        dx += g * skip.data
-        gx = (g * x.data).reshape(-1, d)
-        return dk, dx, np.ones(gx.shape[0], dtype=gx.dtype) @ gx
-
-    return make_op(out, (kernels, x, skip), vjp, "conv_causal_channels")
 
 
 # ---------------------------------------------------------------------------

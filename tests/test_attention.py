@@ -434,8 +434,12 @@ def test_unbatched_inputs_rejected_with_their_shape():
     L, S, cb, z, Q, V = random_instance(rng, L=6, S=3, zd=2, vd=2)
     cfg = AttentionConfig("softmax", 1, True, z_dim=2, v_dim=2)
     stats = build_code_stats(z, V, S, True, 2)
-    with pytest.raises(ValueError, match=re.escape("z (6,) and V (6, 2)")):
-        build_code_stats(z[0], V[0], S, True, 2)
+    # unbatched, and z and V that disagree on L or on B
+    for zz, vv in ((z[0], V[0]), (z, V[:, :5]), (z[:, :5], V),
+                   (z, np.concatenate([V, V]))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"z {zz.shape} and V {vv.shape}")):
+            build_code_stats(zz, vv, S, True, 2)
     K = cb.C[z]
     for name, q, kh, v in (("Q", Q[0], K, V), ("K_hat", Q, K[0], V),
                            ("V", Q, K, V[0])):

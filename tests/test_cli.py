@@ -694,19 +694,23 @@ def test_package_import_leaves_numpy_unloaded():
     assert res.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("attn_fn,loaded", [
-    ("softmax", []), ("laplace", ["scipy.special"])])
-def test_training_step_loads_only_the_scipy_it_uses(attn_fn, loaded,
+@pytest.mark.parametrize("command,attn_fn,loaded", [
+    ("train", "softmax", []), ("train", "laplace", ["scipy.special"]),
+    ("kernel-dump", "softmax", [])],
+    ids=["softmax-loaded0", "laplace-loaded1", "kernel-dump-loaded2"])
+def test_training_step_loads_only_the_scipy_it_uses(command, attn_fn, loaded,
                                                     tmp_path):
-    # the SSM branch needs no FFT and only the Laplace map needs erf, so
-    # a softmax run never imports scipy.fft or scipy.special
+    # the SSM branch and its kernels need no FFT and only the Laplace map
+    # needs erf, so a softmax run or a kernel dump never imports scipy.fft
+    # or scipy.special
     keep = [v for v in TINY[1::2] if not v.startswith(
         ("train.total_steps=", "train.warmup_steps="))]
     sets = [a for v in keep + ["train.total_steps=1", "train.warmup_steps=1",
                                f"attn.attn_fn={attn_fn}"]
             for a in ("--set", v)]
     code = ("import sys; from longvq.cli import main; "
-            f"rc = main(['train', *{sets!r}, '--out', {str(tmp_path)!r}]); "
+            f"rc = main([{command!r}, *{sets!r}, "
+            f"'--out', {str(tmp_path)!r}]); "
             "print(rc, [m for m in ('scipy.fft', 'scipy.special') "
             "if m in sys.modules])")
     src = os.path.dirname(os.path.dirname(os.path.abspath(longvq.__file__)))
@@ -716,6 +720,10 @@ def test_training_step_loads_only_the_scipy_it_uses(attn_fn, loaded,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == f"0 {loaded}"
+    if command == "kernel-dump":
+        with np.load(tmp_path / "kernels.npz") as z:
+            assert np.all(np.isfinite(z["layer0"]))
+        return
     train = [r for r in map(json.loads, open(tmp_path / "metrics.jsonl"))
              if r["split"] == "train"]
     assert [r["step"] for r in train] == [1]

@@ -17,9 +17,10 @@ import longvq.tensor as T
 from longvq.attention import AttentionConfig, attn_dense_oracle
 from longvq.factored import LAPLACE_MU, phi_table
 from longvq.rng import Rng
+from longvq.ssm import conv_causal_channels
 from longvq.tensor import (
-    NumericsError, Tensor, conv_causal_channels, cross_entropy, finite_diff,
-    grad, no_grad, precision,
+    NumericsError, Tensor, cross_entropy, finite_diff, grad, no_grad,
+    precision,
 )
 
 
@@ -217,7 +218,7 @@ def test_conv_causal_matches_direct_summation():
     for L in (1, 2, 7, 64):
         k = rng.normal((d, L))
         x = rng.normal((B, L, d))
-        out = conv_causal_channels(Tensor(k), Tensor(x), np.zeros(d)).data
+        out = conv_causal_channels(k, x, np.zeros(d))
         ref = np.zeros((B, L, d))
         for t in range(L):
             for j in range(t + 1):
@@ -232,57 +233,22 @@ def test_conv_causal_channels_matches_per_channel():
     ker = rng.normal((d, L))
     x = rng.normal((B, L, d))
     skip = rng.normal((d,))
-    out = conv_causal_channels(Tensor(ker), Tensor(x), skip).data
+    out = conv_causal_channels(ker, x, skip)
     for c in range(d):
-        ref = conv_causal_channels(Tensor(ker[c:c + 1]),
-                                   Tensor(x[:, :, c:c + 1]),
-                                   skip[c:c + 1]).data
+        ref = conv_causal_channels(ker[c:c + 1], x[:, :, c:c + 1],
+                                   skip[c:c + 1])
         np.testing.assert_allclose(out[:, :, c:c + 1], ref, atol=1e-11)
 
 
 def test_conv_causal_channels_rejects_bad_shapes():
     with pytest.raises(ValueError, match="kernel bank shape"):
-        conv_causal_channels(Tensor(np.zeros((3, 4))),
-                             Tensor(np.zeros((1, 4, 2))), np.zeros(2))
+        conv_causal_channels(np.zeros((3, 4)), np.zeros((1, 4, 2)),
+                             np.zeros(2))
     with pytest.raises(ValueError, match=r"\(B, L, d\)"):
-        conv_causal_channels(Tensor(np.zeros((1, 4))),
-                             Tensor(np.zeros(4)), np.zeros(1))
-
-
-def test_conv_causal_channels_output_owns_its_memory():
-    # a lone sequence's output and dx are copies, not views of the
-    # (1, n >= 2L - 1, d) inverse transforms they were cut from
-    rng = Rng(16)
-    L, d = 256, 4
-    ker = Tensor(rng.normal((d, L)), requires_grad=True, name="ker")
-    x = Tensor(rng.normal((1, L, d)), requires_grad=True, name="x")
-    out = conv_causal_channels(ker, x, np.ones(d))
-    assert out.data.base is None and out.data.flags.c_contiguous
-    grad(T.tsum(out), [x])
-    assert x.grad.base is None and x.grad.flags.c_contiguous
-
-
-def test_conv_causal_channels_float32_matches_float64():
-    # the float32 path training takes, at a training length: same dtype
-    # out, and within 1e-5 of the float64 op relative to each array's peak
-    rng = Rng(15)
-    B, L, d = 2, 1024, 8
-    k, x, probe = (rng.normal(s).astype(np.float32)
-                   for s in ((d, L), (B, L, d), (B, L, d)))
-    skip = rng.normal((d,)).astype(np.float32)
-    res = {}
-    for kind in ("float32", "float64"):
-        with precision(kind):
-            kt, xt, st = (Tensor(a, requires_grad=True, name=n)
-                          for a, n in ((k, "k"), (x, "x"), (skip, "skip")))
-            out = conv_causal_channels(kt, xt, st)
-            grads = grad(T.tsum(out * Tensor(probe)), [kt, xt, st])
-            res[kind] = (out.data, *grads)
-    for name, a, b in zip(("out", "dk", "dx", "dskip"), res["float32"],
-                          res["float64"]):
-        assert a.dtype == np.float32 and b.dtype == np.float64, name
-        err = np.abs(a - b).max() / np.abs(b).max()
-        assert err < 1e-5, f"{name}: {err:.2e}"
+        conv_causal_channels(np.zeros((1, 4)), np.zeros(4), np.zeros(1))
+    with pytest.raises(ValueError, match=r"skip shape \(4,\) != \(3,\)"):
+        conv_causal_channels(np.zeros((3, 4)), np.zeros((1, 4, 3)),
+                             np.zeros(4))
 
 
 def test_laplace_phi_range_and_midpoint():
@@ -456,53 +422,6 @@ def test_cross_entropy_nd_equals_flattened_call():
     assert ga.shape == x.shape
     np.testing.assert_array_equal(ga, gb.reshape(x.shape))
     check_op_grads(lambda: cross_entropy(nd, t), [nd])
-
-
-def test_grad_conv_causal():
-    # the op feeds the loss twice, so both parents accumulate two grads
-    rng = Rng(12)
-    for L in (1, 2, 9):
-        k = Tensor(rng.normal((2, L)), requires_grad=True, name="k")
-        s = Tensor(rng.normal((3, L, 2)), requires_grad=True, name="s")
-        skip = Tensor(rng.normal((2,)), requires_grad=True, name="skip")
-        check_op_grads(lambda: T.tsum(conv_causal_channels(k, s, skip)
-                                      * conv_causal_channels(k, s, skip)),
-                       [k, s, skip])
-
-
-def test_grad_conv_causal_channels():
-    rng = Rng(13)
-    ker = Tensor(rng.normal((3, 8)), requires_grad=True, name="ker")
-    x = Tensor(rng.normal((2, 8, 3)), requires_grad=True, name="x")
-    probe = Rng(14).normal((2, 8, 3))
-    check_op_grads(lambda: T.tsum(conv_causal_channels(ker, x, np.zeros(3))
-                                  * Tensor(probe)), [ker, x])
-
-
-def test_conv_skip_fused_equals_node_chain():
-    # the skip inside the conv node against a zero-skip conv(k, x) +
-    # skip * x built from separate nodes, and d(skip) against central
-    # differences
-    rng = Rng(60)
-    for B, L, d in ((1, 1, 1), (2, 9, 3), (3, 16, 4)):
-        ker = Tensor(rng.normal((d, L)), requires_grad=True, name="ker")
-        x = Tensor(rng.normal((B, L, d)), requires_grad=True, name="x")
-        skip = Tensor(rng.normal((d,)), requires_grad=True, name="skip")
-        probe = Tensor(rng.normal((B, L, d)))
-        params = [ker, x, skip]
-        fused = conv_causal_channels(ker, x, skip)
-        chain = conv_causal_channels(ker, x, np.zeros(d)) + T.mul(skip, x)
-        assert rel_err(fused.data, chain.data) < 1e-12
-        want = grad(T.tsum(chain * probe), params)
-        got = grad(T.tsum(fused * probe), params)
-        for p, g, h in zip(params, got, want):
-            assert g.shape == h.shape and rel_err(g, h) < 1e-12, p.name
-        check_op_grads(lambda: T.tsum(conv_causal_channels(ker, x, skip)
-                                      * probe), params)
-    with pytest.raises(ValueError, match=r"skip shape \(4,\) != \(3,\)"):
-        conv_causal_channels(Tensor(np.zeros((3, 4))),
-                             Tensor(np.zeros((1, 4, 3))),
-                             Tensor(np.zeros(4)))
 
 
 def test_grad_norms():

@@ -176,8 +176,8 @@ def test_conv_equals_scan_random_channels():
         chan = make_channel(n, rng)
         u = rng.normal((L,))
         k = materialize_kernel(*chan, L)[None]
-        y_conv = conv_causal_channels(T.Tensor(k), T.Tensor(u[None, :, None]),
-                                      np.zeros(1)).data[0, :, 0]
+        y_conv = conv_causal_channels(k, u[None, :, None],
+                                      np.zeros(1))[0, :, 0]
         y_scan = scan_recurrent(*chan, u)
         assert np.max(np.abs(y_conv - y_scan)) < 1e-6
 
@@ -267,7 +267,8 @@ def test_bank_matches_per_channel_path():
 
 
 def test_bank_kernels_equal_materialized_kernels():
-    # the blocked orbit against state iteration, across block boundaries
+    # the scan's impulse response against state iteration, across block
+    # boundaries
     rng = Rng(15)
     bank = SsmBank(d=4, n=16, rng=rng.child("bank"))
     bank.log_dt.data[:] = np.linspace(np.log(0.001), np.log(0.1), 4)
@@ -303,7 +304,7 @@ def test_scan_equals_recurrence_and_fft_conv(B, L):
     y = bank(Tensor(x)).data
     conv = conv_causal_channels(ssm_kernels(bank.C_out.data, bank.log_dt.data,
                                             bank.B_in.data, bank.A, L),
-                                Tensor(x), bank.D_skip).data
+                                x, bank.D_skip.data)
     assert np.max(np.abs(y - conv)) / np.max(np.abs(conv)) < 1e-13
     for c, (a_bar, b_bar, cc, skip) in enumerate(bank_channels(bank)):
         for b in range(B):
@@ -335,6 +336,12 @@ def test_scan_input_shape_named():
     bank = make_bank(2, 3, Rng(19))
     with pytest.raises(ValueError, match=r"\(B, L, d\), got shape \(4, 2\)"):
         bank(Tensor(np.zeros((4, 2))))
+    # an empty L axis leaves the scan no block to cut and the kernels no tap
+    with pytest.raises(ValueError, match=r"at least one position, got shape "
+                                         r"\(1, 0, 2\)"):
+        bank(Tensor(np.zeros((1, 0, 2))))
+    with pytest.raises(ValueError, match="kernel length must be >= 1"):
+        bank.kernels(0)
 
 
 @pytest.mark.parametrize("B,L", [(32, 256), (8, 1024)])
