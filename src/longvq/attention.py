@@ -116,6 +116,10 @@ def attn_dense_oracle(Q, K_hat, V, bias, cfg):
     the bias gradient by one bincount of dX over the table positions.
     """
     L, w = K_hat.data.shape[-2], cfg.window
+    for name, x in (("Q", Q.data), ("K_hat", K_hat.data)):
+        if x.shape[-2] < 1:
+            raise ValueError(f"{name} must hold at least one position, got "
+                             f"shape {x.shape}")
     if bias.data.shape != (2 * w + 1,):
         raise ValueError(f"bias must have shape ({2 * w + 1},), got "
                          f"{bias.data.shape}")

@@ -13,10 +13,18 @@ inputs up to reassociation error.
 Causal stats hold, for chunk t, the prefix over all chunks before t. The
 op takes the chunk from the stats and accepts any chunk >= max(1, w); each
 is exact. The layer's choice (stats_chunk) is max(64, w), the same row
-block the op uses when bidirectional stats cover the whole sequence. One
-forward and one backward kernel serve every attention function and both
-directions, with the batch axis in every product, so the Python loop runs
-over chunks only.
+block the op uses when bidirectional stats cover the whole sequence.
+
+Each call builds one plan (_Plan) that the forward, the backward and the
+row entropy walk, for every attention function and both directions, with
+the batch axis in every product, so the Python loop runs over chunks
+only. Every chunk's far counts, code mask and take-out sums come from one
+keyed pass over all chunks' shared keys, and the bias table is indexed
+once as a band. A walk fills one key buffer and one value buffer [V |
+cnt], whose last column is the count, so one product gives the softmax
+numerator and denominator. Only the plan, the output and the row
+log-normalizers cross to the backward, which recomputes each chunk's
+logits, as FlashAttention-2 (arXiv:2307.08691) recomputes its tiles.
 
 The stats are a cache of (z, V): the op rebuilds them with the same
 builder and requires bitwise equality, and it requires K_hat == C[z].
@@ -49,11 +57,9 @@ Each attention function is defined once, as the numpy pair (f, f') of
 phi_table: the relu^2 and Laplace maps of MEGA (arXiv:2209.10655). The
 dense oracle's weights node reads the same pair. The Laplace map imports
 scipy.special's erf when it first runs, so a softmax or relu^2 process
-never loads scipy.special. A chunk's code and
-local logits share one buffer, -inf wherever the row sees nothing, and
-one rule, _weights, turns it into weights for the forward, the backward
-and the entropy: exp(logit - shift) for softmax, f otherwise; both take
--inf to 0.
+never loads scipy.special. One rule, _weights, turns a chunk's logits
+into weights: exp(logit - shift) in place for softmax, f otherwise; both
+take a masked logit (-inf) to 0.
 
 The same walk gives each attention row's entropy (attn_row_entropy)
 without values or an L x L array. With weights W >= 0 (exp(logit - row
@@ -184,6 +190,9 @@ def build_code_stats(z, V, S, causal, chunk=None):
     if z.ndim != 2 or v.ndim != 3 or z.shape != v.shape[:2]:
         raise ValueError(f"build_code_stats takes z (B, L) and V (B, L, dv), "
                          f"got z {z.shape} and V {v.shape}")
+    if z.shape[1] < 1:
+        raise ValueError(f"z and V must hold at least one position, got z "
+                         f"{z.shape} and V {v.shape}")
     at = _first_out_of_range(z, S)
     if at is not None:
         raise ValueError(f"shortcode {z[at]} at batch {at[0]}, position "
@@ -241,89 +250,120 @@ def _in_use(z, C, n, U):
 # ---------------------------------------------------------------------------
 # the kernels
 
-def _chunk(t, q, kh, z, v, n, U, C, b, scale, w, cs, causal):
-    """What chunk t, rows [lo, hi), needs in both passes.
+class _Plan:
+    """What every chunk of one call needs, built once for all its walks.
 
-    Its local keys [klo, khi) are the w keys before it, then the chunk
-    itself when causal or the chunk and the w keys after it when not.
-    Every other key is far: the chunk meets it through the far count and
-    value sum of its code, the chunk's stats (the prefix when causal) less
-    the local keys they count too (the first kc, shared). So each key
-    enters a row once. Returns the logit buffer X (B, r, S + k) = [code
-    logits | local logits + bias], -inf wherever the row sees nothing (a
-    code with no far key, a local key after a causal row); the matching
-    keys as columns K (B, dz, S + k), pre-scaled, values V (B, S + k, dv),
-    counts cnt (B, S + k) = [n0 | 1]; the clipped offsets for dbias; and
-    the slice of the shared keys.
-    """
-    B, L, _ = q.shape
-    S, dv = C.shape[0], v.shape[2]
-    lo = t * cs
-    hi = min(lo + cs, L)
-    klo = max(0, lo - w)
-    khi = hi if causal else min(L, hi + w)
-    kc = (lo if causal else khi) - klo          # local keys the stats count
-    # offset i - j + w + 1, clipped to [0, 2w + 2]: the ends are off the band
-    off = np.clip(np.arange(lo, hi)[:, None] - np.arange(klo, khi), -w - 1,
-                  w + 1) + w + 1
-    nb, Ub = (n[:, t], U[:, t]) if causal else (n, U)
-    k = khi - klo
-    key = (np.arange(B)[:, None] * S + z[:, klo:klo + kc]).ravel()
-    per = np.bincount(key, minlength=B * S)
-    cnt = np.ones((B, S + k), dtype=nb.dtype)
-    cnt[:, :S] = nb - per.reshape(B, S)
-    # sum the shared keys' values only for the (batch, code) pairs they
-    # hold, each pair at its rank among them, and take them out at its row
-    pair = np.flatnonzero(per)
-    rank = np.cumsum(per > 0) - 1
-    V = np.concatenate([Ub, v[:, klo:khi]], axis=1)
-    V.reshape(B * (S + k), dv)[pair + pair // S * k] -= _key_sums(
-        rank[key], v[:, klo:klo + kc].reshape(B * kc, dv),
-        pair.size).astype(v.dtype)
-    K = scale * np.concatenate([np.broadcast_to(C.T, (B,) + C.T.shape),
-                                kh[:, klo:khi].transpose(0, 2, 1)], axis=2)
-    X = q[:, lo:hi] @ K
-    ninf = X.dtype.type(-np.inf)            # a float64 mask would upcast
-    if not cnt[:, :S].all():
-        X[..., :S] += np.where(cnt[:, None, :S] > 0, 0, ninf)
-    tab = np.zeros(2 * w + 3, dtype=X.dtype)    # what each offset adds
-    tab[1:-1] = b
-    if causal:
-        tab[:w + 1] = ninf                      # a key after the row
-    X[..., S:] += tab[off]
-    return SimpleNamespace(lo=lo, hi=hi, klo=klo, khi=khi, off=off, X=X, K=K,
-                           V=V, cnt=cnt, shared=slice(klo, klo + kc))
+    Chunk t holds rows [lo, hi). Its local keys [klo, khi) are the w keys
+    before it, then the chunk itself when causal or the chunk and the w
+    keys after it when not; the stats (the prefix when causal) count the
+    first kc of them too, its shared keys. The plan holds the far counts
+    n0 (T, B, S), the shared keys' value sums of each (chunk, batch, code)
+    they hold, each added in position order, and the bias table as a band:
+    row a against key lo - m + c, m = min(w, L), past which no chunk
+    reaches."""
+
+    def __init__(self, q, kh, z, v, n, U, C, b, scale, w, cs, causal):
+        B, L, _ = q.shape
+        S, dv = C.shape[0], v.shape[2]
+        self.q, self.kh, self.v, self.z, self.U, self.b = q, kh, v, z, U, b
+        self.Ct, self.scale = scale * C.T, scale
+        self.cs, self.causal = cs, causal
+        lo = np.arange(0, L, cs)
+        hi = np.minimum(lo + cs, L)
+        klo = np.maximum(lo - w, 0)
+        khi = hi if causal else np.minimum(hi + w, L)
+        kc = (lo if causal else khi) - klo
+        rows, m, T = int(hi[0]), min(w, L), lo.size
+        # per chunk: rows, keys, shared keys and its first band column
+        self.geo = np.stack([lo, hi, klo, khi, kc, klo - lo + m], axis=1)
+        self.k_max = int((khi - klo).max())
+        # offset i - j + w + 1 clipped to [0, 2w + 2]: both ends off the band
+        self.idx = np.clip(np.arange(rows)[:, None] - np.arange(rows + 2 * m)
+                           + m, -w - 1, w + 1) + w + 1
+        tab = np.zeros(2 * w + 3, dtype=np.result_type(q, kh))
+        tab[1:-1] = b
+        if causal:
+            tab[:w + 1] = -np.inf                   # a key after the row
+        self.band = tab[self.idx]
+        # every chunk's shared keys in position order, keyed (t, b, code)
+        tk = np.repeat(np.arange(T), kc)
+        pos = np.arange(tk.size) - np.repeat(np.cumsum(kc) - kc - klo, kc)
+        key = ((tk * B + np.arange(B)[:, None]) * S + z[:, pos]).ravel()
+        per = np.bincount(key, minlength=T * B * S)
+        nb = n.transpose(1, 0, 2) if causal else n
+        self.n0 = (nb - per.reshape(T, B, S)).astype(n.dtype)
+        hid = np.flatnonzero(self.n0 == 0)
+        self.hid = np.divmod(hid % (B * S), S)
+        self.hid_cut = np.searchsorted(hid, np.arange(T + 1) * B * S)
+        # sum the shared keys' values only for the pairs they hold, each
+        # pair at its rank among them; pairs come in chunk order
+        pair = np.flatnonzero(per)
+        rank = np.cumsum(per > 0) - 1
+        self.take = _key_sums(rank[key], v[:, pos].reshape(key.size, dv),
+                              pair.size).astype(v.dtype)
+        self.row = pair // S % B * (S + self.k_max) + pair % S
+        self.cut = np.searchsorted(pair, np.arange(T + 1) * B * S)
+
+    def chunks(self, reverse=False):
+        """Walk the chunks, last first when reverse. Each gives its rows and
+        keys; its logits X (B, r, S + k) = [code | local + bias], -inf where
+        the row sees nothing (a code with no far key, a local key after a
+        causal row); K (B, dz, S + k) = scale [C | local keys]^T; and VC
+        (B, S + k, dv + 1) = [U - shared | local v], counts [n0 | 1] last."""
+        (B, dz, S), dv = self.q.shape[:1] + self.Ct.shape, self.v.shape[2]
+        K = np.empty((B, dz, S + self.k_max), dtype=self.kh.dtype)
+        K[..., :S] = self.Ct
+        VC = np.empty((B, S + self.k_max, dv + 1), dtype=self.v.dtype)
+        VC[:, S:, dv] = 1
+        khT = self.kh.transpose(0, 2, 1)
+        for t in range(len(self.geo))[::-1 if reverse else 1]:
+            lo, hi, klo, khi, kc, j0 = map(int, self.geo[t])
+            k = khi - klo
+            K[..., S:S + k] = self.scale * khT[..., klo:khi]
+            VC[:, :S, :dv] = self.U[:, t] if self.causal else self.U
+            at = slice(self.cut[t], self.cut[t + 1])
+            VC.reshape(-1, dv + 1)[self.row[at], :dv] -= self.take[at]
+            VC[:, :S, dv] = self.n0[t]
+            VC[:, S:S + k, :dv] = self.v[:, klo:khi]
+            X = self.q[:, lo:hi] @ K[..., :S + k]
+            at = slice(self.hid_cut[t], self.hid_cut[t + 1])
+            X[self.hid[0][at], :, self.hid[1][at]] = -np.inf
+            band = (slice(0, hi - lo), slice(j0, j0 + k))
+            X[..., S:] += self.band[band]
+            yield SimpleNamespace(lo=lo, hi=hi, klo=klo, khi=khi, X=X,
+                                  K=K[..., :S + k], VC=VC[:, :S + k],
+                                  band=band, shared=slice(klo, klo + kc))
 
 
 def _weights(X, phi, shift=None):
     """Weights of a logit buffer and the softmax shift: phi(X) for an
     elementwise map (f or f' of phi_table), which takes -inf to 0, or,
-    for softmax (phi None), exp(X - shift) with the shift the row max
-    unless given (the backward passes the row log-normalizers)."""
+    for softmax (phi None), exp(X - shift) in place, with the shift the
+    row max unless given (the backward passes the row log-normalizers)."""
     if phi is not None:
         return phi(X), None
     if shift is None:
         shift = X.max(axis=2, keepdims=True)
-    W = X - shift
-    return np.exp(W, out=W), shift
+    X -= shift
+    return np.exp(X, out=X), shift
 
 
-def _forward(q, kh, v, b, C, z, n, U, scale, w, cs, causal, phi):
-    """Outputs (B, L, dv) and, for softmax (phi None), row log-normalizers.
-    The denominator only adds, so a bias that annihilates the local keys
-    of a row cannot cancel its far field."""
-    B, L, _ = q.shape
-    out = np.empty((B, L, v.shape[2]), dtype=q.dtype)
-    lse = np.empty((B, L), dtype=q.dtype) if phi is None else None
-    f = phi[0] if phi else None
-    for t in range(-(-L // cs)):
-        c = _chunk(t, q, kh, z, v, n, U, C, b, scale, w, cs, causal)
-        W, m = _weights(c.X, f)
-        out[:, c.lo:c.hi] = W @ c.V
+def _forward(p, phi):
+    """Outputs (B, L, dv) and, for softmax (phi None), row log-normalizers,
+    whose numerator and denominator are one product W [V | cnt]; the latter
+    only adds, so a bias that annihilates a row's local keys cannot cancel
+    its far field."""
+    q, dv = p.q, p.v.shape[2]
+    out = np.empty(q.shape[:2] + (dv,), dtype=q.dtype)
+    lse = np.empty(q.shape[:2], dtype=q.dtype) if phi is None else None
+    for c in p.chunks():
+        W, m = _weights(c.X, phi and phi[0])
         if phi is None:
-            den = (W @ c.cnt[..., None])[..., 0]
-            out[:, c.lo:c.hi] /= den[..., None]
-            lse[:, c.lo:c.hi] = m[..., 0] + np.log(den)
+            R = W @ c.VC
+            out[:, c.lo:c.hi] = R[..., :dv] / R[..., dv:]
+            lse[:, c.lo:c.hi] = m[..., 0] + np.log(R[..., dv])
+        else:
+            out[:, c.lo:c.hi] = W @ c.VC[..., :dv]
     return out, lse
 
 
@@ -337,70 +377,66 @@ def _pairwise_is_cheaper(L, S, dz, dv, cs, causal):
     return int((rows * keys).sum()) * (dz + dv) < L * S * dz * dv
 
 
-def _backward(q, kh, v, b, C, z, n, U, scale, w, cs, causal, phi, g, out,
-              lse):
-    """(dQ, dK_hat, dV, dbias) in one pass over the chunks, last first.
+def _backward(p, phi, g, out, lse):
+    """(dQ, dK_hat, dV, dbias) in one walk of the plan, last chunk first.
 
-    E = W' * (g V^T - r cnt) is the gradient of a chunk's logit buffer
-    (W' = W and r_i = g_i.out_i under softmax, W' = f'(X) and r = 0 under
-    phi). It gives dQ, and dK_hat, dV and dbias of the local keys. A far
-    key j of code c takes sum_i W'_ic (g_i.v_j - r_i) q_i over the rows of
-    every chunk that counts it as far, by one of two exact contractions;
-    each call takes the one with fewer multiply-adds (_pairwise_is_cheaper):
+    E = W' * ([g | -r] [V | cnt]^T) is the gradient of a chunk's logits,
+    one product (W' = W and r_i = g_i.out_i under softmax; W' = f'(X) and
+    g V^T alone under phi, where r = 0). It gives dQ, and dK_hat, dV and
+    dbias of the local keys; dbias adds up on the band, then the table. A
+    far key j of code c takes sum_i W'_ic ([v_j | 1].[g_i | -r_i]) q_i
+    over the rows of every chunk that counts it as far, by one of two
+    exact contractions; each call takes the one with fewer multiply-adds
+    (_pairwise_is_cheaper):
       - pairwise: each chunk gathers its far W' at every far key's code
-        and adds M^T q with M_ji = W'_{i,z_j} (v_j.g_i - r_i); far
-        keys·(dz + dv) per query row.
-      - accumulator: per-code Tm = sum_i W'_ic q_i g_i^T and, for softmax,
-        y = sum_i W_ic r_i q_i, read as Tm_c v_j - y_c; S·dz·dv per query
-        row, whatever L. Causal keys read before their own chunk is
-        added, bidirectional keys once every chunk is in. The reads reach
-        a chunk's shared keys too; it takes them back by the pairwise gather.
+        and adds M^T q with M_ji = W'_{i,z_j} ([v | 1] [g | -r]^T)_ji, one
+        product; far keys·(dz + dv) per query row.
+      - accumulator: per-code Tm = sum_i W'_ic q_i [g_i | -r_i]^T, read
+        as Tm_c [v_j | 1]; S·dz·dv per query row, whatever L. Causal keys
+        read before their own chunk is added, bidirectional keys once
+        every chunk is in. The reads reach a chunk's shared keys too; it
+        takes them back by the pairwise gather.
     Far value gradients read F = sum_i W_ic g_i per code, and each chunk
     takes its own part back off its shared keys; a softmax W is at most 1,
     so nothing large cancels. The accumulators are (B, S, .) and every
     temporary is one chunk of rows.
     """
+    q, v, z, S, scale = p.q, p.v, p.z, p.Ct.shape[1], p.scale
     B, L, dz = q.shape
-    S, dv = C.shape[0], v.shape[2]
-    dQ, dK, dV = np.zeros_like(q), np.zeros_like(kh), np.zeros_like(v)
-    db = np.zeros_like(b)
-    F = np.zeros((B, S, dv), dtype=q.dtype)
+    dQ, dK, dV = np.zeros_like(q), np.zeros_like(p.kh), np.zeros_like(v)
+    dband = np.zeros(p.idx.shape)
+    F = np.zeros((B, S, v.shape[2]), dtype=q.dtype)
     bi = np.arange(B)[:, None]
     zb = bi * S + z                         # each key's row of (B*S, r)
-    pairwise = _pairwise_is_cheaper(L, S, dz, dv, cs, causal)
+    va = v if phi else np.concatenate([v, np.ones_like(v[..., :1])], axis=2)
+    pairwise = _pairwise_is_cheaper(L, S, dz, v.shape[2], p.cs, p.causal)
     if not pairwise:
-        Tm = np.zeros((B, S, dz * dv), dtype=q.dtype)
-        y = np.zeros((B, S, dz), dtype=q.dtype)
+        Tm = np.zeros((B, S, dz * va.shape[2]), dtype=q.dtype)
 
     def read(lo, hi):
-        # plain fancy indexing: take_along_axis would broadcast an int64
-        # index over the trailing dz*dv axis of Tm
+        # fancy indexing: take_along_axis would broadcast over Tm's last axis
         zc = z[:, lo:hi]
         dV[:, lo:hi] += F[bi, zc]
-        if pairwise:
-            return
-        Tg = Tm[bi, zc].reshape(B, hi - lo, dz, dv)
-        far = (Tg @ v[:, lo:hi, :, None])[..., 0]
-        dK[:, lo:hi] += scale * (far - y[bi, zc])
+        if not pairwise:
+            Tg = Tm[bi, zc].reshape(B, hi - lo, dz, -1)
+            dK[:, lo:hi] += scale * (Tg @ va[:, lo:hi, :, None])[..., 0]
 
-    for t in range(-(-L // cs) - 1, -1, -1):
-        c = _chunk(t, q, kh, z, v, n, U, C, b, scale, w, cs, causal)
-        if causal:
+    for c in p.chunks(reverse=True):
+        if p.causal:
             read(c.lo, c.hi)
         qr, gr = q[:, c.lo:c.hi], g[:, c.lo:c.hi]
         sq = scale * qr
-        gV = gr @ c.V.transpose(0, 2, 1)                     # (B, r, S + k)
         if phi is None:
             Wd = W = _weights(c.X, None, lse[:, c.lo:c.hi, None])[0]
-            r = (out[:, c.lo:c.hi] * gr).sum(axis=2)[..., None]
-            E = W * (gV - r * c.cnt[:, None, :])
+            G = np.concatenate([gr, -(out[:, c.lo:c.hi] * gr).sum(
+                axis=2, keepdims=True)], axis=2)
         else:
-            W, Wd = phi[0](c.X), phi[1](c.X)
-            E = Wd * gV
+            W, Wd, G = phi[0](c.X), phi[1](c.X), gr
+        E = G @ c.VC[..., :G.shape[2]].transpose(0, 2, 1)   # (B, r, S + k)
+        E *= Wd
         dQ[:, c.lo:c.hi] += E @ c.K.transpose(0, 2, 1)
         El = E[..., S:]
-        db += np.bincount(c.off.ravel(), weights=El.sum(axis=0).ravel(),
-                          minlength=2 * w + 3)[1:-1]
+        dband[c.band] += El.sum(axis=0)
         dK[:, c.klo:c.khi] += El.transpose(0, 2, 1) @ sq
         WG = W.transpose(0, 2, 1) @ gr                       # (B, S + k, dv)
         F += WG[:, :S]
@@ -411,26 +447,23 @@ def _backward(q, kh, v, b, C, z, n, U, scale, w, cs, causal, phi, g, out,
 
         def far_terms(ks):
             M = WdT[zb[:, ks]]
-            Pk = v[:, ks] @ gr.transpose(0, 2, 1)            # (B, k, r)
-            if phi is None:
-                Pk -= r.transpose(0, 2, 1)
-            M *= Pk
+            M *= va[:, ks] @ G.transpose(0, 2, 1)           # (B, k, r)
             return M @ sq
 
         if pairwise:
             dK[:, :c.klo] += far_terms(slice(0, c.klo))
-            if not causal:
+            if not p.causal:
                 dK[:, c.khi:] += far_terms(slice(c.khi, L))
         else:
-            qg = (qr[..., None] * gr[..., None, :]).reshape(*qr.shape[:2], -1)
-            Tm += WdT.reshape(B, S, -1) @ qg
-            if phi is None:                  # W' = W
-                y += WdT.reshape(B, S, -1) @ (r * qr)
+            qG = (qr[..., None] * G[..., None, :]).reshape(B, c.hi - c.lo, -1)
+            Tm += WdT.reshape(B, S, -1) @ qG
             dK[:, c.shared] -= far_terms(c.shared)
-    if not causal:
-        for lo in range(0, L, cs):
-            read(lo, min(lo + cs, L))
-    return dQ, dK, dV, db
+    if not p.causal:
+        for lo, hi in p.geo[:, :2]:
+            read(lo, hi)
+    db = np.bincount(p.idx.ravel(), weights=dband.ravel(),
+                     minlength=p.b.size + 2)[1:-1]
+    return dQ, dK, dV, db.astype(p.b.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -452,17 +485,19 @@ def attn_factored(Q, cb, stats, K_hat, V, bias, cfg):
         if x.ndim != 3:
             raise ValueError(f"attn_factored takes (B, L, .) inputs, got "
                              f"{name} of shape {x.shape}")
+        if x.shape[1] < 1:
+            raise ValueError(f"{name} must hold at least one position, got "
+                             f"shape {x.shape}")
     if bias.data.shape != (2 * w + 1,):
         raise ValueError(f"bias must have shape ({2 * w + 1},), got "
                          f"{bias.data.shape}")
     z, n, U, cs = _checked_stats(stats, kh, v, C, w, causal)
     z, C, n, U = _in_use(z, C, n, U)
     phi = None if cfg.attn_fn == "softmax" else phi_table(cfg.attn_fn)
-    args = (q, kh, v, bias.data, C, z, n, U, cfg.scale, w, cs, causal,
-            phi)
-    out, lse = _forward(*args)
-    return make_op(out, (Q, K_hat, V, bias),
-                   lambda g: _backward(*args, g, out, lse), "attn_factored")
+    plan = _Plan(q, kh, z, v, n, U, C, bias.data, cfg.scale, w, cs, causal)
+    out, lse = _forward(plan, phi)
+    return make_op(out, (Q, K_hat, V, bias), lambda g: _backward(
+        plan, phi, g, out, lse), "attn_factored")
 
 
 # ---------------------------------------------------------------------------
@@ -481,19 +516,20 @@ def attn_row_entropy(q, z, bias, C, cfg):
     row that sees one key reads 1."""
     q, z = np.asarray(q), np.asarray(z)
     B, L, _ = q.shape
+    if L < 1:
+        raise ValueError(f"q must hold at least one position, got shape "
+                         f"{q.shape}")
     w, causal = cfg.window, cfg.causal
     cs = stats_chunk(w, True)           # any row block is exact
     n, U = _code_stats(z, q[..., :0], C.shape[0], cs if causal else None)
     z, C, n, U = _in_use(z, C, n, U)
-    kh = C[z]
+    p = _Plan(q, C[z], z, q[..., :0], n, U, C, bias, cfg.scale, w, cs,
+              causal)
     f = None if cfg.attn_fn == "softmax" else phi_table(cfg.attn_fn)[0]
     H = np.empty((B, L), dtype=q.dtype)
-    for t in range(-(-L // cs)):
-        c = _chunk(t, q, kh, z, q[..., :0], n, U, C, bias, cfg.scale, w, cs,
-                   causal)
+    for c in p.chunks():
         W, _ = _weights(c.X, f)
-        cnt = c.cnt[..., None]
-        T = W @ cnt
-        H[:, c.lo:c.hi] = -(_xlogx(W / np.where(T > 0, T, 1.0)) @ cnt)[..., 0]
+        T = W @ c.VC                        # c.VC (B, S + k, 1): the counts
+        H[:, c.lo:c.hi] = -(_xlogx(W / np.where(T > 0, T, 1.0)) @ c.VC)[..., 0]
     keys = np.arange(1, L + 1) if causal else np.full(L, L)
     return np.where(keys > 1, H / np.log(np.maximum(keys, 2)), 1.0)

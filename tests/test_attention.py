@@ -3,6 +3,7 @@ factored/dense agreement (values and gradients), and layer behavior."""
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -447,6 +448,22 @@ def test_unbatched_inputs_rejected_with_their_shape():
                            + re.escape(str((L, 2)))):
             attn_factored(Tensor(q), cb, stats, Tensor(kh), Tensor(v),
                           Tensor(np.zeros(3)), cfg)
+    # an empty sequence axis, in either direction
+    z0, Q0, V0, K0 = z[:, :0], Q[:, :0], V[:, :0], K[:, :0]
+    empty = re.escape(f"at least one position, got shape {Q0.shape}")
+    for causal in (False, True):
+        cfg0 = dataclasses.replace(cfg, causal=causal)
+        with pytest.raises(ValueError, match=re.escape(
+                f"at least one position, got z {z0.shape} and V {V0.shape}")):
+            build_code_stats(z0, V0, S, causal, 2)
+        with pytest.raises(ValueError, match="Q must hold " + empty):
+            attn_factored(Tensor(Q0), cb, stats, Tensor(K0), Tensor(V0),
+                          Tensor(np.zeros(3)), cfg0)
+        with pytest.raises(ValueError, match="q must hold " + empty):
+            attn_row_entropy(Q0, z0, np.zeros(3), cb.C, cfg0)
+        with pytest.raises(ValueError, match="Q must hold " + empty):
+            attn_dense_oracle(Tensor(Q0), Tensor(K0), Tensor(V0),
+                              Tensor(np.zeros(3)), cfg0)
     layer = make_layer(rng.child("l"))
     for shape in ((6, 8), (2, 1, 6, 8)):
         with pytest.raises(ValueError, match=re.escape(
@@ -763,19 +780,91 @@ def test_factored_batched_fuzz_matches_oracle(attn_fn, causal, w,
             Q = rng.normal((B, L, zd))
             V = rng.normal((B, L, vd))
             cfg = AttentionConfig(attn_fn, w, causal, z_dim=zd, v_dim=vd)
-            case = (B, L, S, chunk, bias[0])
-            dK = {}
-            for pairwise in (False, True):
-                monkeypatch.setattr(factored, "_pairwise_is_cheaper",
-                                    lambda *_, p=pairwise: p)
-                f, d, gf, gd = run_both(cfg, cb, z, Q, V, bias,
-                                        want_grads=True, chunk=chunk,
-                                        probe_rng=Rng(combo_seed(case)))
-                assert rel_diff(f, d) < 1e-10, (pairwise,) + case
-                for name, a, b in zip(("dQ", "dK", "dV", "db"), gf, gd):
-                    assert rel_diff(a, b) < 1e-9, (pairwise, name) + case
-                dK[pairwise] = gf[1]
-            assert rel_diff(dK[True], dK[False]) < 1e-12, case
+            both_contractions_match_oracle(cfg, cb, z, Q, V, bias, chunk,
+                                           monkeypatch)
+
+
+def both_contractions_match_oracle(cfg, cb, z, Q, V, bias, chunk,
+                                   monkeypatch):
+    case = (*z.shape, cb.S, chunk, bias[0])
+    dK = {}
+    for pairwise in (False, True):
+        monkeypatch.setattr(factored, "_pairwise_is_cheaper",
+                            lambda *_, p=pairwise: p)
+        f, d, gf, gd = run_both(cfg, cb, z, Q, V, bias, want_grads=True,
+                                chunk=chunk, probe_rng=Rng(combo_seed(case)))
+        assert rel_diff(f, d) < 1e-10, (pairwise,) + case
+        for name, a, b in zip(("dQ", "dK", "dV", "db"), gf, gd):
+            assert rel_diff(a, b) < 1e-9, (pairwise, name) + case
+        dK[pairwise] = gf[1]
+    assert rel_diff(dK[True], dK[False]) < 1e-12, case
+
+
+@pytest.mark.parametrize("attn_fn", ["softmax", "relu2", "laplace"])
+@pytest.mark.parametrize("causal", [False, True])
+def test_factored_window_wider_than_a_row_block(attn_fn, causal,
+                                                monkeypatch):
+    # w = 80 against 64-row blocks (80-row causal chunks): each chunk's
+    # local keys reach past its neighbours' rows, so a key is shared by
+    # several chunks and must be taken out of each one's far sums once
+    rng = Rng(combo_seed("wide", attn_fn, causal))
+    B, L, S, w, zd, vd = 2, 300, 12, 80, 3, 4
+    C = rng.normal((S, zd))
+    cb = Codebook(C=C, ema_count=np.ones(S), ema_sum=C.copy())
+    z = rng.integers(0, S - 2, (B, L))           # two codes stay unused
+    Q = rng.normal((B, L, zd))
+    bias = rng.normal((2 * w + 1,))
+    cfg = AttentionConfig(attn_fn, w, causal, z_dim=zd, v_dim=vd)
+    both_contractions_match_oracle(cfg, cb, z, Q, rng.normal((B, L, vd)),
+                                   bias, stats_chunk(w, causal), monkeypatch)
+    P = attn_dense_oracle(Tensor(Q), Tensor(C[z]),
+                          Tensor(np.broadcast_to(np.eye(L), (B, L, L))),
+                          Tensor(bias), dataclasses.replace(cfg, v_dim=L)).data
+    assert rel_diff(attn_row_entropy(Q, z, bias, C, cfg),
+                    dense_row_entropy(P, causal)) < 1e-10
+
+
+def test_fixed_tables_built_once_per_call(monkeypatch):
+    # forward and backward share one plan: the op sums keys once for the
+    # stale-stats guard's rebuild and once for every chunk's take-out,
+    # where a per-chunk build would sum 2 * 16 more times at L = 1024
+    calls = []
+    real = factored._key_sums
+    monkeypatch.setattr(factored, "_key_sums",
+                        lambda *a: calls.append(a) or real(*a))
+    rng = Rng(44)
+    cb, z, q, v = causal_op_inputs(rng, 1, 1024, 32, 4, 4)
+    cfg = AttentionConfig("softmax", 16, False, z_dim=4, v_dim=4)
+    stats = build_code_stats(z, v, 32, False)
+    ins = [Tensor(a, requires_grad=True)
+           for a in (q, cb.C[z], v, rng.normal((33,)))]
+    calls.clear()
+    grad(T.tsum(attn_factored(ins[0], cb, stats, *ins[1:], cfg)), ins)
+    assert len(calls) == 2
+
+
+def test_op_node_holds_little_between_passes():
+    # at the cls layer-0 shape, what the backward closure keeps beyond out
+    # and lse (the plan and the in-use stats) stays within 2 MB, against
+    # a 5% peak-RSS bound of about 7.6 MB for that recipe
+    rng = Rng(45)
+    B, L, S, w, zd, vd = 8, 1024, 256, 16, 16, 32
+    with precision("float32"):
+        cb, z, q, v = causal_op_inputs(rng, B, L, S, zd, vd, np.float32)
+        cfg = AttentionConfig("softmax", w, False, z_dim=zd, v_dim=vd)
+        ins = [Tensor(a, requires_grad=True) for a in
+               (q, cb.C[z], v, rng.normal((2 * w + 1,), dtype=np.float32))]
+        stats = build_code_stats(z, v, S, False)
+        assert np.unique(z).size == S
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = attn_factored(ins[0], cb, stats, *ins[1:], cfg)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+    held -= out.data.nbytes + B * L * 4          # out and lse
+    assert held <= 2 * 2 ** 20, held
 
 
 @pytest.mark.parametrize("name, B, L, S, used, w, causal, pairwise", [
