@@ -26,12 +26,13 @@ numerator and denominator. Only the plan, the output and the row
 log-normalizers cross to the backward, which recomputes each chunk's
 logits, as FlashAttention-2 (arXiv:2307.08691) recomputes its tiles.
 
-The stats are a cache of (z, V): the op rebuilds them with the same
-builder and requires bitwise equality, and it requires K_hat == C[z].
-Stale stats raise ValueError naming the field and the first offending
-batch, chunk and code. These checks see the full codebook; the kernels
-then run on the codes the batch uses (_in_use). A code no key uses has
-n = 0 and U = 0 in every chunk, so it adds no far-field term.
+The stats are a view (CodeStats) of what they are a pure function of:
+z, V, the codebook size S and the chunk; making the view checks z against
+V and S. The op checks that the view holds its own V and S and that K_hat
+== C[z], then counts n and U once, so no count can go stale. These checks
+see the full codebook; the kernels then run on the codes the batch uses
+(_in_use). A code no key uses has n = 0 and U = 0 in every chunk, so it
+adds no far-field term.
 
 The whole thing is one tape op: straight-through quantization needs
 per-position key gradients, which cannot be recovered from any gradient of
@@ -129,18 +130,41 @@ def phi_table(name):
     raise ValueError(f"unknown attention function '{name}'")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CodeStats:
-    """Counts n and value sums U of the code-to-position assignment.
+    """A checked view of what the code stats are a pure function of:
+    shortcodes z (B, L) in [0, S), values v (B, L, dv) and the chunk.
 
-    Bidirectional: n (..., S), U (..., S, v) over the whole sequence.
-    Causal: chunk axis at -2 of n; entry t holds the prefix over all chunks
-    strictly before t (entry 0 is all zeros). chunk == 0 means global.
+    n and U are built on each read, in v's dtype. Bidirectional (chunk ==
+    0): n (B, S), U (B, S, dv) over the whole sequence. Causal: chunk
+    axis at -2 of n; entry t holds the prefix over all chunks strictly
+    before t (entry 0 is all zeros).
     """
     z: np.ndarray
-    n: np.ndarray
-    U: np.ndarray
+    v: np.ndarray
+    S: int
     chunk: int = 0
+
+    def __post_init__(self):
+        z, v = np.asarray(self.z), np.asarray(self.v)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "v", v)
+        if z.ndim != 2 or v.ndim != 3 or z.shape != v.shape[:2]:
+            raise ValueError(f"build_code_stats takes z (B, L) and V (B, L, "
+                             f"dv), got z {z.shape} and V {v.shape}")
+        if z.shape[1] < 1:
+            raise ValueError(f"z and V must hold at least one position, got "
+                             f"z {z.shape} and V {v.shape}")
+        at = _first_out_of_range(z, self.S)
+        if at is not None:
+            raise ValueError(f"shortcode {z[at]} at batch {at[0]}, position "
+                             f"{at[1]} is outside [0, {self.S})")
+
+    n = property(lambda self: self._counts()[0])
+    U = property(lambda self: self._counts()[1])
+
+    def _counts(self):
+        return _code_stats(self.z, self.v, self.S, self.chunk or None)
 
 
 def stats_chunk(window, causal):
@@ -154,7 +178,7 @@ def stats_chunk(window, causal):
 def _chunk_sums(z, v, S, cs):
     """Code counts (B, T, S) and float64 value sums (B, T, S, dv) of each
     chunk of cs positions of z (B, L), v (B, L, dv). Both add in position
-    order, so a rebuild is bitwise equal."""
+    order, so a view's n and U equal the op's bitwise."""
     B, L, dv = v.shape
     T = -(-L // cs)
     key = ((np.arange(B)[:, None] * T + np.arange(L) // cs) * S + z).ravel()
@@ -181,62 +205,29 @@ def _code_stats(z, v, S, chunk):
 
 
 def build_code_stats(z, V, S, causal, chunk=None):
-    """Exact per-code counts and value sums; prefix-per-chunk when causal.
-
-    z is (B, L) and V (B, L, dv), a Tensor or array.
-    """
-    z = np.asarray(z)
-    v = V.data if isinstance(V, Tensor) else np.asarray(V)
-    if z.ndim != 2 or v.ndim != 3 or z.shape != v.shape[:2]:
-        raise ValueError(f"build_code_stats takes z (B, L) and V (B, L, dv), "
-                         f"got z {z.shape} and V {v.shape}")
-    if z.shape[1] < 1:
-        raise ValueError(f"z and V must hold at least one position, got z "
-                         f"{z.shape} and V {v.shape}")
-    at = _first_out_of_range(z, S)
-    if at is not None:
-        raise ValueError(f"shortcode {z[at]} at batch {at[0]}, position "
-                         f"{at[1]} is outside [0, {S})")
+    """The checked CodeStats view of z (B, L) and V (B, L, dv), a Tensor
+    or array; prefix-per-chunk when causal. It counts nothing: the op
+    counts once, and n and U count on each read."""
     if causal and (chunk is None or chunk < 1):
         raise ValueError("causal stats need a chunk size >= 1")
-    chunk = chunk if causal else None
-    n, U = _code_stats(z, v, S, chunk)
-    return CodeStats(z=z, n=n, U=U, chunk=chunk or 0)
+    return CodeStats(z=z, v=V.data if isinstance(V, Tensor) else V, S=S,
+                     chunk=chunk if causal else 0)
 
 
 def _checked_stats(stats, kh, v, C, w, causal):
-    """(z, n, U) and the row chunk, after checking that the stats
-    belong to this K_hat and V."""
-    B, L, dv = v.shape
-    S = C.shape[0]
-    if causal:
-        cs = stats.chunk
-        if cs < max(1, w):
-            raise ValueError(f"causal stats chunk {cs} is below "
-                             f"max(1, window) = {max(1, w)}")
-        per_chunk = (-(-L // cs),)
-    else:
-        cs, per_chunk = _ROWS, ()
-    want = {"z": (B, L), "n": (B,) + per_chunk + (S,),
-            "U": (B,) + per_chunk + (S, dv)}
-    got = {}
-    for name, shape in want.items():
-        got[name] = np.asarray(getattr(stats, name))
-        if got[name].shape != shape:
-            raise ValueError(f"stats.{name} has shape {got[name].shape}, "
-                             f"expected {shape}")
-    z = got["z"]
-    if not np.array_equal(kh, C[z]):
+    """The shortcodes and the row chunk, after checking that the stats
+    view holds this V, this codebook's S and this K_hat's codes."""
+    if causal and stats.chunk < max(1, w):
+        raise ValueError(f"causal stats chunk {stats.chunk} is below "
+                         f"max(1, window) = {max(1, w)}")
+    if stats.S != C.shape[0]:
+        raise ValueError(f"stats/codebook mismatch: stats are over S = "
+                         f"{stats.S} codes, the codebook has {C.shape[0]}")
+    if stats.v is not v and not np.array_equal(stats.v, v):
+        raise ValueError("stats/V mismatch: stats.v is not the op's V")
+    if not np.array_equal(kh, C[stats.z]):
         raise ValueError("stats/z mismatch: K_hat rows are not C[z]")
-    ref = dict(zip("nU", _code_stats(z, v, S, cs if causal else None)))
-    for name in "nU":
-        if not np.array_equal(got[name], ref[name]):
-            at = np.argwhere(got[name] != ref[name])[0]
-            place = (f"batch {at[0]}, chunk {at[1]}, code {at[2]}" if causal
-                     else f"batch {at[0]}, code {at[1]}")
-            raise ValueError(f"stats/z mismatch: stats.{name} differs from "
-                             f"the counts of z and V at {place}")
-    return z, got["n"], got["U"], cs
+    return stats.z, stats.chunk if causal else _ROWS
 
 
 def _in_use(z, C, n, U):
@@ -469,29 +460,38 @@ def _backward(p, phi, g, out, lse):
 # ---------------------------------------------------------------------------
 # the public op
 
+def _check_inputs(fn, arrays, bias, w):
+    """Name the first (B, L, .) input of another rank or with no position,
+    or a bias that is not (2w+1,)."""
+    for name, x in arrays:
+        if x.ndim != 3:
+            raise ValueError(f"{fn} takes (B, L, .) inputs, got {name} of "
+                             f"shape {x.shape}")
+        if x.shape[1] < 1:
+            raise ValueError(f"{name} must hold at least one position, got "
+                             f"shape {x.shape}")
+    if bias.shape != (2 * w + 1,):
+        raise ValueError(f"bias must have shape ({2 * w + 1},), got "
+                         f"{bias.shape}")
+
+
 def attn_factored(Q, cb, stats, K_hat, V, bias, cfg):
     """Linear-time attention equal to the dense path on quantized keys.
 
     Q, K_hat, V: (B, L, .) tensors; bias: (2w+1,) tensor; cb: Codebook;
-    stats: CodeStats from build_code_stats on the same z and V (causal
-    chunk >= max(1, w)); cfg needs attn_fn / window / causal / scale.
-    The stats, K_hat == C[z], the shapes and the chunk are checked against
-    the full codebook; the forward and backward kernels then run on the
-    codes z uses, which is exact up to summation order.
+    stats: the CodeStats view of z and V from build_code_stats (causal
+    chunk >= max(1, w)); cfg needs attn_fn / window / causal / scale. The
+    shapes, the chunk, the view's V and S, and K_hat == C[z] are checked
+    against the full codebook. The op then counts n and U once; the
+    forward and backward kernels run on the codes z uses, which is exact
+    up to summation order.
     """
     C, w, causal = cb.C, cfg.window, cfg.causal
     q, kh, v = Q.data, K_hat.data, V.data
-    for name, x in (("Q", q), ("K_hat", kh), ("V", v)):
-        if x.ndim != 3:
-            raise ValueError(f"attn_factored takes (B, L, .) inputs, got "
-                             f"{name} of shape {x.shape}")
-        if x.shape[1] < 1:
-            raise ValueError(f"{name} must hold at least one position, got "
-                             f"shape {x.shape}")
-    if bias.data.shape != (2 * w + 1,):
-        raise ValueError(f"bias must have shape ({2 * w + 1},), got "
-                         f"{bias.data.shape}")
-    z, n, U, cs = _checked_stats(stats, kh, v, C, w, causal)
+    _check_inputs("attn_factored", (("Q", q), ("K_hat", kh), ("V", v)),
+                  bias.data, w)
+    z, cs = _checked_stats(stats, kh, v, C, w, causal)
+    n, U = _code_stats(z, v, C.shape[0], cs if causal else None)
     z, C, n, U = _in_use(z, C, n, U)
     phi = None if cfg.attn_fn == "softmax" else phi_table(cfg.attn_fn)
     plan = _Plan(q, kh, z, v, n, U, C, bias.data, cfg.scale, w, cs, causal)
@@ -514,15 +514,13 @@ def attn_row_entropy(q, z, bias, C, cfg):
     q (B, L, z_dim) and z (B, L) are arrays, bias (2w+1,), C the (S, z_dim)
     codewords; values do not enter. An all-zero relu2 row reads 0 and a
     row that sees one key reads 1."""
-    q, z = np.asarray(q), np.asarray(z)
-    B, L, _ = q.shape
-    if L < 1:
-        raise ValueError(f"q must hold at least one position, got shape "
-                         f"{q.shape}")
+    q, bias = np.asarray(q), np.asarray(bias)
     w, causal = cfg.window, cfg.causal
+    _check_inputs("attn_row_entropy", (("q", q),), bias, w)
+    B, L, _ = q.shape
     cs = stats_chunk(w, True)           # any row block is exact
-    n, U = _code_stats(z, q[..., :0], C.shape[0], cs if causal else None)
-    z, C, n, U = _in_use(z, C, n, U)
+    st = CodeStats(z, q[..., :0], C.shape[0], cs if causal else 0)
+    z, C, n, U = _in_use(st.z, C, *st._counts())
     p = _Plan(q, C[z], z, q[..., :0], n, U, C, bias, cfg.scale, w, cs,
               causal)
     f = None if cfg.attn_fn == "softmax" else phi_table(cfg.attn_fn)[0]

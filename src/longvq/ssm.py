@@ -247,16 +247,25 @@ def ssm_scan(C_out, log_dt, D_skip, B_in, A, x):
     if x.ndim != 3:
         raise ValueError(f"input must be (B, L, d), got shape {x.data.shape}")
     B, L, d = x.data.shape
+    if B < 1:
+        raise ValueError(f"input must hold at least one sequence, got shape "
+                         f"{x.data.shape}")
     if L < 1:
         raise ValueError(f"input must hold at least one position, got shape "
                          f"{x.data.shape}")
     if C_out.data.shape[0] != d:
         raise ValueError(f"input has {d} channels, the SSM bank "
                          f"{C_out.data.shape[0]}")
+    n = C_out.data.shape[1]
+    for name, got, want in (("log_dt", log_dt.data.shape, (d,)),
+                            ("D_skip", D_skip.data.shape, (d,)),
+                            ("B_in", B_in.data.shape, (n,)),
+                            ("A", np.shape(A), (n, n))):
+        if got != want:
+            raise ValueError(f"{name} must have shape {want}, got {got}")
     dtype = get_dtype()
     c = C_out.data.astype(np.float64)
     a = np.asarray(A, dtype=np.float64)
-    n = c.shape[1]
     dt = np.exp(log_dt.data.astype(np.float64))
     a_bar, b_bar = discretize(a, B_in.data, dt)
     b = min(_BLOCK, L)

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, _key_sums, get_dtype, make_op, tmean
+from .tensor import (
+    Tensor, _first_out_of_range, _key_sums, get_dtype, make_op, tmean,
+)
 
 __all__ = [
     "Codebook", "assign_batch", "quantize_st", "ema_update",
@@ -87,7 +89,12 @@ def ema_update(cb, K_batch, z):
     """
     k = K_batch.data if isinstance(K_batch, Tensor) else np.asarray(K_batch)
     k = k.reshape(-1, cb.D)
-    zf = np.asarray(z).reshape(-1)
+    z = np.asarray(z)
+    at = _first_out_of_range(z, cb.S)
+    if at is not None:
+        raise ValueError(f"shortcode {z[at]} at position {at} is outside "
+                         f"[0, {cb.S})")
+    zf = z.reshape(-1)
     counts = np.bincount(zf, minlength=cb.S).astype(cb.ema_count.dtype)
     sums = _key_sums(zf, k, cb.S).astype(k.dtype)
     cb.ema_count = EMA_ETA * cb.ema_count + (1.0 - EMA_ETA) * counts

@@ -146,6 +146,13 @@ def test_stats_out_of_range():
     with pytest.raises(ValueError, match=r"shortcode -1 at batch 0, "
                                          r"position 0 "):
         build_code_stats(np.array([[-1, 0]]), np.zeros((1, 2, 1)), 3, True, 2)
+    # the view runs the same checks when built directly or replaced
+    with pytest.raises(ValueError, match=r"shortcode 4 at batch 0, position "
+                                         r"1 is outside \[0, 4\)"):
+        CodeStats(z=np.array([[0, 4]]), v=np.zeros((1, 2, 1)), S=4)
+    st = build_code_stats(np.array([[0, 2]]), np.zeros((1, 2, 1)), 3, False)
+    with pytest.raises(ValueError, match=r"shortcode 2 .* outside \[0, 2\)"):
+        dataclasses.replace(st, S=2)
 
 
 def test_stats_causal_prefix_matches_brute_force():
@@ -283,11 +290,13 @@ def test_factored_rejects_inconsistent_inputs():
     L, S, cb, z, Q, V = random_instance(rng, L=10, S=4, zd=2, vd=2)
     cfg = AttentionConfig("relu2", 2, False, z_dim=2, v_dim=2)
     stats = build_code_stats(z, V, S, False)
-    bad_stats = CodeStats(z=z, n=stats.n + 1, U=stats.U, chunk=0)
-    with pytest.raises(ValueError, match="mismatch"):
-        attn_factored(Tensor(Q), cb, bad_stats, Tensor(cb.C[z]), Tensor(V),
-                      Tensor(np.zeros(5)), cfg)
-    with pytest.raises(ValueError, match="mismatch"):
+    # stats of another V, built or swapped into the view, are named
+    for bad in (build_code_stats(z, V + 1.0, S, False),
+                dataclasses.replace(stats, v=V[:, ::-1])):
+        with pytest.raises(ValueError, match="stats/V mismatch"):
+            attn_factored(Tensor(Q), cb, bad, Tensor(cb.C[z]), Tensor(V),
+                          Tensor(np.zeros(5)), cfg)
+    with pytest.raises(ValueError, match="stats/z mismatch"):
         attn_factored(Tensor(Q), cb, stats, Tensor(cb.C[z] + 0.1), Tensor(V),
                       Tensor(np.zeros(5)), cfg)
 
@@ -464,6 +473,18 @@ def test_unbatched_inputs_rejected_with_their_shape():
         with pytest.raises(ValueError, match="Q must hold " + empty):
             attn_dense_oracle(Tensor(Q0), Tensor(K0), Tensor(V0),
                               Tensor(np.zeros(3)), cfg0)
+    # the row entropy names q, z or bias and the shape or code it got
+    high, low = z.copy(), z.copy()
+    high[0, 4], low[0, 1] = S, -1
+    for q, zz, b, want in (
+            (Q[0], z, np.zeros(3), f"q of shape {(L, 2)}"),
+            (Q, z, np.zeros(1), "bias must have shape (3,), got (1,)"),
+            (Q, high, np.zeros(3), f"shortcode {S} at batch 0, position 4 "
+                                   f"is outside [0, {S})"),
+            (Q, low, np.zeros(3), "shortcode -1 at batch 0, position 1 "),
+            (Q, z[:, :5], np.zeros(3), f"got z (1, 5) and V {(1, L, 0)}")):
+        with pytest.raises(ValueError, match=re.escape(want)):
+            attn_row_entropy(q, zz, b, cb.C, cfg)
     layer = make_layer(rng.child("l"))
     for shape in ((6, 8), (2, 1, 6, 8)):
         with pytest.raises(ValueError, match=re.escape(
@@ -487,6 +508,19 @@ def test_layer_causal_stats_use_64_row_chunks(w, monkeypatch):
     layer = make_layer(rng.child("l"), w=w)
     layer(Tensor(rng.normal((2, 256, 8))))
     assert [st.n.shape[-2] for st in built] == [4]
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_layer_counts_code_stats_once(causal, monkeypatch):
+    # the layer hands the op a view of (z, V), and only the op counts
+    calls = []
+    real = factored._code_stats
+    monkeypatch.setattr(factored, "_code_stats",
+                        lambda *a: calls.append(a) or real(*a))
+    rng = Rng(16)
+    layer = make_layer(rng.child("l"), causal=causal)
+    layer(Tensor(rng.normal((2, 70, 8))))
+    assert len(calls) == 1
 
 
 def test_layer_impl_swap_small_diff():
@@ -617,75 +651,19 @@ def causal_op_inputs(rng, B, L, S, zd, vd, dtype=np.float64):
     return cb, z, q, v
 
 
-def test_batch_stats_check_catches_corruption():
-    rng = Rng(32)
-    B, L, S, vd, cs = 2, 12, 5, 3, 4
-    cb, z, q, v = causal_op_inputs(rng, B, L, S, 2, vd)
-    cfg = AttentionConfig("softmax", 2, True, z_dim=2, v_dim=vd)
-    stats = build_code_stats(z, v, S, True, chunk=cs)
-
-    def run(st):
-        return attn_factored(Tensor(q), cb, st, Tensor(cb.C[z]), Tensor(v),
-                             Tensor(np.zeros(5)), cfg)
-
-    run(stats)                                   # clean: no raise
-    bad = stats.U.copy()
-    bad[0, -1] += 0.5
-    with pytest.raises(ValueError, match="mismatch"):
-        run(dataclasses.replace(stats, U=bad))
-
-
-@pytest.mark.parametrize("causal", [False, True])
-def test_stats_check_covers_unused_codes(causal):
-    # the stats are checked on the full codebook before the op cuts it to
-    # the codes in use, so a corrupt entry on an unused code is named
-    rng = Rng(combo_seed("unused-guard", causal))
-    B, L, S, vd = 2, 12, 6, 3
-    cb, _, q, v = causal_op_inputs(rng, B, L, S, 2, vd)
-    z = rng.integers(0, S - 2, (B, L))          # codes 4 and 5 unused
-    cfg = AttentionConfig("softmax", 2, causal, z_dim=2, v_dim=vd)
-    stats = build_code_stats(z, v, S, causal, 4)
-
-    def run(st):
-        return attn_factored(Tensor(q), cb, st, Tensor(cb.C[z]), Tensor(v),
-                             Tensor(np.zeros(5)), cfg)
-
-    run(stats)                                 # clean: no raise
-    chunk = (2,) if causal else ()
-    where = "batch 1, chunk 2, " if causal else "batch 1, "
-    for name, code in (("n", 5), ("U", 4)):
-        arr = getattr(stats, name).copy()
-        arr[(1,) + chunk + (code,)] += 1.0
-        want = rf"stats/z mismatch: stats\.{name} .* {where}code {code}$"
-        with pytest.raises(ValueError, match=want):
-            run(dataclasses.replace(stats, **{name: arr}))
-
-
 def test_stats_guard_exact_at_long_float32_shapes():
-    # fresh stats pass at B=2, L=4096, w=16, S=64, v=96 in float32 (a
-    # tolerance recheck of differently summed prefixes rejected them),
-    # and a change to one element of n or U is still caught and located
+    # the op's smallest causal chunk, max(1, w) = 16, over B=2, L=4096,
+    # S=64, v=96 in float32 (256 chunks): the op counts its own stats and
+    # every output is finite
     with precision("float32"):
         rng = Rng(33)
         B, L, S, zd, vd, w = 2, 4096, 64, 16, 96, 16
         cb, z, q, v = causal_op_inputs(rng, B, L, S, zd, vd, np.float32)
         cfg = AttentionConfig("softmax", w, True, z_dim=zd, v_dim=vd)
-        # the op's smallest chunk, max(1, w) = 16: 256 chunks
         stats = build_code_stats(z, v, S, True, max(1, w))
-
-        def run(st):
-            return attn_factored(Tensor(q), cb, st, Tensor(cb.C[z]),
-                                 Tensor(v), Tensor(np.zeros(2 * w + 1)),
-                                 cfg)
-
-        assert np.all(np.isfinite(run(stats).data))
-        for name, at in (("n", (1, 100, 7)), ("U", (0, 200, 3, 5))):
-            arr = getattr(stats, name).copy()
-            arr[at] += 1.0
-            want = (rf"stats\.{name} .* batch {at[0]}, chunk {at[1]}, "
-                    rf"code {at[2]}$")
-            with pytest.raises(ValueError, match=want):
-                run(dataclasses.replace(stats, **{name: arr}))
+        out = attn_factored(Tensor(q), cb, stats, Tensor(cb.C[z]), Tensor(v),
+                            Tensor(np.zeros(2 * w + 1)), cfg)
+        assert np.all(np.isfinite(out.data))
 
 
 def test_factored_rejects_bad_chunk_and_shapes():
@@ -700,11 +678,10 @@ def test_factored_rejects_bad_chunk_and_shapes():
     with pytest.raises(ValueError, match=r"chunk 2 .* max\(1, window\) = 3"):
         run(build_code_stats(z, v, 4, True, chunk=2))
     stats = build_code_stats(z, v, 4, True, chunk=3)
-    flat = build_code_stats(z, v, 4, False)
-    with pytest.raises(ValueError, match=r"stats\.U .* \(2, 4, 4, 3\)"):
-        run(dataclasses.replace(stats, U=flat.U))
-    with pytest.raises(ValueError, match=r"stats\.n .* expected \(2, 4, 4\)"):
-        run(dataclasses.replace(stats, n=flat.n))
+    with pytest.raises(ValueError, match=r"stats/codebook mismatch: stats are "
+                                         r"over S = 5 codes, the codebook "
+                                         r"has 4"):
+        run(build_code_stats(z, v, 5, True, chunk=3))
     with pytest.raises(ValueError, match=r"shape \(7,\), got \(2, 7\)"):
         attn_factored(Tensor(q), cb, stats, Tensor(cb.C[z]), Tensor(v),
                       Tensor(np.zeros((2, 7))), cfg)
@@ -825,9 +802,9 @@ def test_factored_window_wider_than_a_row_block(attn_fn, causal,
 
 
 def test_fixed_tables_built_once_per_call(monkeypatch):
-    # forward and backward share one plan: the op sums keys once for the
-    # stale-stats guard's rebuild and once for every chunk's take-out,
-    # where a per-chunk build would sum 2 * 16 more times at L = 1024
+    # forward and backward share one plan: the op sums keys once for its
+    # code stats and once for every chunk's take-out, where a per-chunk
+    # build would sum 2 * 16 more times at L = 1024
     calls = []
     real = factored._key_sums
     monkeypatch.setattr(factored, "_key_sums",

@@ -2,6 +2,8 @@
 kernel/scan equivalence, and the blocked scan op against the references
 and finite differences."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.signal import cont2discrete
@@ -342,6 +344,24 @@ def test_scan_input_shape_named():
         bank(Tensor(np.zeros((1, 0, 2))))
     with pytest.raises(ValueError, match="kernel length must be >= 1"):
         bank.kernels(0)
+    # an empty batch, and parameters whose shape is not the bank's: a (1,)
+    # log_dt or D_skip would run every channel with one step
+    with pytest.raises(ValueError, match=r"at least one sequence, got shape "
+                                         r"\(0, 4, 2\)"):
+        bank(Tensor(np.zeros((0, 4, 2))))
+    x = Tensor(np.zeros((1, 4, 2)))
+    one, params = Tensor(np.zeros(1)), (bank.C_out, bank.log_dt,
+                                        bank.D_skip, bank.B_in, bank.A)
+    for at, name, bad, want in (
+            (1, "log_dt", one, "(2,), got (1,)"),
+            (2, "D_skip", one, "(2,), got (1,)"),
+            (3, "B_in", Tensor(np.zeros(2)), "(3,), got (2,)"),
+            (4, "A", np.eye(2), "(3, 3), got (2, 2)")):
+        args = list(params)
+        args[at] = bad
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must have shape {want}")):
+            ssm_scan(*args, x)
 
 
 @pytest.mark.parametrize("B,L", [(32, 256), (8, 1024)])

@@ -176,6 +176,22 @@ def test_ema_zero_history_balanced_batch_means():
         np.testing.assert_allclose(cb.C[s], K[z == s].mean(0), atol=1e-12)
 
 
+def test_ema_names_out_of_range_shortcode():
+    # the check runs before the codebook is touched
+    rng = Rng(17)
+    cb = make_cb(4, 2, rng)
+    before = (cb.C.copy(), cb.ema_count.copy(), cb.ema_sum.copy())
+    K = rng.normal((2, 4, 2))
+    for z, want in ((np.array([[0, 1, 7, 2], [0, 0, 0, 0]]),
+                     r"shortcode 7 at position \(0, 2\) is outside \[0, 4\)"),
+                    (np.array([[0, 1, 2, 3], [3, -1, 0, 0]]),
+                     r"shortcode -1 at position \(1, 1\) ")):
+        with pytest.raises(ValueError, match=want):
+            ema_update(cb, K, z)
+    for a, b in zip(before, (cb.C, cb.ema_count, cb.ema_sum)):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_ema_eta099_geometric_contraction():
     rng = Rng(8)
     S, D = 4, 3
