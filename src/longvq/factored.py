@@ -91,6 +91,9 @@ __all__ = ["CodeStats", "build_code_stats", "stats_chunk", "attn_factored",
 # temporaries stay small
 _ROWS = 64
 
+# entries of far weights the backward gathers at once (0.5 MB in float32)
+_GATHER = 1 << 17
+
 # laplace attention function 0.5 * (1 + erf((x - mu) / (sigma * sqrt(2))))
 # and its derivative, the normal density; the constants are Python floats,
 # since a numpy float64 scalar would promote float32 inputs to float64
@@ -429,6 +432,7 @@ def _backward(p, phi, g, out, lse):
         El = E[..., S:]
         dband[c.band] += El.sum(axis=0)
         dK[:, c.klo:c.khi] += El.transpose(0, 2, 1) @ sq
+        del E, El
         WG = W.transpose(0, 2, 1) @ gr                       # (B, S + k, dv)
         F += WG[:, :S]
         dV[:, c.klo:c.khi] += WG[:, S:]
@@ -437,8 +441,11 @@ def _backward(p, phi, g, out, lse):
         WdT = Wd[..., :S].transpose(0, 2, 1).reshape(B * S, -1)
 
         def far_terms(ks):
-            M = WdT[zb[:, ks]]
-            M *= va[:, ks] @ G.transpose(0, 2, 1)           # (B, k, r)
+            M = va[:, ks] @ G.transpose(0, 2, 1)            # (B, k, r)
+            # W' gathered at the keys' codes, _GATHER entries at a time
+            zk, step = zb[:, ks], max(1, _GATHER // (B * M.shape[2]))
+            for a in range(0, M.shape[1], step):
+                M[:, a:a + step] *= WdT[zk[:, a:a + step]]
             return M @ sq
 
         if pairwise:
@@ -460,16 +467,27 @@ def _backward(p, phi, g, out, lse):
 # ---------------------------------------------------------------------------
 # the public op
 
-def _check_inputs(fn, arrays, bias, w):
+def _check_inputs(fn, arrays, bias, w, zd):
     """Name the first (B, L, .) input of another rank or with no position,
-    or a bias that is not (2w+1,)."""
-    for name, x in arrays:
+    then the first whose (B, L) differs from the first input's or, for a
+    query or key, whose width is not the codewords' zd; or a bias that is
+    not (2w+1,). arrays holds (name, array, keyed) triples, keyed for a
+    query or key."""
+    for name, x, _ in arrays:
         if x.ndim != 3:
             raise ValueError(f"{fn} takes (B, L, .) inputs, got {name} of "
                              f"shape {x.shape}")
         if x.shape[1] < 1:
             raise ValueError(f"{name} must hold at least one position, got "
                              f"shape {x.shape}")
+    first, x0, _ = arrays[0]
+    for name, x, keyed in arrays:
+        if x.shape[:2] != x0.shape[:2]:
+            raise ValueError(f"{name} of shape {x.shape} and {first} of "
+                             f"shape {x0.shape} differ in (B, L)")
+        if keyed and x.shape[2] != zd:
+            raise ValueError(f"{name} of shape {x.shape} has width "
+                             f"{x.shape[2]}, the codewords {zd}")
     if bias.shape != (2 * w + 1,):
         raise ValueError(f"bias must have shape ({2 * w + 1},), got "
                          f"{bias.shape}")
@@ -481,15 +499,17 @@ def attn_factored(Q, cb, stats, K_hat, V, bias, cfg):
     Q, K_hat, V: (B, L, .) tensors; bias: (2w+1,) tensor; cb: Codebook;
     stats: the CodeStats view of z and V from build_code_stats (causal
     chunk >= max(1, w)); cfg needs attn_fn / window / causal / scale. The
-    shapes, the chunk, the view's V and S, and K_hat == C[z] are checked
-    against the full codebook. The op then counts n and U once; the
+    shapes (one (B, L) for all three, Q and K_hat as wide as the
+    codewords), the chunk, the view's V and S, and K_hat == C[z] are
+    checked against the full codebook. The op then counts n and U once; the
     forward and backward kernels run on the codes z uses, which is exact
     up to summation order.
     """
     C, w, causal = cb.C, cfg.window, cfg.causal
     q, kh, v = Q.data, K_hat.data, V.data
-    _check_inputs("attn_factored", (("Q", q), ("K_hat", kh), ("V", v)),
-                  bias.data, w)
+    _check_inputs("attn_factored", (("Q", q, True), ("K_hat", kh, True),
+                                     ("V", v, False)), bias.data, w,
+                  C.shape[1])
     z, cs = _checked_stats(stats, kh, v, C, w, causal)
     n, U = _code_stats(z, v, C.shape[0], cs if causal else None)
     z, C, n, U = _in_use(z, C, n, U)
@@ -516,7 +536,8 @@ def attn_row_entropy(q, z, bias, C, cfg):
     row that sees one key reads 1."""
     q, bias = np.asarray(q), np.asarray(bias)
     w, causal = cfg.window, cfg.causal
-    _check_inputs("attn_row_entropy", (("q", q),), bias, w)
+    _check_inputs("attn_row_entropy", (("q", q, True),), bias, w,
+                  C.shape[1])
     B, L, _ = q.shape
     cs = stats_chunk(w, True)           # any row block is exact
     st = CodeStats(z, q[..., :0], C.shape[0], cs if causal else 0)

@@ -181,6 +181,18 @@ def _fold(pw, v):
     return v[:, 0]
 
 
+def _to_blocks(dst, u):
+    """Copy u (B, L, .) into dst, a (B, nb, b, .) view of nb blocks of b
+    positions: dst[i, j, p] = u[i, j * b + p], zero past L."""
+    B, nb, b = dst.shape[:3]
+    L = u.shape[1]
+    full = L // b
+    dst[:, :full] = u[:, :full * b].reshape(B, full, b, -1)
+    if full < nb:
+        dst[:, full, :L - full * b] = u[:, full * b:]
+        dst[:, full, L - full * b:] = 0
+
+
 def _tiles(u, b, width):
     """(B, L, d) -> a (B * nb, d, width) buffer whose [..., :b] holds each
     block of b positions transposed, the last block zero-padded. Row
@@ -189,10 +201,8 @@ def _tiles(u, b, width):
     view the batched products run on, with no copy."""
     B, L, d = u.shape
     nb = -(-L // b)
-    if nb * b != L:
-        u = np.concatenate([u, np.zeros((B, nb * b - L, d), u.dtype)], axis=1)
     out = np.empty((B * nb, d, width), u.dtype)
-    out[..., :b] = np.swapaxes(u.reshape(B * nb, b, d), 1, 2)
+    _to_blocks(np.swapaxes(out.reshape(B, nb, d, width)[..., :b], 2, 3), u)
     return out
 
 
@@ -243,6 +253,14 @@ def ssm_scan(C_out, log_dt, D_skip, B_in, A, x):
     (A_bar, B_bar, C, D); the backward cuts x's blocks and builds the
     block matrices again, so no other (B, L, d)-sized array, and none of
     (d, b, b) size, waits on the tape.
+
+    The backward holds at most two tile buffers of B * nb * d * (b + N)
+    entries at once, [dy | d own] and [u | H], beside the per-channel
+    matrices, O(d (b + N)^2), and the float64 orbits. dx's blocks are
+    written into the [u | H] tiles after their last read, and [dy | d own]
+    is freed before dx is copied out. At the lm recipe's shape (B=32,
+    L=256, d=64, N=16, float32) that is 9.5 MB of transients, the 2 MB dx
+    included.
     """
     if x.ndim != 3:
         raise ValueError(f"input must be (B, L, d), got shape {x.data.shape}")
@@ -289,7 +307,8 @@ def ssm_scan(C_out, log_dt, D_skip, B_in, A, x):
         pw, s, r, kt, wt, step = _block_matrices(a_bar, b_bar, c, skip, b,
                                                  dtype)
         gd = np.empty((d, B * nb, b + n), dtype)              # [dy | d own]
-        gd[..., :b] = np.swapaxes(_tiles(g, b, b), 0, 1)
+        _to_blocks(np.moveaxis(gd.reshape(d, B, nb, b + n)[..., :b], 0, 3),
+                   g)
         dh = (gd[..., :b] @ np.swapaxes(kt[:, b:], 1, 2)).reshape(d, B, nb, n)
         down = gd.reshape(d, B, nb, b + n)[..., b:]
         down[:, :, nb - 1] = 0.0
@@ -299,11 +318,16 @@ def ssm_scan(C_out, log_dt, D_skip, B_in, A, x):
             lam = dh[:, :, j - 1] + lam @ step
         tw = np.concatenate([np.swapaxes(kt[:, :b], 1, 2),
                              np.swapaxes(wt, 1, 2)], axis=1)  # [T; W]
-        dx = _untiles(np.swapaxes(gd @ tw, 0, 1), B, L)
+        del kt, wt, dh, down, lam
         xt = _tiles(x.data, b, b + n)
         xt[..., b:] = entering
         # [[dT^T, dW^T], [dQ^T, dG^T]] = [u | H]^T [dy | d own]
         dp = np.swapaxes(xt, 0, 1).swapaxes(1, 2) @ gd
+        # dx's blocks [dy | d own] @ [T; W] go into x's, no longer read
+        np.matmul(gd, tw, out=np.swapaxes(xt[..., :b], 0, 1))
+        del gd, tw
+        dx = _untiles(xt[..., :b], B, L)
+        del xt
         dkt = dp[..., :b]
         dwt = dp[..., b:].astype(np.float64)
         # k[m] sits on the m-th superdiagonal of T^T

@@ -60,6 +60,16 @@ x + sigmoid(pre) * (a - x) from the gate's pre-activation, and
 Each keeps fewer full-size arrays alive until the backward than the chain
 of elementwise nodes it replaces: a sum or product folded into the op
 that reads it is never a node array that no backward reads.
+
+The rule for what a node keeps: its parents, plus only what its backward
+cannot rebuild from them in a pass or two. ``gate_mix`` and ``silu``
+compute their sigmoid again, ``layer_norm`` its normalized rows from the
+(R, 1) row means and inverse deviations it keeps, and ``cross_entropy``
+its exponentials from the row maxima and sums. Each rebuild repeats the
+forward's operations in the forward's order, so the gradients equal,
+bitwise, those from stored arrays. What costs more to rebuild stays: the
+SSM scan's block-entering states, the attention op's plan and row
+log-normalizers.
 """
 
 from __future__ import annotations
@@ -498,11 +508,16 @@ def _sigmoid_np(x):
 
 
 def silu(a):
-    """x * sigmoid(x), the self-gated activation."""
+    """x * sigmoid(x), the self-gated activation.
+
+    The node keeps only its parent: the forward writes the product into
+    the sigmoid's buffer, and the backward computes the sigmoid again.
+    """
     s = _sigmoid_np(a.data)
 
     def vjp(g):
-        # g * s * (1 + x * (1 - s)) in one allocation
+        # g * s * (1 + x * (1 - s)) in two allocations: s and dx
+        s = _sigmoid_np(a.data)
         dx = np.subtract(1.0, s, out=np.empty_like(s))
         dx *= a.data
         dx += 1.0
@@ -510,7 +525,7 @@ def silu(a):
         dx *= g
         return (dx,)
 
-    return make_op(a.data * s, (a,), vjp, "silu")
+    return make_op(np.multiply(a.data, s, out=s), (a,), vjp, "silu")
 
 
 def cross_entropy(logits, targets):
@@ -520,7 +535,8 @@ def cross_entropy(logits, targets):
     logits of a per-sequence head and (B, L, C) logits of a per-position
     head take the same call. The op works on the N = prod(...) rows of
     the flattened logits, with a stable log-sum-exp; the gradient is
-    (softmax - onehot)/N, shaped back to the logits.
+    (softmax - onehot)/N, shaped back to the logits. The node keeps the
+    row maxima and sums, and the backward takes the exponentials again.
     """
     shape = logits.data.shape
     t = np.asarray(targets)
@@ -535,14 +551,14 @@ def cross_entropy(logits, targets):
     x = logits.data.reshape(-1, shape[-1])
     t = t.reshape(-1)
     m = x.max(axis=1, keepdims=True)
-    e = np.exp(x - m)
-    z = e.sum(axis=1, keepdims=True)
+    z = np.exp(x - m).sum(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(z[:, 0])
     n = x.shape[0]
     loss = (lse - x[np.arange(n), t]).mean()
 
     def vjp(g):
-        p = e / z
+        p = np.exp(x - m)
+        p /= z
         p[np.arange(n), t] -= 1.0
         return ((g * p / n).reshape(shape),)
 
@@ -559,13 +575,19 @@ def layer_norm(x, gain, bias, residual=None):
     x's shape it normalizes x + residual: the sum is a temporary of the
     forward, not a tape node, and both inputs get the same gradient.
 
+    The node keeps only the (R, 1) row means and inverse deviations: the
+    backward rebuilds the normalized rows from x (plus residual) with the
+    forward's operations in the forward's order, so its gradients equal
+    those from stored rows bitwise.
+
     Row means are products with a (d, 1) column of 1/d, not
-    mean(axis=-1): numpy's reduction over a short last axis is about five
-    times slower than the BLAS product (0.23 vs 0.04 ms on a float32
+    mean(axis=-1): numpy's reduction over a short last axis is about six
+    times slower than the BLAS product (0.37 vs 0.06 ms on a float32
     (32, 256, 64) array, min of 40 on one thread of a 2-vCPU x86-64 VM).
     The backward takes its two row means the same way and the gain and
-    bias gradients as BLAS column sums. Forward plus backward went from
-    4.1 to 2.8 ms at that shape.
+    bias gradients as BLAS column sums. At that shape the forward takes
+    1.4 ms and the backward 2.5 ms, of which the rebuild is about 0.5 ms;
+    with a residual, 1.8 and 2.8 ms (min of 40, same machine).
     """
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.data.shape[-1]
@@ -573,16 +595,23 @@ def layer_norm(x, gain, bias, residual=None):
         raise ValueError(f"layer_norm gain and bias must have shape ({d},); "
                          f"got {gain.data.shape} and {bias.data.shape}")
     parents = (x, gain, bias)
-    x2 = x.data.reshape(-1, d)
     if residual is not None:
         residual = _as_tensor(residual)
         if residual.data.shape != x.data.shape:
             raise ValueError(f"layer_norm residual shape "
                              f"{residual.data.shape} != {x.data.shape}")
         parents += (residual,)
-        x2 = x2 + residual.data.reshape(-1, d)
+
+    def rows():
+        """x, or x + residual in a new array, as (R, d) rows."""
+        x2 = x.data.reshape(-1, d)
+        return x2 if residual is None else x2 + residual.data.reshape(-1, d)
+
+    x2 = rows()
     col = np.full((d, 1), 1.0 / d, dtype=x2.dtype)
-    xn = x2 - x2 @ col
+    mean = x2 @ col
+    xn = x2 - mean
+    del x2
     sq = np.square(xn)
     inv = sq @ col
     inv += _LN_EPS
@@ -595,6 +624,9 @@ def layer_norm(x, gain, bias, residual=None):
     def vjp(g):
         g2 = g.reshape(-1, d)
         ones = np.ones(g2.shape[0], dtype=g2.dtype)
+        x2 = rows()
+        xn = np.subtract(x2, mean, out=None if residual is None else x2)
+        xn *= inv
         gxn = g2 * gain.data
         t = gxn * xn
         m2 = t @ col

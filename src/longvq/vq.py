@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
-    Tensor, _first_out_of_range, _key_sums, get_dtype, make_op, tmean,
+    Tensor, _first_out_of_range, _key_sums, get_dtype, make_op,
 )
 
 __all__ = [
@@ -72,10 +72,31 @@ def quantize_st(K, cb):
 
 
 def commit_loss(K, cb, z):
-    """Mean squared error pulling keys toward their (frozen) codewords."""
-    target = Tensor(cb.C[z].astype(K.data.dtype))
-    diff = K - target
-    return tmean(diff * diff)
+    """Mean squared error pulling keys toward their (frozen) codewords, as
+    one tape node.
+
+    The node keeps K, the codebook array and z, not K - C[z]: the backward
+    forms the difference again. With g1 = g * (1/n) for n entries it
+    returns t + t for t = g1 * (K - C[z]), bitwise the gradient of the
+    chain it replaces (subtract, square, sum, scale by 1/n).
+    """
+    C, z = cb.C, np.asarray(z)
+
+    def diff():
+        d = C[z].astype(K.data.dtype, copy=False)
+        return np.subtract(K.data, d, out=d)
+
+    d = diff()
+    n = np.asarray(1.0 / d.size, dtype=d.dtype)
+    loss = np.square(d, out=d).sum() * n
+
+    def vjp(g):
+        t = diff()
+        t *= g * n
+        t += t
+        return (t,)
+
+    return make_op(np.asarray(loss, dtype=n.dtype), (K,), vjp, "commit_loss")
 
 
 def ema_update(cb, K_batch, z):

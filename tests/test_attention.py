@@ -457,6 +457,29 @@ def test_unbatched_inputs_rejected_with_their_shape():
                            + re.escape(str((L, 2)))):
             attn_factored(Tensor(q), cb, stats, Tensor(kh), Tensor(v),
                           Tensor(np.zeros(3)), cfg)
+    # batched inputs that disagree on (B, L), or a query or key whose
+    # width is not the codewords'; a short causal Q would otherwise run
+    z2 = np.concatenate([z, z])
+    K2, V2, Q2 = cb.C[z2], np.concatenate([V, V]), np.concatenate([Q, Q])
+    stats2 = build_code_stats(z2, V2, S, True, 2)
+    wide = np.concatenate([Q2, Q2[..., :1]], axis=2)
+    for q, kh, v, want in (
+            (Q2[:, :4], K2, V2, f"K_hat of shape {K2.shape} and Q of "
+                                f"shape (2, 4, 2) differ in (B, L)"),
+            (Q, K2, V2, f"K_hat of shape {K2.shape} and Q of shape "
+                        f"{Q.shape} differ in (B, L)"),
+            (Q2, K2, V2[:, :5], f"V of shape (2, 5, 2) and Q of shape "
+                                f"{Q2.shape} differ in (B, L)"),
+            (wide, K2, V2, "Q of shape (2, 6, 3) has width 3, the "
+                           "codewords 2"),
+            (Q2, np.concatenate([K2, K2[..., :1]], axis=2), V2,
+             "K_hat of shape (2, 6, 3) has width 3, the codewords 2")):
+        with pytest.raises(ValueError, match=re.escape(want)):
+            attn_factored(Tensor(q), cb, stats2, Tensor(kh), Tensor(v),
+                          Tensor(np.zeros(3)), cfg)
+    with pytest.raises(ValueError, match=re.escape(
+            "q of shape (2, 6, 3) has width 3, the codewords 2")):
+        attn_row_entropy(wide, z2, np.zeros(3), cb.C, cfg)
     # an empty sequence axis, in either direction
     z0, Q0, V0, K0 = z[:, :0], Q[:, :0], V[:, :0], K[:, :0]
     empty = re.escape(f"at least one position, got shape {Q0.shape}")

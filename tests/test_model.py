@@ -1,5 +1,6 @@
 """Block composition, norms, heads, parameter accounting, checkpoints."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -265,10 +266,10 @@ def test_tape_census_lm_recipe():
     # the lm benchmark recipe at L=32: every interior node's array is
     # named below by its width in (B, L, .) rows. Per block, the SSM scan
     # node is the whole branch, skip included (no kernel array), gate_mix
-    # carries its sigmoid and norm2 the FFN residual, so none of those
-    # joins is a node of its own. Two arrays
-    # per block are still read by no backward: the gate_mix output and
-    # the FFN w2 output, which norm1 and norm2 read only in the forward.
+    # carries its sigmoid, norm2 the FFN residual and the commitment loss
+    # its difference and square, so none of those joins is a node of its
+    # own. The gate_mix output and the FFN w2 output are read by norm1's
+    # and norm2's backward, which rebuild the normalized rows from them.
     # The loss takes the (B, L, n_out) logits as they are: no reshape.
     B, L, d, f, z, v, n_out = 4, 32, 64, 64, 16, 32, 16
     with precision("float32"):
@@ -284,12 +285,45 @@ def test_tape_census_lm_recipe():
     block = (8 * d      # scan, silu Z, proj, go, gate_mix, norm1, w2, norm2
              + 2 * f    # w1, silu
              + 6 * v    # ga, silu G_a, v, silu V, attn, G_a * O
-             + 5 * z)   # q, k, quantize, commit diff, its square
+             + 3 * z)   # q, k, quantize
     rows = 2 * block + d + n_out         # embed; head logits
-    want = 4 * (B * L * rows + 9)               # + 9 scalars
+    want = 4 * (B * L * rows + 7)               # + 7 scalars
     census = sorted((n._op, n.data.shape) for n in interior)
-    assert len(interior) == 53, census
+    assert len(interior) == 47, census
     assert sum(n.data.nbytes for n in interior) == want, census
+
+
+def test_tape_memory_lm_recipe():
+    # the lm benchmark recipe's step at B=32, L=256 with seeded codebooks.
+    # A node keeps its parents and only what its backward cannot rebuild,
+    # so 4.5 MB of the forward's traced memory lies outside the node
+    # arrays (25.8 MB when nodes kept their activations), and the step
+    # peaks at 75.5 MB (94.4 MB with whole-size SSM and attention backward
+    # workspaces). tracemalloc counts the same numpy allocations on every
+    # run, so both bounds are exact
+    with precision("float32"):
+        cfg = ModelConfig(depth=2, d_model=64, S=64, head="per_position_lm",
+                          n_out=16, vocab=16, d_ffn=64, n_state=16,
+                          attn=AttentionConfig("softmax", 8, True, z_dim=16,
+                                               v_dim=32))
+        model = Model(cfg, Rng(44))
+        r = Rng(45)
+        x, y = r.integers(0, 16, (32, 256)), r.integers(0, 16, (32, 256))
+        model(x)                                   # seeds the codebooks
+        params = model.params()
+        tracemalloc.start()
+        try:
+            loss, _, _ = total_loss(model, x, y, 0.25)
+            held = tracemalloc.get_traced_memory()[0]
+            nodes = sum(n.data.nbytes for n in _tape(loss)
+                        if n._vjp is not None)
+            T.grad(loss, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    mb = 2.0 ** 20
+    assert held - nodes <= 8 * mb, f"{(held - nodes) / mb:.2f} MB"
+    assert peak <= 80 * mb, f"{peak / mb:.2f} MB"
 
 
 @pytest.mark.parametrize("causal", [True, False])

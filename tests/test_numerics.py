@@ -22,6 +22,7 @@ from longvq.tensor import (
     NumericsError, Tensor, cross_entropy, finite_diff, grad, no_grad,
     precision,
 )
+from longvq.vq import Codebook, commit_loss
 
 
 @pytest.fixture(autouse=True)
@@ -576,6 +577,70 @@ def test_layer_norm_float32_matches_float64():
         assert a.dtype == np.float32 and b.dtype == np.float64, name
         err = np.abs(a - b).max() / np.abs(b).max()
         assert err < 1e-5, f"{name}: {err:.2e}"
+
+
+def test_rebuilt_intermediates_give_the_stored_gradients():
+    # silu, layer_norm and the commitment loss keep no activation for the
+    # backward and rebuild it from their parents with the forward's
+    # operations; at the lm recipe's shapes in float32 their gradients
+    # equal, bitwise, the formulas on stored intermediates written out
+    # here (and, for the commitment loss, its sub-square-mean chain)
+    rng = Rng(64)
+    with precision("float32"):
+        def f32(shape, scale=1.0):
+            return (scale * rng.normal(shape)).astype(np.float32)
+
+        x, g = f32((32, 256, 64), 3.0), f32((32, 256, 64))
+        s = T._sigmoid_np(x)
+        want = (((1.0 - s) * x + 1.0) * s) * g
+        xt = Tensor(x, requires_grad=True)
+        y = T.silu(xt)
+        np.testing.assert_array_equal(y.data, x * s)
+        y.backward(g)
+        np.testing.assert_array_equal(xt.grad, want)
+
+        gain, bias, r = f32((64,)) + 1.0, f32((64,)), f32((32, 256, 64))
+        col = np.full((64, 1), 1.0 / 64, dtype=np.float32)
+        for res in (None, r):
+            x2 = (x if res is None else x + res).reshape(-1, 64)
+            xc = x2 - x2 @ col
+            inv = 1.0 / np.sqrt(np.square(xc) @ col + 1e-5)
+            xn = xc * inv
+            g2 = g.reshape(-1, 64)
+            gxn = g2 * gain
+            ones = np.ones(g2.shape[0], dtype=np.float32)
+            dx = ((gxn - gxn @ col) - xn * ((gxn * xn) @ col)) * inv
+            parts = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+            if res is not None:
+                parts.append(Tensor(res, requires_grad=True))
+            out = T.layer_norm(*parts)
+            np.testing.assert_array_equal(out.data.reshape(-1, 64),
+                                          xn * gain + bias)
+            out.backward(g)
+            np.testing.assert_array_equal(parts[0].grad.reshape(-1, 64), dx)
+            np.testing.assert_array_equal(parts[1].grad, ones @ (g2 * xn))
+            np.testing.assert_array_equal(parts[2].grad, ones @ g2)
+            if res is not None:
+                np.testing.assert_array_equal(parts[3].grad, parts[0].grad)
+
+        C = f32((64, 16))
+        cb = Codebook(C=C, ema_count=np.ones(64, np.float32), ema_sum=C)
+        z = rng.integers(0, 64, (32, 256))
+        K, seed = f32((32, 256, 16)), np.float32(0.37)
+        diff = K - C[z]
+        n = np.float32(1.0 / diff.size)
+        t = diff * (seed * n)
+        Kt = Tensor(K, requires_grad=True)
+        loss = commit_loss(Kt, cb, z)
+        assert loss.data == np.square(diff).sum() * n
+        loss.backward(seed)
+        np.testing.assert_array_equal(Kt.grad, t + t)
+        Kc = Tensor(K, requires_grad=True)
+        d = Kc - Tensor(C[z])
+        chain = T.tmean(d * d)
+        assert chain.data == loss.data
+        chain.backward(seed)
+        np.testing.assert_array_equal(Kc.grad, Kt.grad)
 
 
 def test_sigmoid_silu_zero_d_input():
