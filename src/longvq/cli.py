@@ -5,7 +5,9 @@ kernel-dump. Each writes machine-readable output (metrics.jsonl,
 report.json) under --out and prints a one-line summary. train also
 writes checkpoint.npz, the model's state_arrays() at its own precision;
 eval, diag-entropy and kernel-dump restore one with --checkpoint.
-Numeric flags are range-checked when parsed. LONGVQ_THREADS
+gradcheck checks, on one sampled batch, the dense twin of the model
+train --seed starts from; --inject-fault OP negates OP's backward on
+that check's tape only. Numeric flags are range-checked when parsed. LONGVQ_THREADS
 caps BLAS parallelism, and any value but a positive integer exits 2;
 bench-scaling pins itself to one thread unless told otherwise.
 """
@@ -48,8 +50,7 @@ from .bench import bench_scaling
 from .config import ConfigError, apply_sets, build_run, load_run_config
 from .model import Model, load_checkpoint, save_checkpoint
 from .rng import Rng
-from .tensor import (backward_fault_hits, get_dtype, set_backward_fault,
-                     set_precision)
+from .tensor import get_dtype, set_precision
 from .train import evaluate, gradcheck_model, train_loop
 
 SCHEMA = "longvq-report-v1"
@@ -200,35 +201,17 @@ def cmd_gradcheck(args):
     cfg = _load_cfg(args, extra_defaults=GRADCHECK_TINY)
     task, model_cfg, train_cfg, _ = build_run(cfg, seed=args.seed)
     out = _outdir(args, "gradcheck")
-
-    def make_model(s):
-        return Model(model_cfg, Rng(s, "model"), impl="dense")
-
-    def make_batch(s):
-        return task.sample("train", train_cfg.batch_size,
-                           Rng(s, "gradcheck-batch"))
-
-    if args.inject_fault:
-        set_backward_fault(args.inject_fault)
-    try:
-        report = gradcheck_model(make_model, make_batch,
-                                 seed=train_cfg.seed)
-        fault_nodes = backward_fault_hits()
-    finally:
-        set_backward_fault(None)
-    report["schema"] = SCHEMA
-    report["command"] = "gradcheck"
-    report["fault"] = args.inject_fault
-    report["fault_nodes"] = fault_nodes
-    _write_report(out, report)
-    if args.inject_fault and fault_nodes == 0:
+    seed = train_cfg.seed
+    model = Model(model_cfg, Rng(seed, "model"), impl="dense")
+    x, y = task.sample("train", train_cfg.batch_size,
+                       Rng(seed, "gradcheck-batch"))
+    report = gradcheck_model(model, x, y, fault=args.inject_fault)
+    _write_report(out, {"schema": SCHEMA, "command": "gradcheck", **report})
+    if args.inject_fault and report["fault_nodes"] == 0:
         # a fault that wrapped nothing checks nothing; a pass would lie
         print(f"gradcheck: --inject-fault {args.inject_fault!r} wrapped no "
               "tape node: no op of that name ran", file=sys.stderr)
         return 2
-    if report.get("skipped"):
-        print(f"gradcheck: SKIPPED ({report['reason']})")
-        return 1
     width = max(len(n) for n in report["params"])
     for name in sorted(report["params"]):
         err = report["params"][name]

@@ -319,14 +319,22 @@ class _Plan:
             VC.reshape(-1, dv + 1)[self.row[at], :dv] -= self.take[at]
             VC[:, :S, dv] = self.n0[t]
             VC[:, S:S + k, :dv] = self.v[:, klo:khi]
-            X = self.q[:, lo:hi] @ K[..., :S + k]
-            at = slice(self.hid_cut[t], self.hid_cut[t + 1])
-            X[self.hid[0][at], :, self.hid[1][at]] = -np.inf
             band = (slice(0, hi - lo), slice(j0, j0 + k))
-            X[..., S:] += self.band[band]
-            yield SimpleNamespace(lo=lo, hi=hi, klo=klo, khi=khi, X=X,
+            # X is built inside the yield, so this frame never holds it:
+            # a walker that drops c.X frees the chunk's logits
+            yield SimpleNamespace(lo=lo, hi=hi, klo=klo, khi=khi,
+                                  X=self._logits(t, K[..., :S + k], band),
                                   K=K[..., :S + k], VC=VC[:, :S + k],
                                   band=band, shared=slice(klo, klo + kc))
+
+    def _logits(self, t, K, band):
+        """Chunk t's logits X against its keys K (see chunks)."""
+        lo, hi = map(int, self.geo[t, :2])
+        X = self.q[:, lo:hi] @ K
+        at = slice(self.hid_cut[t], self.hid_cut[t + 1])
+        X[self.hid[0][at], :, self.hid[1][at]] = -np.inf
+        X[..., self.Ct.shape[1]:] += self.band[band]
+        return X
 
 
 def _weights(X, phi, shift=None):
@@ -439,6 +447,7 @@ def _backward(p, phi, g, out, lse):
         dV[:, c.shared] -= WG[bi, z[:, c.shared]]
         # one row gather from a contiguous (B*S, r) copy of the far W'^T
         WdT = Wd[..., :S].transpose(0, 2, 1).reshape(B * S, -1)
+        del W, Wd, WG, c.X          # the chunk's logits: last read above
 
         def far_terms(ks):
             M = va[:, ks] @ G.transpose(0, 2, 1)            # (B, k, r)

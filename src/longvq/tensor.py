@@ -48,9 +48,9 @@ itself: ``Tensor(x)`` for a constant, ``Tensor(x, requires_grad=True,
 name=...)`` for a parameter. Around the ops sit the precision switches
 (``set_precision``, ``get_dtype``, ``precision``), ``no_grad``, the
 gradient helpers ``grad``, ``zero_grads`` and ``finite_diff`` (the
-central-difference reference), and the fault hook
-``set_backward_fault``/``backward_fault_hits`` behind ``longvq gradcheck
---inject-fault``.
+central-difference reference). A planted gradient fault lives on one
+tape: ``train.gradcheck_model`` rewrites the closures of the tape it
+checks.
 
 Dense sublayers are fused ops, one tape node each. ``linear`` is the
 projection x @ W + b: every projection of the model is one ``linear``
@@ -83,14 +83,11 @@ __all__ = [
     "Tensor", "NumericsError", "set_precision", "get_dtype", "precision",
     "no_grad", "grad", "finite_diff", "zero_grads",
     "add", "sub", "mul", "matmul", "linear", "gate_mix",
-    "gather_rows", "tsum", "tmean", "silu", "cross_entropy",
-    "layer_norm", "set_backward_fault", "backward_fault_hits",
+    "gather_rows", "tsum", "tmean", "silu", "cross_entropy", "layer_norm",
 ]
 
 _DTYPE = np.float32
 _NO_GRAD = False
-_FAULT_OP = None
-_FAULT_HITS = 0
 _LN_EPS = 1e-5
 
 
@@ -149,22 +146,6 @@ def no_grad():
         yield
     finally:
         _NO_GRAD = saved
-
-
-def set_backward_fault(op_name):
-    """Test hook: flip the sign of one op's backward. None disables.
-
-    Resets the count that ``backward_fault_hits`` reports.
-    """
-    global _FAULT_OP, _FAULT_HITS
-    _FAULT_OP = op_name
-    _FAULT_HITS = 0
-
-
-def backward_fault_hits():
-    """Tape nodes whose backward the fault hook has wrapped since it was
-    last set; 0 means the named op never ran on the tape."""
-    return _FAULT_HITS
 
 
 def _check(data, op):
@@ -292,7 +273,6 @@ def _tracked(parents):
 
 def make_op(data, parents, vjp, op_name):
     """Build a tape node; vjp(g) returns per-parent gradients (or None)."""
-    global _FAULT_HITS
     _check(data, op_name)
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -302,12 +282,7 @@ def make_op(data, parents, vjp, op_name):
     out._op = op_name
     if _tracked(parents):
         out._parents = tuple(parents)
-        if _FAULT_OP == op_name:
-            _FAULT_HITS += 1
-            out._vjp = lambda g: tuple(
-                None if gi is None else -gi for gi in vjp(g))
-        else:
-            out._vjp = vjp
+        out._vjp = vjp
     else:
         out._parents = ()
         out._vjp = None

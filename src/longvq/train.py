@@ -1,6 +1,7 @@
 """Loss assembly, AdamW with global-norm clipping and a warmup/linear
 schedule, the training loop with EMA codebook stepping, and the
-finite-difference gradient check harness."""
+finite-difference gradient check of one dense model on one batch, which
+can negate one op's backward on the tape it checks."""
 
 from __future__ import annotations
 
@@ -11,13 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factored import attn_row_entropy
-from .tensor import (NumericsError, cross_entropy, finite_diff, grad,
-                     no_grad, zero_grads)
+from .tensor import (NumericsError, _toposort, cross_entropy, finite_diff,
+                     grad, no_grad, zero_grads)
 from .rng import Rng
 from .vq import codebook_perplexity, commit_loss, ema_update
 
 __all__ = ["TrainConfig", "total_loss", "clip_grads", "AdamW", "lr_at",
-           "evaluate", "train_loop", "gradcheck_model", "assignment_margin"]
+           "evaluate", "train_loop", "gradcheck_model"]
 
 
 @dataclass
@@ -335,23 +336,9 @@ def train_loop(model, task, cfg: TrainConfig, metrics_path=None,
 # gradient checking
 
 # gradcheck_model passes when every parameter's max relative error is below
-# _GC_TOL; it draws up to _GC_TRIES models and batches until every key
-# clears its runner-up codeword by _GC_MARGIN, and checks the loss with
-# commitment weight _GC_GAMMA
+# _GC_TOL, and checks the loss with commitment weight _GC_GAMMA
 _GC_TOL = 1e-4
-_GC_TRIES = 100
-_GC_MARGIN = 1e-3
 _GC_GAMMA = 0.01
-
-
-def assignment_margin(K, C):
-    """Smallest gap between best and runner-up codeword distance."""
-    k = K.reshape(-1, C.shape[1])
-    d = ((k[:, None, :] - C[None, :, :]) ** 2).sum(2)
-    if C.shape[0] < 2:
-        return np.inf
-    part = np.sort(np.sqrt(d), axis=1)
-    return float((part[:, 1] - part[:, 0]).min())
 
 
 def _rel_table(analytic, numeric, names):
@@ -368,36 +355,37 @@ def _rel_table(analytic, numeric, names):
     return out
 
 
-def gradcheck_model(make_model, make_batch, seed=0):
-    """Check every parameter gradient of a full model against central
-    finite differences.
+def _negate_backward(root, op):
+    """Negate the backward of every node of op on root's tape; returns how
+    many there are."""
+    nodes = [n for n in _toposort(root) if n._op == op and n._vjp is not None]
+    for n in nodes:
+        n._vjp = lambda g, vjp=n._vjp: tuple(
+            None if gi is None else -gi for gi in vjp(g))
+    return len(nodes)
 
-    Quantization is frozen first (recorded shortcodes and key offsets are
-    replayed), because that frozen map is the function whose derivative
-    both the tape and the differencer compute; the straight-through rule
-    defines the gradient at the requantization jump rather than
-    approximating anything measurable there. Inputs are resampled until
-    every key's assignment margin exceeds ``_GC_MARGIN`` so the frozen
-    codes are locally stable. make_model must build on the dense path:
-    factored attention insists K_hat rows equal codewords, which
-    perturbed parameters break. Returns a report dict.
+
+def gradcheck_model(model, x, y, fault=None):
+    """Check every parameter gradient of a dense model on one batch
+    (inputs x, targets y) against central finite differences.
+
+    Quantization is frozen first (the first forward's shortcodes and key
+    offsets are replayed), because that frozen map is the function whose
+    derivative both the tape and the differencer compute; the
+    straight-through rule defines the gradient at the requantization jump
+    rather than approximating anything measurable there. No key is
+    reassigned under the replay, so how close a key sits to its runner-up
+    codeword does not matter. The model must be on the dense path:
+    factored attention insists K_hat rows equal codewords, which perturbed
+    parameters break. fault, an op name, negates the backward of every
+    node of that op on the checked tape only, so a check that cannot fail
+    shows itself; fault_nodes counts them. Returns a report dict.
     """
-    for attempt in range(1, _GC_TRIES + 1):
-        model = make_model(seed + attempt)
-        for lay in model.layers():
-            if lay.impl != "dense":
-                raise ValueError(f"gradcheck needs impl='dense', but layer "
-                                 f"'{lay.prefix}' is {lay.impl!r}")
-        x, y = make_batch(seed + attempt)
-        _, auxes = model(x)      # seeds codebooks, records assignments
-        mg = min(assignment_margin(a["K"].data, lay.codebook.C)
-                 for a, lay in zip(auxes, model.layers()))
-        if mg > _GC_MARGIN:
-            break
-    else:
-        return {"skipped": True, "tries": _GC_TRIES,
-                "reason": f"no draw reached assignment margin {_GC_MARGIN}"}
-
+    for lay in model.layers():
+        if lay.impl != "dense":
+            raise ValueError(f"gradcheck needs impl='dense', but layer "
+                             f"'{lay.prefix}' is {lay.impl!r}")
+    _, auxes = model(x)      # seeds codebooks, records assignments
     frozen = [{"z": a["z"], "offset": a["K_hat"].data - a["K"].data}
               for a in auxes]
     params = model.params()
@@ -405,11 +393,12 @@ def gradcheck_model(make_model, make_batch, seed=0):
     def loss_fn():
         return total_loss(model, x, y, _GC_GAMMA, frozen=frozen)[0]
 
-    analytic = grad(loss_fn(), params)
+    loss = loss_fn()
+    fault_nodes = _negate_backward(loss, fault) if fault else 0
+    analytic = grad(loss, params)
     numeric = finite_diff(loss_fn, params)
-    names = [p.name for p in params]
-    table = _rel_table(analytic, numeric, names)
+    table = _rel_table(analytic, numeric, [p.name for p in params])
     worst = max(table, key=table.get)
-    return {"skipped": False, "tries": attempt, "margin": mg, "tol": _GC_TOL,
-            "passed": max(table.values()) < _GC_TOL,
-            "params": table, "worst": (worst, table[worst])}
+    return {"tol": _GC_TOL, "passed": table[worst] < _GC_TOL,
+            "params": table, "worst": (worst, table[worst]),
+            "fault": fault, "fault_nodes": fault_nodes}

@@ -15,7 +15,7 @@ import zlib
 import numpy as np
 import pytest
 
-import longvq.tensor as T
+import longvq.factored as factored
 from longvq.attention import AttentionConfig, attn_dense_oracle
 from longvq.cli import GRADCHECK_TINY
 from longvq.config import apply_sets, build_run, load_run_config
@@ -145,17 +145,10 @@ def test_full_layer_gradients_match_finite_differences(capsys):
             cfg = apply_sets(load_run_config(None),
                              GRADCHECK_TINY + [f"attn.attn_fn={fn}"])
             task, mcfg, tcfg, _ = build_run(cfg)
-
-            def make_model(s, mcfg=mcfg):
-                return Model(mcfg, Rng(s, "model"), impl="dense")
-
-            def make_batch(s, task=task, tcfg=tcfg):
-                return task.sample("train", tcfg.batch_size,
-                                   Rng(s, "gradcheck-batch"))
-
-            rep = gradcheck_model(make_model, make_batch, seed=tcfg.seed)
-            assert not rep.get("skipped"), rep
-            reports[fn] = rep
+            model = Model(mcfg, Rng(tcfg.seed, "model"), impl="dense")
+            x, y = task.sample("train", tcfg.batch_size,
+                               Rng(tcfg.seed, "gradcheck-batch"))
+            reports[fn] = gradcheck_model(model, x, y)
     el = time.time() - t0
     worst = max(r["worst"][1] for r in reports.values())
     ok = all(r["passed"] for r in reports.values()) and el < 300.0
@@ -277,16 +270,12 @@ TRAJ_RECIPE = [
 ]
 
 
-def _train_records(sets, fault=None):
+def _train_records(sets):
     cfg = apply_sets(load_run_config(None), TRAJ_RECIPE + sets)
     task, mcfg, tcfg, impl = build_run(cfg)
     model = Model(mcfg, Rng(tcfg.seed, "model"), impl=impl)
-    T.set_backward_fault(fault)
-    try:
-        recs = train_loop(model, task, tcfg)
-    finally:
-        T.set_backward_fault(None)
-    return [r for r in recs if r["split"] == "train"]
+    return [r for r in train_loop(model, task, tcfg)
+            if r["split"] == "train"]
 
 
 def _trajectory_gap(a, b):
@@ -301,19 +290,25 @@ def _trajectory_gap(a, b):
                for x, y in zip(a, b))
 
 
-def test_dense_and_factored_train_the_same_trajectory(capsys):
+def test_dense_and_factored_train_the_same_trajectory(capsys, monkeypatch):
     # float64 training through train_loop: the tape op, the EMA codebook
     # updates and AdamW together, on a causal LM and a bidirectional
     # classifier; a sign fault in the factored backward must show
     t0 = time.time()
     gaps, control = [], []
+    real = factored._backward
+
+    def negated(*args):
+        return tuple(-g for g in real(*args))
+
     with precision("float64"):
         for kind in (["task.lm=true", "attn.causal=true"],
                      ["task.lm=false", "attn.causal=false"]):
             dense = _train_records(kind + ["model.impl=dense"])
             fact = _train_records(kind + ["model.impl=factored"])
-            bad = _train_records(kind + ["model.impl=factored"],
-                                 fault="attn_factored")
+            with monkeypatch.context() as m:
+                m.setattr(factored, "_backward", negated)
+                bad = _train_records(kind + ["model.impl=factored"])
             gaps.append(_trajectory_gap(fact, dense))
             control.append(_trajectory_gap(bad, dense))
     ok = max(gaps) <= 1e-10 and min(control) > 1e-10

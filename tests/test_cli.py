@@ -430,6 +430,17 @@ def test_eval_refuses_a_damaged_checkpoint_naming_it(damage, tmp_path,
     assert err.startswith(f"error: {path}: not a readable checkpoint"), err
 
 
+def test_gradcheck_clean_run_passes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["gradcheck", "--out", "gc"])
+    assert rc == 0
+    assert "gradcheck: PASS" in capsys.readouterr().out
+    rep = json.load(open("gc/report.json"))
+    assert rep["passed"] is True
+    assert rep["fault"] is None and rep["fault_nodes"] == 0
+    assert not {"skipped", "tries", "margin"} & rep.keys()
+
+
 def test_gradcheck_fault_injection_detected(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     rc = main(["gradcheck", "--inject-fault", "matmul", "--out", "gc"])

@@ -133,16 +133,6 @@ def test_nonfinite_raises_naming_op():
         T.mul(a, a)
 
 
-def test_backward_fault_hook_flips_sign():
-    x = Tensor(np.array([1.5]), requires_grad=True, name="x")
-    T.set_backward_fault("mul")
-    try:
-        (g,) = grad(T.tsum(x * x), [x])
-    finally:
-        T.set_backward_fault(None)
-    np.testing.assert_allclose(g, -2.0 * x.data)
-
-
 def test_unbroadcast_bias_add():
     rng = Rng(0)
     x = Tensor(rng.normal((4, 5)), requires_grad=True, name="x")

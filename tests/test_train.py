@@ -8,12 +8,13 @@ import pytest
 
 import longvq.tensor as T
 from longvq.attention import AttentionConfig
+from longvq.cli import GRADCHECK_TINY
+from longvq.config import apply_sets, build_run, load_run_config
 from longvq.model import Model, ModelConfig
 from longvq.rng import Rng
-from longvq.tensor import Tensor, precision, set_backward_fault
+from longvq.tensor import Tensor, precision
 from longvq.train import (
     AdamW, TrainConfig, _dead_codes, _ema_step, _quant_errs,
-    assignment_margin,
     clip_grads, global_norm, gradcheck_model, lr_at, total_loss, train_loop,
 )
 from longvq.vq import EMA_EPSILON, EMA_ETA, Codebook, ema_update
@@ -22,9 +23,7 @@ from longvq.vq import EMA_EPSILON, EMA_ETA, Codebook, ema_update
 @pytest.fixture(autouse=True)
 def _float64():
     with precision("float64"):
-        set_backward_fault(None)
         yield
-        set_backward_fault(None)
 
 
 def tiny_lm_cfg(attn_fn="softmax", depth=1, d_model=8):
@@ -404,56 +403,66 @@ def test_finite_diff_linear_model_tight():
         assert np.max(np.abs(a - n)) < 1e-8
 
 
-def _mk(attn_fn):
-    def make_model(seed):
-        return Model(tiny_lm_cfg(attn_fn), Rng(seed, "model"), impl="dense")
-
-    def make_batch(seed):
-        r = Rng(seed, "batch")
-        return r.integers(0, 8, (1, 16)), r.integers(0, 8, (1, 16))
-
-    return make_model, make_batch
+def _draw(attn_fn, seed=101):
+    r = Rng(seed, "batch")
+    return (Model(tiny_lm_cfg(attn_fn), Rng(seed, "model"), impl="dense"),
+            r.integers(0, 8, (1, 16)), r.integers(0, 8, (1, 16)))
 
 
 @pytest.mark.parametrize("attn_fn", ["softmax", "relu2"])
 def test_gradcheck_one_block(attn_fn):
-    make_model, make_batch = _mk(attn_fn)
-    rep = gradcheck_model(make_model, make_batch, seed=100)
-    assert not rep["skipped"]
+    rep = gradcheck_model(*_draw(attn_fn))
     assert rep["passed"], rep["worst"]
+    assert rep["fault"] is None and rep["fault_nodes"] == 0
 
 
 def test_gradcheck_detects_planted_fault():
-    make_model, make_batch = _mk("softmax")
-    set_backward_fault("matmul")
-    rep = gradcheck_model(make_model, make_batch, seed=100)
-    set_backward_fault(None)
-    assert not rep["skipped"] and not rep["passed"]
+    rep = gradcheck_model(*_draw("softmax"), fault="matmul")
+    assert not rep["passed"] and rep["fault_nodes"] > 0
 
 
 def test_gradcheck_refuses_a_factored_model():
     # the factored path cannot differentiate perturbed keys, and
     # gradcheck does not rebuild a model it was handed
-    def make_model(seed):
-        return Model(tiny_lm_cfg(depth=2), Rng(seed, "model"),
-                     impl="factored")
-
+    model = Model(tiny_lm_cfg(depth=2), Rng(0, "model"), impl="factored")
     with pytest.raises(ValueError, match="layer 'blocks.0.attn' is "
                                          "'factored'"):
-        gradcheck_model(make_model, _mk("softmax")[1], seed=0)
+        gradcheck_model(model, *_draw("softmax")[1:])
 
 
-def test_gradcheck_margin_skip(monkeypatch):
-    import longvq.train as train_mod
-    monkeypatch.setattr(train_mod, "_GC_MARGIN", 1e9)
-    monkeypatch.setattr(train_mod, "_GC_TRIES", 3)
-    make_model, make_batch = _mk("softmax")
-    rep = gradcheck_model(make_model, make_batch, seed=0)
-    assert rep["skipped"] and rep["tries"] == 3
+def _gradcheck_tiny(attn_fn, seed):
+    """The dense model and batch `longvq gradcheck --seed` draws."""
+    cfg = apply_sets(load_run_config(None),
+                     GRADCHECK_TINY + [f"attn.attn_fn={attn_fn}"])
+    task, mcfg, tcfg, _ = build_run(cfg, seed=seed)
+    x, y = task.sample("train", tcfg.batch_size,
+                       Rng(seed, "gradcheck-batch"))
+    return Model(mcfg, Rng(seed, "model"), impl="dense"), x, y
 
 
-def test_assignment_margin_hand():
-    C = np.array([[0.0, 0.0], [1.0, 0.0]])
-    K = np.array([[0.1, 0.0], [0.9, 0.0]])
-    m = assignment_margin(K, C)
-    assert m == pytest.approx(0.8, abs=1e-12)
+@pytest.mark.parametrize("attn_fn", ["softmax", "relu2"])
+def test_gradcheck_passes_a_low_margin_draw(attn_fn):
+    # the replay reassigns no key, so a key within 1e-3 of its runner-up
+    # codeword checks like any other
+    model, x, y = _gradcheck_tiny(attn_fn, 20)
+    _, auxes = model(x)
+    margin = np.inf
+    for a, lay in zip(auxes, model.layers()):
+        k = a["K"].data.reshape(-1, lay.codebook.C.shape[1])
+        d = np.sort(np.linalg.norm(k[:, None] - lay.codebook.C[None],
+                                   axis=2), axis=1)
+        margin = min(margin, float((d[:, 1] - d[:, 0]).min()))
+    assert margin < 1e-3
+    rep = gradcheck_model(*_gradcheck_tiny(attn_fn, 20))
+    assert rep["passed"], rep["worst"]
+
+
+def test_gradcheck_fault_stays_on_the_checked_tape():
+    model, x, y = _draw("softmax")
+    bad = gradcheck_model(model, x, y, fault="linear")
+    assert not bad["passed"] and bad["fault_nodes"] > 0
+    clean = gradcheck_model(model, x, y)
+    assert clean["passed"] and clean["fault_nodes"] == 0
+    assert clean["params"] == gradcheck_model(*_draw("softmax"))["params"]
+    assert not hasattr(T, "set_backward_fault")
+    assert not hasattr(T, "backward_fault_hits")
