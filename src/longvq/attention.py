@@ -12,11 +12,11 @@ input through a learned sigmoid gate:
 
 X is (B, L, d); a single sequence is B = 1. The dense oracle materializes
 the full L x L weights and is the ground truth the factored op must
-reproduce; it takes any leading axes. It is two tape nodes: the weights,
-built by one numpy rule (_dense_weights) from the scaled logits, the band
-bias, the causal mask and softmax or factored.phi_table's (f, f') pair,
-then their product with V. The bench-scaling probe times the same rule
-over blocks of query rows, with no tape.
+reproduce; it takes any leading axes. It is one tape node, as the
+factored op is: the weights, built by one numpy rule (_dense_weights)
+from the scaled logits, the band bias, the causal mask and softmax or
+factored.phi_table's (f, f') pair, applied to V. The bench-scaling probe
+times the same rule over blocks of query rows, with no tape.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ import numpy as np
 from .factored import attn_factored, build_code_stats, phi_table, stats_chunk
 from .ssm import SsmBank
 from .tensor import (
-    Tensor, gate_mix, get_dtype, linear, make_op, matmul, mul, silu,
+    Tensor, gate_mix, get_dtype, linear, make_op, mul, silu,
 )
 from .vq import quantize_st, seed_codebook
 
-__all__ = ["AttentionConfig", "GateSet", "LongVQLayer", "attn_dense_oracle"]
+__all__ = ["AttentionConfig", "LongVQLayer", "attn_dense_oracle"]
 
 ATTN_FNS = ("softmax", "relu2", "laplace")
 
@@ -102,65 +102,50 @@ def _dense_weights(q, kh, bias, cfg, r0=0):
 
 
 def attn_dense_oracle(Q, K_hat, V, bias, cfg):
-    """Quadratic reference: the full (..., L, L) weights as one tape node,
-    then W @ V.
+    """Quadratic reference: W @ V for the full (..., L, L) weights W, as
+    one tape node with parents (Q, K_hat, V, bias).
 
     softmax normalizes each row over the keys it sees; relu2/laplace are
     unnormalized elementwise maps; causal gives a key after the row weight
     exactly 0; the learned bias only touches the |i-j| <= w band. Q,
     K_hat (..., L, z_dim) and V (..., L, v_dim) share their leading axes.
 
-    The weights' backward is the textbook dense one: dX = W * (g -
-    rowsum(W * g)) for softmax and g * f'(X) for phi, which is 0 wherever
-    a row sees no key; then dQ = scale dX K_hat, dK_hat = scale dX^T Q and
-    the bias gradient by one bincount of dX over the table positions.
+    The backward is the textbook dense one: dV = W^T g and gW = g V^T;
+    then dX = W * (gW - rowsum(W * gW)) for softmax and gW * f'(X) for
+    phi, which is 0 wherever a row sees no key; then dQ = scale dX K_hat,
+    dK_hat = scale dX^T Q and the bias gradient by one bincount of dX over
+    the table positions.
     """
     L, w = K_hat.data.shape[-2], cfg.window
     for name, x in (("Q", Q.data), ("K_hat", K_hat.data)):
         if x.shape[-2] < 1:
             raise ValueError(f"{name} must hold at least one position, got "
                              f"shape {x.shape}")
+        if x.shape[:-1] != V.data.shape[:-1]:
+            raise ValueError(f"{name} of shape {x.shape} and V of shape "
+                             f"{V.data.shape} differ in (..., L)")
     if bias.data.shape != (2 * w + 1,):
         raise ValueError(f"bias must have shape ({2 * w + 1},), got "
                          f"{bias.data.shape}")
     W, X = _dense_weights(Q.data, K_hat.data, bias.data, cfg)
 
     def vjp(g):
+        dV = np.swapaxes(W, -1, -2) @ g
+        gW = g @ np.swapaxes(V.data, -1, -2)
         if X is None:
-            dX = W * (g - (W * g).sum(axis=-1, keepdims=True))
+            dX = W * (gW - (W * gW).sum(axis=-1, keepdims=True))
         else:
-            dX = g * phi_table(cfg.attn_fn)[1](X)
+            dX = gW * phi_table(cfg.attn_fn)[1](X)
+        del gW
         pos = np.arange(L)
         db = np.bincount(_band_index(pos, pos, w).ravel(),
                          weights=dX.reshape(-1, L, L).sum(axis=0).ravel(),
                          minlength=2 * w + 3)
         dX *= cfg.scale
-        return (dX @ K_hat.data, np.swapaxes(dX, -1, -2) @ Q.data,
+        return (dX @ K_hat.data, np.swapaxes(dX, -1, -2) @ Q.data, dV,
                 db[1:-1].astype(dX.dtype))
 
-    return matmul(make_op(W, (Q, K_hat, bias), vjp, "dense_weights"), V)
-
-
-@dataclass
-class GateSet:
-    """Projection and gate parameters of one layer."""
-    w_ga: Tensor
-    b_ga: Tensor
-    w_q: Tensor
-    b_q: Tensor
-    w_k: Tensor
-    b_k: Tensor
-    w_v: Tensor
-    b_v: Tensor
-    w_go: Tensor
-    b_go: Tensor
-    w_out: Tensor
-    b_out: Tensor
-
-    def params(self):
-        return [self.w_ga, self.b_ga, self.w_q, self.b_q, self.w_k, self.b_k,
-                self.w_v, self.b_v, self.w_go, self.b_go, self.w_out,
-                self.b_out]
+    return make_op(W @ V.data, (Q, K_hat, V, bias), vjp, "attn_dense")
 
 
 def _linear_init(rng, fan_in, fan_out, name):
@@ -195,22 +180,15 @@ class LongVQLayer:
         self.prefix = prefix
         self.bank = SsmBank(d, n_state, rng.child("ssm"),
                             prefix=f"{prefix}.ssm") if ssm_enabled else None
+        # projection name -> (fan-in, fan-out) of its (w, b) pair
+        shapes = {"ga": (d, cfg.v_dim), "q": (d, cfg.z_dim),
+                  "k": (d, cfg.z_dim), "v": (d, cfg.v_dim), "go": (d, d),
+                  "out": (cfg.v_dim, d)}
         wr = rng.child("proj")
-        self.gates = GateSet(
-            w_ga=_linear_init(wr.child("ga"), d, cfg.v_dim, f"{prefix}.w_ga"),
-            b_ga=_zeros_param(cfg.v_dim, f"{prefix}.b_ga"),
-            w_q=_linear_init(wr.child("q"), d, cfg.z_dim, f"{prefix}.w_q"),
-            b_q=_zeros_param(cfg.z_dim, f"{prefix}.b_q"),
-            w_k=_linear_init(wr.child("k"), d, cfg.z_dim, f"{prefix}.w_k"),
-            b_k=_zeros_param(cfg.z_dim, f"{prefix}.b_k"),
-            w_v=_linear_init(wr.child("v"), d, cfg.v_dim, f"{prefix}.w_v"),
-            b_v=_zeros_param(cfg.v_dim, f"{prefix}.b_v"),
-            w_go=_linear_init(wr.child("go"), d, d, f"{prefix}.w_go"),
-            b_go=_zeros_param(d, f"{prefix}.b_go"),
-            w_out=_linear_init(wr.child("out"), cfg.v_dim, d,
-                               f"{prefix}.w_out"),
-            b_out=_zeros_param(d, f"{prefix}.b_out"),
-        )
+        self.proj = {
+            name: (_linear_init(wr.child(name), n, m, f"{prefix}.w_{name}"),
+                   _zeros_param(m, f"{prefix}.b_{name}"))
+            for name, (n, m) in shapes.items()}
         self.local_bias = _zeros_param(2 * cfg.window + 1,
                                        f"{prefix}.local_bias")
         self.codebook = None
@@ -218,25 +196,25 @@ class LongVQLayer:
 
     def params(self):
         ps = list(self.bank.params()) if self.ssm_enabled else []
-        return ps + self.gates.params() + [self.local_bias]
+        return ps + [p for wb in self.proj.values() for p in wb] \
+            + [self.local_bias]
 
     def project_inputs(self, X):
         """(Z, G_a, Q, K, V) per the layer equations; X is (B, L, d)."""
-        g = self.gates
+        p = self.proj
         Z = silu(self.bank(X)) if self.ssm_enabled else silu(X)
-        G_a = silu(linear(Z, g.w_ga, g.b_ga))
-        Q = linear(Z, g.w_q, g.b_q)
-        K = linear(Z, g.w_k, g.b_k)
-        V = silu(linear(X, g.w_v, g.b_v))
+        G_a = silu(linear(Z, *p["ga"]))
+        Q = linear(Z, *p["q"])
+        K = linear(Z, *p["k"])
+        V = silu(linear(X, *p["v"]))
         return Z, G_a, Q, K, V
 
     def gate_output(self, X, O_pre, G_a):
         """Gate, project to d, and mix with the input through G_o; the
         sigmoid of G_o runs inside gate_mix, from X W_go + b_go."""
-        g = self.gates
         O_a = mul(G_a, O_pre)
-        proj = linear(O_a, g.w_out, g.b_out)
-        return gate_mix(linear(X, g.w_go, g.b_go), proj, X)
+        out = linear(O_a, *self.proj["out"])
+        return gate_mix(linear(X, *self.proj["go"]), out, X)
 
     def ensure_codebook(self, K_data):
         if self.codebook is None:

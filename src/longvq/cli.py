@@ -7,9 +7,10 @@ writes checkpoint.npz, the model's state_arrays() at its own precision;
 eval, diag-entropy and kernel-dump restore one with --checkpoint.
 gradcheck checks, on one sampled batch, the dense twin of the model
 train --seed starts from; --inject-fault OP negates OP's backward on
-that check's tape only. Numeric flags are range-checked when parsed. LONGVQ_THREADS
-caps BLAS parallelism, and any value but a positive integer exits 2;
-bench-scaling pins itself to one thread unless told otherwise.
+that check's tape only. Numeric flags are range-checked when parsed.
+LONGVQ_THREADS caps BLAS parallelism, and any value but a positive
+integer exits 2; bench-scaling pins itself to one thread unless told
+otherwise.
 """
 
 from __future__ import annotations
@@ -311,7 +312,8 @@ def build_parser():
                         help="reverse-mode vs finite-difference gradients")
     _add_common(sp)
     sp.add_argument("--inject-fault", default=None, metavar="OP",
-                    help="corrupt one op's backward (harness sanity hook)")
+                    help="negate the backward of every OP node on the "
+                         "checked tape; exit 2 if none ran")
 
     sp = sub.add_parser("kernel-dump",
                         help="write SSM impulse-response kernels + codebooks")

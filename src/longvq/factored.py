@@ -138,10 +138,11 @@ class CodeStats:
     """A checked view of what the code stats are a pure function of:
     shortcodes z (B, L) in [0, S), values v (B, L, dv) and the chunk.
 
-    n and U are built on each read, in v's dtype. Bidirectional (chunk ==
-    0): n (B, S), U (B, S, dv) over the whole sequence. Causal: chunk
-    axis at -2 of n; entry t holds the prefix over all chunks strictly
-    before t (entry 0 is all zeros).
+    The code counts n are built on each read, in v's dtype: (B, S) over
+    the whole sequence when bidirectional (chunk == 0); when causal, a
+    chunk axis at -2, whose entry t holds the prefix over all chunks
+    strictly before t (entry 0 is all zeros). The op counts n and the
+    value sums U itself (_code_stats).
     """
     z: np.ndarray
     v: np.ndarray
@@ -163,11 +164,11 @@ class CodeStats:
             raise ValueError(f"shortcode {z[at]} at batch {at[0]}, position "
                              f"{at[1]} is outside [0, {self.S})")
 
-    n = property(lambda self: self._counts()[0])
-    U = property(lambda self: self._counts()[1])
-
-    def _counts(self):
-        return _code_stats(self.z, self.v, self.S, self.chunk or None)
+    @property
+    def n(self):
+        # counted over a zero-width V: the value sums cost nothing
+        return _code_stats(self.z, self.v[..., :0], self.S,
+                           self.chunk or None)[0]
 
 
 def stats_chunk(window, causal):
@@ -181,7 +182,7 @@ def stats_chunk(window, causal):
 def _chunk_sums(z, v, S, cs):
     """Code counts (B, T, S) and float64 value sums (B, T, S, dv) of each
     chunk of cs positions of z (B, L), v (B, L, dv). Both add in position
-    order, so a view's n and U equal the op's bitwise."""
+    order, so a view's n equals the op's bitwise."""
     B, L, dv = v.shape
     T = -(-L // cs)
     key = ((np.arange(B)[:, None] * T + np.arange(L) // cs) * S + z).ravel()
@@ -210,7 +211,7 @@ def _code_stats(z, v, S, chunk):
 def build_code_stats(z, V, S, causal, chunk=None):
     """The checked CodeStats view of z (B, L) and V (B, L, dv), a Tensor
     or array; prefix-per-chunk when causal. It counts nothing: the op
-    counts once, and n and U count on each read."""
+    counts once, and n counts on each read."""
     if causal and (chunk is None or chunk < 1):
         raise ValueError("causal stats need a chunk size >= 1")
     return CodeStats(z=z, v=V.data if isinstance(V, Tensor) else V, S=S,
@@ -549,10 +550,10 @@ def attn_row_entropy(q, z, bias, C, cfg):
                   C.shape[1])
     B, L, _ = q.shape
     cs = stats_chunk(w, True)           # any row block is exact
-    st = CodeStats(z, q[..., :0], C.shape[0], cs if causal else 0)
-    z, C, n, U = _in_use(st.z, C, *st._counts())
-    p = _Plan(q, C[z], z, q[..., :0], n, U, C, bias, cfg.scale, w, cs,
-              causal)
+    v, S = q[..., :0], C.shape[0]       # no values: only counts
+    z = CodeStats(z, v, S).z            # checks z against q and S
+    z, C, n, U = _in_use(z, C, *_code_stats(z, v, S, cs if causal else None))
+    p = _Plan(q, C[z], z, v, n, U, C, bias, cfg.scale, w, cs, causal)
     f = None if cfg.attn_fn == "softmax" else phi_table(cfg.attn_fn)[0]
     H = np.empty((B, L), dtype=q.dtype)
     for c in p.chunks():

@@ -8,7 +8,7 @@ offending op otherwise.
 
 A tape is single-use. As the sweep passes each interior node it drops the
 node's gradient and its closure, and with it every array only the closure
-holds (saved activations, statistics, spectra). Leaves keep theirs: after
+holds (saved activations and statistics). Leaves keep theirs: after
 ``backward()`` a parameter or ``requires_grad`` input holds its gradient
 in ``.grad``. Every node keeps its ``data`` and parents, so a tape's values
 live as long as its output does. A second backward through a swept node,
@@ -36,30 +36,30 @@ per-position head and a per-sequence one.
 The attention functions are not defined here: each is one numpy pair in
 ``factored.phi_table``.
 
-The ops are the ones the package calls: ``add``, ``sub`` and ``mul``
-(with the ``+``, ``-`` and ``*`` operators), ``linear``, ``gate_mix``,
-``silu``, ``layer_norm``, ``gather_rows``, ``tsum``/``tmean`` and
-``cross_entropy`` build the model and its loss; ``matmul`` applies the
-dense oracle's weights, one node that ``attention`` builds with
-``make_op``, to its values. The SSM branch is one node of its own,
-``ssm.ssm_scan``. The sigmoid node that ``gate_mix`` and ``silu`` are
-tested against lives with the tests. A leaf is built with the constructor
-itself: ``Tensor(x)`` for a constant, ``Tensor(x, requires_grad=True,
-name=...)`` for a parameter. Around the ops sit the precision switches
-(``set_precision``, ``get_dtype``, ``precision``), ``no_grad``, the
-gradient helpers ``grad``, ``zero_grads`` and ``finite_diff`` (the
-central-difference reference). A planted gradient fault lives on one
-tape: ``train.gradcheck_model`` rewrites the closures of the tape it
-checks.
+The ops are the ones the package calls: ``add`` and ``mul`` (the ``+``
+and ``*`` operators, on two operands of one shape: nothing broadcasts),
+``linear``, ``gate_mix``, ``silu``, ``layer_norm``, ``gather_rows``,
+``tsum``/``tmean`` and ``cross_entropy`` build the model and its loss.
+Attention is one node per call, which ``attention`` and ``factored``
+build with ``make_op``, and so is the SSM branch, ``ssm.ssm_scan``. The
+sigmoid node that ``gate_mix`` and ``silu`` are tested against, and the
+``sub`` node of the chain tests, live with the tests. A leaf is built
+with the constructor itself: ``Tensor(x)`` for a constant,
+``Tensor(x, requires_grad=True, name=...)`` for a parameter. Around the
+ops sit the precision switches (``set_precision``, ``get_dtype``,
+``precision``), ``no_grad``, the gradient helpers ``grad``,
+``zero_grads`` and ``finite_diff`` (the central-difference reference).
+A planted gradient fault lives on one tape: ``train.gradcheck_model``
+rewrites the closures of the tape it checks.
 
 Dense sublayers are fused ops, one tape node each. ``linear`` is the
 projection x @ W + b: every projection of the model is one ``linear``
-node, not a ``matmul`` and an ``add``. ``gate_mix`` is the gated residual
-x + sigmoid(pre) * (a - x) from the gate's pre-activation, and
-``layer_norm`` normalizes each row, of x or of x + residual, in one node.
-Each keeps fewer full-size arrays alive until the backward than the chain
-of elementwise nodes it replaces: a sum or product folded into the op
-that reads it is never a node array that no backward reads.
+node. ``gate_mix`` is the gated residual x + sigmoid(pre) * (a - x) from
+the gate's pre-activation, and ``layer_norm`` normalizes each row, of x
+or of x + residual, in one node. Each keeps fewer full-size arrays alive
+until the backward than the chain of elementwise nodes it replaces: a
+sum or product folded into the op that reads it is never a node array
+that no backward reads.
 
 The rule for what a node keeps: its parents, plus only what its backward
 cannot rebuild from them in a pass or two. ``gate_mix`` and ``silu``
@@ -82,7 +82,7 @@ import numpy as np
 __all__ = [
     "Tensor", "NumericsError", "set_precision", "get_dtype", "precision",
     "no_grad", "grad", "finite_diff", "zero_grads",
-    "add", "sub", "mul", "matmul", "linear", "gate_mix",
+    "add", "mul", "linear", "gate_mix",
     "gather_rows", "tsum", "tmean", "silu", "cross_entropy", "layer_norm",
 ]
 
@@ -187,16 +187,13 @@ class Tensor:
 
     # operator sugar
     def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
+        return add(self, other)
 
     def __mul__(self, other):
-        return mul(self, _as_tensor(other))
+        return mul(self, other)
 
     def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
+        return mul(other, self)
 
     def backward(self, seed=None):
         """Reverse-mode sweep from this node; accumulates into the leaves'
@@ -212,7 +209,8 @@ class Tensor:
         """
         if seed is None:
             if self.data.size != 1:
-                raise ValueError("backward() without seed requires a scalar output")
+                raise ValueError(
+                    "backward() without seed requires a scalar output")
             seed = np.ones_like(self.data)
         order = _toposort(self)
         self.grad = np.asarray(seed, dtype=self.data.dtype)
@@ -289,57 +287,28 @@ def make_op(data, parents, vjp, op_name):
     return out
 
 
-def _unbroadcast(g, shape):
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape))
-                 if ss == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
 # ---------------------------------------------------------------------------
 # arithmetic
 
+def _one_shape(op, a, b):
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"{op} takes two operands of one shape; got "
+                         f"{a.data.shape} and {b.data.shape}")
+    return a, b
+
+
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    return make_op(a.data + b.data, (a, b),
-                   lambda g: (_unbroadcast(g, a.data.shape),
-                              _unbroadcast(g, b.data.shape)), "add")
-
-
-def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    return make_op(a.data - b.data, (a, b),
-                   lambda g: (_unbroadcast(g, a.data.shape),
-                              _unbroadcast(-g, b.data.shape)), "sub")
+    """a + b, elementwise, for two operands of one shape."""
+    a, b = _one_shape("add", a, b)
+    return make_op(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    """a * b, elementwise, for two operands of one shape."""
+    a, b = _one_shape("mul", a, b)
     return make_op(a.data * b.data, (a, b),
-                   lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                              _unbroadcast(g * a.data, b.data.shape)), "mul")
-
-
-def matmul(a, b):
-    """Matrix product on the last two axes, leading axes broadcast."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError(f"matmul expects tensors with ndim >= 2; got "
-                         f"{a.data.shape} and {b.data.shape}")
-    out = a.data @ b.data
-
-    def vjp(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
-
-    return make_op(out, (a, b), vjp, "matmul")
+                   lambda g: (g * b.data, g * a.data), "mul")
 
 
 def linear(x, w, b):
@@ -460,8 +429,10 @@ def tsum(a, axis=None):
 
 
 def tmean(a, axis=None):
+    """tsum times 1/n, with n the number of entries summed."""
     n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis), 1.0 / n)
+    s = tsum(a, axis=axis)
+    return mul(s, np.full(s.data.shape, 1.0 / n))
 
 
 # ---------------------------------------------------------------------------

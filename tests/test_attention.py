@@ -56,8 +56,9 @@ def test_dense_zero_queries_softmax_uniform():
     L, vd = 6, 3
     V = rng.normal((L, vd))
     cfg = AttentionConfig("softmax", 0, False, z_dim=2, v_dim=vd)
-    out = attn_dense_oracle(Tensor(np.zeros((L, 2))), Tensor(rng.normal((L, 2))),
-                            Tensor(V), Tensor(np.zeros(1)), cfg)
+    out = attn_dense_oracle(Tensor(np.zeros((L, 2))),
+                            Tensor(rng.normal((L, 2))), Tensor(V),
+                            Tensor(np.zeros(1)), cfg)
     np.testing.assert_allclose(out.data, np.broadcast_to(V.mean(0), (L, vd)),
                                atol=1e-12)
 
@@ -125,6 +126,11 @@ def test_dense_names_the_bias_shape_it_got():
     x = Tensor(np.zeros((4, 2)))
     with pytest.raises(ValueError, match=r"shape \(5,\), got \(3,\)"):
         attn_dense_oracle(x, x, x, Tensor(np.zeros(3)), cfg)
+    # V must share (..., L): the node's V gradient has V's own shape
+    for v in (np.zeros((3, 2)), np.zeros((2, 4, 2))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"Q of shape (4, 2) and V of shape {v.shape} differ")):
+            attn_dense_oracle(x, x, Tensor(v), Tensor(np.zeros(5)), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +141,9 @@ def test_stats_hand_case():
     V = np.array([[[1.0], [2.0], [3.0]]])
     st = build_code_stats(z, V, 4, causal=False)
     np.testing.assert_array_equal(st.n, [[2, 1, 0, 0]])
-    np.testing.assert_array_equal(st.U, [[[4.0], [2.0], [0.0], [0.0]]])
+    n, U = factored._code_stats(z, V, 4, None)
+    np.testing.assert_array_equal(n, st.n)
+    np.testing.assert_array_equal(U, [[[4.0], [2.0], [0.0], [0.0]]])
 
 
 def test_stats_out_of_range():
@@ -161,14 +169,16 @@ def test_stats_causal_prefix_matches_brute_force():
     z = rng.integers(0, S, (L,))
     V = rng.normal((L, 3))
     st = build_code_stats(z[None], V[None], S, causal=True, chunk=cs)
-    Tn = st.n.shape[1]
+    n, U = factored._code_stats(z[None], V[None], S, cs)
+    np.testing.assert_array_equal(n, st.n)
+    Tn = n.shape[1]
     for t in range(Tn):
         hi = t * cs
         n_ref = np.bincount(z[:hi], minlength=S).astype(float)
         U_ref = np.zeros((S, 3))
         np.add.at(U_ref, z[:hi], V[:hi])
-        np.testing.assert_allclose(st.n[0, t], n_ref, atol=1e-12)
-        np.testing.assert_allclose(st.U[0, t], U_ref, atol=1e-12)
+        np.testing.assert_allclose(n[0, t], n_ref, atol=1e-12)
+        np.testing.assert_allclose(U[0, t], U_ref, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -581,10 +591,11 @@ def test_layer_gate_limits():
     rng = Rng(18)
     layer = make_layer(rng.child("l"))
     X = Tensor(rng.normal((1, 10, 8)))
-    layer.gates.b_go.data[:] = 20.0   # open gate: output ~ projection
+    b_go = layer.proj["go"][1]
+    b_go.data[:] = 20.0               # open gate: output ~ projection
     O_open, _ = layer(X)
     Z, G_a, Q, K, V = layer.project_inputs(X)
-    layer.gates.b_go.data[:] = -20.0  # closed gate: output ~ input
+    b_go.data[:] = -20.0              # closed gate: output ~ input
     O_closed, _ = layer(X)
     np.testing.assert_allclose(O_closed.data, X.data, atol=1e-7)
     assert not np.allclose(O_open.data, X.data, atol=1e-3)
@@ -593,12 +604,12 @@ def test_layer_gate_limits():
 def test_layer_ga_zero_passthrough():
     rng = Rng(19)
     layer = make_layer(rng.child("l"))
-    layer.gates.w_ga.data[:] = 0.0
-    layer.gates.b_ga.data[:] = 0.0     # G_a = silu(0) = 0
+    for p in layer.proj["ga"]:
+        p.data[:] = 0.0                # G_a = silu(0) = 0
     X = Tensor(rng.normal((1, 9, 8)))
     O, _ = layer(X)
-    G_o = expit((T.matmul(X, layer.gates.w_go) + layer.gates.b_go).data)
-    want = G_o * layer.gates.b_out.data + (1.0 - G_o) * X.data
+    G_o = expit(T.linear(X, *layer.proj["go"]).data)
+    want = G_o * layer.proj["out"][1].data + (1.0 - G_o) * X.data
     np.testing.assert_allclose(O.data, want, atol=1e-10)
 
 
@@ -963,8 +974,8 @@ def test_row_entropy_matches_dense_oracle_weights(attn_fn, causal, w):
             C = rng.normal((S, zd))
             Q = rng.normal((B, L, zd))
             cfg = AttentionConfig(attn_fn, w, causal, z_dim=zd, v_dim=L)
-            P = attn_dense_oracle(Tensor(Q), Tensor(C[z]),
-                                  Tensor(np.broadcast_to(np.eye(L), (B, L, L))),
+            eye = np.broadcast_to(np.eye(L), (B, L, L))
+            P = attn_dense_oracle(Tensor(Q), Tensor(C[z]), Tensor(eye),
                                   Tensor(bias), cfg).data
             got = attn_row_entropy(Q, z, bias, C, cfg)
             assert got.shape == (B, L)

@@ -443,26 +443,17 @@ def test_gradcheck_clean_run_passes(tmp_path, monkeypatch, capsys):
 
 def test_gradcheck_fault_injection_detected(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    rc = main(["gradcheck", "--inject-fault", "matmul", "--out", "gc"])
+    # the dense oracle is one node; a fault in its backward corrupts
+    # every attention gradient the check compares
+    rc = main(["gradcheck", "--inject-fault", "attn_dense", "--out", "gc"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
     rep = json.load(open("gc/report.json"))
-    assert rep["passed"] is False and rep["fault"] == "matmul"
+    assert rep["passed"] is False and rep["fault"] == "attn_dense"
+    assert rep["fault_nodes"] == 1      # one per layer, depth 1
     assert rep["worst"][1] > rep["tol"]
     # every parameter appears in the table
     assert len(rep["params"]) > 10
-
-
-def test_gradcheck_fault_on_dense_weights_detected(tmp_path, monkeypatch,
-                                                  capsys):
-    # the dense oracle's weights are one node; a fault in its backward
-    # corrupts every attention gradient the check compares
-    monkeypatch.chdir(tmp_path)
-    rc = main(["gradcheck", "--inject-fault", "dense_weights", "--out", "gc"])
-    assert rc == 1
-    assert "FAIL" in capsys.readouterr().out
-    rep = json.load(open("gc/report.json"))
-    assert rep["passed"] is False and rep["fault_nodes"] > 0
 
 
 def test_gradcheck_fault_on_linear_detected(tmp_path, monkeypatch, capsys):
@@ -488,14 +479,17 @@ def test_gradcheck_fault_on_ssm_scan_detected(tmp_path, monkeypatch, capsys):
 
 def test_gradcheck_fault_on_unknown_op_exits_2(tmp_path, monkeypatch,
                                                capsys):
-    # a misspelt op wraps no node; the check must not report a pass
+    # a misspelt op, or one the tape no longer holds (the oracle's
+    # product is inside attn_dense), wraps no node; the check must not
+    # report a pass
     monkeypatch.chdir(tmp_path)
-    rc = main(["gradcheck", "--inject-fault", "matmull", "--out", "gc"])
-    assert rc == 2
-    out = capsys.readouterr()
-    assert "PASS" not in out.out
-    assert "'matmull' wrapped no tape node" in out.err
-    assert json.load(open("gc/report.json"))["fault_nodes"] == 0
+    for op in ("matmull", "matmul"):
+        rc = main(["gradcheck", "--inject-fault", op, "--out", "gc"])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert "PASS" not in out.out
+        assert f"'{op}' wrapped no tape node" in out.err
+        assert json.load(open("gc/report.json"))["fault_nodes"] == 0
 
 
 def test_kernel_dump_shapes(tmp_path, monkeypatch, capsys):
@@ -602,8 +596,8 @@ def _probe_layer(window, causal, bias_val=None):
     cfg = AttentionConfig(attn_fn="softmax", window=window, causal=causal,
                           z_dim=4, v_dim=8)
     layer = LongVQLayer(8, cfg, 4, Rng(0, "probe"))
-    layer.gates.w_q.data[:] = 0.0
-    layer.gates.b_q.data[:] = 0.0
+    for p in layer.proj["q"]:
+        p.data[:] = 0.0
     if bias_val is not None:
         layer.local_bias.data[:] = -bias_val
         layer.local_bias.data[window] = bias_val

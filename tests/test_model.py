@@ -293,6 +293,22 @@ def test_tape_census_lm_recipe():
     assert sum(n.data.nbytes for n in interior) == want, census
 
 
+@pytest.mark.parametrize("cfg", [lm_cfg(), small_cfg()],
+                         ids=["lm", "classify"])
+def test_dense_tape_holds_one_attention_node_per_layer(cfg):
+    # the oracle is one attn_dense node, as the factored op is one
+    # attn_factored node: no generic product or difference is left, and
+    # the classifier's mean pool runs with no broadcast
+    model = Model(cfg, Rng(42), impl="dense")
+    x = Rng(43).normal((2, 10, 2)) if cfg.in_dim else \
+        Rng(43).integers(0, 11, (2, 10))
+    y = Rng(44).integers(0, 3, (2,)) if cfg.in_dim else x
+    loss, _, _ = total_loss(model, x, y, 1e-4)
+    ops = [n._op for n in _tape(loss)]
+    assert ops.count("attn_dense") == cfg.depth
+    assert not {"attn_factored", "matmul", "sub", "dense_weights"} & set(ops)
+
+
 def test_tape_memory_lm_recipe():
     # the lm benchmark recipe's step at B=32, L=256 with seeded codebooks.
     # A node keeps its parents and only what its backward cannot rebuild,
@@ -422,7 +438,7 @@ def test_checkpoint_rejects_wrong_shape(tmp_path):
                                                  z_dim=4, v_dim=12)),
                   Rng(25))
     with pytest.raises(ValueError, match=r"shape mismatch for 'embed.w': "
-                                         r"checkpoint \(2, 8\), model \(2, 16\)"):
+                       r"checkpoint \(2, 8\), model \(2, 16\)"):
         load_checkpoint(path, other)
 
 
@@ -475,7 +491,8 @@ def test_checkpoint_rejects_a_codebook_of_no_layer(tmp_path):
 def test_embed_names_the_input_shape_it_got():
     with pytest.raises(ValueError, match=r"\(B, L\), got shape \(5,\)"):
         Model(lm_cfg(), Rng(29)).embed(np.zeros(5, dtype=int))
-    with pytest.raises(ValueError, match=r"\(B, L, 2\), got shape \(1, 4, 3\)"):
+    with pytest.raises(ValueError,
+                       match=r"\(B, L, 2\), got shape \(1, 4, 3\)"):
         Model(small_cfg(), Rng(29)).embed(np.zeros((1, 4, 3)))
 
 

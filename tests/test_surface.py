@@ -17,6 +17,10 @@ can miss an unread method that shares its name with a read attribute.
 Every import in ``src/``, ``demos/`` and ``tests/`` is read by code in
 its own file; a name listed in that file's ``__all__`` counts as read
 (a re-export), and ``from __future__`` imports are exempt.
+
+No line in ``src/``, ``demos/`` or ``tests/`` is wider than 79 columns,
+PEP 8's limit; the check is the standard library's, so it needs no
+linter.
 """
 
 import ast
@@ -161,3 +165,12 @@ def test_every_import_is_read_in_its_file():
             unread += [f"{path.relative_to(ROOT)}:{line} {name}"
                        for name, line in _imports(tree) if name not in read]
     assert not unread, f"imports that nothing reads: {unread}"
+
+
+def test_no_line_exceeds_79_columns():
+    wide = [f"{path.relative_to(ROOT)}:{i}"
+            for sub in IMPORTERS
+            for path in sorted((ROOT / sub).rglob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if len(line) > 79]
+    assert not wide, f"lines over 79 columns: {wide}"

@@ -111,7 +111,8 @@ def test_reduction_task_protocol():
 
 def test_reduction_lm_variant_targets():
     # lm mode: targets shift the input left by one, answer sits last
-    task = build_task(TaskSpec(name="reduction", L=16, vocab=8, seed=1, lm=True))
+    task = build_task(TaskSpec(name="reduction", L=16, vocab=8, seed=1,
+                               lm=True))
     assert task.model_kwargs() == {"vocab": 8, "n_out": 8,
                                    "head": "per_position_lm"}
     x, y = task.sample("train", 32, Rng(2, "lm"))

@@ -395,7 +395,7 @@ def test_finite_diff_linear_model_tight():
     y = rng.integers(0, 2, (5,))
 
     def loss_fn():
-        return T.cross_entropy(T.matmul(Tensor(x), w) + b, y)
+        return T.cross_entropy(T.linear(Tensor(x), w, b), y)
 
     analytic = T.grad(loss_fn(), [w, b])
     numeric = T.finite_diff(loss_fn, [w, b])
@@ -417,7 +417,7 @@ def test_gradcheck_one_block(attn_fn):
 
 
 def test_gradcheck_detects_planted_fault():
-    rep = gradcheck_model(*_draw("softmax"), fault="matmul")
+    rep = gradcheck_model(*_draw("softmax"), fault="attn_dense")
     assert not rep["passed"] and rep["fault_nodes"] > 0
 
 

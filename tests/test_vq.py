@@ -134,15 +134,15 @@ def test_quantize_passthrough_arbitrary_downstream():
     rng = Rng(5)
     cb = make_cb(6, 4, rng)
     K = Tensor(rng.normal((8, 4)), requires_grad=True, name="K")
-    W = Tensor(rng.normal((4, 4)))
+    W, b = Tensor(rng.normal((4, 4))), Tensor(np.zeros(4))
 
     K_hat, _ = quantize_st(K, cb)
-    y = T.matmul(K_hat, W)
+    y = T.linear(K_hat, W, b)
     loss = T.tsum(T.silu(y) * T.silu(y))
     (gK,) = grad(loss, [K])
 
     K_fixed = Tensor(K_hat.data.copy(), requires_grad=True, name="Kh")
-    y2 = T.matmul(K_fixed, W)
+    y2 = T.linear(K_fixed, W, b)
     loss2 = T.tsum(T.silu(y2) * T.silu(y2))
     (gKh,) = grad(loss2, [K_fixed])
     np.testing.assert_array_equal(gK, gKh)
