@@ -1,10 +1,11 @@
 """Wall-clock scaling probe for the two attention paths.
 
-Times one bidirectional softmax forward per length: the dense oracle's
-weights rule (attention._dense_weights) with no tape, over blocks of 512
-query rows so that memory stays O(512 * L), against codebook stats +
-factored evaluation. Least-squares slope of log(time) on log(L) separates
-quadratic from linear growth without depending on absolute machine speed.
+Times one bidirectional softmax forward per length on each path: the
+dense oracle's weights rule (attention._dense_weights) with no tape, over
+blocks of 512 query rows so that memory stays O(512 * L), against codebook
+stats + factored evaluation. Least-squares slope of log(time) on log(L)
+separates quadratic from linear growth without depending on absolute
+machine speed; the time ratio per length shows where each path wins.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ def bench_instance(L, S, w, d, rng):
     v = rng.normal((L, d), dtype=dt)
     bias = rng.normal((2 * w + 1,), std=0.1, dtype=dt)
     cb = Codebook(C=C, ema_count=np.ones(S), ema_sum=C.copy())
-    return {"cfg": cfg, "q": q, "C": C, "z": z, "kh": C[z], "v": v,
-            "bias": bias, "S": S, "cb": cb}
+    return {"cfg": cfg, "q": q, "z": z, "kh": C[z], "v": v, "bias": bias,
+            "S": S, "cb": cb}
 
 
 def _dense_rows(inst):
@@ -72,9 +73,9 @@ def fit_slope(Ls, times):
                             np.log(np.asarray(times, dtype=float)), 1)[0])
 
 
-def bench_scaling(Ls, reps=3, S=512, w=64, d=64, modes=("dense", "vq"),
-                  seed=0):
-    """Median-of-reps forward times per length, plus log-log slopes.
+def bench_scaling(Ls, reps=3, S=512, w=64, d=64, seed=0):
+    """Median-of-reps forward times per length of both modes (dense, vq),
+    their log-log slopes and the per-length ratio dense_over_vq.
 
     After one warm-up call per (mode, length), the reps run in rounds, and
     each round times every (mode, length) once. A slow stretch of the
@@ -83,6 +84,7 @@ def bench_scaling(Ls, reps=3, S=512, w=64, d=64, modes=("dense", "vq"),
     reports the fastest and slowest rep per length (min_s, max_s), so the
     spread behind every median is on record.
     """
+    modes = ("dense", "vq")
     report = {"schema": "longvq-bench-v1",
               "params": {"S": S, "w": w, "d": d, "reps": reps,
                          "Ls": list(Ls), "seed": seed},
@@ -103,11 +105,6 @@ def bench_scaling(Ls, reps=3, S=512, w=64, d=64, modes=("dense", "vq"),
             "min_s": {str(L): min(samples[mode, L]) for L in Ls},
             "max_s": {str(L): max(samples[mode, L]) for L in Ls},
             "slope": fit_slope(Ls, list(times.values()))}
-    if "dense" in report["modes"] and "vq" in report["modes"]:
-        ratios = {}
-        for L in Ls:
-            td = report["modes"]["dense"]["times_s"][str(L)]
-            tv = report["modes"]["vq"]["times_s"][str(L)]
-            ratios[str(L)] = td / tv
-        report["dense_over_vq"] = ratios
+    dense, vq = (report["modes"][m]["times_s"] for m in modes)
+    report["dense_over_vq"] = {L: dense[L] / vq[L] for L in dense}
     return report

@@ -7,10 +7,11 @@ writes checkpoint.npz, the model's state_arrays() at its own precision;
 eval, diag-entropy and kernel-dump restore one with --checkpoint.
 gradcheck checks, on one sampled batch, the dense twin of the model
 train --seed starts from; --inject-fault OP negates OP's backward on
-that check's tape only. Numeric flags are range-checked when parsed.
-LONGVQ_THREADS caps BLAS parallelism, and any value but a positive
-integer exits 2; bench-scaling pins itself to one thread unless told
-otherwise.
+that check's tape only. bench-scaling times the dense oracle and the
+factored path at each length and reports both slopes and their time
+ratio. Numeric flags are range-checked when parsed. LONGVQ_THREADS caps
+BLAS parallelism, and any value but a positive integer exits 2;
+bench-scaling pins itself to one thread unless told otherwise.
 """
 
 from __future__ import annotations
@@ -164,19 +165,15 @@ def cmd_eval(args):
 def cmd_bench_scaling(args):
     out = _outdir(args, "bench-scaling")
     Ls = args.lengths
-    modes = ("dense", "vq") if args.mode == "both" else (args.mode,)
     report = bench_scaling(Ls, reps=args.reps, S=args.S, w=args.w,
-                           d=args.d, modes=modes, seed=args.seed or 0)
+                           d=args.d, seed=args.seed)
     report["schema"] = SCHEMA
     report["command"] = "bench-scaling"
     _write_report(out, report)
-    bits = []
-    for mode in modes:
-        bits.append(f"{mode} slope={report['modes'][mode]['slope']:.3f}")
-    if "dense_over_vq" in report:
-        mid = str(Ls[len(Ls) // 2])
-        bits.append(f"dense/vq@{mid}={report['dense_over_vq'][mid]:.2f}")
-    print("bench-scaling: " + " ".join(bits))
+    modes, mid = report["modes"], str(Ls[len(Ls) // 2])
+    print(f"bench-scaling: dense slope={modes['dense']['slope']:.3f} "
+          f"vq slope={modes['vq']['slope']:.3f} "
+          f"dense/vq@{mid}={report['dense_over_vq'][mid]:.2f}")
     return 0
 
 
@@ -259,9 +256,10 @@ def _int_at_least(lo):
 
 def _lengths(text):
     Ls = [_int_at_least(1)(s) for s in text.split(",") if s]
-    if len(set(Ls)) < 2:
+    if len(Ls) < 2 or len(set(Ls)) < len(Ls):
         raise argparse.ArgumentTypeError(
-            f"need at least two distinct lengths to fit a slope, got {text!r}")
+            f"need at least two lengths, none repeated, to fit a slope, got "
+            f"{text!r}")
     return Ls
 
 
@@ -291,9 +289,8 @@ def build_parser():
                     choices=("train", "val", "test"))
 
     sp = sub.add_parser("bench-scaling",
-                        help="forward-pass wall-clock vs sequence length")
-    sp.add_argument("--mode", default="both",
-                    choices=("dense", "vq", "both"))
+                        help="forward-pass wall-clock vs sequence length, "
+                             "dense oracle against the factored (vq) path")
     sp.add_argument("--lengths", type=_lengths, default="1024,2048,4096,8192")
     sp.add_argument("--reps", type=_int_at_least(1), default=3)
     sp.add_argument("--S", type=_int_at_least(1), default=512)

@@ -29,10 +29,11 @@ logits, as FlashAttention-2 (arXiv:2307.08691) recomputes its tiles.
 The stats are a view (CodeStats) of what they are a pure function of:
 z, V, the codebook size S and the chunk; making the view checks z against
 V and S. The op checks that the view holds its own V and S and that K_hat
-== C[z], then counts n and U once, so no count can go stale. These checks
-see the full codebook; the kernels then run on the codes the batch uses
-(_in_use). A code no key uses has n = 0 and U = 0 in every chunk, so it
-adds no far-field term.
+== C[z] against the full codebook. The plan then cuts the codebook to the
+codes z uses and counts n and U over those codes once, so no count can go
+stale. A code no key uses has n = 0 and U = 0 in every chunk, so it adds
+no far-field term, and each per-code sum adds the same rows in the same
+order either way.
 
 The whole thing is one tape op: straight-through quantization needs
 per-position key gradients, which cannot be recovered from any gradient of
@@ -234,14 +235,6 @@ def _checked_stats(stats, kh, v, C, w, causal):
     return stats.z, stats.chunk if causal else _ROWS
 
 
-def _in_use(z, C, n, U):
-    """The codebook, shortcodes and stats cut to the codes z uses. A code
-    with no key has n = 0 and U = 0 in every chunk: its logit is masked
-    and no key reads its accumulator rows, so dropping it is exact."""
-    u, zu = np.unique(z, return_inverse=True)
-    return zu.reshape(z.shape), C[u], n[..., u], U[..., u, :]
-
-
 # ---------------------------------------------------------------------------
 # the kernels
 
@@ -255,11 +248,17 @@ class _Plan:
     n0 (T, B, S), the shared keys' value sums of each (chunk, batch, code)
     they hold, each added in position order, and the bias table as a band:
     row a against key lo - m + c, m = min(w, L), past which no chunk
-    reaches."""
+    reaches. It runs on the codes z uses: it cuts C to them, renumbers z
+    and counts n and U over them alone. cs is the row chunk, and the
+    stats' prefix chunk when causal."""
 
-    def __init__(self, q, kh, z, v, n, U, C, b, scale, w, cs, causal):
+    def __init__(self, q, kh, z, v, C, b, cfg, cs):
+        w, causal, scale = cfg.window, cfg.causal, cfg.scale
+        u, z = np.unique(z, return_inverse=True)
+        z, C = z.reshape(q.shape[:2]), C[u]
         B, L, _ = q.shape
         S, dv = C.shape[0], v.shape[2]
+        n, U = _code_stats(z, v, S, cs if causal else None)
         self.q, self.kh, self.v, self.z, self.U, self.b = q, kh, v, z, U, b
         self.Ct, self.scale = scale * C.T, scale
         self.cs, self.causal = cs, causal
@@ -511,9 +510,9 @@ def attn_factored(Q, cb, stats, K_hat, V, bias, cfg):
     chunk >= max(1, w)); cfg needs attn_fn / window / causal / scale. The
     shapes (one (B, L) for all three, Q and K_hat as wide as the
     codewords), the chunk, the view's V and S, and K_hat == C[z] are
-    checked against the full codebook. The op then counts n and U once; the
-    forward and backward kernels run on the codes z uses, which is exact
-    up to summation order.
+    checked against the full codebook. The plan then counts n and U once
+    over the codes z uses, and the forward and backward kernels run on
+    those codes.
     """
     C, w, causal = cb.C, cfg.window, cfg.causal
     q, kh, v = Q.data, K_hat.data, V.data
@@ -521,10 +520,8 @@ def attn_factored(Q, cb, stats, K_hat, V, bias, cfg):
                                      ("V", v, False)), bias.data, w,
                   C.shape[1])
     z, cs = _checked_stats(stats, kh, v, C, w, causal)
-    n, U = _code_stats(z, v, C.shape[0], cs if causal else None)
-    z, C, n, U = _in_use(z, C, n, U)
     phi = None if cfg.attn_fn == "softmax" else phi_table(cfg.attn_fn)
-    plan = _Plan(q, kh, z, v, n, U, C, bias.data, cfg.scale, w, cs, causal)
+    plan = _Plan(q, kh, z, v, C, bias.data, cfg, cs)
     out, lse = _forward(plan, phi)
     return make_op(out, (Q, K_hat, V, bias), lambda g: _backward(
         plan, phi, g, out, lse), "attn_factored")
@@ -549,11 +546,10 @@ def attn_row_entropy(q, z, bias, C, cfg):
     _check_inputs("attn_row_entropy", (("q", q, True),), bias, w,
                   C.shape[1])
     B, L, _ = q.shape
+    v = q[..., :0]                      # no values: only counts
+    z = CodeStats(z, v, C.shape[0]).z   # checks z against q and S
     cs = stats_chunk(w, True)           # any row block is exact
-    v, S = q[..., :0], C.shape[0]       # no values: only counts
-    z = CodeStats(z, v, S).z            # checks z against q and S
-    z, C, n, U = _in_use(z, C, *_code_stats(z, v, S, cs if causal else None))
-    p = _Plan(q, C[z], z, v, n, U, C, bias, cfg.scale, w, cs, causal)
+    p = _Plan(q, C[z], z, v, C, bias, cfg, cs)
     f = None if cfg.attn_fn == "softmax" else phi_table(cfg.attn_fn)[0]
     H = np.empty((B, L), dtype=q.dtype)
     for c in p.chunks():

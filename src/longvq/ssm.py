@@ -237,8 +237,8 @@ def _block_matrices(a_bar, b_bar, c, skip, b, dtype):
 def ssm_scan(C_out, log_dt, D_skip, B_in, A, x):
     """The SSM branch of d channels sharing A, skip included, as one node.
 
-    C_out: (d, N) tensor; log_dt, D_skip: (d,) tensors; B_in: (N,)
-    constant tensor; A: (N, N) constant array; x: (B, L, d) tensor.
+    C_out: (d, N) tensor; log_dt, D_skip: (d,) tensors; B_in: (N,) and
+    A: (N, N) constant arrays; x: (B, L, d) tensor.
     Returns the (B, L, d) tensor y[., t, c] = sum_(j<=t) k_c[t-j] x[., j, c]
     + D_c x[., t, c], with gradients for C_out, log_dt, D_skip and x.
 
@@ -277,7 +277,7 @@ def ssm_scan(C_out, log_dt, D_skip, B_in, A, x):
     n = C_out.data.shape[1]
     for name, got, want in (("log_dt", log_dt.data.shape, (d,)),
                             ("D_skip", D_skip.data.shape, (d,)),
-                            ("B_in", B_in.data.shape, (n,)),
+                            ("B_in", np.shape(B_in), (n,)),
                             ("A", np.shape(A), (n, n))):
         if got != want:
             raise ValueError(f"{name} must have shape {want}, got {got}")
@@ -285,7 +285,7 @@ def ssm_scan(C_out, log_dt, D_skip, B_in, A, x):
     c = C_out.data.astype(np.float64)
     a = np.asarray(A, dtype=np.float64)
     dt = np.exp(log_dt.data.astype(np.float64))
-    a_bar, b_bar = discretize(a, B_in.data, dt)
+    a_bar, b_bar = discretize(a, B_in, dt)
     b = min(_BLOCK, L)
     nb = -(-L // b)
     skip = D_skip.data.astype(np.float64)
@@ -378,23 +378,24 @@ def ssm_kernels(c, log_dt, b_in, a, L):
     x = np.zeros((1, L, d))
     x[0, 0] = 1.0
     with precision("float64"), no_grad():
-        y = ssm_scan(Tensor(c), Tensor(log_dt), Tensor(np.zeros(d)),
-                     Tensor(b_in), a, Tensor(x))
+        y = ssm_scan(Tensor(c), Tensor(log_dt), Tensor(np.zeros(d)), b_in,
+                     a, Tensor(x))
     return np.ascontiguousarray(y.data[0].T, dtype=dtype)
 
 
 class SsmBank:
     """d channels sharing one frozen A; the trained form of the module.
 
-    Parameters: C_out (d, N), log_dt (d,), D_skip (d,). B_in is fixed at
-    its init value; A never trains.
+    Parameters: C_out (d, N), log_dt (d,), D_skip (d,). B_in (N,), at the
+    model dtype, and A (N, N) are constant arrays fixed at their init
+    values; neither trains.
     """
 
     def __init__(self, d, n, rng, prefix="ssm"):
         a, b = init_s4(n)
         self.d, self.n = d, n
         self.A = a
-        self.B_in = Tensor(b.astype(get_dtype()))
+        self.B_in = b.astype(get_dtype())
         self.C_out = Tensor(rng.normal((d, n), dtype=get_dtype()),
                             requires_grad=True, name=f"{prefix}.C_out")
         lo, hi = np.log(DT_MIN), np.log(DT_MAX)
@@ -409,8 +410,8 @@ class SsmBank:
 
     def kernels(self, L):
         """The (d, L) kernels at the current parameters, as an array."""
-        return ssm_kernels(self.C_out.data, self.log_dt.data,
-                           self.B_in.data, self.A, L)
+        return ssm_kernels(self.C_out.data, self.log_dt.data, self.B_in,
+                           self.A, L)
 
     def __call__(self, x):
         """x: (B, L, d) tensor -> (B, L, d) tensor."""

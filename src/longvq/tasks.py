@@ -119,7 +119,6 @@ class ReductionHeadTask:
 
     def __init__(self, spec: TaskSpec):
         self.spec = spec
-        self.name = "reduction"
 
     def model_kwargs(self):
         head = "per_position_lm" if self.spec.lm else "mean_pool_classify"
@@ -208,7 +207,6 @@ def to_float_pixels(x_uint8, grayscale):
 class PixelTask:
     def __init__(self, spec: TaskSpec, data=None):
         self.spec = spec
-        self.name = "pixels"
         if data is None:
             path = spec.path or find_pixel_data()
             if path is None:
@@ -281,7 +279,6 @@ def load_char_corpus(path, vocab_cap=256):
 class CharTask:
     def __init__(self, spec: TaskSpec):
         self.spec = spec
-        self.name = "chars"
         if not spec.path:
             raise ValueError("chars task needs a corpus path")
         self.corpus = load_char_corpus(spec.path, vocab_cap=spec.vocab)

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    Tensor, _first_out_of_range, _key_sums, get_dtype, make_op,
-)
+from .tensor import _first_out_of_range, _key_sums, get_dtype, make_op
 
 __all__ = [
     "Codebook", "assign_batch", "quantize_st", "ema_update",
@@ -100,7 +98,8 @@ def commit_loss(K, cb, z):
 
 
 def ema_update(cb, K_batch, z):
-    """One EMA step over a batch of keys and their shortcodes.
+    """One EMA step over a batch of keys (an array, (..., D)) and their
+    shortcodes.
 
     N_s <- eta*N_s + (1-eta)*count_s
     m_s <- eta*m_s + (1-eta)*sum_{z_i=s} K_i
@@ -108,8 +107,7 @@ def ema_update(cb, K_batch, z):
     hit keep their initialization (up to smoothing drift). eta and
     epsilon are EMA_ETA and EMA_EPSILON.
     """
-    k = K_batch.data if isinstance(K_batch, Tensor) else np.asarray(K_batch)
-    k = k.reshape(-1, cb.D)
+    k = np.asarray(K_batch).reshape(-1, cb.D)
     z = np.asarray(z)
     at = _first_out_of_range(z, cb.S)
     if at is not None:
@@ -139,10 +137,10 @@ def seed_codebook(K, S, rng):
 
     First codeword uniform from the rows of K; each next drawn with
     probability proportional to squared distance from the chosen set.
-    Draws from at most max(4096, 2S) rows of K.
+    Draws from at most max(4096, 2S) rows of K, an array (..., D).
     """
-    k = K.data if isinstance(K, Tensor) else np.asarray(K)
-    k = np.asarray(k, dtype=np.float64).reshape(-1, k.shape[-1])
+    k = np.asarray(K, dtype=np.float64)
+    k = k.reshape(-1, k.shape[-1])
     m = k.shape[0]
     cap = max(4096, 2 * S)
     if m > cap:

@@ -104,7 +104,7 @@ def test_ssm_convolution_equals_recurrence(capsys):
             c = r.normal((n,))
             u = r.normal((L,))
             y = ssm_scan(Tensor(c[None]), Tensor([np.log(dt)]), Tensor([0.0]),
-                         Tensor(b), a, Tensor(u[None, :, None])).data[0, :, 0]
+                         b, a, Tensor(u[None, :, None])).data[0, :, 0]
             worst = max(worst, float(np.max(np.abs(
                 y - scan_recurrent(a_bar[0], b_bar[0], c, u)))))
     el = time.time() - t0

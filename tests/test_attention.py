@@ -355,17 +355,21 @@ def test_code_with_only_local_keys_has_no_far_weight(causal):
 @pytest.mark.parametrize("attn_fn", ["softmax", "relu2", "laplace"])
 @pytest.mark.parametrize("causal", [False, True])
 def test_unused_codewords_change_nothing(attn_fn, causal):
-    # the op runs on the codes the batch uses, so codewords no key uses
-    # leave the output, every gradient and the row entropy unchanged
+    # the op runs on the codes the batch uses: against the codebook cut by
+    # hand to the live codes (z renumbered), dead codes between and after
+    # them leave the output, every gradient and the row entropy bitwise
+    # unchanged, since each per-code sum adds the same rows in the same
+    # order; L spans three 64-row chunks
     rng = Rng(combo_seed("unused", attn_fn, causal))
-    B, L, S, zd, vd, w, k = 2, 30, 6, 3, 4, 2, 5
+    B, L, S, zd, vd, w = 2, 150, 9, 3, 4, 2
+    live = np.array([0, 2, 3, 6])
     C = rng.normal((S, zd))
-    z = rng.integers(0, S - 1, (B, L))
+    zl = rng.integers(0, live.size, (B, L))
     Q, V = rng.normal((B, L, zd)), rng.normal((B, L, vd))
     bias, g = rng.normal((2 * w + 1,)), rng.normal((B, L, vd))
     cfg = AttentionConfig(attn_fn, w, causal, z_dim=zd, v_dim=vd)
 
-    def run(C):
+    def run(C, z):
         cb = Codebook(C=C, ema_count=np.ones(len(C)), ema_sum=C.copy())
         ins = [Tensor(a.copy(), requires_grad=True)
                for a in (Q, C[z], V, bias)]
@@ -374,8 +378,9 @@ def test_unused_codewords_change_nothing(attn_fn, causal):
         grads = grad(T.tsum(out * Tensor(g)), ins)
         return [out.data, *grads, attn_row_entropy(Q, z, bias, C, cfg)]
 
-    for a, b in zip(run(C), run(np.vstack([C, rng.normal((k, zd))]))):
-        assert rel_diff(a, b) < 1e-13
+    for name, a, b in zip(("out", "dQ", "dK", "dV", "db", "entropy"),
+                          run(C, live[zl]), run(C[live], zl)):
+        np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 # ---------------------------------------------------------------------------
@@ -545,15 +550,25 @@ def test_layer_causal_stats_use_64_row_chunks(w, monkeypatch):
 
 @pytest.mark.parametrize("causal", [False, True])
 def test_layer_counts_code_stats_once(causal, monkeypatch):
-    # the layer hands the op a view of (z, V), and only the op counts
+    # the layer hands the op a view of (z, V), and only the op counts,
+    # over the codes z uses; the row entropy also counts once
     calls = []
     real = factored._code_stats
     monkeypatch.setattr(factored, "_code_stats",
                         lambda *a: calls.append(a) or real(*a))
     rng = Rng(16)
     layer = make_layer(rng.child("l"), causal=causal)
-    layer(Tensor(rng.normal((2, 70, 8))))
-    assert len(calls) == 1
+    X = Tensor(rng.normal((2, 70, 8)))
+    layer(X)                            # seeds the codebook
+    layer.codebook.C[::2] = 1e3         # far from every key: dead codes
+    calls.clear()
+    _, aux = layer(X)
+    used = np.unique(aux["z"]).size
+    assert used < layer.S
+    assert [a[2] for a in calls] == [used]
+    attn_row_entropy(aux["Q"], aux["z"], layer.local_bias.data,
+                     layer.codebook.C, layer.cfg)
+    assert [a[2] for a in calls] == [used, used]
 
 
 def test_layer_impl_swap_small_diff():

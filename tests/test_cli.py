@@ -543,6 +543,7 @@ def test_bench_command_report(tmp_path, monkeypatch, capsys):
     ("bench-scaling", "--lengths", "0,128", "1,128"),
     ("bench-scaling", "--lengths", "64", "64,128"),
     ("bench-scaling", "--lengths", "64,64", "64,65"),
+    ("bench-scaling", "--lengths", "64,64,128", "64,65,128"),
 ])
 def test_numeric_flag_out_of_range_exits_2_naming_it(command, flag, bad, ok,
                                                      tmp_path, monkeypatch,

@@ -26,7 +26,7 @@ def _float64():
 def bank_channels(bank):
     """Per-channel oracle views (A_bar, B_bar, C, D) of a bank's current
     values."""
-    a_bar, b_bar = discretize(bank.A, bank.B_in.data,
+    a_bar, b_bar = discretize(bank.A, bank.B_in,
                               np.exp(bank.log_dt.data))
     return [(a_bar[c], b_bar[c], bank.C_out.data[c],
              float(bank.D_skip.data[c])) for c in range(bank.d)]
@@ -305,7 +305,7 @@ def test_scan_equals_recurrence_and_fft_conv(B, L):
     x = rng.normal((B, L, 3))
     y = bank(Tensor(x)).data
     conv = conv_causal_channels(ssm_kernels(bank.C_out.data, bank.log_dt.data,
-                                            bank.B_in.data, bank.A, L),
+                                            bank.B_in, bank.A, L),
                                 x, bank.D_skip.data)
     assert np.max(np.abs(y - conv)) / np.max(np.abs(conv)) < 1e-13
     for c, (a_bar, b_bar, cc, skip) in enumerate(bank_channels(bank)):
@@ -355,7 +355,7 @@ def test_scan_input_shape_named():
     for at, name, bad, want in (
             (1, "log_dt", one, "(2,), got (1,)"),
             (2, "D_skip", one, "(2,), got (1,)"),
-            (3, "B_in", Tensor(np.zeros(2)), "(3,), got (2,)"),
+            (3, "B_in", np.zeros(2), "(3,), got (2,)"),
             (4, "A", np.eye(2), "(3, 3), got (2, 2)")):
         args = list(params)
         args[at] = bad
@@ -383,7 +383,7 @@ def test_scan_float32_matches_float64(B, L):
             dt = T.get_dtype()
             c, ld, skip, x = [Tensor(v.astype(dt), requires_grad=True)
                               for v in values]
-            y = ssm_scan(c, ld, skip, Tensor(b.astype(dt)), a, x)
+            y = ssm_scan(c, ld, skip, b.astype(dt), a, x)
             gs = grad(T.tsum(y * Tensor(probe.astype(dt))), [c, ld, skip, x])
             got[prec] = [y.data, *gs]
     names = ("y", "C_out", "log_dt", "D_skip", "x")
