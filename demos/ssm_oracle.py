@@ -46,8 +46,7 @@ y_rec = scan_recurrent(*chan, u)
 y_conv = conv_causal_channels(materialize_kernel(*chan, steps)[None],
                               u[None, :, None], np.zeros(1))[0, :, 0]
 y_scan = ssm_scan(Tensor(chan[2][None]), Tensor([np.log(0.05)]),
-                  Tensor([0.0]), b, a,
-                  Tensor(u[None, :, None])).data[0, :, 0]
+                  Tensor([0.0]), Tensor(u[None, :, None])).data[0, :, 0]
 print(f"\non {steps} random inputs, max abs diff to the recurrence:")
 print(f"  convolution by the kernel  {np.max(np.abs(y_conv - y_rec)):.3e}")
 print(f"  blocked ssm_scan           {np.max(np.abs(y_scan - y_rec)):.3e}")

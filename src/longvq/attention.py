@@ -149,11 +149,14 @@ def attn_dense_oracle(Q, K_hat, V, bias, cfg):
 
 
 def _linear_init(rng, fan_in, fan_out, name):
+    """A (fan_in, fan_out) weight drawn N(0, 1/fan_in); with a _zeros_param
+    bias it builds every linear layer here and in ``model``."""
     w = rng.normal((fan_in, fan_out), std=fan_in ** -0.5, dtype=get_dtype())
     return Tensor(w, requires_grad=True, name=name)
 
 
 def _zeros_param(shape, name):
+    """A trained parameter that starts at zero."""
     return Tensor(np.zeros(shape, dtype=get_dtype()), requires_grad=True,
                   name=name)
 
@@ -172,11 +175,9 @@ class LongVQLayer:
                  ssm_enabled=True, impl="factored"):
         if impl not in ("factored", "dense"):
             raise ValueError("impl must be 'factored' or 'dense'")
-        self.d = d
         self.cfg = cfg
         self.S = S
         self.impl = impl
-        self.ssm_enabled = ssm_enabled
         self.prefix = prefix
         self.bank = SsmBank(d, n_state, rng.child("ssm"),
                             prefix=f"{prefix}.ssm") if ssm_enabled else None
@@ -195,14 +196,14 @@ class LongVQLayer:
         self._cb_rng = rng.child("codebook")
 
     def params(self):
-        ps = list(self.bank.params()) if self.ssm_enabled else []
+        ps = [] if self.bank is None else self.bank.params()
         return ps + [p for wb in self.proj.values() for p in wb] \
             + [self.local_bias]
 
     def project_inputs(self, X):
         """(Z, G_a, Q, K, V) per the layer equations; X is (B, L, d)."""
         p = self.proj
-        Z = silu(self.bank(X)) if self.ssm_enabled else silu(X)
+        Z = silu(X if self.bank is None else self.bank(X))
         G_a = silu(linear(Z, *p["ga"]))
         Q = linear(Z, *p["q"])
         K = linear(Z, *p["k"])

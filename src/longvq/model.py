@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionConfig, LongVQLayer
+from .attention import (
+    AttentionConfig, LongVQLayer, _linear_init, _zeros_param,
+)
 from .tensor import (
     Tensor, gather_rows, get_dtype, layer_norm, linear, silu, tmean,
 )
@@ -61,11 +63,9 @@ class Norm:
     """LayerNorm over the channel axis with a learned gain and bias."""
 
     def __init__(self, d, prefix):
-        dt = get_dtype()
-        self.gain = Tensor(np.ones(d, dtype=dt), requires_grad=True,
+        self.gain = Tensor(np.ones(d, dtype=get_dtype()), requires_grad=True,
                            name=f"{prefix}.gain")
-        self.bias = Tensor(np.zeros(d, dtype=dt), requires_grad=True,
-                           name=f"{prefix}.bias")
+        self.bias = _zeros_param(d, f"{prefix}.bias")
 
     def __call__(self, x, residual=None):
         """Normalize x, or x + residual in the same node."""
@@ -79,17 +79,10 @@ class Ffn:
     """Position-wise Linear(d->f) -> silu -> Linear(f->d)."""
 
     def __init__(self, d, f, rng, prefix):
-        dt = get_dtype()
-        self.w1 = Tensor(rng.child("w1").normal((d, f), std=d ** -0.5,
-                                                dtype=dt),
-                         requires_grad=True, name=f"{prefix}.w1")
-        self.b1 = Tensor(np.zeros(f, dtype=dt), requires_grad=True,
-                         name=f"{prefix}.b1")
-        self.w2 = Tensor(rng.child("w2").normal((f, d), std=f ** -0.5,
-                                                dtype=dt),
-                         requires_grad=True, name=f"{prefix}.w2")
-        self.b2 = Tensor(np.zeros(d, dtype=dt), requires_grad=True,
-                         name=f"{prefix}.b2")
+        self.w1 = _linear_init(rng.child("w1"), d, f, f"{prefix}.w1")
+        self.b1 = _zeros_param(f, f"{prefix}.b1")
+        self.w2 = _linear_init(rng.child("w2"), f, d, f"{prefix}.w2")
+        self.b2 = _zeros_param(d, f"{prefix}.b2")
 
     def __call__(self, y):
         h = silu(linear(y, self.w1, self.b1))
@@ -133,29 +126,22 @@ class Model:
         # a train/eval flag kept for callers that toggle it; nothing here
         # reads it, since the block has no mode-dependent part
         self.training = False
-        dt = get_dtype()
         d = cfg.d_model
         er = rng.child("embed")
         if cfg.vocab > 0:
+            # a lookup table at std d^-1/2, not a linear layer's 1/fan_in
             self.embed_w = Tensor(er.normal((cfg.vocab, d), std=d ** -0.5,
-                                            dtype=dt),
+                                            dtype=get_dtype()),
                                   requires_grad=True, name="embed.table")
             self.embed_b = None
         else:
-            self.embed_w = Tensor(er.normal((cfg.in_dim, d),
-                                            std=cfg.in_dim ** -0.5, dtype=dt),
-                                  requires_grad=True, name="embed.w")
-            self.embed_b = Tensor(np.zeros(d, dtype=dt), requires_grad=True,
-                                  name="embed.b")
+            self.embed_w = _linear_init(er, cfg.in_dim, d, "embed.w")
+            self.embed_b = _zeros_param(d, "embed.b")
         self.blocks = [Block(cfg, rng.child(f"block{i}"), f"blocks.{i}",
                              impl=impl)
                        for i in range(cfg.depth)]
-        self.head_w = Tensor(rng.child("head").normal((d, cfg.n_out),
-                                                      std=d ** -0.5,
-                                                      dtype=dt),
-                             requires_grad=True, name="head.w")
-        self.head_b = Tensor(np.zeros(cfg.n_out, dtype=dt),
-                             requires_grad=True, name="head.b")
+        self.head_w = _linear_init(rng.child("head"), d, cfg.n_out, "head.w")
+        self.head_b = _zeros_param(cfg.n_out, "head.b")
 
     # -- plumbing ----------------------------------------------------------
 
@@ -205,12 +191,11 @@ class Model:
     def state_arrays(self):
         """Ordered name -> array map: parameters, then the codebooks."""
         out = {p.name: p.data for p in self.params()}
-        for i, b in enumerate(self.blocks):
+        for b in self.blocks:
             cb = b.attn.codebook
             if cb is not None:
-                out[f"blocks.{i}.attn.codebook.C"] = cb.C
-                out[f"blocks.{i}.attn.codebook.ema_count"] = cb.ema_count
-                out[f"blocks.{i}.attn.codebook.ema_sum"] = cb.ema_sum
+                out.update({f"{b.attn.prefix}.codebook.{n}": a
+                            for n, a in vars(cb).items()})
         return out
 
     def load_state(self, arrays):
@@ -218,7 +203,7 @@ class Model:
         and shape; the model changes only if all of them pass."""
         params = {p.name: p.data for p in self.params()}
         S, D = self.cfg.S, self.cfg.attn.z_dim
-        layers = [f"blocks.{i}.attn" for i in range(len(self.blocks))]
+        layers = [b.attn.prefix for b in self.blocks]
         fields = {"C": (S, D), "ema_count": (S,), "ema_sum": (S, D)}
         want = {n: a.shape for n, a in params.items()}
         want.update({f"{lay}.codebook.{n}": shape for lay in layers

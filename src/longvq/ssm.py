@@ -1,13 +1,14 @@
 """Structured state-space channels.
 
 Each embedding dimension gets an independent single-input single-output
-linear state-space system. The continuous (A, B) pair comes from the
-HiPPO-LegS init below, is discretized with the bilinear rule of S4 at a
-learned per-channel step size, and runs causally with a learned skip D:
+linear state-space system. The continuous (A, B) pair is S4's HiPPO-LegS
+init, frozen and set by the state size N alone, so the scan builds it.
+It is discretized with S4's bilinear rule at a learned per-channel step
+size, and runs causally with a learned skip D:
 h_t = A_bar h_(t-1) + B_bar u_t, y_t = C h_t + D u_t. Its impulse
 response is the kernel k[j] = C A_bar^j B_bar.
 
-``discretize`` is the one bilinear rule: it takes the shared (A, B) and a
+``discretize`` is the one bilinear rule: it takes an (A, B) pair and a
 (d,) vector of steps and returns every channel's (A_bar, B_bar) in
 float64. ``ssm_scan`` is the one differentiable path and the whole branch
 of ``SsmBank``: one tape node that runs the recurrence in blocks of b =
@@ -26,13 +27,13 @@ weighted sums over the same orbits: A_bar, its dt-derivative and
 ``ssm_kernels`` gives the (d, L) kernels as the scan's impulse response,
 forward only, for ``longvq kernel-dump``: by the same duality, one scan of
 a unit impulse with a zero skip returns k. The references, none of them
-on the training path, are ``materialize_kernel`` (state iteration) and
-``scan_recurrent`` (the literal recurrence), each on one channel's
-(A_bar, B_bar, C) arrays, and ``conv_causal_channels``, the causal
+on the training path, take explicit arrays: ``materialize_kernel`` (state
+iteration) and ``scan_recurrent`` (the literal recurrence), each on one
+channel's (A_bar, B_bar, C), and ``conv_causal_channels``, the causal
 convolution by direct per-channel summation. ``ssm_kernels`` and
-``conv_causal_channels`` keep their names and signatures because the
-benchmark's span table (``perfbench/spans.py``) wraps both. The scan is
-the only op here that builds a tape node.
+``conv_causal_channels`` keep their names because the benchmark's span
+table (``perfbench/spans.py``) wraps both. The scan is the only op here
+that builds a tape node.
 """
 
 from __future__ import annotations
@@ -234,11 +235,11 @@ def _block_matrices(a_bar, b_bar, c, skip, b, dtype):
     return pw, s, r, kt, wt, step
 
 
-def ssm_scan(C_out, log_dt, D_skip, B_in, A, x):
-    """The SSM branch of d channels sharing A, skip included, as one node.
+def ssm_scan(C_out, log_dt, D_skip, x):
+    """The SSM branch of d channels, skip included, as one node.
 
-    C_out: (d, N) tensor; log_dt, D_skip: (d,) tensors; B_in: (N,) and
-    A: (N, N) constant arrays; x: (B, L, d) tensor.
+    C_out: (d, N) tensor; log_dt, D_skip: (d,) tensors; x: (B, L, d)
+    tensor. Every channel's (A, B) is init_s4(N), B at the model dtype.
     Returns the (B, L, d) tensor y[., t, c] = sum_(j<=t) k_c[t-j] x[., j, c]
     + D_c x[., t, c], with gradients for C_out, log_dt, D_skip and x.
 
@@ -271,21 +272,21 @@ def ssm_scan(C_out, log_dt, D_skip, B_in, A, x):
     if L < 1:
         raise ValueError(f"input must hold at least one position, got shape "
                          f"{x.data.shape}")
+    if C_out.data.ndim != 2:
+        raise ValueError(f"C_out must be (d, N), got shape {C_out.data.shape}")
     if C_out.data.shape[0] != d:
         raise ValueError(f"input has {d} channels, the SSM bank "
                          f"{C_out.data.shape[0]}")
-    n = C_out.data.shape[1]
-    for name, got, want in (("log_dt", log_dt.data.shape, (d,)),
-                            ("D_skip", D_skip.data.shape, (d,)),
-                            ("B_in", np.shape(B_in), (n,)),
-                            ("A", np.shape(A), (n, n))):
-        if got != want:
-            raise ValueError(f"{name} must have shape {want}, got {got}")
+    for name, got in (("log_dt", log_dt.data.shape),
+                      ("D_skip", D_skip.data.shape)):
+        if got != (d,):
+            raise ValueError(f"{name} must have shape {(d,)}, got {got}")
     dtype = get_dtype()
+    n = C_out.data.shape[1]
+    a, b_in = init_s4(n)
     c = C_out.data.astype(np.float64)
-    a = np.asarray(A, dtype=np.float64)
     dt = np.exp(log_dt.data.astype(np.float64))
-    a_bar, b_bar = discretize(a, B_in, dt)
+    a_bar, b_bar = discretize(a, b_in.astype(dtype), dt)
     b = min(_BLOCK, L)
     nb = -(-L // b)
     skip = D_skip.data.astype(np.float64)
@@ -363,13 +364,12 @@ def ssm_scan(C_out, log_dt, D_skip, B_in, A, x):
     return make_op(y, (C_out, log_dt, D_skip, x), vjp, "ssm_scan")
 
 
-def ssm_kernels(c, log_dt, b_in, a, L):
-    """Materialized kernels k[c, j] = C A_bar^j B_bar of d channels
-    sharing A, forward only: the impulse response of ``ssm_scan``, run
-    once in float64 on a (1, L, d) unit impulse with a zero skip.
+def ssm_kernels(c, log_dt, L):
+    """Materialized kernels k[c, j] = C A_bar^j B_bar of d channels,
+    forward only: the impulse response of ``ssm_scan``, run once in
+    float64 (B unrounded) on a (1, L, d) unit impulse with a zero skip.
 
-    c: (d, N); log_dt: (d,); b_in: (N,); a: (N, N) arrays. Returns a
-    (d, L) array at the model dtype.
+    c: (d, N); log_dt: (d,) arrays. Returns a (d, L) array at the model dtype.
     """
     if L < 1:
         raise ValueError("kernel length must be >= 1")
@@ -378,24 +378,19 @@ def ssm_kernels(c, log_dt, b_in, a, L):
     x = np.zeros((1, L, d))
     x[0, 0] = 1.0
     with precision("float64"), no_grad():
-        y = ssm_scan(Tensor(c), Tensor(log_dt), Tensor(np.zeros(d)), b_in,
-                     a, Tensor(x))
+        y = ssm_scan(Tensor(c), Tensor(log_dt), Tensor(np.zeros(d)), Tensor(x))
     return np.ascontiguousarray(y.data[0].T, dtype=dtype)
 
 
 class SsmBank:
-    """d channels sharing one frozen A; the trained form of the module.
+    """d channels of state size n; the trained form of the module.
 
-    Parameters: C_out (d, N), log_dt (d,), D_skip (d,). B_in (N,), at the
-    model dtype, and A (N, N) are constant arrays fixed at their init
-    values; neither trains.
+    Parameters: C_out (d, N), log_dt (d,), D_skip (d,). The shared (A, B)
+    is init_s4(n), frozen, and built by ``ssm_scan`` itself.
     """
 
     def __init__(self, d, n, rng, prefix="ssm"):
-        a, b = init_s4(n)
         self.d, self.n = d, n
-        self.A = a
-        self.B_in = b.astype(get_dtype())
         self.C_out = Tensor(rng.normal((d, n), dtype=get_dtype()),
                             requires_grad=True, name=f"{prefix}.C_out")
         lo, hi = np.log(DT_MIN), np.log(DT_MAX)
@@ -410,10 +405,8 @@ class SsmBank:
 
     def kernels(self, L):
         """The (d, L) kernels at the current parameters, as an array."""
-        return ssm_kernels(self.C_out.data, self.log_dt.data, self.B_in,
-                           self.A, L)
+        return ssm_kernels(self.C_out.data, self.log_dt.data, L)
 
     def __call__(self, x):
         """x: (B, L, d) tensor -> (B, L, d) tensor."""
-        return ssm_scan(self.C_out, self.log_dt, self.D_skip, self.B_in,
-                        self.A, x)
+        return ssm_scan(self.C_out, self.log_dt, self.D_skip, x)

@@ -43,11 +43,32 @@ class Codebook:
         return self.C.shape[1]
 
 
+def _check_keys(name, k, cb):
+    """Raise, naming the argument, unless the keys k end in width D."""
+    if k.shape[-1:] != (cb.D,):
+        raise ValueError(f"{name} of shape {k.shape} does not match the "
+                         f"codebook of shape (S, D) = {cb.C.shape}")
+
+
+def _check_batch(name, k, z, cb):
+    """Raise unless z holds one shortcode in [0, S) per row of the keys k;
+    an out-of-range one is named with its position."""
+    _check_keys(name, k, cb)
+    if z.shape != k.shape[:-1]:
+        raise ValueError(f"z of shape {z.shape} does not give one code per "
+                         f"row of {name}, of shape {k.shape}")
+    at = _first_out_of_range(z, cb.S)
+    if at is not None:
+        raise ValueError(f"z: shortcode {z[at]} at position {at} is outside "
+                         f"[0, {cb.S})")
+
+
 def assign_batch(x, cb):
     """Nearest codeword per row of x (..., D); ties go to the lowest index."""
     x = np.asarray(x)
     if cb.S == 0:
         raise ValueError("empty codebook")
+    _check_keys("x", x, cb)
     flat = x.reshape(-1, x.shape[-1])
     # |c|^2 - 2 x.c: the squared distance less the row's |x|^2, which
     # does not move the argmin. One GEMM, one in-place add, one
@@ -63,6 +84,7 @@ def quantize_st(K, cb):
     Forward rows are exact codebook rows C[z]; backward passes the output
     gradient to K unchanged. Returns (K_hat, z).
     """
+    _check_keys("K", K.data, cb)
     z = assign_batch(K.data, cb)
     k_hat = cb.C[z].astype(K.data.dtype)
     out = make_op(k_hat, (K,), lambda g: (g,), "quantize_st")
@@ -79,6 +101,7 @@ def commit_loss(K, cb, z):
     chain it replaces (subtract, square, sum, scale by 1/n).
     """
     C, z = cb.C, np.asarray(z)
+    _check_batch("K", K.data, z, cb)
 
     def diff():
         d = C[z].astype(K.data.dtype, copy=False)
@@ -98,8 +121,8 @@ def commit_loss(K, cb, z):
 
 
 def ema_update(cb, K_batch, z):
-    """One EMA step over a batch of keys (an array, (..., D)) and their
-    shortcodes.
+    """One EMA step over a batch of keys K_batch, an array (..., D), and
+    their shortcodes z (...).
 
     N_s <- eta*N_s + (1-eta)*count_s
     m_s <- eta*m_s + (1-eta)*sum_{z_i=s} K_i
@@ -107,13 +130,9 @@ def ema_update(cb, K_batch, z):
     hit keep their initialization (up to smoothing drift). eta and
     epsilon are EMA_ETA and EMA_EPSILON.
     """
-    k = np.asarray(K_batch).reshape(-1, cb.D)
-    z = np.asarray(z)
-    at = _first_out_of_range(z, cb.S)
-    if at is not None:
-        raise ValueError(f"shortcode {z[at]} at position {at} is outside "
-                         f"[0, {cb.S})")
-    zf = z.reshape(-1)
+    k, z = np.asarray(K_batch), np.asarray(z)
+    _check_batch("K_batch", k, z, cb)
+    k, zf = k.reshape(-1, cb.D), z.reshape(-1)
     counts = np.bincount(zf, minlength=cb.S).astype(cb.ema_count.dtype)
     sums = _key_sums(zf, k, cb.S).astype(k.dtype)
     cb.ema_count = EMA_ETA * cb.ema_count + (1.0 - EMA_ETA) * counts

@@ -26,8 +26,7 @@ def _float64():
 def bank_channels(bank):
     """Per-channel oracle views (A_bar, B_bar, C, D) of a bank's current
     values."""
-    a_bar, b_bar = discretize(bank.A, bank.B_in,
-                              np.exp(bank.log_dt.data))
+    a_bar, b_bar = discretize(*init_s4(bank.n), np.exp(bank.log_dt.data))
     return [(a_bar[c], b_bar[c], bank.C_out.data[c],
              float(bank.D_skip.data[c])) for c in range(bank.d)]
 
@@ -305,7 +304,7 @@ def test_scan_equals_recurrence_and_fft_conv(B, L):
     x = rng.normal((B, L, 3))
     y = bank(Tensor(x)).data
     conv = conv_causal_channels(ssm_kernels(bank.C_out.data, bank.log_dt.data,
-                                            bank.B_in, bank.A, L),
+                                            L),
                                 x, bank.D_skip.data)
     assert np.max(np.abs(y - conv)) / np.max(np.abs(conv)) < 1e-13
     for c, (a_bar, b_bar, cc, skip) in enumerate(bank_channels(bank)):
@@ -350,17 +349,17 @@ def test_scan_input_shape_named():
                                          r"\(0, 4, 2\)"):
         bank(Tensor(np.zeros((0, 4, 2))))
     x = Tensor(np.zeros((1, 4, 2)))
+    # a 1-D C_out of d entries passes the channel check but has no N
     one, params = Tensor(np.zeros(1)), (bank.C_out, bank.log_dt,
-                                        bank.D_skip, bank.B_in, bank.A)
+                                        bank.D_skip)
     for at, name, bad, want in (
-            (1, "log_dt", one, "(2,), got (1,)"),
-            (2, "D_skip", one, "(2,), got (1,)"),
-            (3, "B_in", np.zeros(2), "(3,), got (2,)"),
-            (4, "A", np.eye(2), "(3, 3), got (2, 2)")):
+            (0, "C_out", Tensor(np.zeros(2)), "must be (d, N), got shape "
+                                              "(2,)"),
+            (1, "log_dt", one, "must have shape (2,), got (1,)"),
+            (2, "D_skip", one, "must have shape (2,), got (1,)")):
         args = list(params)
         args[at] = bad
-        with pytest.raises(ValueError, match=re.escape(
-                f"{name} must have shape {want}")):
+        with pytest.raises(ValueError, match=re.escape(f"{name} {want}")):
             ssm_scan(*args, x)
 
 
@@ -372,7 +371,6 @@ def test_scan_float32_matches_float64(B, L):
     # three other draws was 1.1e-6)
     rng = Rng(20)
     d, n = 64, 16
-    a, b = init_s4(n)
     values = [rng.normal((d, n)),
               rng.uniform((d,), np.log(DT_MIN), np.log(DT_MAX)),
               rng.normal((d,)), rng.normal((B, L, d))]
@@ -383,7 +381,7 @@ def test_scan_float32_matches_float64(B, L):
             dt = T.get_dtype()
             c, ld, skip, x = [Tensor(v.astype(dt), requires_grad=True)
                               for v in values]
-            y = ssm_scan(c, ld, skip, b.astype(dt), a, x)
+            y = ssm_scan(c, ld, skip, x)
             gs = grad(T.tsum(y * Tensor(probe.astype(dt))), [c, ld, skip, x])
             got[prec] = [y.data, *gs]
     names = ("y", "C_out", "log_dt", "D_skip", "x")

@@ -2,6 +2,7 @@
 pass-through, EMA law, commitment loss, diagnostics, checkpointing."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -268,6 +269,41 @@ def test_commit_loss_grad_to_keys_only():
     want = 2.0 * (K.data - cb.C[z]) / K.data.size
     np.testing.assert_allclose(g, want, atol=1e-12)
     np.testing.assert_array_equal(cb.C, C_before)
+
+
+@pytest.mark.parametrize("call,want", [
+    (lambda cb, k: ema_update(cb, k(10, 5), np.zeros(10, int)),
+     "K_batch of shape (10, 5) does not match the codebook of shape "
+     "(S, D) = (8, 4)"),
+    (lambda cb, k: ema_update(cb, k(10, 4), np.zeros(9, int)),
+     "z of shape (9,) does not give one code per row of K_batch, of shape "
+     "(10, 4)"),
+    (lambda cb, k: assign_batch(k(3, 5), cb),
+     "x of shape (3, 5) does not match the codebook of shape (S, D) = "
+     "(8, 4)"),
+    (lambda cb, k: quantize_st(Tensor(k(2, 3, 5)), cb),
+     "K of shape (2, 3, 5) does not match the codebook of shape (S, D) = "
+     "(8, 4)"),
+    (lambda cb, k: commit_loss(Tensor(k(2, 10, 4)), cb,
+                               np.zeros((2, 9), int)),
+     "z of shape (2, 9) does not give one code per row of K, of shape "
+     "(2, 10, 4)"),
+    (lambda cb, k: commit_loss(Tensor(k(2, 10, 3)), cb,
+                               np.zeros((2, 10), int)),
+     "K of shape (2, 10, 3) does not match the codebook of shape (S, D) = "
+     "(8, 4)"),
+    (lambda cb, k: commit_loss(Tensor(k(2, 4, 4)), cb,
+                               np.array([[0, 1, 2, 3], [4, 5, 9, 7]])),
+     "z: shortcode 9 at position (1, 2) is outside [0, 8)"),
+], ids=["ema-width", "ema-count", "assign-width", "quantize-width",
+        "commit-z-shape", "commit-width", "commit-code"])
+def test_mismatched_inputs_name_the_argument(call, want):
+    # each public function checks its inputs against the codebook (S=8,
+    # D=4) before numpy can fail on them with a message of its own
+    rng = Rng(21)
+    cb = make_cb(8, 4, rng)
+    with pytest.raises(ValueError, match=re.escape(want)):
+        call(cb, lambda *shape: rng.normal(shape))
 
 
 # ---------------------------------------------------------------------------
